@@ -17,6 +17,7 @@ from .containment import (
     verify_witness,
 )
 from .errors import (
+    CertificateRejected,
     ContainmentFails,
     DegreeMismatch,
     DimensionMismatch,

@@ -1,8 +1,11 @@
 """qformkit command line: deterministic, machine-readable front end.
 
 Exit codes: 0 proportional/divisible/success, 1 refuted (counterexample,
-witness, failed containment), 2 input parse error, 3 non-symmetric
-matrix, 4 hypothesis violation (e.g. base form not indefinite).
+witness, failed containment), 2 input error (unreadable file, parse error,
+wrong dimension), 3 non-symmetric matrix, 4 hypothesis violation (e.g.
+base form not indefinite), 5 internal error (a certificate failed its
+re-check, or qformkit itself raised); 5 prints one stderr line and
+nothing on stdout.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from fractions import Fraction
 
 from . import containment, forms, polys, relativity, semidefinite
 from .errors import (
+    CertificateRejected,
     ContainmentFails,
     FormatError,
     InvalidSpeed,
@@ -31,6 +35,21 @@ EXIT_REFUTED = 1
 EXIT_PARSE = 2
 EXIT_NONSYMMETRIC = 3
 EXIT_HYPOTHESIS = 4
+EXIT_INTERNAL = 5
+
+
+def _recheck(ok, what):
+    """Fail closed: a certificate that fails its independent re-check is
+    never printed."""
+    if not ok:
+        raise CertificateRejected(f"{what} failed its independent re-check")
+
+
+def _internal_error(exc) -> int:
+    """One stderr line for a fault of qformkit itself (exit 5)."""
+    message = " ".join(str(exc).splitlines())
+    print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+    return EXIT_INTERNAL
 
 
 def _emit(payload, human_lines, as_json):
@@ -90,7 +109,7 @@ def cmd_contain(args):
             args.json,
         )
         return EXIT_OK
-    assert containment.verify_witness(q, r, verdict.witness)
+    _recheck(containment.verify_witness(q, r, verdict.witness), "counterexample witness")
     w = verdict.witness
     _emit(
         verdict.to_json(),
@@ -114,7 +133,7 @@ def cmd_poly_contain(args):
         _emit(verdict.to_json(), [f"divisible: quotient = {verdict.quotient}"], args.json)
         return EXIT_OK
     if isinstance(verdict, polys.ConePointWitness):
-        assert polys.verify_poly_witness(q, r, verdict.witness)
+        _recheck(polys.verify_poly_witness(q, r, verdict.witness), "cone-point witness")
         w = verdict.witness
         _emit(
             verdict.to_json(),
@@ -160,7 +179,10 @@ def cmd_lorentz(args):
     report = relativity.check_interval_invariance(L, c)
     if report.witness_event is not None:
         q = relativity.minkowski_form(c, dim_space=L.dim - 1)
-        assert containment.verify_witness(q, report.pulled_back_form, report.witness_event)
+        _recheck(
+            containment.verify_witness(q, report.pulled_back_form, report.witness_event),
+            "witness event",
+        )
     lines = [f"classification: {report.classification}"]
     if report.kappa is not None:
         lines.append(f"kappa: {render_rational(report.kappa)}")
@@ -334,7 +356,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except FormatError as exc:
@@ -352,9 +374,13 @@ def main(argv=None) -> int:
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
+    except CertificateRejected as exc:
+        return _internal_error(exc)
     except QFormError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except Exception as exc:  # a fault of qformkit, never a verdict
+        return _internal_error(exc)
 
 
 if __name__ == "__main__":

@@ -60,3 +60,8 @@ class Unsupported(QFormError):
 
 class NumericalFailure(QFormError):
     """Floating-point residual exceeded the requested tolerance."""
+
+
+class CertificateRejected(QFormError):
+    """An independent re-check rejected a certificate the library produced;
+    a fault of qformkit itself, never a verdict about the input."""

@@ -288,7 +288,7 @@ def load_form(path) -> QuadraticForm:
     with open(path) as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
             raise FormatError(f"{path}: {exc}") from exc
     return form_from_json(obj)
 
@@ -297,6 +297,6 @@ def load_transform(path) -> LinearTransform:
     with open(path) as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
             raise FormatError(f"{path}: {exc}") from exc
     return transform_from_json(obj)

@@ -13,9 +13,11 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from . import linalg
 from .errors import (
+    CertificateRejected,
     DegreeMismatch,
     DimensionMismatch,
     FormatError,
@@ -35,6 +37,11 @@ from .scalars import QuadExt, parse_rational, render_rational
 
 def _grlex_key(exp):
     return (sum(exp), exp)
+
+
+def _heap_entry(exp):
+    """Min-heap entry that pops the graded-lex largest exponent first."""
+    return (-sum(exp), tuple([-e for e in exp]), exp)
 
 
 class HomogeneousPoly:
@@ -204,6 +211,13 @@ def reduce_by_quadratic(r: HomogeneousPoly, q: HomogeneousPoly) -> DivisionResul
     The remainder is zero iff q divides r: a single polynomial is its own
     normal-form basis for the principal ideal it generates, so this is a
     complete divisibility decision.
+
+    The leading term of the work polynomial comes off a heap (Monagan &
+    Pearce 2007) instead of a rescan of every term, so a division costs
+    O(T log T) rather than O(T^2) in the term count T.  An exponent is
+    pushed each time it enters the work dict; a popped exponent that has
+    since cancelled out of it is skipped.  Every term a step adds lies
+    below the term it removes, so no exponent is processed twice.
     """
     if q.is_zero() or q.degree != 2:
         raise DegreeMismatch("divisor must be a nonzero quadratic")
@@ -211,27 +225,35 @@ def reduce_by_quadratic(r: HomogeneousPoly, q: HomogeneousPoly) -> DivisionResul
         raise DimensionMismatch("variable counts differ")
     n = r.nvars
     lead_exp, lead_coef = q.leading()
+    tail = [(e, c) for e, c in q.terms.items() if e != lead_exp]
     quotient = {}
     remainder = {}
     work = dict(r.terms)
-    while work:
-        exp = max(work, key=_grlex_key)
-        coef = work.pop(exp)
-        if coef == 0:
-            continue
+    heap = [_heap_entry(exp) for exp in work]
+    heapify(heap)
+    while heap:
+        exp = heappop(heap)[2]
+        coef = work.pop(exp, None)
+        if coef is None:
+            continue  # cancelled since it was pushed
         if _exp_divides(lead_exp, exp):
-            qexp = tuple(a - b for a, b in zip(exp, lead_exp))
+            qexp = tuple([a - b for a, b in zip(exp, lead_exp)])
             qcoef = coef / lead_coef
-            quotient[qexp] = quotient.get(qexp, Fraction(0)) + qcoef
-            for e2, c2 in q.terms.items():
-                if e2 == lead_exp:
-                    continue  # leading term already cancelled by the pop
-                e = tuple(a + b for a, b in zip(qexp, e2))
-                work[e] = work.get(e, Fraction(0)) - qcoef * c2
-                if work[e] == 0:
-                    del work[e]
+            quotient[qexp] = qcoef
+            for e2, c2 in tail:
+                e = tuple([a + b for a, b in zip(qexp, e2)])
+                old = work.get(e)
+                if old is None:
+                    work[e] = -qcoef * c2
+                    heappush(heap, _heap_entry(e))
+                else:
+                    new = old - qcoef * c2
+                    if new:
+                        work[e] = new
+                    else:
+                        del work[e]
         else:
-            remainder[exp] = remainder.get(exp, Fraction(0)) + coef
+            remainder[exp] = coef
     qdeg = max(r.degree - 2, 0)
     return DivisionResult(
         quotient=HomogeneousPoly(n, qdeg, quotient),
@@ -334,7 +356,8 @@ def decide_containment_homogeneous(
         r_val = r.evaluate(coords)
         if not r_val.is_zero():
             q_val = form_eval(q, coords)
-            assert q_val.is_zero()
+            if not q_val.is_zero():
+                raise CertificateRejected("sampled point is off the null cone of q")
             return ConePointWitness(
                 WitnessVector(coords=coords, q_value=q_val, r_value=r_val)
             )
@@ -401,6 +424,6 @@ def load_poly(path) -> HomogeneousPoly:
     with open(path) as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
             raise FormatError(f"{path}: {exc}") from exc
     return poly_from_json(obj)

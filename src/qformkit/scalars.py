@@ -41,9 +41,10 @@ def render_rational(x: Fraction) -> str:
 class QuadExt:
     """a + b*sqrt(t) with rational a, b and fixed positive rational t.
 
-    Two values combine only when their radicands agree or one of them has
-    a zero sqrt-part.  Division is deliberately absent: the certificate
-    checks only ever add, multiply, and test for zero.
+    Two values combine when their radicands agree, when one of them has a
+    zero sqrt-part, or when the radicands differ by a rational square
+    factor (sqrt(8) = 2*sqrt(2)).  Division is deliberately absent: the
+    certificate checks only ever add, multiply, and test for zero.
     """
 
     __slots__ = ("rat", "rad", "t")
@@ -80,11 +81,24 @@ class QuadExt:
             return other.t
         return self.t
 
+    def _over_own_t(self, other: "QuadExt") -> "QuadExt":
+        """other rewritten over self.t, when t'/t is a rational square s^2:
+        b*sqrt(t') = (b*s)*sqrt(t)."""
+        s = _exact_sqrt(other.t / self.t)
+        if s is None:
+            raise MismatchedRadicand(
+                f"cannot combine sqrt({self.t}) with sqrt({other.t})"
+            )
+        return QuadExt(other.rat, other.rad * s, self.t)
+
     def __add__(self, other):
         other = self._coerce(other, self.t)
         if other is NotImplemented:
             return NotImplemented
-        t = self._join_t(other)
+        try:
+            t = self._join_t(other)
+        except MismatchedRadicand:  # kept off the common, equal-radicand path
+            other, t = self._over_own_t(other), self.t
         return QuadExt(self.rat + other.rat, self.rad + other.rad, t)
 
     __radd__ = __add__
@@ -108,7 +122,10 @@ class QuadExt:
         other = self._coerce(other, self.t)
         if other is NotImplemented:
             return NotImplemented
-        t = self._join_t(other)
+        try:
+            t = self._join_t(other)
+        except MismatchedRadicand:
+            other, t = self._over_own_t(other), self.t
         # (a + b sqrt t)(c + d sqrt t) = (ac + bd t) + (ad + bc) sqrt t
         return QuadExt(
             self.rat * other.rat + self.rad * other.rad * t,
@@ -148,7 +165,9 @@ class QuadExt:
             return False
 
     def __hash__(self):
-        # Hash by real value: collapse perfect-square radicands.
+        # Hash by real value: collapse perfect-square radicands, and key
+        # b*sqrt(t) by b^2*t and the sign of b, which every radicand
+        # written for the same value shares.
         if self.is_zero():
             return hash(Fraction(0))
         if self.rad == 0:
@@ -156,7 +175,7 @@ class QuadExt:
         root = _exact_sqrt(self.t)
         if root is not None:
             return hash(self.rat + self.rad * root)
-        return hash((self.rat, self.rad, self.t))
+        return hash((self.rat, self.rad * self.rad * self.t, self.rad > 0))
 
     def to_float(self) -> float:
         return float(self.rat) + float(self.rad) * float(self.t) ** 0.5

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from qformkit import containment, polys
 from qformkit.cli import main
 
 MINKOWSKI = '{"dim": 4, "rows": [[-1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]}'
@@ -173,6 +174,14 @@ class TestLorentz:
         # with c = 2 the same stretch still breaks the cone
         assert main(["lorentz", path, "--c", "2", "--json"]) == 1
 
+    def test_one_by_one_transform_is_a_dimension_error(self, tmp_path, capsys):
+        path = write(tmp_path, "L.json", '{"dim": 1, "rows": [[1]]}')
+        assert main(["lorentz", path, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "space dimension" in captured.err
+        assert "speed" not in captured.err
+
 
 class TestDemo:
     def test_exit_zero(self, capsys):
@@ -193,3 +202,58 @@ class TestDemo:
             "semidefinite-trap",
             "minkowski",
         ]
+
+
+QUARTIC_SUM = json.dumps(
+    {
+        "nvars": 2,
+        "degree": 4,
+        "terms": [{"exp": [4, 0], "coef": "1"}, {"exp": [0, 4], "coef": "1"}],
+    }
+)
+
+
+class TestInternalError:
+    """Exit 5: a fault of qformkit itself, one stderr line, empty stdout."""
+
+    @staticmethod
+    def assert_internal(capsys, code, first_words):
+        captured = capsys.readouterr()
+        assert code == 5
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("internal error: " + first_words)
+
+    @pytest.mark.parametrize(
+        "kind, files, module, checker",
+        [
+            ("contain", {"q": HYP, "r": CIRCLE}, containment, "verify_witness"),
+            ("poly-contain", {"q": HYP, "r": QUARTIC_SUM}, polys, "verify_poly_witness"),
+            ("lorentz", {"L": TestLorentz.STRETCH}, containment, "verify_witness"),
+        ],
+    )
+    def test_rejected_witness_exit_5(
+        self, tmp_path, capsys, monkeypatch, kind, files, module, checker
+    ):
+        monkeypatch.setattr(module, checker, lambda *args: False)
+        paths = [write(tmp_path, f"{role}.json", text) for role, text in files.items()]
+        code = main([kind, *paths, "--json"])
+        self.assert_internal(capsys, code, "CertificateRejected:")
+
+    def test_unexpected_exception_exit_5(self, tmp_path, capsys, monkeypatch):
+        def broken_sampler(*args):
+            raise RuntimeError("cone sampler failed to draw an admissible point")
+
+        monkeypatch.setattr(polys, "sample_cone_point", broken_sampler)
+        q = write(tmp_path, "q.json", HYP)
+        r = write(tmp_path, "r.json", QUARTIC_SUM)
+        code = main(["poly-contain", q, r, "--json"])
+        self.assert_internal(capsys, code, "RuntimeError: cone sampler failed")
+
+
+def test_unreadable_input_exit_2(tmp_path, capsys):
+    binary = tmp_path / "q.json"
+    binary.write_bytes(b"\xff\xfe\x00")
+    for path in (str(tmp_path), str(binary)):  # a directory, bytes that are not UTF-8
+        assert main(["analyze", path]) == 2
+        assert capsys.readouterr().out == ""

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -125,6 +126,58 @@ class TestReduceByQuadratic:
             lead, _ = q.leading()
             for exp in res.remainder.terms:
                 assert not all(a <= b for a, b in zip(lead, exp))
+
+
+def reference_division(r, q):
+    """Division that rescans the whole work dict for its graded-lex
+    maximum at every step: the plain textbook algorithm."""
+
+    def grlex(e):
+        return (sum(e), e)
+
+    lead_exp = max(q.terms, key=grlex)
+    lead_coef = q.terms[lead_exp]
+    quotient, remainder, work = {}, {}, dict(r.terms)
+    while work:
+        exp = max(work, key=grlex)
+        coef = work.pop(exp)
+        if all(a <= b for a, b in zip(lead_exp, exp)):
+            qexp = tuple(a - b for a, b in zip(exp, lead_exp))
+            qcoef = coef / lead_coef
+            quotient[qexp] = quotient.get(qexp, Fraction(0)) + qcoef
+            for e2, c2 in q.terms.items():
+                if e2 != lead_exp:
+                    e = tuple(a + b for a, b in zip(qexp, e2))
+                    work[e] = work.get(e, Fraction(0)) - qcoef * c2
+                    if work[e] == 0:
+                        del work[e]
+        else:
+            remainder[exp] = remainder.get(exp, Fraction(0)) + coef
+    n = r.nvars
+    return (
+        HomogeneousPoly(n, max(r.degree - 2, 0), quotient),
+        HomogeneousPoly(n, r.degree, remainder),
+    )
+
+
+def test_heap_division_matches_rescan_reference():
+    rng = random.Random(2007)
+    for k in range(120):
+        n = rng.randint(1, 5)
+        if k % 3 == 0:
+            q = poly_from_form(random_indefinite(rng, max(n, 2)))
+            n = q.nvars
+        else:  # any quadratic, e.g. with leading term x1*x2
+            q = random_homogeneous(rng, n, 2, max_terms=5)
+        r = random_homogeneous(rng, n, rng.randint(2, 7), max_terms=40)
+        if k % 2 == 0:  # divisible, with cancellations along the way
+            r = q * random_homogeneous(rng, n, r.degree - 2, max_terms=20)
+        res = reduce_by_quadratic(r, q)
+        quotient, remainder = reference_division(r, q)
+        assert res.quotient.terms == quotient.terms
+        assert res.remainder.terms == remainder.terms
+        for got, want in ((res.quotient, quotient), (res.remainder, remainder)):
+            assert json.dumps(poly_to_json(got)) == json.dumps(poly_to_json(want))
 
 
 class TestDecideContainmentHomogeneous:

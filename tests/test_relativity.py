@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qformkit import (
+    DimensionMismatch,
     Inertia,
     InvalidSpeed,
     LinearTransform,
@@ -39,6 +40,12 @@ class TestMinkowskiForm:
             minkowski_form(0)
         with pytest.raises(InvalidSpeed):
             minkowski_form(Fraction(-1, 2))
+
+    def test_rejects_zero_space_dimensions_as_a_dimension_fault(self):
+        with pytest.raises(DimensionMismatch):
+            minkowski_form(1, dim_space=0)
+        with pytest.raises(DimensionMismatch):
+            check_interval_invariance(LinearTransform([[1]]))
 
 
 class TestBoost:

@@ -45,6 +45,42 @@ class TestQuadExtMul:
         assert qe(2, 0, 2) * qe(0, 1, 3) == qe(0, 2, 3)
 
 
+class TestEqualValueRadicands:
+    def test_square_radicand_equals_rational_multiple(self):
+        # sqrt(4) = 2 * sqrt(1) = 2
+        assert qe(0, 1, 4) == qe(0, 2, 1)
+        assert hash(qe(0, 1, 4)) == hash(qe(0, 2, 1))
+
+    def test_square_factor_equality(self):
+        # sqrt(8) = 2 * sqrt(2)
+        assert qe(1, 1, 8) == qe(1, 2, 2)
+        assert hash(qe(1, 1, 8)) == hash(qe(1, 2, 2))
+        assert qe(0, 1, 8) != qe(0, -2, 2)
+
+    def test_add_and_multiply_across_square_factor(self):
+        assert qe(0, 1, 8) + qe(0, 1, 2) == qe(0, 3, 2)
+        assert qe(0, 1, 2) + qe(0, 1, 8) == qe(0, 3, 2)
+        assert qe(0, 1, 8) * qe(0, 1, 2) == qe(4)
+        assert (qe(0, 1, 8) - qe(0, 2, 2)).is_zero()
+
+    def test_non_square_ratio_still_rejected(self):
+        with pytest.raises(MismatchedRadicand):
+            qe(0, 1, 8) + qe(0, 1, 3)
+        assert qe(0, 1, 2) != qe(0, 1, 3)
+
+
+scales = st.fractions(min_value=Fraction(1, 5), max_value=5, max_denominator=5)
+
+
+@given(small_rationals, small_rationals, st.integers(2, 7), scales)
+def test_rescaled_radicand_is_the_same_value(rat, rad, t, s):
+    # rad*sqrt(t) = (rad/s)*sqrt(s^2 t)
+    x, y = qe(rat, rad, t), qe(rat, rad / s, s * s * t)
+    assert x == y and y == x
+    assert hash(x) == hash(y)
+    assert (x - y).is_zero()
+
+
 class TestQuadExtZero:
     def test_plain_zero(self):
         assert qe(0, 0, 7).is_zero()
