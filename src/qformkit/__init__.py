@@ -41,6 +41,7 @@ from .forms import (
     apply_transform,
     bilinear_eval,
     classify,
+    classify_inertia,
     congruence_diagonalize,
     evaluate,
     inertia,

@@ -63,8 +63,8 @@ def _emit(payload, human_lines, as_json):
 def cmd_analyze(args):
     q = forms.load_form(args.form)
     d = forms.congruence_diagonalize(q)
-    cls = forms.classify(q)
     ine = d.inertia
+    cls = forms.classify_inertia(ine)
     payload = {
         "inertia": [ine.k, ine.m, ine.z],
         "classification": cls,

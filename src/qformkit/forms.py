@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import DimensionMismatch, FormatError, NonSymmetricMatrix
-from .scalars import parse_rational, render_rational
+from .scalars import QuadExt, parse_rational, render_rational
 
 INDEFINITE = "indefinite"
 POSITIVE_DEFINITE = "positive-definite"
@@ -127,14 +127,32 @@ class LinearTransform:
 
 
 def evaluate(q: QuadraticForm, x):
-    """q(x) for a vector of Fractions or QuadExt values (shared radicand)."""
+    """q(x) for a vector of Fractions or QuadExt values (shared radicand).
+
+    A QuadExt vector a + b*sqrt(t) with one radicand t is evaluated as
+    the rational forms a^T Q a + t * b^T Q b and 2 * a^T Q b.
+    """
     if len(x) != q.dim:
         raise DimensionMismatch(f"vector length {len(x)} != dim {q.dim}")
+    t = x[0].t if x and isinstance(x[0], QuadExt) else None
+    if t is not None and all(isinstance(c, QuadExt) and c.t == t for c in x):
+        return _evaluate_split(q.matrix, x, t)
     total = 0
     for i in range(q.dim):
         for j in range(q.dim):
             total = total + q.matrix[i][j] * x[i] * x[j]
     return total
+
+
+def _evaluate_split(m, x, t):
+    a = [(i, c.rat) for i, c in enumerate(x) if c.rat]
+    b = [(i, c.rad) for i, c in enumerate(x) if c.rad]
+    qa = {i: sum(m[i][j] * v for j, v in a) for i, _ in a}
+    qb = {i: sum(m[i][j] * v for j, v in b) for i in {i for i, _ in a + b}}
+    aqa = sum(v * qa[i] for i, v in a)
+    bqb = sum(v * qb[i] for i, v in b)
+    aqb = sum(v * qb[i] for i, v in a)
+    return QuadExt(aqa + t * bqb, 2 * aqb, t)
 
 
 def bilinear_eval(q: QuadraticForm, x, y):
@@ -161,12 +179,17 @@ def congruence_diagonalize(q: QuadraticForm) -> CongruenceDiagonalization:
 
     def col_addmul(j, i, c):
         # basis col j += c * col i; congruence update of A
+        # skipping zero multiplicands changes no value: B starts as the
+        # identity and eliminated rows and columns of A are zero
         for r in range(n):
-            b[r][j] += c * b[r][i]
+            if x := b[r][i]:
+                b[r][j] += c * x
         for r in range(n):
-            a[r][j] += c * a[r][i]
+            if x := a[r][i]:
+                a[r][j] += c * x
         for r in range(n):
-            a[j][r] += c * a[i][r]
+            if x := a[i][r]:
+                a[j][r] += c * x
 
     def col_swap(i, j):
         for r in range(n):
@@ -216,8 +239,12 @@ def inertia(q: QuadraticForm) -> Inertia:
 
 
 def classify(q: QuadraticForm) -> str:
-    ine = inertia(q)
-    n = q.dim
+    return classify_inertia(inertia(q))
+
+
+def classify_inertia(ine: Inertia) -> str:
+    """Classification of any form with inertia ine (k, m, z)."""
+    n = ine.dim
     if ine.k > 0 and ine.m > 0:
         return INDEFINITE
     if ine.k == n:

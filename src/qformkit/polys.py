@@ -24,11 +24,12 @@ from .errors import (
     NotIndefinite,
 )
 from .containment import WitnessVector
-from .forms import (
+from .forms import (  # noqa: F401 -- classify stays bound for perfbench/spans.py
     INDEFINITE,
     CongruenceDiagonalization,
     QuadraticForm,
     classify,
+    classify_inertia,
     congruence_diagonalize,
 )
 from .forms import evaluate as form_eval
@@ -343,13 +344,13 @@ def decide_containment_homogeneous(
     certificate via the remainder)."""
     if q.dim != r.nvars:
         raise DimensionMismatch(f"form dim {q.dim} != poly nvars {r.nvars}")
-    if classify(q) != INDEFINITE:
+    dq = congruence_diagonalize(q)
+    if classify_inertia(dq.inertia) != INDEFINITE:
         raise NotIndefinite("the quadratic divisor must be indefinite")
     qp = poly_from_form(q)
     division = reduce_by_quadratic(r, qp)
     if division.remainder.is_zero():
         return Divisible(division.quotient)
-    dq = congruence_diagonalize(q)
     rng = random.Random(seed)
     for _ in range(budget):
         coords = sample_cone_point(dq, rng)

@@ -17,8 +17,15 @@ from .errors import FormatError, MismatchedRadicand
 Rational = Fraction
 
 
+# Python already refuses to read an int of more digits than this from text;
+# a decimal exponent is held to the same size, so "1e100000000" cannot
+# expand into a hundred-million-digit integer.
+MAX_EXPONENT = 4300
+
+
 def parse_rational(text) -> Fraction:
-    """Parse "n/d" or "n" (also accepts plain ints from JSON)."""
+    """Parse "n/d" or "n" (also accepts plain ints from JSON), or a
+    decimal such as "1.5e-3" with |exponent| <= MAX_EXPONENT."""
     if isinstance(text, bool):
         raise FormatError(f"not a rational: {text!r}")
     if isinstance(text, int):
@@ -27,6 +34,11 @@ def parse_rational(text) -> Fraction:
         return text
     if isinstance(text, str):
         try:
+            _, e, exponent = text.lower().partition("e")
+            if e and abs(int(exponent)) > MAX_EXPONENT:
+                raise FormatError(
+                    f"exponent out of range (|e| > {MAX_EXPONENT}): {text!r}"
+                )
             return Fraction(text.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"not a rational: {text!r}") from exc

@@ -15,7 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .containment import Counterexample, decide_containment
+from .containment import (  # noqa: F401 -- decide_containment stays bound for perfbench/spans.py
+    Counterexample,
+    _decide_in_frame,
+    decide_containment,
+)
 from .errors import (
     ContainmentFails,
     DimensionMismatch,
@@ -32,6 +36,7 @@ from .forms import (
     ZERO,
     QuadraticForm,
     classify,
+    classify_inertia,
     congruence_diagonalize,
 )
 from .scalars import render_rational
@@ -207,6 +212,12 @@ def simdiag_psd(
     q_unit = -1.0 if oq < 0 else 1.0
     r_sign = -1.0 if orr < 0 else 1.0
     q_diag = tuple([q_unit] * nm + [0.0] * z)
+    diag_error = float(np.max(np.abs(np.diag(tq) - q_diag)))
+    if diag_error > tol:
+        raise NumericalFailure(
+            f"diagonal of B^T Q B is off the reported q_diag by {diag_error}, "
+            f"over tolerance {tol}"
+        )
     r_diag = tuple([r_sign * float(v) for v in eigvals] + [0.0] * z)
     return SimDiagResult(
         basis=tuple(map(tuple, basis)),
@@ -224,14 +235,14 @@ def simdiag_general(
     both); semidefinite pairs go through the kernel route."""
     if q.dim != r.dim:
         raise DimensionMismatch(f"dims differ: {q.dim} vs {r.dim}")
-    if classify(q) == INDEFINITE:
-        verdict = decide_containment(q, r)
+    dq = congruence_diagonalize(q)
+    if classify_inertia(dq.inertia) == INDEFINITE:
+        verdict = _decide_in_frame(q, r, dq)
         if isinstance(verdict, Counterexample):
             raise ContainmentFails(
                 "q has a null-cone point where r is nonzero",
                 witness=verdict.witness,
             )
-        dq = congruence_diagonalize(q)
         basis = tuple(tuple(float(e) for e in row) for row in dq.basis)
         q_diag = tuple(float(d) for d in dq.diag)
         r_diag = tuple(float(verdict.alpha * d) for d in dq.diag)

@@ -75,6 +75,16 @@ class TestContain:
         assert "indefinite" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("entry", ["1e5000", "1e-5000"])
+    def test_huge_exponent_exit_2(self, tmp_path, capsys, entry):
+        q = write(tmp_path, "q.json", HYP)
+        r = write(tmp_path, "r.json", '{"dim": 2, "rows": [["%s",0],[0,1]]}' % entry)
+        assert main(["contain", q, r, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exponent" in captured.err
+
+
 class TestCanon:
     def test_outputs_diagonal(self, tmp_path, capsys):
         path = write(tmp_path, "q.json", S2)

@@ -21,9 +21,12 @@ from qformkit import (
     minkowski_form,
     verify_witness,
 )
-from qformkit.forms import LinearTransform
+from qformkit import forms
+from qformkit.containment import WitnessVector, _witness_family
+from qformkit.errors import MismatchedRadicand, NoWitnessFound
+from qformkit.forms import INDEFINITE, LinearTransform
 
-from conftest import random_indefinite
+from conftest import random_indefinite, random_invertible
 
 HYP = QuadraticForm([[1, 0], [0, -1]])  # x^2 - y^2
 
@@ -171,7 +174,6 @@ class TestBruteForceAgreement:
 
     def test_small_integer_forms(self):
         rng = random.Random(45)
-        from qformkit.containment import _congruent_matrix, _witness_family
 
         for _ in range(200):
             n = rng.choice([2, 3])
@@ -199,8 +201,8 @@ class TestBruteForceAgreement:
             verdict = decide_containment(q, r)
             assert isinstance(verdict, Proportional) == brute_prop
             # every family member is exactly null for q
-            for v in _witness_family(d.diag, d.inertia):
-                coords = linalg.mat_vec(d.basis, v)
+            for member in _witness_family(d.diag, d.inertia):
+                coords = linalg.mat_vec(d.basis, _dense(member, n))
                 assert evaluate(q, coords).is_zero()
 
 
@@ -219,3 +221,300 @@ class TestJsonRendering:
         assert payload["r_value"] == "2"
         assert payload["witness"]["coords"] == [["1", "0"], ["0", "1"]]
         json.dumps(payload)
+
+
+# --- reference: the decision path before it moved into one diagonal frame ---
+#
+# classify(q), then a second diagonalization, the full congruent matrix
+# B^T R B and a proportionality scan of it; every witness-family member
+# built as a dense n-vector of QuadExt, mapped through B and evaluated by
+# the generic O(n^2) loop.
+
+
+def _congruent_matrix(r, basis):
+    bt = linalg.transpose(basis)
+    return linalg.mat_mul(linalg.mat_mul(bt, r.matrix), basis)
+
+
+def _is_proportional(rp, diag, alpha):
+    n = len(diag)
+    for i in range(n):
+        for j in range(n):
+            expected = alpha * diag[i] if i == j else Fraction(0)
+            if rp[i][j] != expected:
+                return False
+    return True
+
+
+def _dense(member, n):
+    t, support = member
+    v = [QuadExt(0, 0, t)] * n
+    for i, x, y in support:
+        v[i] = QuadExt(x, y, t)
+    return tuple(v)
+
+
+def _loop_evaluate(matrix, x):
+    total = 0
+    for i in range(len(x)):
+        for j in range(len(x)):
+            total = total + matrix[i][j] * x[i] * x[j]
+    return total
+
+
+def _reference_decide(q, r):
+    if classify(q) != INDEFINITE:
+        raise NotIndefinite("not indefinite")
+    dq = congruence_diagonalize(q)
+    rp = _congruent_matrix(r, dq.basis)
+    alpha = rp[0][0] / dq.diag[0]
+    if _is_proportional(rp, dq.diag, alpha):
+        return Proportional(alpha)
+    n = q.dim
+    diag_matrix = [[dq.diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    for member in _witness_family(dq.diag, dq.inertia):
+        v = _dense(member, n)
+        coords = linalg.mat_vec(dq.basis, v)
+        r_val = _loop_evaluate(r.matrix, coords)
+        if not r_val.is_zero():
+            q_val = _loop_evaluate(diag_matrix, v)
+            return Counterexample(WitnessVector(tuple(coords), q_val, r_val))
+    raise NoWitnessFound("reference found no witness")
+
+
+def _exact(x):
+    return (x.rat, x.rad, x.t)
+
+
+def _assert_same_verdict(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, Proportional):
+        assert got.alpha == want.alpha
+        assert type(got.alpha) is Fraction
+        return
+    assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+    gw, ww = got.witness, want.witness
+    assert [_exact(c) for c in gw.coords] == [_exact(c) for c in ww.coords]
+    assert _exact(gw.q_value) == _exact(ww.q_value)
+    assert _exact(gw.r_value) == _exact(ww.r_value)
+    assert str(gw.q_value) == str(ww.q_value)
+    assert str(gw.r_value) == str(ww.r_value)
+
+
+def _zero_diagonal_indefinite(rng, n):
+    while True:
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = Fraction(rng.randint(-3, 3))
+        q = QuadraticForm(rows)
+        if classify(q) == INDEFINITE:
+            return q
+
+
+def _in_frame(q, bumps, alpha):
+    """r with B^T R B = alpha*diag(d) + bumps, B the basis of q: each
+    bump (a, b, c) adds c at (a, b) and (b, a) of the diagonal frame."""
+    d = congruence_diagonalize(q)
+    n = q.dim
+    rp = [[alpha * d.diag[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    for a, b, c in bumps:
+        rp[a][b] += c
+        if a != b:
+            rp[b][a] += c
+    binv = linalg.inverse(d.basis)
+    return QuadraticForm(linalg.mat_mul(linalg.mat_mul(linalg.transpose(binv), rp), binv))
+
+
+def _degenerate(rng, n, z):
+    """An indefinite form of rank n - z, congruent to q' (+) 0_z."""
+    rows = [list(row) + [Fraction(0)] * z for row in random_indefinite(rng, n - z).matrix]
+    rows += [[Fraction(0)] * n for _ in range(z)]
+    L = random_invertible(rng, n).matrix
+    return QuadraticForm(linalg.mat_mul(linalg.mat_mul(linalg.transpose(L), rows), L))
+
+
+class TestDiagonalFrameEquivalence:
+    """decide_containment against the reference path: same verdict class,
+    same alpha, identical to_json bytes, q_value and r_value."""
+
+    def test_anchored_and_random_perturbations(self):
+        rng = random.Random(46)
+        for k in range(120):
+            n = rng.randint(2, 7)
+            q = random_indefinite(rng, n)
+            alpha = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+            r = QuadraticForm(linalg.mat_scale(q.matrix, alpha))
+            _assert_same_verdict(decide_containment(q, r), _reference_decide(q, r))
+            anchored = k % 2 == 0
+            rows = [list(row) for row in r.matrix]
+            i, j = (0, 0) if anchored else (rng.randrange(n), rng.randrange(n))
+            eps = Fraction(rng.choice([-1, 1]), rng.randint(1, 3))
+            rows[i][j] += eps
+            if i != j:
+                rows[j][i] += eps
+            r_bad = QuadraticForm(rows)
+            _assert_same_verdict(decide_containment(q, r_bad), _reference_decide(q, r_bad))
+
+    def test_zero_diagonal_forms(self):
+        rng = random.Random(47)
+        for _ in range(60):
+            n = rng.randint(2, 7)
+            q = _zero_diagonal_indefinite(rng, n)
+            r = QuadraticForm(linalg.mat_scale(q.matrix, Fraction(rng.randint(-3, 3))))
+            _assert_same_verdict(decide_containment(q, r), _reference_decide(q, r))
+            rows = [list(row) for row in r.matrix]
+            rows[0][0] += 1
+            r_bad = QuadraticForm(rows)
+            _assert_same_verdict(decide_containment(q, r_bad), _reference_decide(q, r_bad))
+
+    def test_degenerate_forms_reach_every_family(self):
+        rng = random.Random(48)
+        reached = set()
+        for _ in range(80):
+            n = rng.randint(3, 6)
+            z = rng.randint(0, min(2, n - 2))
+            q = _degenerate(rng, n, z) if z else random_indefinite(rng, n)
+            d = congruence_diagonalize(q)
+            if d.inertia.k == 0 or d.inertia.m == 0:
+                continue
+            a, b = rng.randrange(n), rng.randrange(n)
+            r = _in_frame(q, [(a, b, Fraction(rng.choice([-2, -1, 1, 2])))], Fraction(rng.randint(-2, 2)))
+            got, want = decide_containment(q, r), _reference_decide(q, r)
+            _assert_same_verdict(got, want)
+            if isinstance(got, Counterexample):
+                k, m = d.inertia.k, d.inertia.m
+                lo, hi = sorted((a, b))
+                if lo >= k + m:
+                    reached.add("b" if lo == hi else "d")
+                elif hi >= k + m:
+                    reached.add("c")
+                elif (lo < k) == (hi < k) and lo != hi:
+                    reached.add("e")
+                else:
+                    reached.add("a")
+        assert reached == {"a", "b", "c", "d", "e"}
+
+    def test_perfect_square_radicand(self):
+        q = QuadraticForm([[0, 1], [1, 0]])  # diagonalizes to (2, -1/2): t = 4
+        for bumps in ([(0, 0, Fraction(1))], [(0, 1, Fraction(1))], [(1, 1, Fraction(-3))]):
+            r = _in_frame(q, bumps, Fraction(1))
+            got = decide_containment(q, r)
+            _assert_same_verdict(got, _reference_decide(q, r))
+            assert got.witness.t == 4
+
+
+# Bytes recorded from the dense-member implementation: one case per
+# witness family, so a change in family order or sign order shows here.
+_GOLDEN = [
+    (
+        [[1, 0], [0, -1]],
+        [[1, 0], [0, 1]],
+        '{"verdict":"counterexample","witness":{"t":"1","coords":[["1","0"],["0","1"]]},'
+        '"q_value":"0","r_value":"2"}',
+    ),
+    (
+        [[1, 0, 0], [0, -1, 0], [0, 0, 0]],
+        [[1, 0, 0], [0, -1, 0], [0, 0, 5]],
+        '{"verdict":"counterexample","witness":{"t":"1","coords":[["0","0"],["0","0"],["1","0"]]},'
+        '"q_value":"0","r_value":"5"}',
+    ),
+    (
+        [[1, 0, 0], [0, -1, 0], [0, 0, 0]],
+        [[1, 0, 3], [0, -1, 0], [3, 0, 0]],
+        '{"verdict":"counterexample","witness":{"t":"1","coords":[["1","0"],["0","1"],["1","0"]]},'
+        '"q_value":"0","r_value":"6"}',
+    ),
+    (
+        [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+        [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+        '{"verdict":"counterexample","witness":{"t":"1","coords":[["0","0"],["0","0"],["1","0"],["1","0"]]},'
+        '"q_value":"0","r_value":"2"}',
+    ),
+    (
+        [[1, 0, 0], [0, 2, 0], [0, 0, -1]],
+        [[1, 1, 0], [1, 2, 0], [0, 0, -1]],
+        '{"verdict":"counterexample","witness":{"t":"3","coords":[["1","0"],["1","0"],["0","1"]]},'
+        '"q_value":"0","r_value":"2"}',
+    ),
+    (
+        [[3, 0, 0], [0, -1, 0], [0, 0, -2]],
+        [[3, 0, 0], [0, -1, -1], [0, -1, -2]],
+        '{"verdict":"counterexample","witness":{"t":"1","coords":[["0","1"],["1","0"],["1","0"]]},'
+        '"q_value":"0","r_value":"-2"}',
+    ),
+    (
+        [[0, 1, 2], [1, 0, 3], [2, 3, 0]],
+        [[0, 1, 2], [1, 1, 3], [2, 3, 0]],
+        '{"verdict":"counterexample","witness":{"t":"4","coords":[["1","-1/2"],["1","1/2"],["0","0"]]},'
+        '"q_value":"0","r_value":"2 + 1*sqrt(4)"}',
+    ),
+]
+
+
+@pytest.mark.parametrize("q_rows, r_rows, expected", _GOLDEN)
+def test_witness_bytes_match_recorded(q_rows, r_rows, expected):
+    verdict = decide_containment(QuadraticForm(q_rows), QuadraticForm(r_rows))
+    assert json.dumps(verdict.to_json(), separators=(",", ":")) == expected
+
+
+def _random_quadext_vector(rng, n, t):
+    return tuple(
+        QuadExt(
+            Fraction(rng.randint(-4, 4), rng.randint(1, 3)) * rng.choice([0, 1]),
+            Fraction(rng.randint(-4, 4), rng.randint(1, 3)) * rng.choice([0, 1]),
+            t,
+        )
+        for _ in range(n)
+    )
+
+
+class TestEvaluateSplit:
+    def test_split_equals_generic_loop(self):
+        rng = random.Random(49)
+        for _ in range(200):
+            n = rng.randint(1, 7)
+            q = random_indefinite(rng, n) if n > 1 else QuadraticForm([[rng.randint(-3, 3)]])
+            t = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+            x = _random_quadext_vector(rng, n, t)
+            got = evaluate(q, x)
+            want = _loop_evaluate(q.matrix, x)
+            assert _exact(got) == _exact(want)
+
+    def test_rational_vectors_keep_the_generic_loop(self):
+        q = QuadraticForm([[1, 2], [2, -3]])
+        x = (Fraction(1, 2), Fraction(-3))
+        assert evaluate(q, x) == _loop_evaluate(q.matrix, x)
+        assert type(evaluate(q, x)) is Fraction
+
+    def test_mixed_radicands_take_the_fallback(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("split taken for a mixed-radicand vector")
+
+        monkeypatch.setattr(forms, "_evaluate_split", refuse)
+        q = QuadraticForm([[1, 1, 1], [1, -1, 0], [1, 0, 2]])
+        # sqrt(8) = 2*sqrt(2): radicands differ, values combine
+        x = (QuadExt(1, 1, 2), QuadExt(0, 1, 8), QuadExt(3, 0, 5))
+        assert _exact(evaluate(q, x)) == _exact(_loop_evaluate(q.matrix, x))
+        y = (QuadExt(1, 1, 2), QuadExt(0, 1, 3), QuadExt(1))
+        with pytest.raises(MismatchedRadicand):
+            evaluate(q, y)
+
+    def test_tampered_witness_with_mixed_radicands(self):
+        r = QuadraticForm([[1, 0], [0, 1]])
+        w = decide_containment(HYP, r).witness
+        assert verify_witness(HYP, r, w)
+        # rescale one coordinate's radicand: same value, so still a witness
+        same = WitnessVector(
+            coords=(w.coords[0], QuadExt(w.coords[1].rat, w.coords[1].rad / 2, w.coords[1].t * 4)),
+            q_value=w.q_value,
+            r_value=w.r_value,
+        )
+        assert verify_witness(HYP, r, same)
+        # a different value under a different radicand: off the cone
+        off = WitnessVector(
+            coords=(QuadExt(1, 0, 7), QuadExt(0, 1, 2)),
+            q_value=w.q_value,
+            r_value=w.r_value,
+        )
+        assert not verify_witness(HYP, r, off)

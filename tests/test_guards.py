@@ -1,12 +1,19 @@
 """Guards on how the package is built rather than on what it decides:
-numpy stays unloaded outside simdiag's float step, and no check in
-src/ is an `assert` that `python -O` would strip."""
+numpy stays unloaded outside simdiag's float step, no check in src/ is
+an `assert` that `python -O` would strip, and each decision
+diagonalizes its base form once."""
 
 import ast
 import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
+
+import pytest
+
+import qformkit
+from qformkit import containment, forms, polys, semidefinite
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 PACKAGE = os.path.join(SRC, "qformkit")
@@ -82,3 +89,42 @@ def test_no_assert_statements_in_package():
             tree = ast.parse(fh.read(), filename=path)
         found += [f"{name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not found, f"assert statements vanish under python -O: {found}"
+
+
+# every module binding through which qformkit reaches congruence_diagonalize
+_DIAGONALIZE_BINDINGS = (forms, containment, polys, semidefinite)
+
+_HYP = qformkit.QuadraticForm([[1, 0, 0], [0, -1, 0], [0, 0, 2]])
+_CIRCLE = qformkit.QuadraticForm([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+_STRETCH = qformkit.LinearTransform([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+_X1X2 = qformkit.HomogeneousPoly(3, 2, {(1, 1, 0): Fraction(1)})
+
+
+@pytest.fixture
+def diagonalize_calls(monkeypatch):
+    calls = []
+    original = forms.congruence_diagonalize
+
+    def counted(q):
+        calls.append(q)
+        return original(q)
+
+    for module in _DIAGONALIZE_BINDINGS:
+        monkeypatch.setattr(module, "congruence_diagonalize", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "decide",
+    [
+        lambda: qformkit.decide_containment(_HYP, _CIRCLE),
+        lambda: qformkit.decide_containment(_HYP, _HYP),
+        lambda: qformkit.check_interval_invariance(_STRETCH),
+        lambda: qformkit.simdiag_general(_HYP, _HYP),
+        lambda: qformkit.decide_containment_homogeneous(_HYP, _X1X2),
+    ],
+    ids=["contain-refute", "contain-proportional", "lorentz", "simdiag-indefinite", "poly-non-divisible"],
+)
+def test_one_diagonalization_per_decision(diagonalize_calls, decide):
+    decide()
+    assert len(diagonalize_calls) == 1

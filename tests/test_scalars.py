@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qformkit import (
+    FormatError,
     MismatchedRadicand,
     QuadExt,
     parse_quadext,
@@ -151,3 +152,23 @@ def test_pow():
     x = qe(1, 1, 2)
     assert x**0 == qe(1, 0, 2)
     assert x**2 == qe(3, 2, 2)
+
+
+class TestParseRationalBounds:
+    @pytest.mark.parametrize("text", ["1e5000", "1e-5000", "2.5E4301", "1e+4301", "-3e5_000"])
+    def test_exponent_beyond_bound_rejected(self, text):
+        with pytest.raises(FormatError, match="exponent"):
+            parse_rational(text)
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [("1e4300", Fraction(10) ** 4300), ("1e-4300", Fraction(1, 10**4300)),
+         ("1.5e-3", Fraction(3, 2000)), (" 7/3 ", Fraction(7, 3)), ("12", Fraction(12))],
+    )
+    def test_values_within_bound_parse(self, text, value):
+        assert parse_rational(text) == value
+
+    @pytest.mark.parametrize("text", ["1e", "e5", "1e5x", "1/0", "1e" + "9" * 5000])
+    def test_malformed_exponent_is_a_format_error(self, text):
+        with pytest.raises(FormatError):
+            parse_rational(text)

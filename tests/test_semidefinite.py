@@ -8,6 +8,7 @@ import pytest
 from qformkit import (
     ContainmentFails,
     NotSemidefinite,
+    NumericalFailure,
     QuadraticForm,
     Unsupported,
     apply_transform,
@@ -130,6 +131,19 @@ class TestSimdiagPsd:
         res = simdiag_psd(q, q)
         assert res.residual == 0.0
         assert res.q_diag == (1.0, 1.0)
+
+    def test_off_diagonal_of_q_raises(self, monkeypatch):
+        # eigenvectors scaled by 2 keep both transformed matrices diagonal,
+        # so the off-diagonal residual passes, but diag(B^T Q B) reads 4, not 1
+        eigh = np.linalg.eigh
+
+        def scaled_eigh(a):
+            vals, vecs = eigh(a)
+            return vals, 2.0 * vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", scaled_eigh)
+        with pytest.raises(NumericalFailure, match="diagonal"):
+            simdiag_psd(S2, S2P)
 
     def test_rejects_indefinite_r(self):
         # the non-simultaneously-diagonalizable pair
