@@ -52,6 +52,11 @@ def _internal_error(exc) -> int:
     return EXIT_INTERNAL
 
 
+def _point(w):
+    """A witness vector as "(c1, c2, ...)" for the human output."""
+    return "(" + ", ".join(str(c) for c in w.coords) + ")"
+
+
 def _emit(payload, human_lines, as_json):
     if as_json:
         print(json.dumps(payload, separators=(",", ":"), sort_keys=False))
@@ -61,7 +66,7 @@ def _emit(payload, human_lines, as_json):
 
 
 def cmd_analyze(args):
-    q = forms.load_form(args.form)
+    q = forms.form_from_json(forms.load_json(args.form))
     d = forms.congruence_diagonalize(q)
     ine = d.inertia
     cls = forms.classify_inertia(ine)
@@ -82,7 +87,7 @@ def cmd_analyze(args):
 
 
 def cmd_canon(args):
-    q = forms.load_form(args.form)
+    q = forms.form_from_json(forms.load_json(args.form))
     d = forms.congruence_diagonalize(q)
     payload = {
         "basis": forms.matrix_to_json(d.basis),
@@ -99,8 +104,8 @@ def cmd_canon(args):
 
 
 def cmd_contain(args):
-    q = forms.load_form(args.q)
-    r = forms.load_form(args.r)
+    q = forms.form_from_json(forms.load_json(args.q))
+    r = forms.form_from_json(forms.load_json(args.r))
     verdict = containment.decide_containment(q, r)
     if isinstance(verdict, containment.Proportional):
         _emit(
@@ -115,7 +120,7 @@ def cmd_contain(args):
         verdict.to_json(),
         [
             "counterexample: q vanishes but r does not at",
-            "  v = (" + ", ".join(str(c) for c in w.coords) + ")",
+            "  v = " + _point(w),
             f"  q(v) = {w.q_value}, r(v) = {w.r_value}",
         ],
         args.json,
@@ -124,8 +129,8 @@ def cmd_contain(args):
 
 
 def cmd_poly_contain(args):
-    q = forms.load_form(args.q)
-    r = polys.load_poly(args.r)
+    q = forms.form_from_json(forms.load_json(args.q))
+    r = polys.poly_from_json(forms.load_json(args.r))
     verdict = polys.decide_containment_homogeneous(
         q, r, budget=args.budget, seed=args.seed
     )
@@ -139,7 +144,7 @@ def cmd_poly_contain(args):
             verdict.to_json(),
             [
                 "witness: q vanishes but r does not at",
-                "  v = (" + ", ".join(str(c) for c in w.coords) + ")",
+                "  v = " + _point(w),
                 f"  r(v) = {w.r_value}",
             ],
             args.json,
@@ -157,8 +162,8 @@ def cmd_poly_contain(args):
 
 
 def cmd_simdiag(args):
-    q = forms.load_form(args.q)
-    r = forms.load_form(args.r)
+    q = forms.form_from_json(forms.load_json(args.q))
+    r = forms.form_from_json(forms.load_json(args.r))
     result = semidefinite.simdiag_general(q, r, tol=args.tol)
     _emit(
         result.to_json(),
@@ -174,7 +179,7 @@ def cmd_simdiag(args):
 
 
 def cmd_lorentz(args):
-    L = forms.load_transform(args.transform)
+    L = forms.transform_from_json(forms.load_json(args.transform))
     c = parse_rational(args.c)
     report = relativity.check_interval_invariance(L, c)
     if report.witness_event is not None:
@@ -188,9 +193,7 @@ def cmd_lorentz(args):
         lines.append(f"kappa: {render_rational(report.kappa)}")
     if report.witness_event is not None:
         w = report.witness_event
-        lines.append(
-            "witness event: (" + ", ".join(str(x) for x in w.coords) + ")"
-        )
+        lines.append("witness event: " + _point(w))
         lines.append(f"  q = {w.q_value}, pulled-back = {w.r_value}")
     _emit(report.to_json(), lines, args.json)
     return (

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch, NoWitnessFound, NotIndefinite
-from .forms import (  # noqa: F401 -- classify stays bound for perfbench/spans.py
+from .forms import (
     INDEFINITE,
     CongruenceDiagonalization,
     QuadraticForm,
@@ -51,6 +51,16 @@ class WitnessVector:
         }
 
 
+def witness_json(w: WitnessVector, key: str = "witness") -> dict:
+    """The certificate fields of a refutation: the witness under key,
+    then q and r at it."""
+    return {
+        key: w.to_json(),
+        "q_value": render_quadext(w.q_value),
+        "r_value": render_quadext(w.r_value),
+    }
+
+
 @dataclass(frozen=True)
 class Proportional:
     alpha: Fraction
@@ -64,12 +74,7 @@ class Counterexample:
     witness: WitnessVector
 
     def to_json(self):
-        return {
-            "verdict": "counterexample",
-            "witness": self.witness.to_json(),
-            "q_value": render_quadext(self.witness.q_value),
-            "r_value": render_quadext(self.witness.r_value),
-        }
+        return {"verdict": "counterexample", **witness_json(self.witness)}
 
 
 ContainmentVerdict = Proportional | Counterexample

@@ -33,7 +33,8 @@ class QuadraticForm:
             for j in range(i + 1, n):
                 if m[i][j] != m[j][i]:
                     raise NonSymmetricMatrix(
-                        f"entry ({i},{j}) = {m[i][j]} differs from ({j},{i}) = {m[j][i]}"
+                        f"entry ({i},{j}) = {render_rational(m[i][j])} differs from "
+                        f"({j},{i}) = {render_rational(m[j][i])}"
                     )
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dim", n)
@@ -311,19 +312,11 @@ def matrix_to_json(rows):
     }
 
 
-def load_form(path) -> QuadraticForm:
+def load_json(path):
+    """The parsed JSON document in the file at path, for form_from_json,
+    transform_from_json or poly_from_json."""
     with open(path) as fh:
         try:
-            obj = json.load(fh)
+            return json.load(fh)
         except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
             raise FormatError(f"{path}: {exc}") from exc
-    return form_from_json(obj)
-
-
-def load_transform(path) -> LinearTransform:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
-            raise FormatError(f"{path}: {exc}") from exc
-    return transform_from_json(obj)

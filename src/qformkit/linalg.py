@@ -42,27 +42,6 @@ def mat_scale(a, c):
     return tuple(tuple(c * e for e in row) for row in a)
 
 
-def det(a):
-    n = len(a)
-    m = [list(row) for row in a]
-    d = Fraction(1)
-    for i in range(n):
-        piv = next((r for r in range(i, n) if m[r][i] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != i:
-            m[i], m[piv] = m[piv], m[i]
-            d = -d
-        d *= m[i][i]
-        inv = 1 / m[i][i]
-        for r in range(i + 1, n):
-            if m[r][i] != 0:
-                f = m[r][i] * inv
-                for c in range(i, n):
-                    m[r][c] -= f * m[i][c]
-    return d
-
-
 def rref(a):
     """Reduced row echelon form; returns (rows, pivot column indices)."""
     m = [list(row) for row in a]
@@ -88,12 +67,9 @@ def rref(a):
     return tuple(tuple(row) for row in m), tuple(pivots)
 
 
-def rank(a):
-    return len(rref(a)[1])
-
-
 def kernel(a):
-    """Deterministic basis of the right null space {x : Ax = 0}."""
+    """Deterministic basis of the right null space {x : Ax = 0}, one
+    vector per non-pivot column of rref(a), and the pivot columns."""
     ncols = len(a[0]) if a else 0
     rows, pivots = rref(a)
     free = [c for c in range(ncols) if c not in pivots]
@@ -104,13 +80,4 @@ def kernel(a):
         for r, p in enumerate(pivots):
             v[p] = -rows[r][f]
         basis.append(tuple(v))
-    return tuple(basis)
-
-
-def inverse(a):
-    n = len(a)
-    aug = [list(row) + list(ident_row) for row, ident_row in zip(a, identity(n))]
-    rows, pivots = rref(aug)
-    if pivots[:n] != tuple(range(n)):
-        raise ZeroDivisionError("matrix is singular")
-    return tuple(tuple(row[n:]) for row in rows[:n])
+    return tuple(basis), pivots

@@ -9,7 +9,6 @@ point in Q(sqrt(t)) to attach a concrete witness to the refutation.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,8 +22,8 @@ from .errors import (
     FormatError,
     NotIndefinite,
 )
-from .containment import WitnessVector
-from .forms import (  # noqa: F401 -- classify stays bound for perfbench/spans.py
+from .containment import WitnessVector, witness_json
+from .forms import (
     INDEFINITE,
     CongruenceDiagonalization,
     QuadraticForm,
@@ -145,16 +144,8 @@ class HomogeneousPoly:
         return total
 
     @staticmethod
-    def zero(nvars, degree=0):
-        return HomogeneousPoly(nvars, degree, {})
-
-    @staticmethod
     def constant(nvars, value):
         return HomogeneousPoly(nvars, 0, {(0,) * nvars: Fraction(value)})
-
-    @staticmethod
-    def monomial(nvars, exp, coef=1):
-        return HomogeneousPoly(nvars, sum(exp), {tuple(exp): Fraction(coef)})
 
     def __repr__(self):
         return f"HomogeneousPoly({self.nvars}, {self.degree}, {self.terms!r})"
@@ -275,14 +266,7 @@ class ConePointWitness:
     witness: WitnessVector
 
     def to_json(self):
-        from .scalars import render_quadext
-
-        return {
-            "verdict": "witness",
-            "witness": self.witness.to_json(),
-            "q_value": render_quadext(self.witness.q_value),
-            "r_value": render_quadext(self.witness.r_value),
-        }
+        return {"verdict": "witness", **witness_json(self.witness)}
 
 
 @dataclass(frozen=True)
@@ -419,12 +403,3 @@ def poly_to_json(p: HomogeneousPoly):
             for exp in sorted(p.terms, key=_grlex_key, reverse=True)
         ],
     }
-
-
-def load_poly(path) -> HomogeneousPoly:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
-            raise FormatError(f"{path}: {exc}") from exc
-    return poly_from_json(obj)

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .containment import Proportional, WitnessVector, decide_containment
+from .containment import Proportional, WitnessVector, decide_containment, witness_json
 from .errors import DimensionMismatch, InvalidSpeed, NotPythagorean
-from .forms import LinearTransform, QuadraticForm, apply_transform
+from .forms import LinearTransform, QuadraticForm, apply_transform, matrix_to_json
 from .scalars import render_rational
 
 INTERVAL_PRESERVING = "interval-preserving"
@@ -35,18 +35,13 @@ class TransformReport:
     pulled_back_form: QuadraticForm
 
     def to_json(self):
-        from .forms import matrix_to_json
-        from .scalars import render_quadext
-
         out = {
             "kappa": None if self.kappa is None else render_rational(self.kappa),
             "classification": self.classification,
             "pulled_back_form": matrix_to_json(self.pulled_back_form.matrix),
         }
         if self.witness_event is not None:
-            out["witness_event"] = self.witness_event.to_json()
-            out["q_value"] = render_quadext(self.witness_event.q_value)
-            out["r_value"] = render_quadext(self.witness_event.r_value)
+            out.update(witness_json(self.witness_event, "witness_event"))
         return out
 
 

@@ -10,6 +10,7 @@ simplifying the root away.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import FormatError, MismatchedRadicand
@@ -46,8 +47,13 @@ def parse_rational(text) -> Fraction:
 
 
 def render_rational(x: Fraction) -> str:
-    """Canonical "n/d" (or "n" when the denominator is 1)."""
-    return str(Fraction(x))
+    """Canonical "n/d" (or "n" when the denominator is 1), exact at any
+    size: str(int) refuses more than 4300 digits, str(Decimal(int)) does
+    not, and reads the same."""
+    x = Fraction(x)
+    if x.denominator == 1:
+        return str(Decimal(x.numerator))
+    return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
 
 
 class QuadExt:
@@ -147,14 +153,6 @@ class QuadExt:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers")
-        out = QuadExt(1, 0, self.t)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def is_zero(self) -> bool:
         """Exact zero test, valid even when t is a perfect square."""
         if self.rat == 0 and self.rad == 0:
@@ -188,9 +186,6 @@ class QuadExt:
         if root is not None:
             return hash(self.rat + self.rad * root)
         return hash((self.rat, self.rad * self.rad * self.t, self.rad > 0))
-
-    def to_float(self) -> float:
-        return float(self.rat) + float(self.rad) * float(self.t) ** 0.5
 
     def __repr__(self):
         return f"QuadExt({self.rat!r}, {self.rad!r}, t={self.t!r})"

@@ -15,11 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .containment import (  # noqa: F401 -- decide_containment stays bound for perfbench/spans.py
-    Counterexample,
-    _decide_in_frame,
-    decide_containment,
-)
+from .containment import Counterexample, _decide_in_frame, decide_containment
 from .errors import (
     ContainmentFails,
     DimensionMismatch,
@@ -29,17 +25,12 @@ from .errors import (
 )
 from .forms import (
     INDEFINITE,
-    NEGATIVE_DEFINITE,
-    NEGATIVE_SEMIDEFINITE_DEGENERATE,
-    POSITIVE_DEFINITE,
-    POSITIVE_SEMIDEFINITE_DEGENERATE,
-    ZERO,
+    Inertia,
     QuadraticForm,
     classify,
     classify_inertia,
     congruence_diagonalize,
 )
-from .scalars import render_rational
 
 DEFAULT_TOL = 1e-9
 
@@ -48,12 +39,6 @@ DEFAULT_TOL = 1e-9
 class SubspaceBasis:
     dim_ambient: int
     vectors: tuple  # linearly independent rational vectors
-
-    def to_json(self):
-        return {
-            "dim_ambient": self.dim_ambient,
-            "vectors": [[render_rational(e) for e in v] for v in self.vectors],
-        }
 
 
 @dataclass(frozen=True)
@@ -75,27 +60,19 @@ class SimDiagResult:
         }
 
 
-def _orientation(q: QuadraticForm) -> int:
-    """+1 / -1 / 0 for psd / nsd / zero; raises on indefinite."""
-    cls = classify(q)
-    if cls == INDEFINITE:
+def _orientation(ine: Inertia) -> int:
+    """+1 / -1 / 0 for a psd / nsd / zero form of inertia ine; raises on
+    indefinite."""
+    if ine.k and ine.m:
         raise NotSemidefinite("form is indefinite")
-    if cls in (POSITIVE_DEFINITE, POSITIVE_SEMIDEFINITE_DEGENERATE):
-        return 1
-    if cls in (NEGATIVE_DEFINITE, NEGATIVE_SEMIDEFINITE_DEGENERATE):
-        return -1
-    return 0
-
-
-def _negated(q: QuadraticForm) -> QuadraticForm:
-    return QuadraticForm([[-e for e in row] for row in q.matrix])
+    return 1 if ine.k else -1 if ine.m else 0
 
 
 def kernel_basis(q: QuadraticForm) -> SubspaceBasis:
     """Exact basis of {x : Qx = 0}.  For semidefinite q this is exactly
     the zero set: q(x) = 0 forces x into the matrix kernel."""
-    _orientation(q)  # rejects indefinite input
-    vectors = linalg.kernel(q.matrix)
+    _orientation(congruence_diagonalize(q).inertia)  # rejects indefinite input
+    vectors, _ = linalg.kernel(q.matrix)
     return SubspaceBasis(dim_ambient=q.dim, vectors=vectors)
 
 
@@ -103,45 +80,20 @@ def containment_psd(q: QuadraticForm, r: QuadraticForm) -> bool:
     """Z_q subset-of Z_r for a semidefinite pair: exact kernel containment."""
     if q.dim != r.dim:
         raise DimensionMismatch(f"dims differ: {q.dim} vs {r.dim}")
-    _orientation(q)
-    _orientation(r)
-    kq = linalg.kernel(q.matrix)
-    zero = (Fraction(0),) * q.dim
-    return all(linalg.mat_vec(r.matrix, v) == zero for v in kq)
+    _orientation(congruence_diagonalize(q).inertia)
+    _orientation(congruence_diagonalize(r).inertia)
+    return _annihilates(r, linalg.kernel(q.matrix)[0])
 
 
-def _extend_to_basis(kernel_vectors, n):
-    """Greedy complement: standard basis vectors, lowest index first,
-    keeping exact full rank against the kernel block."""
-    chosen = []
-    current = [list(v) for v in kernel_vectors]
-    for i in range(n):
-        e = [Fraction(0)] * n
-        e[i] = Fraction(1)
-        candidate = current + [e]
-        if linalg.rank(tuple(tuple(row) for row in candidate)) == len(candidate):
-            chosen.append(tuple(e))
-            current = candidate
-        if len(current) == n:
-            break
-    return tuple(chosen)
-
-
-def _restrict(q: QuadraticForm, vectors):
-    return tuple(tuple(_bilin(q, u, v) for v in vectors) for u in vectors)
-
-
-def _bilin(q, u, v):
-    qv = linalg.mat_vec(q.matrix, v)
-    return sum(a * b for a, b in zip(u, qv))
+def _annihilates(r: QuadraticForm, vectors) -> bool:
+    zero = (Fraction(0),) * r.dim
+    return all(linalg.mat_vec(r.matrix, v) == zero for v in vectors)
 
 
 def _offdiag_residual(mat, tol):
     import numpy as np
 
-    n = mat.shape[0]
-    if n == 0:
-        return 0.0
+    n = mat.shape[0]  # at least 1: a zero q returns before the float step
     off = float(np.max(np.abs(mat - np.diag(np.diag(mat))))) if n > 1 else 0.0
     scale = float(np.max(np.abs(np.diag(mat))))
     if scale > tol:
@@ -156,50 +108,58 @@ def simdiag_psd(
     sets.  Kernel columns of q go in exactly; on the complement q is
     positive definite and a Cholesky-whitened symmetric eigenproblem
     diagonalizes both."""
-    oq = _orientation(q)
-    orr = _orientation(r)
+    return _simdiag_in_frame(q, r, congruence_diagonalize(q).inertia, tol)
+
+
+def _simdiag_in_frame(
+    q: QuadraticForm, r: QuadraticForm, q_inertia: Inertia, tol: float
+) -> SimDiagResult:
+    """simdiag_psd for a caller that already diagonalized q.
+
+    One rref of Q gives its kernel and its pivot columns.  rref(-Q) =
+    rref(Q), so a negative semidefinite q needs no second one.  The
+    standard vectors at the pivots complete the kernel to a basis: those
+    columns of Q are its lexicographically first column basis, so they
+    are the standard vectors a greedy extension, lowest index first,
+    would pick.  On them the restrictions of Q and R are submatrices.
+    """
+    oq = _orientation(q_inertia)
+    orr = _orientation(congruence_diagonalize(r).inertia)
     if oq != 0 and orr != 0 and oq != orr:
         raise Unsupported("mixed semidefinite orientations")
-    qn = _negated(q) if oq < 0 else q
-    rn = _negated(r) if orr < 0 else r
-    if not containment_psd(q, r):
+    if q.dim != r.dim:
+        raise DimensionMismatch(f"dims differ: {q.dim} vs {r.dim}")
+    kern, pivots = linalg.kernel(q.matrix)
+    if not _annihilates(r, kern):
         raise ContainmentFails("zero set of q is not contained in zero set of r")
     import numpy as np  # first float step: exact paths never load numpy
 
     n = q.dim
-    kern = linalg.kernel(qn.matrix)
     z = len(kern)
-    comp = _extend_to_basis(kern, n)
-    nm = len(comp)
-
-    if nm == 0:
-        basis = np.array([[float(v[i]) for v in kern] for i in range(n)])
-        q_diag = (0.0,) * n
-        r_diag = (0.0,) * n
-        result = SimDiagResult(
-            basis=tuple(map(tuple, basis)), q_diag=q_diag, r_diag=r_diag, residual=0.0
+    nm = len(pivots)
+    kern_f = np.array([[float(v[i]) for v in kern] for i in range(n)])
+    if nm == 0:  # q = 0, so r = 0: the kernel, all of Q^n, is the basis
+        zeros = (0.0,) * n
+        return SimDiagResult(
+            basis=tuple(map(tuple, kern_f)), q_diag=zeros, r_diag=zeros, residual=0.0
         )
-        return result
 
-    qm = _restrict(qn, comp)
-    rm = _restrict(rn, comp)
-    qmf = np.array([[float(e) for e in row] for row in qm])
-    rmf = np.array([[float(e) for e in row] for row in rm])
+    # both restrictions, each form signed to be positive semidefinite
+    r_unit = -1 if orr < 0 else 1
+    qmf = np.array([[float(oq * q.matrix[i][j]) for j in pivots] for i in pivots])
+    rmf = np.array([[float(r_unit * r.matrix[i][j]) for j in pivots] for i in pivots])
     try:
-        chol = np.linalg.cholesky(qmf)  # qm = chol @ chol.T
+        chol = np.linalg.cholesky(qmf)  # qmf = chol @ chol.T
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"Cholesky factorization failed: {exc}") from exc
     inv_chol = np.linalg.inv(chol)
     a = inv_chol @ rmf @ inv_chol.T
     a = (a + a.T) / 2
     eigvals, eigvecs = np.linalg.eigh(a)
-    x = inv_chol.T @ eigvecs  # x.T qm x = I, x.T rm x = diag(eigvals)
+    x = inv_chol.T @ eigvecs  # x.T qmf x = I, x.T rmf x = diag(eigvals)
 
-    comp_f = np.array([[float(v[i]) for v in comp] for i in range(n)])
-    cols = [comp_f @ x]
-    if z:
-        cols.append(np.array([[float(v[i]) for v in kern] for i in range(n)]))
-    basis = np.hstack(cols)
+    comp_f = np.array([[float(i == p) for p in pivots] for i in range(n)])
+    basis = np.hstack([comp_f @ x, kern_f])
 
     qf = np.array([[float(e) for e in row] for row in q.matrix])
     rf = np.array([[float(e) for e in row] for row in r.matrix])
@@ -209,16 +169,14 @@ def simdiag_psd(
     if residual > tol:
         raise NumericalFailure(f"residual {residual} exceeds tolerance {tol}")
 
-    q_unit = -1.0 if oq < 0 else 1.0
-    r_sign = -1.0 if orr < 0 else 1.0
-    q_diag = tuple([q_unit] * nm + [0.0] * z)
+    q_diag = tuple([float(oq)] * nm + [0.0] * z)
     diag_error = float(np.max(np.abs(np.diag(tq) - q_diag)))
     if diag_error > tol:
         raise NumericalFailure(
             f"diagonal of B^T Q B is off the reported q_diag by {diag_error}, "
             f"over tolerance {tol}"
         )
-    r_diag = tuple([r_sign * float(v) for v in eigvals] + [0.0] * z)
+    r_diag = tuple([r_unit * float(v) for v in eigvals] + [0.0] * z)
     return SimDiagResult(
         basis=tuple(map(tuple, basis)),
         q_diag=q_diag,
@@ -247,4 +205,4 @@ def simdiag_general(
         q_diag = tuple(float(d) for d in dq.diag)
         r_diag = tuple(float(verdict.alpha * d) for d in dq.diag)
         return SimDiagResult(basis=basis, q_diag=q_diag, r_diag=r_diag, residual=0.0)
-    return simdiag_psd(q, r, tol)
+    return _simdiag_in_frame(q, r, dq.inertia, tol)

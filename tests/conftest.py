@@ -31,7 +31,7 @@ def random_indefinite(rng: random.Random, n: int) -> QuadraticForm:
 def random_invertible(rng: random.Random, n: int) -> LinearTransform:
     while True:
         rows = [[Fraction(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)]
-        if linalg.det(tuple(tuple(r) for r in rows)) != 0:
+        if det(tuple(tuple(r) for r in rows)) != 0:
             return LinearTransform(rows)
 
 
@@ -62,3 +62,40 @@ def _exponents(nvars, degree):
         for tail in _exponents(nvars - 1, degree - head):
             out.append((head,) + tail)
     return out
+
+
+# --- exact reference helpers: plain elimination, used only by tests -----------
+
+
+def det(a):
+    n = len(a)
+    m = [list(row) for row in a]
+    d = Fraction(1)
+    for i in range(n):
+        piv = next((r for r in range(i, n) if m[r][i] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != i:
+            m[i], m[piv] = m[piv], m[i]
+            d = -d
+        d *= m[i][i]
+        inv = 1 / m[i][i]
+        for r in range(i + 1, n):
+            if m[r][i] != 0:
+                f = m[r][i] * inv
+                for c in range(i, n):
+                    m[r][c] -= f * m[i][c]
+    return d
+
+
+def rank(a):
+    return len(linalg.rref(a)[1])
+
+
+def inverse(a):
+    n = len(a)
+    aug = [list(row) + list(ident_row) for row, ident_row in zip(a, linalg.identity(n))]
+    rows, pivots = linalg.rref(aug)
+    if pivots[:n] != tuple(range(n)):
+        raise ZeroDivisionError("matrix is singular")
+    return tuple(tuple(row[n:]) for row in rows[:n])

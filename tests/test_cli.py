@@ -1,4 +1,6 @@
 import json
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -264,6 +266,145 @@ class TestInternalError:
 def test_unreadable_input_exit_2(tmp_path, capsys):
     binary = tmp_path / "q.json"
     binary.write_bytes(b"\xff\xfe\x00")
+    q = write(tmp_path, "hyp.json", HYP)
     for path in (str(tmp_path), str(binary)):  # a directory, bytes that are not UTF-8
-        assert main(["analyze", path]) == 2
-        assert capsys.readouterr().out == ""
+        for argv in (["analyze", path], ["poly-contain", q, path], ["lorentz", path]):
+            assert main(argv) == 2
+            assert capsys.readouterr().out == ""
+
+
+# Standard output recorded from the implementation before the semidefinite
+# route, the witness serializer and the file loader were merged; the float
+# digits of simdiag come from numpy's LAPACK.
+GOLDEN_INPUTS = {
+    "s2": S2,
+    "s2p": S2P,
+    "neg_s2": '{"dim": 3, "rows": [[-2,0,1],[0,-2,1],[1,1,-1]]}',
+    "neg_s2p": '{"dim": 3, "rows": [[-8,-8,8],[-8,-16,12],[8,12,-10]]}',
+    "zero": ZERO2,
+    "pd": '{"dim": 2, "rows": [[2,1],[1,3]]}',
+    "pd2": '{"dim": 2, "rows": [[1,0],[0,4]]}',
+    "hyp3": '{"dim": 3, "rows": [[1,0,0],[0,-2,0],[0,0,3]]}',
+    "circle3": '{"dim": 3, "rows": [[1,0,0],[0,1,0],[0,0,1]]}',
+    "quartic3": '{"nvars": 3, "degree": 4, "terms": '
+    '[{"exp": [4,0,0], "coef": 1}, {"exp": [0,2,2], "coef": "-1/2"}]}',
+    "stretch": TestLorentz.STRETCH,
+}
+
+GOLDEN = [
+    (
+        ("simdiag", "s2", "s2p", "--json"),
+        0,
+        '{"basis":[[-0.6015009550075456,0.37174803446018445,0.5],'
+        "[0.37174803446018445,0.6015009550075456,0.5],[0.0,0.0,1.0]],"
+        '"q_diag":[1.0,1.0,0.0],"r_diag":[1.5278640450004204,10.472135954999576,0.0],'
+        '"residual":4.181736491508817e-17}\n',
+    ),
+    (
+        ("simdiag", "neg_s2", "neg_s2p", "--json"),
+        0,
+        '{"basis":[[-0.6015009550075456,0.37174803446018445,0.5],'
+        "[0.37174803446018445,0.6015009550075456,0.5],[0.0,0.0,1.0]],"
+        '"q_diag":[-1.0,-1.0,0.0],"r_diag":[-1.5278640450004204,-10.472135954999576,0.0],'
+        '"residual":4.181736491508817e-17}\n',
+    ),
+    (
+        ("simdiag", "zero", "zero", "--json"),
+        0,
+        '{"basis":[[1.0,0.0],[0.0,1.0]],"q_diag":[0.0,0.0],"r_diag":[0.0,0.0],"residual":0.0}\n',
+    ),
+    (
+        ("simdiag", "pd", "pd2", "--json"),
+        0,
+        '{"basis":[[-0.6397824890711094,-0.4366673409793497],'
+        "[-0.11221178963759873,0.6224214924521223]],"
+        '"q_diag":[1.0,1.0],"r_diag":[0.459687576256715,1.7403124237432848],'
+        '"residual":1.2400468566155107e-16}\n',
+    ),
+    (
+        ("contain", "hyp3", "circle3"),
+        1,
+        "counterexample: q vanishes but r does not at\n"
+        "  v = (1, 0 + 1*sqrt(1/2), 0)\n"
+        "  q(v) = 0, r(v) = 3/2\n",
+    ),
+    (
+        ("contain", "hyp3", "circle3", "--json"),
+        1,
+        '{"verdict":"counterexample","witness":{"t":"1/2","coords":[["1","0"],["0","1"],["0","0"]]},'
+        '"q_value":"0","r_value":"3/2"}\n',
+    ),
+    (
+        ("poly-contain", "hyp3", "quartic3"),
+        1,
+        "witness: q vanishes but r does not at\n"
+        "  v = (1/2, 0 + 1*sqrt(7/24), 1/3)\n"
+        "  r(v) = 5/108\n",
+    ),
+    (
+        ("poly-contain", "hyp3", "quartic3", "--json"),
+        1,
+        '{"verdict":"witness","witness":{"t":"7/24","coords":[["1/2","0"],["0","1"],["1/3","0"]]},'
+        '"q_value":"0","r_value":"5/108"}\n',
+    ),
+    (
+        ("lorentz", "stretch"),
+        1,
+        "classification: cone-breaking\n"
+        "witness event: (0 + 1*sqrt(1), 1, 0, 0)\n"
+        "  q = 0, pulled-back = 3\n",
+    ),
+    (
+        ("lorentz", "stretch", "--json"),
+        1,
+        '{"kappa":null,"classification":"cone-breaking","pulled_back_form":{"dim":4,"rows":'
+        '[["-1","0","0","0"],["0","4","0","0"],["0","0","1","0"],["0","0","0","1"]]},'
+        '"witness_event":{"t":"1","coords":[["0","1"],["1","0"],["0","0"],["0","0"]]},'
+        '"q_value":"0","r_value":"3"}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, code, stdout", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
+def test_golden_stdout(tmp_path, capsys, argv, code, stdout):
+    args = [a if a.startswith("--") or a == argv[0] else write(tmp_path, a + ".json", GOLDEN_INPUTS[a])
+            for a in argv]
+    assert main(args) == code
+    assert capsys.readouterr().out == stdout
+
+
+class TestHugeValues:
+    """Exact values past the 4300 digits Python's str(int) allows."""
+
+    # diagonal 10^3000 and -(10^6000 + 1) / 10^3000
+    FORM = '{"dim": 2, "rows": [["1e3000", 1], [1, "-1e3000"]]}'
+
+    @staticmethod
+    def parse(text):
+        num, _, den = text.partition("/")
+        return Fraction(Decimal(num)) / Fraction(Decimal(den or "1"))
+
+    def test_analyze(self, tmp_path, capsys):
+        path = write(tmp_path, "q.json", self.FORM)
+        assert main(["analyze", path]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("inertia (1,1,0), indefinite\ndiagonal: 1")
+        assert len(out) > 9000
+
+    def test_canon_json_diagonal_is_exact(self, tmp_path, capsys):
+        path = write(tmp_path, "q.json", self.FORM)
+        assert main(["canon", path, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        big = Fraction(10) ** 3000
+        assert [self.parse(d) for d in payload["diagonal"]] == [big, -big - 1 / big]
+        assert payload["basis"]["rows"][0] == ["1", "-1/" + "1" + "0" * 3000]
+
+    def test_contain(self, tmp_path, capsys):
+        path = write(tmp_path, "q.json", self.FORM)
+        assert main(["contain", path, path, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"verdict": "proportional", "alpha": "1"}
+
+    def test_non_symmetric_message(self, tmp_path, capsys):
+        path = write(tmp_path, "q.json", '{"dim": 2, "rows": [[1, "1e4300"], [0, 1]]}')
+        assert main(["analyze", path]) == 3
+        assert "entry (0,1) = 1" + "0" * 4300 + " differs" in capsys.readouterr().err

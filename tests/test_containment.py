@@ -26,7 +26,7 @@ from qformkit.containment import WitnessVector, _witness_family
 from qformkit.errors import MismatchedRadicand, NoWitnessFound
 from qformkit.forms import INDEFINITE, LinearTransform
 
-from conftest import random_indefinite, random_invertible
+from conftest import inverse, random_indefinite, random_invertible
 
 HYP = QuadraticForm([[1, 0], [0, -1]])  # x^2 - y^2
 
@@ -86,7 +86,7 @@ class TestConstructWitness:
         assert d.diag == (Fraction(2), Fraction(-1, 2))
         r_prime = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(-1, 2)]]
         # realize r with B^T R B = r_prime: R = B^-T r' B^-1
-        binv = linalg.inverse(d.basis)
+        binv = inverse(d.basis)
         r_mat = linalg.mat_mul(
             linalg.mat_mul(linalg.transpose(binv), r_prime), binv
         )
@@ -322,7 +322,7 @@ def _in_frame(q, bumps, alpha):
         rp[a][b] += c
         if a != b:
             rp[b][a] += c
-    binv = linalg.inverse(d.basis)
+    binv = inverse(d.basis)
     return QuadraticForm(linalg.mat_mul(linalg.mat_mul(linalg.transpose(binv), rp), binv))
 
 

@@ -1,9 +1,10 @@
 """Guards on how the package is built rather than on what it decides:
 numpy stays unloaded outside simdiag's float step, no check in src/ is
-an `assert` that `python -O` would strip, and each decision
-diagonalizes its base form once."""
+an `assert` that `python -O` would strip, each decision diagonalizes
+each form once, and every qformkit name the benchmark binds to exists."""
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -13,9 +14,10 @@ from fractions import Fraction
 import pytest
 
 import qformkit
-from qformkit import containment, forms, polys, semidefinite
+from qformkit import containment, forms, linalg, polys, semidefinite
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 PACKAGE = os.path.join(SRC, "qformkit")
 
 _NUMPY_PROBE = textwrap.dedent(
@@ -98,6 +100,8 @@ _HYP = qformkit.QuadraticForm([[1, 0, 0], [0, -1, 0], [0, 0, 2]])
 _CIRCLE = qformkit.QuadraticForm([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 _STRETCH = qformkit.LinearTransform([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
 _X1X2 = qformkit.HomogeneousPoly(3, 2, {(1, 1, 0): Fraction(1)})
+_S2 = qformkit.QuadraticForm([[2, 0, -1], [0, 2, -1], [-1, -1, 1]])
+_S2P = qformkit.QuadraticForm([[8, 8, -8], [8, 16, -12], [-8, -12, 10]])
 
 
 @pytest.fixture
@@ -114,17 +118,73 @@ def diagonalize_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def rref_calls(monkeypatch):
+    calls = []
+    original = linalg.rref
+
+    def counted(a):
+        calls.append(a)
+        return original(a)
+
+    monkeypatch.setattr(linalg, "rref", counted)
+    return calls
+
+
 @pytest.mark.parametrize(
-    "decide",
+    "decide, diagonalized, rrefs",
     [
-        lambda: qformkit.decide_containment(_HYP, _CIRCLE),
-        lambda: qformkit.decide_containment(_HYP, _HYP),
-        lambda: qformkit.check_interval_invariance(_STRETCH),
-        lambda: qformkit.simdiag_general(_HYP, _HYP),
-        lambda: qformkit.decide_containment_homogeneous(_HYP, _X1X2),
+        (lambda: qformkit.decide_containment(_HYP, _CIRCLE), [_HYP], 0),
+        (lambda: qformkit.decide_containment(_HYP, _HYP), [_HYP], 0),
+        (lambda: qformkit.check_interval_invariance(_STRETCH), [qformkit.minkowski_form(1)], 0),
+        (lambda: qformkit.simdiag_general(_HYP, _HYP), [_HYP], 0),
+        (lambda: qformkit.decide_containment_homogeneous(_HYP, _X1X2), [_HYP], 0),
+        # kernel and complement of q from one rref; r only for its orientation
+        (lambda: qformkit.simdiag_general(_S2, _S2P), [_S2, _S2P], 1),
     ],
-    ids=["contain-refute", "contain-proportional", "lorentz", "simdiag-indefinite", "poly-non-divisible"],
+    ids=[
+        "contain-refute",
+        "contain-proportional",
+        "lorentz",
+        "simdiag-indefinite",
+        "poly-non-divisible",
+        "simdiag-semidefinite",
+    ],
 )
-def test_one_diagonalization_per_decision(diagonalize_calls, decide):
+def test_one_diagonalization_per_decision(diagonalize_calls, rref_calls, decide, diagonalized, rrefs):
     decide()
-    assert len(diagonalize_calls) == 1
+    assert diagonalize_calls == diagonalized
+    assert len(rref_calls) == rrefs
+
+
+# qformkit names perfbench/workloads.py calls or tests with isinstance
+_WORKLOAD_NAMES = {
+    "cli": ("main",),
+    "containment": ("Counterexample", "decide_containment", "verify_witness"),
+    "errors": ("ContainmentFails",),
+    "forms": ("form_from_json", "transform_from_json"),
+    "polys": ("ConePointWitness", "decide_containment_homogeneous", "poly_from_json", "verify_poly_witness"),
+    "relativity": ("check_interval_invariance", "minkowski_form"),
+    "semidefinite": ("simdiag_general",),
+}
+
+
+def test_benchmark_bindings_resolve():
+    """perfbench/spans.py wraps qformkit functions at every module binding
+    its callers go through (semidefinite.classify, polys.form_eval, ...),
+    so a binding the package no longer uses must still be there."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", os.path.join(ROOT, "perfbench", "spans.py"))
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    original = forms.congruence_diagonalize
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        assert semidefinite.congruence_diagonalize is not original
+    finally:
+        tracer.remove()
+    assert semidefinite.congruence_diagonalize is original
+    for module, names in _WORKLOAD_NAMES.items():
+        mod = importlib.import_module(f"qformkit.{module}")
+        missing = [name for name in names if not hasattr(mod, name)]
+        assert not missing, f"qformkit.{module} lacks {missing}"

@@ -23,7 +23,8 @@ from qformkit import (
     verify_poly_witness,
 )
 from qformkit.containment import Counterexample, Proportional
-from qformkit.polys import load_poly, poly_from_json, poly_to_json
+from qformkit.forms import load_json
+from qformkit.polys import poly_from_json, poly_to_json
 
 from conftest import random_homogeneous, random_indefinite
 
@@ -284,7 +285,5 @@ class TestJsonFormat:
     def test_load(self, tmp_path):
         p = HomogeneousPoly(2, 2, {(2, 0): 1})
         path = tmp_path / "p.json"
-        import json
-
         path.write_text(json.dumps(poly_to_json(p)))
-        assert load_poly(path) == p
+        assert poly_from_json(load_json(path)) == p

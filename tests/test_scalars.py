@@ -148,12 +148,6 @@ def test_immutability():
         x.rat = Fraction(0)
 
 
-def test_pow():
-    x = qe(1, 1, 2)
-    assert x**0 == qe(1, 0, 2)
-    assert x**2 == qe(3, 2, 2)
-
-
 class TestParseRationalBounds:
     @pytest.mark.parametrize("text", ["1e5000", "1e-5000", "2.5E4301", "1e+4301", "-3e5_000"])
     def test_exponent_beyond_bound_rejected(self, text):

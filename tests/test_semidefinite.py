@@ -22,6 +22,8 @@ from qformkit import (
 )
 from qformkit.forms import LinearTransform
 
+from conftest import det, rank
+
 S2 = QuadraticForm([[2, 0, -1], [0, 2, -1], [-1, -1, 1]])
 S2P = QuadraticForm([[8, 8, -8], [8, 16, -12], [-8, -12, 10]])
 SQUARE = QuadraticForm([[1, -1], [-1, 1]])  # (x-y)^2
@@ -43,6 +45,30 @@ def random_psd(rng, n):
         tuple(Fraction(rng.randint(-3, 3)) for _ in range(n)) for _ in range(rows)
     )
     return QuadraticForm(linalg.mat_mul(linalg.transpose(g), g))
+
+
+def negated(q):
+    return QuadraticForm([[-e for e in row] for row in q.matrix])
+
+
+def unit(i, n):
+    return tuple(Fraction(int(j == i)) for j in range(n))
+
+
+def extend_to_basis(kernel_vectors, n):
+    """Reference complement: standard basis vectors, lowest index first,
+    each kept when it raises the rank of the kernel block and those kept
+    so far."""
+    chosen = []
+    current = list(kernel_vectors)
+    for i in range(n):
+        if len(current) == n:
+            break
+        candidate = current + [unit(i, n)]
+        if rank(tuple(candidate)) == len(candidate):
+            chosen.append(unit(i, n))
+            current = candidate
+    return tuple(chosen)
 
 
 class TestKernelBasis:
@@ -90,7 +116,7 @@ class TestKernelBasis:
             )
             assert evaluate(q, x) == 0
             aug = kern + (x,)
-            assert linalg.rank(aug) == len(kern)
+            assert rank(aug) == len(kern)
 
 
 class TestContainmentPsd:
@@ -189,17 +215,21 @@ class TestSimdiagPsd:
         assert all(v <= 0 for v in res.r_diag)
 
     def test_direct_sum_decomposition(self):
+        # the standard vectors at the pivots of rref(Q) are the greedy
+        # complement of ker Q, for psd and nsd forms alike
         rng = random.Random(54)
-        from qformkit.semidefinite import _extend_to_basis
-
-        for _ in range(50):
-            n = rng.randint(2, 6)
+        for _ in range(200):
+            n = rng.randint(1, 7)
             q = random_psd(rng, n)
-            kern = kernel_basis(q).vectors
-            comp = _extend_to_basis(kern, n)
+            if rng.random() < 0.5:
+                q = negated(q)
+            kern, pivots = linalg.kernel(q.matrix)
+            assert kern == kernel_basis(q).vectors
+            comp = tuple(unit(p, n) for p in pivots)
+            assert comp == extend_to_basis(kern, n)
             full = comp + kern
             assert len(full) == n
-            assert linalg.det(tuple(full)) != 0
+            assert det(full) != 0
 
     def test_psd_pair_closure(self):
         # null vectors of a psd form span a subspace: combinations stay null
