@@ -39,7 +39,6 @@ from .forms import (
     LinearTransform,
     QuadraticForm,
     apply_transform,
-    bilinear_eval,
     classify,
     classify_inertia,
     congruence_diagonalize,
@@ -76,7 +75,6 @@ from .scalars import (
 from .semidefinite import (
     SimDiagResult,
     SubspaceBasis,
-    containment_psd,
     kernel_basis,
     simdiag_general,
     simdiag_psd,

@@ -10,9 +10,11 @@ checkable certificate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import linalg
 from .errors import DimensionMismatch, NoWitnessFound, NotIndefinite
 from .forms import (
     INDEFINITE,
@@ -113,12 +115,20 @@ def _decide_in_frame(
 
 def _ratio(qm, rm):
     """alpha with rm = alpha*qm entrywise, or None; qm is not zero, and
-    both are symmetric, so the upper triangles decide."""
+    both are symmetric, so the upper triangles decide.  Each entry is
+    compared in ints, b == alpha*a cross-multiplied, so the test makes
+    no Fraction past alpha."""
     n = len(qm)
     pairs = [(qm[i][j], rm[i][j]) for i in range(n) for j in range(i, n)]
     a, b = next(p for p in pairs if p[0])
     alpha = b / a
-    return alpha if all(b == alpha * a for a, b in pairs) else None
+    num, den = alpha.numerator, alpha.denominator
+    if all(
+        b.numerator * den * a.denominator == num * a.numerator * b.denominator
+        for a, b in pairs
+    ):
+        return alpha
+    return None
 
 
 def _witness_family(diag, inertia):
@@ -185,11 +195,14 @@ def construct_witness(
     genuinely non-proportional.
 
     r(Bv) = v^T (B^T R B) v, and a member touches only the entries of
-    B^T R B on its 2-3 support indices, so only those are computed:
-    entry (a, b) is b_a . (R b_b), with R b_b cached per column.
+    B^T R B on its 2-3 support indices, so only those are computed, in
+    ints: with column c of B = cols[c] / scales[c] and R = R_int / den,
+    entry (a, b) is cols[a] . (R_int cols[b]) / (scales[a] scales[b] den),
+    with R_int cols[b] cached per column.
     """
-    basis = diag_q.basis
-    rows = range(len(basis))
+    cols, scales = diag_q.cols, diag_q.scales
+    n = len(cols)
+    den, r_int = linalg.clear_denominators(r.matrix)
     r_cols = {}
     entries = {}
 
@@ -200,9 +213,10 @@ def construct_witness(
             a, b = key
             rb = r_cols.get(b)
             if rb is None:
-                col = [(i, basis[i][b]) for i in rows if basis[i][b]]
-                rb = r_cols[b] = [sum(row[i] * x for i, x in col) for row in r.matrix]
-            val = entries[key] = sum(basis[i][a] * rb[i] for i in rows if basis[i][a])
+                col = [(i, x) for i, x in enumerate(cols[b]) if x]
+                rb = r_cols[b] = [sum(row[i] * x for i, x in col) for row in r_int]
+            dot = sum(x * y for x, y in zip(cols[a], rb) if x)
+            val = entries[key] = Fraction(dot, scales[a] * scales[b] * den)
         return val
 
     for t, support in _witness_family(diag_q.diag, diag_q.inertia):
@@ -215,13 +229,17 @@ def construct_witness(
                 rad += e * (xa * yb + ya * xb)
         r_val = QuadExt(rat, rad, t)
         if not r_val.is_zero():
+            # coordinate i of Bv is sum over the support of cols[a][i] / scales[a]
+            # times x_a + y_a sqrt t, over one common denominator
+            common = math.lcm(*(scales[a] for a, _, _ in support))
+            over = [(cols[a], common // scales[a], x, y) for a, x, y in support]
             coords = tuple(
                 QuadExt(
-                    sum(basis[i][a] * x for a, x, _ in support),
-                    sum(basis[i][a] * y for a, _, y in support),
+                    Fraction(sum(col[i] * f * x for col, f, x, _ in over), common),
+                    Fraction(sum(col[i] * f * y for col, f, _, y in over), common),
                     t,
                 )
-                for i in rows
+                for i in range(n)
             )
             # q(Bv) = v^T diag(d) v, zero by construction of the family
             d = diag_q.diag

@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 from .errors import DimensionMismatch, FormatError, NonSymmetricMatrix
@@ -76,11 +77,25 @@ class Inertia:
 
 @dataclass(frozen=True)
 class CongruenceDiagonalization:
-    """Invertible basis B (columns) with B^T Q B = diag(diag)."""
+    """Invertible basis B (columns) with B^T Q B = diag(diag).
 
-    basis: tuple  # n x n rational matrix, columns are basis vectors
+    B comes out of the elimination in ints: column c is cols[c] / scales[c].
+    The rational matrix basis is built from them the first time it is
+    read, so a verdict that needs only diag and inertia never builds it.
+    """
+
     diag: tuple  # n rational diagonal values, ordered +, -, 0
     inertia: Inertia
+    cols: tuple  # n integer columns of B, in the order of diag
+    scales: tuple  # n positive ints, one per column
+
+    @cached_property
+    def basis(self) -> tuple:
+        """n x n rational matrix, columns are basis vectors."""
+        return tuple(
+            tuple(Fraction(col[r], s) for col, s in zip(self.cols, self.scales))
+            for r in range(len(self.cols))
+        )
 
 
 class LinearTransform:
@@ -104,10 +119,6 @@ class LinearTransform:
 
     def __repr__(self):
         return f"LinearTransform({[list(r) for r in self.matrix]!r})"
-
-    def compose(self, other: "LinearTransform") -> "LinearTransform":
-        """self . other, i.e. apply other first."""
-        return LinearTransform(linalg.mat_mul(self.matrix, other.matrix))
 
     @staticmethod
     def identity(n):
@@ -156,82 +167,84 @@ def _evaluate_split(m, x, t):
     return QuadExt(aqa + t * bqb, 2 * aqb, t)
 
 
-def bilinear_eval(q: QuadraticForm, x, y):
-    """Symmetric bilinear companion: q~(x, y) = sum Q_ij x_i y_j."""
-    if len(x) != q.dim or len(y) != q.dim:
-        raise DimensionMismatch("vector length does not match form dimension")
-    total = 0
-    for i in range(q.dim):
-        for j in range(q.dim):
-            total = total + q.matrix[i][j] * x[i] * y[j]
-    return total
-
-
 def congruence_diagonalize(q: QuadraticForm) -> CongruenceDiagonalization:
     """Symmetric elimination producing invertible B with B^T Q B diagonal.
 
     Diagonal values stay rational (not normalized to +-1, which would need
     square roots); the diagonal is permuted to the order positives,
     negatives, zeros and the inertia is read off the signs.
+
+    The pass runs in Python ints.  Q = A / den with den the lcm of the
+    entry denominators, cleared once.  A pivot step is a Bareiss step
+    (Bareiss 1968): the trailing block of A and the unfinished columns of
+    B are held multiplied by the last nonzero pivot, prev, so every update
+    divides exactly by it.  Column c of B is finished at step c with
+    scale prev, and diag[c] = a_cc / (prev * den).
     """
     n = q.dim
-    a = [list(row) for row in q.matrix]
-    b = [list(row) for row in linalg.identity(n)]  # columns are basis vectors
+    den, a = linalg.clear_denominators(q.matrix)
+    w = [[int(r == c) for r in range(n)] for c in range(n)]  # w[c]: column c of B, times prev
+    scales = [1] * n
+    prev = 1
 
-    def col_addmul(j, i, c):
-        # basis col j += c * col i; congruence update of A
-        # skipping zero multiplicands changes no value: B starts as the
-        # identity and eliminated rows and columns of A are zero
-        for r in range(n):
-            if x := b[r][i]:
-                b[r][j] += c * x
-        for r in range(n):
-            if x := a[r][i]:
-                a[r][j] += c * x
-        for r in range(n):
-            if x := a[i][r]:
-                a[j][r] += c * x
+    def col_add(j, i):
+        # b_j += b_i, and the congruence update of the trailing block of A
+        w[j] = [x + y for x, y in zip(w[j], w[i])]
+        for r in range(i, n):
+            a[r][j] += a[r][i]
+        for r in range(i, n):
+            a[j][r] += a[i][r]
 
     def col_swap(i, j):
-        for r in range(n):
-            b[r][i], b[r][j] = b[r][j], b[r][i]
-        for r in range(n):
+        w[i], w[j] = w[j], w[i]
+        for r in range(i, n):
             a[r][i], a[r][j] = a[r][j], a[r][i]
         a[i], a[j] = a[j], a[i]
 
     for i in range(n):
-        while True:
-            if a[i][i] != 0:
-                inv = 1 / a[i][i]
-                for j in range(i + 1, n):
-                    if a[i][j] != 0:
-                        col_addmul(j, i, -a[i][j] * inv)
-                break
-            swap_at = next((l for l in range(i + 1, n) if a[l][l] != 0), None)
+        if a[i][i] == 0:
+            # pivot steps update only the upper triangle of the trailing
+            # block; the swap and the repair below read both
+            for r in range(i, n):
+                for l in range(r + 1, n):
+                    a[l][r] = a[r][l]
+            swap_at = next((l for l in range(i + 1, n) if a[l][l]), None)
+            if swap_at is None:
+                swap_at = next((j for j in range(i + 1, n) if a[i][j]), None)
+                if swap_at is not None:
+                    # a_ii and every later diagonal entry are zero, so b_j + b_i
+                    # has a_jj = a_ii + 2 a_ij + a_jj = 2 a_ij != 0: no retry
+                    col_add(swap_at, i)
             if swap_at is not None:
                 col_swap(i, swap_at)
-                continue
-            off = next((j for j in range(i + 1, n) if a[i][j] != 0), None)
-            if off is None:
-                break  # whole trailing row is zero
-            col_addmul(off, i, 1)
-            if a[off][off] == 0:
-                # pivot repair cancelled; retry with b_off - b_i instead
-                col_addmul(off, i, -2)
-            # loop back: some later diagonal entry is now nonzero
+        scales[i] = prev
+        p = a[i][i]
+        if p == 0:
+            continue  # whole trailing row is zero
+        row_i, w_i = a[i], w[i]
+        for j in range(i + 1, n):
+            c = row_i[j]
+            if c:
+                a[j][j:] = [(p * x - c * y) // prev for x, y in zip(a[j][j:], row_i[j:])]
+                w[j] = [(p * x - c * y) // prev for x, y in zip(w[j], w_i)]
+            else:
+                a[j][j:] = [p * x // prev for x in a[j][j:]]
+                w[j] = [p * x // prev for x in w[j]]
+        prev = p
 
-    diag = [a[i][i] for i in range(n)]
+    sign = [(d > 0) - (d < 0) for d in (a[i][i] * scales[i] for i in range(n))]
     order = (
-        [i for i in range(n) if diag[i] > 0]
-        + [i for i in range(n) if diag[i] < 0]
-        + [i for i in range(n) if diag[i] == 0]
+        [i for i in range(n) if sign[i] > 0]
+        + [i for i in range(n) if sign[i] < 0]
+        + [i for i in range(n) if sign[i] == 0]
     )
-    basis = tuple(tuple(b[r][c] for c in order) for r in range(n))
-    sorted_diag = tuple(diag[c] for c in order)
-    k = sum(1 for d in sorted_diag if d > 0)
-    m = sum(1 for d in sorted_diag if d < 0)
+    k = sign.count(1)
+    m = sign.count(-1)
     return CongruenceDiagonalization(
-        basis=basis, diag=sorted_diag, inertia=Inertia(k, m, n - k - m)
+        diag=tuple(Fraction(a[c][c], scales[c] * den) for c in order),
+        inertia=Inertia(k, m, n - k - m),
+        cols=tuple(tuple(w[c] if scales[c] > 0 else [-x for x in w[c]]) for c in order),
+        scales=tuple(abs(scales[c]) for c in order),
     )
 
 

@@ -6,6 +6,7 @@ elimination in rational arithmetic; nothing is numeric.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -18,6 +19,13 @@ def identity(n):
         tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
         for i in range(n)
     )
+
+
+def clear_denominators(a):
+    """(den, rows) with a = rows / den: den is the lcm of the entry
+    denominators and rows are Python ints."""
+    den = math.lcm(*(e.denominator for row in a for e in row))
+    return den, [[e.numerator * (den // e.denominator) for e in row] for row in a]
 
 
 def transpose(a):

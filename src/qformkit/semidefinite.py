@@ -76,18 +76,18 @@ def kernel_basis(q: QuadraticForm) -> SubspaceBasis:
     return SubspaceBasis(dim_ambient=q.dim, vectors=vectors)
 
 
-def containment_psd(q: QuadraticForm, r: QuadraticForm) -> bool:
-    """Z_q subset-of Z_r for a semidefinite pair: exact kernel containment."""
-    if q.dim != r.dim:
-        raise DimensionMismatch(f"dims differ: {q.dim} vs {r.dim}")
-    _orientation(congruence_diagonalize(q).inertia)
-    _orientation(congruence_diagonalize(r).inertia)
-    return _annihilates(r, linalg.kernel(q.matrix)[0])
-
-
 def _annihilates(r: QuadraticForm, vectors) -> bool:
     zero = (Fraction(0),) * r.dim
     return all(linalg.mat_vec(r.matrix, v) == zero for v in vectors)
+
+
+def _float(x) -> float:
+    """float(x) for an exact value; past the float range (about 1.8e308)
+    the float step cannot run, a numerical failure rather than a fault."""
+    try:
+        return float(x)
+    except OverflowError as exc:
+        raise NumericalFailure(f"an exact value is out of float range: {exc}") from exc
 
 
 def _offdiag_residual(mat, tol):
@@ -137,7 +137,7 @@ def _simdiag_in_frame(
     n = q.dim
     z = len(kern)
     nm = len(pivots)
-    kern_f = np.array([[float(v[i]) for v in kern] for i in range(n)])
+    kern_f = np.array([[_float(v[i]) for v in kern] for i in range(n)])
     if nm == 0:  # q = 0, so r = 0: the kernel, all of Q^n, is the basis
         zeros = (0.0,) * n
         return SimDiagResult(
@@ -146,8 +146,8 @@ def _simdiag_in_frame(
 
     # both restrictions, each form signed to be positive semidefinite
     r_unit = -1 if orr < 0 else 1
-    qmf = np.array([[float(oq * q.matrix[i][j]) for j in pivots] for i in pivots])
-    rmf = np.array([[float(r_unit * r.matrix[i][j]) for j in pivots] for i in pivots])
+    qmf = np.array([[_float(oq * q.matrix[i][j]) for j in pivots] for i in pivots])
+    rmf = np.array([[_float(r_unit * r.matrix[i][j]) for j in pivots] for i in pivots])
     try:
         chol = np.linalg.cholesky(qmf)  # qmf = chol @ chol.T
     except np.linalg.LinAlgError as exc:
@@ -161,8 +161,8 @@ def _simdiag_in_frame(
     comp_f = np.array([[float(i == p) for p in pivots] for i in range(n)])
     basis = np.hstack([comp_f @ x, kern_f])
 
-    qf = np.array([[float(e) for e in row] for row in q.matrix])
-    rf = np.array([[float(e) for e in row] for row in r.matrix])
+    qf = np.array([[_float(e) for e in row] for row in q.matrix])
+    rf = np.array([[_float(e) for e in row] for row in r.matrix])
     tq = basis.T @ qf @ basis
     tr = basis.T @ rf @ basis
     residual = max(_offdiag_residual(tq, tol), _offdiag_residual(tr, tol))
@@ -201,8 +201,8 @@ def simdiag_general(
                 "q has a null-cone point where r is nonzero",
                 witness=verdict.witness,
             )
-        basis = tuple(tuple(float(e) for e in row) for row in dq.basis)
-        q_diag = tuple(float(d) for d in dq.diag)
-        r_diag = tuple(float(verdict.alpha * d) for d in dq.diag)
+        basis = tuple(tuple(_float(e) for e in row) for row in dq.basis)
+        q_diag = tuple(_float(d) for d in dq.diag)
+        r_diag = tuple(_float(verdict.alpha * d) for d in dq.diag)
         return SimDiagResult(basis=basis, q_diag=q_diag, r_diag=r_diag, residual=0.0)
     return _simdiag_in_frame(q, r, dq.inertia, tol)

@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 from qformkit import (
+    DimensionMismatch,
     HomogeneousPoly,
+    Inertia,
     LinearTransform,
+    NotSemidefinite,
     QuadraticForm,
     inertia,
 )
@@ -88,6 +91,34 @@ def det(a):
     return d
 
 
+def bilinear_eval(q, x, y):
+    """Symmetric bilinear companion: q~(x, y) = sum Q_ij x_i y_j."""
+    if len(x) != q.dim or len(y) != q.dim:
+        raise DimensionMismatch("vector length does not match form dimension")
+    total = 0
+    for i in range(q.dim):
+        for j in range(q.dim):
+            total = total + q.matrix[i][j] * x[i] * y[j]
+    return total
+
+
+def compose(l1, l2):
+    """l1 . l2, i.e. apply l2 first."""
+    return LinearTransform(linalg.mat_mul(l1.matrix, l2.matrix))
+
+
+def containment_psd(q, r):
+    """Z_q subset-of Z_r for a semidefinite pair: exact kernel containment."""
+    if q.dim != r.dim:
+        raise DimensionMismatch(f"dims differ: {q.dim} vs {r.dim}")
+    for form in (q, r):
+        ine = inertia(form)
+        if ine.k and ine.m:
+            raise NotSemidefinite("form is indefinite")
+    zero = (Fraction(0),) * r.dim
+    return all(linalg.mat_vec(r.matrix, v) == zero for v in linalg.kernel(q.matrix)[0])
+
+
 def rank(a):
     return len(linalg.rref(a)[1])
 
@@ -99,3 +130,58 @@ def inverse(a):
     if pivots[:n] != tuple(range(n)):
         raise ZeroDivisionError("matrix is singular")
     return tuple(tuple(row[n:]) for row in rows[:n])
+
+
+def reference_diagonalize(q):
+    """(basis, diag, inertia) from the plain Fraction elimination that
+    congruence_diagonalize's integer pass must reproduce exactly: the same
+    pivots, swaps and zero-pivot repairs, with every entry a Fraction."""
+    n = q.dim
+    a = [list(row) for row in q.matrix]
+    b = [list(row) for row in linalg.identity(n)]  # columns are basis vectors
+
+    def col_addmul(j, i, c):
+        # basis col j += c * col i; congruence update of A
+        for r in range(n):
+            b[r][j] += c * b[r][i]
+        for r in range(n):
+            a[r][j] += c * a[r][i]
+        for r in range(n):
+            a[j][r] += c * a[i][r]
+
+    def col_swap(i, j):
+        for r in range(n):
+            b[r][i], b[r][j] = b[r][j], b[r][i]
+        for r in range(n):
+            a[r][i], a[r][j] = a[r][j], a[r][i]
+        a[i], a[j] = a[j], a[i]
+
+    for i in range(n):
+        while True:
+            if a[i][i] != 0:
+                inv = 1 / a[i][i]
+                for j in range(i + 1, n):
+                    if a[i][j] != 0:
+                        col_addmul(j, i, -a[i][j] * inv)
+                break
+            swap_at = next((l for l in range(i + 1, n) if a[l][l] != 0), None)
+            if swap_at is not None:
+                col_swap(i, swap_at)
+                continue
+            off = next((j for j in range(i + 1, n) if a[i][j] != 0), None)
+            if off is None:
+                break  # whole trailing row is zero
+            col_addmul(off, i, 1)
+            # loop back: a_off,off is now 2 a_i,off, a nonzero diagonal entry
+
+    diag = [a[i][i] for i in range(n)]
+    order = (
+        [i for i in range(n) if diag[i] > 0]
+        + [i for i in range(n) if diag[i] < 0]
+        + [i for i in range(n) if diag[i] == 0]
+    )
+    basis = tuple(tuple(b[r][c] for c in order) for r in range(n))
+    sorted_diag = tuple(diag[c] for c in order)
+    k = sum(1 for d in sorted_diag if d > 0)
+    m = sum(1 for d in sorted_diag if d < 0)
+    return basis, sorted_diag, Inertia(k, m, n - k - m)

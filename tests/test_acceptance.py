@@ -37,7 +37,7 @@ from qformkit import (
 )
 from qformkit.cli import main as cli_main
 
-from conftest import random_homogeneous, random_indefinite, random_invertible, random_symmetric
+from conftest import compose, random_homogeneous, random_indefinite, random_invertible, random_symmetric
 
 
 @contextlib.contextmanager
@@ -169,9 +169,9 @@ def test_criterion_5_minkowski():
             for _ in range(rng.randint(1, 4)):
                 a, b, h = rng.choice(triples)
                 if rng.random() < 0.5:
-                    L = L.compose(boost_from_triple(a, b, h, rng.choice("xyz")))
+                    L = compose(L, boost_from_triple(a, b, h, rng.choice("xyz")))
                 else:
-                    L = L.compose(rotation_from_triple(a, b, h, rng.choice(["xy", "xz", "yz"])))
+                    L = compose(L, rotation_from_triple(a, b, h, rng.choice(["xy", "xz", "yz"])))
             assert check_interval_invariance(L).kappa == 1
 
         assert check_interval_invariance(LinearTransform.scaling(4, 2)).kappa == 4

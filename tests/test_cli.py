@@ -160,6 +160,15 @@ class TestSimdiag:
         r = write(tmp_path, "r.json", HYP)
         assert main(["simdiag", q, r]) == 4
 
+    @pytest.mark.parametrize("second", ["1", "-1"], ids=["definite", "indefinite"])
+    def test_entry_past_float_range_exit_4(self, tmp_path, capsys, second):
+        # 1e400 is exact, but the float step cannot hold it
+        q = write(tmp_path, "q.json", f'{{"dim": 2, "rows": [["1e400", 0], [0, {second}]]}}')
+        assert main(["simdiag", q, q]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical failure: an exact value is out of float range")
+
 
 class TestLorentz:
     BOOST = (

@@ -10,7 +10,6 @@ from qformkit import (
     NonSymmetricMatrix,
     QuadraticForm,
     apply_transform,
-    bilinear_eval,
     classify,
     congruence_diagonalize,
     evaluate,
@@ -20,7 +19,16 @@ from qformkit import (
 )
 from qformkit.forms import form_from_json, matrix_to_json
 
-from conftest import det, random_indefinite, random_invertible, random_symmetric, random_vector
+from conftest import (
+    bilinear_eval,
+    compose,
+    det,
+    random_indefinite,
+    random_invertible,
+    random_symmetric,
+    random_vector,
+    reference_diagonalize,
+)
 
 S2 = QuadraticForm([[2, 0, -1], [0, 2, -1], [-1, -1, 1]])  # 2x^2+2y^2+z^2-2xz-2yz
 
@@ -112,6 +120,65 @@ class TestCongruenceDiagonalize:
             _check_diag_soundness(random_symmetric(rng, rng.randint(1, 6)))
 
 
+def _mixed_form(rng, n):
+    """Random symmetric form of one of four shapes: small integers, a zero
+    diagonal, denominators such as 1/6 and 5/4, or zero rows and blocks."""
+    shape = rng.choice(("integer", "zero-diagonal", "mixed", "zero-block"))
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if shape == "mixed":
+                v = Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 4, 5, 6)))
+            else:
+                v = Fraction(rng.randint(-3, 3))
+            rows[i][j] = rows[j][i] = v
+    if shape == "zero-diagonal":
+        for i in range(n):
+            rows[i][i] = Fraction(0)
+    if shape == "zero-block":
+        for i in rng.sample(range(n), rng.randint(1, n)):
+            for j in range(n):
+                rows[i][j] = rows[j][i] = Fraction(0)
+    return QuadraticForm(rows)
+
+
+class TestIntegerPassMatchesReference:
+    """congruence_diagonalize eliminates in ints; basis, diag and inertia
+    must equal the Fraction elimination in conftest exactly."""
+
+    @staticmethod
+    def assert_matches(q):
+        d = congruence_diagonalize(q)
+        assert (d.basis, d.diag, d.inertia) == reference_diagonalize(q)
+        prod = linalg.mat_mul(linalg.mat_mul(linalg.transpose(d.basis), q.matrix), d.basis)
+        n = q.dim
+        assert prod == tuple(tuple(d.diag[i] if i == j else 0 for j in range(n)) for i in range(n))
+
+    def test_random_forms(self):
+        rng = random.Random(2024)
+        for _ in range(300):
+            self.assert_matches(_mixed_form(rng, rng.randint(1, 12)))
+
+    def test_zero_matrix_and_dimension_one(self):
+        for q in (
+            QuadraticForm([[0] * 4] * 4),
+            QuadraticForm([[0]]),
+            QuadraticForm([[Fraction(-3, 7)]]),
+        ):
+            self.assert_matches(q)
+
+    def test_zero_diagonal_repair(self):
+        # every diagonal entry is zero: b_1 + b_0 becomes the first pivot column
+        q = QuadraticForm([[0, 1], [1, 0]])
+        self.assert_matches(q)
+        d = congruence_diagonalize(q)
+        assert d.basis == ((1, Fraction(1, 2)), (1, Fraction(-1, 2)))
+        self.assert_matches(QuadraticForm([[0, 2, 1], [2, 0, 3], [1, 3, 0]]))
+
+    def test_huge_entries(self):
+        self.assert_matches(form_from_json({"dim": 2, "rows": [["1e3000", 1], [1, "-1e3000"]]}))
+
+
 class TestInertia:
     def test_minkowski(self):
         assert inertia(minkowski_form(1)) == Inertia(3, 1, 0)
@@ -177,7 +244,7 @@ class TestApplyTransform:
             l1 = random_invertible(rng, n)
             l2 = random_invertible(rng, n)
             lhs = apply_transform(apply_transform(q, l1), l2)
-            rhs = apply_transform(q, l1.compose(l2))
+            rhs = apply_transform(q, compose(l1, l2))
             assert lhs == rhs
 
     def test_evaluation_agreement(self):

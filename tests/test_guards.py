@@ -1,11 +1,13 @@
 """Guards on how the package is built rather than on what it decides:
 numpy stays unloaded outside simdiag's float step, no check in src/ is
 an `assert` that `python -O` would strip, each decision diagonalizes
-each form once, and every qformkit name the benchmark binds to exists."""
+each form once and makes Fractions only where its verdict reads them,
+and every qformkit name the benchmark binds to exists."""
 
 import ast
 import importlib.util
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -155,6 +157,52 @@ def test_one_diagonalization_per_decision(diagonalize_calls, rref_calls, decide,
     decide()
     assert diagonalize_calls == diagonalized
     assert len(rref_calls) == rrefs
+
+
+def _anchored_pair(n, seed):
+    """q: random small integers with a positive and a negative diagonal
+    entry, so indefinite; r = -5/3 q."""
+    rng = random.Random(seed)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = Fraction(rng.randint(-3, 3))
+    rows[0][0], rows[1][1] = Fraction(2), Fraction(-1)
+    return rows, [[Fraction(-5, 3) * e for e in row] for row in rows]
+
+
+def _fractions_made(fn, *args):
+    new = Fraction.__new__.__code__
+    count = [0]
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code is new:
+            count[0] += 1
+
+    sys.setprofile(hook)
+    try:
+        out = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return out, count[0]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_fractions_made_per_decision(seed):
+    """The diagonal frame is built in ints: Fractions are made where a
+    verdict reads them, at most n^2 to confirm and 2n^2 to refute at n = 16."""
+    n = 16
+    q_rows, r_rows = _anchored_pair(n, seed)
+    q = qformkit.QuadraticForm(q_rows)
+    verdict, made = _fractions_made(qformkit.decide_containment, q, qformkit.QuadraticForm(r_rows))
+    assert isinstance(verdict, qformkit.Proportional)
+    assert made <= n * n
+    r_rows[0][0] += 1
+    r = qformkit.QuadraticForm(r_rows)
+    verdict, made = _fractions_made(qformkit.decide_containment, q, r)
+    assert isinstance(verdict, qformkit.Counterexample)
+    assert qformkit.verify_witness(q, r, verdict.witness)
+    assert made <= 2 * n * n
 
 
 # qformkit names perfbench/workloads.py calls or tests with isinstance

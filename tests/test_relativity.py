@@ -19,6 +19,8 @@ from qformkit import (
     verify_witness,
 )
 
+from conftest import compose
+
 TRIPLES = [(3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25), (20, 21, 29)]
 
 
@@ -84,7 +86,7 @@ class TestRotation:
         assert rotation_from_triple(0, 1, 1, "xy") == LinearTransform.identity(4)
 
     def test_boost_rotation_composition(self):
-        L = boost_from_triple(3, 4, 5, "x").compose(rotation_from_triple(3, 4, 5, "xy"))
+        L = compose(boost_from_triple(3, 4, 5, "x"), rotation_from_triple(3, 4, 5, "xy"))
         rep = check_interval_invariance(L)
         assert rep.kappa == 1
         assert rep.classification == "interval-preserving"
@@ -129,10 +131,10 @@ class TestCheckIntervalInvariance:
             for _ in range(rng.randint(1, 5)):
                 a, b, h = rng.choice(TRIPLES)
                 if rng.random() < 0.5:
-                    L = L.compose(boost_from_triple(a, b, h, rng.choice("xyz")))
+                    L = compose(L, boost_from_triple(a, b, h, rng.choice("xyz")))
                 else:
-                    L = L.compose(
-                        rotation_from_triple(a, b, h, rng.choice(["xy", "xz", "yz"]))
+                    L = compose(
+                        L, rotation_from_triple(a, b, h, rng.choice(["xy", "xz", "yz"]))
                     )
             rep = check_interval_invariance(L)
             assert rep.kappa == 1
@@ -143,9 +145,9 @@ class TestCheckIntervalInvariance:
             c1 = Fraction(rng.randint(1, 5))
             c2 = Fraction(rng.randint(1, 5), rng.randint(1, 3))
             a, b, h = rng.choice(TRIPLES)
-            l1 = LinearTransform.scaling(4, c1).compose(boost_from_triple(a, b, h, "x"))
+            l1 = compose(LinearTransform.scaling(4, c1), boost_from_triple(a, b, h, "x"))
             l2 = LinearTransform.scaling(4, c2)
             k1 = check_interval_invariance(l1).kappa
             k2 = check_interval_invariance(l2).kappa
-            k12 = check_interval_invariance(l1.compose(l2)).kappa
+            k12 = check_interval_invariance(compose(l1, l2)).kappa
             assert k12 == k1 * k2

@@ -12,7 +12,6 @@ from qformkit import (
     QuadraticForm,
     Unsupported,
     apply_transform,
-    containment_psd,
     evaluate,
     kernel_basis,
     linalg,
@@ -22,7 +21,7 @@ from qformkit import (
 )
 from qformkit.forms import LinearTransform
 
-from conftest import det, rank
+from conftest import containment_psd, det, rank
 
 S2 = QuadraticForm([[2, 0, -1], [0, 2, -1], [-1, -1, 1]])
 S2P = QuadraticForm([[8, 8, -8], [8, 16, -12], [-8, -12, 10]])
