@@ -46,7 +46,6 @@ from .forms import (
     inertia,
 )
 from .polys import (
-    BudgetExhausted,
     ConePointWitness,
     Divisible,
     DivisionResult,

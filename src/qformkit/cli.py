@@ -4,8 +4,8 @@ Exit codes: 0 proportional/divisible/success, 1 refuted (counterexample,
 witness, failed containment), 2 input error (unreadable file, parse error,
 wrong dimension), 3 non-symmetric matrix, 4 hypothesis violation (e.g.
 base form not indefinite), 5 internal error (a certificate failed its
-re-check, or qformkit itself raised); 5 prints one stderr line and
-nothing on stdout.
+re-check, a complete witness search came back empty, or qformkit itself
+raised); 5 prints one stderr line and nothing on stdout.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .errors import (
     FormatError,
     InvalidSpeed,
     NonSymmetricMatrix,
+    NoWitnessFound,
     NotIndefinite,
     NotSemidefinite,
     NumericalFailure,
@@ -131,30 +132,18 @@ def cmd_contain(args):
 def cmd_poly_contain(args):
     q = forms.form_from_json(forms.load_json(args.q))
     r = polys.poly_from_json(forms.load_json(args.r))
-    verdict = polys.decide_containment_homogeneous(
-        q, r, budget=args.budget, seed=args.seed
-    )
+    verdict = polys.decide_containment_homogeneous(q, r)
     if isinstance(verdict, polys.Divisible):
         _emit(verdict.to_json(), [f"divisible: quotient = {verdict.quotient}"], args.json)
         return EXIT_OK
-    if isinstance(verdict, polys.ConePointWitness):
-        _recheck(polys.verify_poly_witness(q, r, verdict.witness), "cone-point witness")
-        w = verdict.witness
-        _emit(
-            verdict.to_json(),
-            [
-                "witness: q vanishes but r does not at",
-                "  v = " + _point(w),
-                f"  r(v) = {w.r_value}",
-            ],
-            args.json,
-        )
-        return EXIT_REFUTED
+    _recheck(polys.verify_poly_witness(q, r, verdict.witness), "cone-point witness")
+    w = verdict.witness
     _emit(
         verdict.to_json(),
         [
-            "non-divisible (remainder nonzero); no sampled cone point hit "
-            "a nonzero value within the budget",
+            "witness: q vanishes but r does not at",
+            "  v = " + _point(w),
+            f"  r(v) = {w.r_value}",
         ],
         args.json,
     )
@@ -341,9 +330,7 @@ def build_parser():
     add("analyze", cmd_analyze, form="form matrix JSON file")
     add("canon", cmd_canon, form="form matrix JSON file")
     add("contain", cmd_contain, q="indefinite base form", r="candidate form")
-    p = add("poly-contain", cmd_poly_contain, q="indefinite quadratic", r="homogeneous polynomial JSON")
-    p.add_argument("--budget", type=int, default=1000, help="witness sampling budget")
-    p.add_argument("--seed", type=int, default=0, help="sampler seed")
+    add("poly-contain", cmd_poly_contain, q="indefinite quadratic", r="homogeneous polynomial JSON")
     p = add("simdiag", cmd_simdiag, q="first form", r="second form")
     p.add_argument("--tol", type=float, default=semidefinite.DEFAULT_TOL)
     p = add("lorentz", cmd_lorentz, transform="candidate transform JSON file")
@@ -377,7 +364,7 @@ def main(argv=None) -> int:
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except CertificateRejected as exc:
+    except (CertificateRejected, NoWitnessFound) as exc:
         return _internal_error(exc)
     except QFormError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -30,8 +30,8 @@ class NotSemidefinite(QFormError):
 
 
 class NoWitnessFound(QFormError):
-    """The finite witness family was exhausted; unreachable when the
-    non-proportionality precondition holds."""
+    """A complete witness search (the form family, or the cone sweep of
+    poly-contain) came back empty: a fault of qformkit, never a verdict."""
 
 
 class DegreeMismatch(QFormError):

@@ -3,16 +3,18 @@
 Divisibility of a homogeneous polynomial by an indefinite quadratic is a
 complete decision for real zero-set containment: the quotient certifies
 containment, and a nonzero remainder guarantees a real null-cone point
-where the polynomial does not vanish.  A seeded sampler hunts for such a
-point in Q(sqrt(t)) to attach a concrete witness to the refutation.
+where the polynomial does not vanish.  A deterministic sweep of cone
+points in Q(sqrt(t)), complete by polynomial identity testing (Schwartz
+1980; Alon 1999, "Combinatorial Nullstellensatz"), finds such a point and
+attaches it to the refutation as a concrete witness.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import combinations
 
 from . import linalg
 from .errors import (
@@ -20,6 +22,7 @@ from .errors import (
     DegreeMismatch,
     DimensionMismatch,
     FormatError,
+    NoWitnessFound,
     NotIndefinite,
 )
 from .containment import WitnessVector, witness_json
@@ -33,6 +36,10 @@ from .forms import (
 )
 from .forms import evaluate as form_eval
 from .scalars import QuadExt, parse_rational, render_rational
+
+# The degree is the one field of a polynomial file whose cost (division,
+# the witness sweep's grid, power tables) does not grow with the file.
+MAX_DEGREE = 100
 
 
 def _grlex_key(exp):
@@ -129,17 +136,26 @@ class HomogeneousPoly:
         return exp, self.terms[exp]
 
     def evaluate(self, x):
-        """Value at a point of Fractions or QuadExt entries."""
+        """Value at a point of Fractions or QuadExt entries, of the point's
+        kind, from one table of the powers each coordinate needs."""
         if len(x) != self.nvars:
             raise DimensionMismatch(
                 f"point length {len(x)} != nvars {self.nvars}"
             )
-        total = 0
-        for exp, c in sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0])):
+        one = x[0] * 0 + 1
+        tops = [max(col) for col in zip(*self.terms)] or [0] * self.nvars
+        powers = []
+        for xi, top in zip(x, tops):
+            row = [one]
+            for _ in range(top):
+                row.append(row[-1] * xi)
+            powers.append(row)
+        total = one * 0
+        for exp, c in self.terms.items():
             term = c
-            for xi, e in zip(x, exp):
-                for _ in range(e):
-                    term = term * xi
+            for row, e in zip(powers, exp):
+                if e:
+                    term = row[e] * term
             total = total + term
         return total
 
@@ -269,63 +285,52 @@ class ConePointWitness:
         return {"verdict": "witness", **witness_json(self.witness)}
 
 
-@dataclass(frozen=True)
-class BudgetExhausted:
-    """Non-divisible (remainder is nonzero) but no sampled cone point hit a
-    nonzero value within the budget; still certifies non-containment."""
+def sample_cone_point(diag_q: CongruenceDiagonalization, h, sign):
+    """The second point where the line through c and h meets the null
+    cone of q, in original coordinates; exactly null, one radicand t.
 
-    remainder: HomogeneousPoly
-
-    def to_json(self):
-        return {
-            "verdict": "non-divisible-budget-exhausted",
-            "remainder": poly_to_json(self.remainder),
-        }
-
-
-def sample_cone_point(diag_q: CongruenceDiagonalization, rng: random.Random):
-    """Random exact point on the null cone of q, in original coordinates.
-
-    Works in diagonalizing coordinates: draw small rationals everywhere
-    except one negative index, whose value is forced to sqrt of the
-    balancing radicand; redraw while the radicand is negative or all
-    positive-index draws are zero.
+    In the frame B^T Q B = diag(d), with p the first positive index, n
+    the first negative one and t = d_p / -d_n, c = e_p + sign*sqrt(t) e_n
+    is null.  Along the line, q(c + s h) = 2 s beta + s^2 delta with
+    delta = sum d_i h_i^2 and beta = d_p h_p + sign*sqrt(t) d_n h_n, so
+    v = delta*c - 2*beta*h is null, and Bv is returned.
     """
-    diag = diag_q.diag
     ine = diag_q.inertia
     if ine.k < 1 or ine.m < 1:
-        raise NotIndefinite("cone sampling needs an indefinite form")
-    n = len(diag)
-    pos = list(range(ine.k))
-    neg = list(range(ine.k, ine.k + ine.m))
-    for _ in range(1000):
-        j = rng.choice(neg)
-        y = [Fraction(0)] * n
-        for i in range(n):
-            if i != j:
-                y[i] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-        if all(y[p] == 0 for p in pos):
-            continue
-        radicand = sum(diag[i] * y[i] * y[i] for i in range(n) if i != j) / (-diag[j])
-        if radicand < 0:
-            continue
-        t = radicand if radicand > 0 else Fraction(1)
-        coords = [QuadExt(y[i], 0, t) for i in range(n)]
-        if radicand > 0:
-            coords[j] = QuadExt(0, 1, t)
-        return tuple(linalg.mat_vec(diag_q.basis, coords))
-    raise RuntimeError("cone sampler failed to draw an admissible point")
+        raise NotIndefinite("a cone point needs an indefinite form")
+    d = diag_q.diag
+    p, n = 0, ine.k
+    delta = sum(di * hi * hi for di, hi in zip(d, h))
+    rat = [-2 * d[p] * h[p] * hi for hi in h]
+    rad = [-2 * d[n] * h[n] * hi for hi in h]
+    rat[p] += delta
+    rad[n] += delta
+    t = d[p] / -d[n]
+    basis = diag_q.basis
+    return tuple(
+        QuadExt(a, sign * b, t)
+        for a, b in zip(linalg.mat_vec(basis, rat), linalg.mat_vec(basis, rad))
+    )
 
 
-def decide_containment_homogeneous(
-    q: QuadraticForm,
-    r: HomogeneousPoly,
-    budget: int = 1000,
-    seed: int = 0,
-):
+def _grid(n, size):
+    """Every h in {1, ..., size}^n, by increasing coordinate sum: each
+    sum's n - 1 cut points split it into n positive parts."""
+    for total in range(n, n * size + 1):
+        for cuts in combinations(range(1, total), n - 1):
+            h = tuple(b - a for a, b in zip((0, *cuts), (*cuts, total)))
+            if max(h) <= size:
+                yield h
+
+
+def decide_containment_homogeneous(q: QuadraticForm, r: HomogeneousPoly):
     """Divisible(s) with r = q*s, or a real cone-point witness of
-    non-containment, or BudgetExhausted (still a non-divisibility
-    certificate via the remainder)."""
+    non-containment, from a sweep that is complete: h -> v of
+    sample_cone_point reaches every cone point off the tangent hyperplane
+    at c, and for a rank-2 q the two signs put c on both planes of the
+    cone.  So if q does not divide r, r(Bv) is for one sign a nonzero
+    polynomial in h of degree <= 2 deg r, which cannot vanish on all of
+    {1, ..., 2 deg r + 1}^n.  NoWitnessFound is unreachable."""
     if q.dim != r.nvars:
         raise DimensionMismatch(f"form dim {q.dim} != poly nvars {r.nvars}")
     dq = congruence_diagonalize(q)
@@ -335,18 +340,19 @@ def decide_containment_homogeneous(
     division = reduce_by_quadratic(r, qp)
     if division.remainder.is_zero():
         return Divisible(division.quotient)
-    rng = random.Random(seed)
-    for _ in range(budget):
-        coords = sample_cone_point(dq, rng)
-        r_val = r.evaluate(coords)
-        if not r_val.is_zero():
-            q_val = form_eval(q, coords)
-            if not q_val.is_zero():
-                raise CertificateRejected("sampled point is off the null cone of q")
-            return ConePointWitness(
-                WitnessVector(coords=coords, q_value=q_val, r_value=r_val)
-            )
-    return BudgetExhausted(division.remainder)
+    for h in _grid(r.nvars, 2 * r.degree + 1):
+        for sign in (1, -1):
+            coords = sample_cone_point(dq, h, sign)
+            r_val = r.evaluate(coords)
+            # v = 0 for at most one sign, and r(0) != 0 only for a constant r
+            if not r_val.is_zero() and any(coords):
+                q_val = form_eval(q, coords)
+                if not q_val.is_zero():
+                    raise CertificateRejected("swept point is off the null cone of q")
+                return ConePointWitness(
+                    WitnessVector(coords=coords, q_value=q_val, r_value=r_val)
+                )
+    raise NoWitnessFound("no swept cone point separates r, yet q does not divide r")
 
 
 def verify_poly_witness(q: QuadraticForm, r: HomogeneousPoly, w: WitnessVector) -> bool:
@@ -368,8 +374,10 @@ def poly_from_json(obj) -> HomogeneousPoly:
         raise FormatError(f"missing key {exc}") from exc
     if not isinstance(nvars, int) or nvars < 1:
         raise FormatError(f"'nvars' must be a positive integer, got {nvars!r}")
-    if not isinstance(degree, int) or degree < 0:
-        raise FormatError(f"'degree' must be a nonnegative integer, got {degree!r}")
+    if not isinstance(degree, int) or not 0 <= degree <= MAX_DEGREE:
+        raise FormatError(
+            f"'degree' must be an integer in 0..{MAX_DEGREE}, got {degree!r}"
+        )
     if not isinstance(terms, list):
         raise FormatError("'terms' must be a list")
     parsed = {}

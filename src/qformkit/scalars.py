@@ -68,9 +68,10 @@ class QuadExt:
     __slots__ = ("rat", "rad", "t")
 
     def __init__(self, rat=0, rad=0, t=1):
-        rat = Fraction(rat)
-        rad = Fraction(rad)
-        t = Fraction(t)
+        # most arguments are already Fractions; re-wrapping one copies it
+        rat = rat if type(rat) is Fraction else Fraction(rat)
+        rad = rad if type(rad) is Fraction else Fraction(rad)
+        t = t if type(t) is Fraction else Fraction(t)
         if t <= 0:
             raise ValueError(f"radicand must be positive, got {t}")
         object.__setattr__(self, "rat", rat)

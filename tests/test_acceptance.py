@@ -145,14 +145,14 @@ def test_criterion_4_theorem1a_round_trip():
                 r = qp * s + bump
                 if not reduce_by_quadratic(r, qp).remainder.is_zero():
                     break
-            verdict = decide_containment_homogeneous(q, r, budget=1000, seed=rng.randint(0, 10**6))
+            verdict = decide_containment_homogeneous(q, r)
             if isinstance(verdict, Divisible):
                 false_divisible += 1
             elif isinstance(verdict, ConePointWitness):
                 assert verify_poly_witness(q, r, verdict.witness)
                 witnesses += 1
         assert false_divisible == 0
-        assert witnesses >= 475  # verified real witness in >= 95% of cases
+        assert witnesses == 500  # the cone-point sweep is complete
 
 
 def test_criterion_5_minkowski():

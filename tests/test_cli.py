@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from qformkit import containment, polys
+from qformkit import NoWitnessFound, QuadExt, containment, polys
 from qformkit.cli import main
+from qformkit.forms import evaluate, form_from_json
+from qformkit.scalars import parse_rational
 
 MINKOWSKI = '{"dim": 4, "rows": [[-1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]}'
 MINKOWSKI_4X = '{"dim": 4, "rows": [[-4,0,0,0],[0,4,0,0],[0,0,4,0],[0,0,0,4]]}'
@@ -133,9 +135,54 @@ class TestPolyContain:
                 }
             ),
         )
-        assert main(["poly-contain", q, r, "--json", "--seed", "0"]) == 1
+        assert main(["poly-contain", q, r, "--json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["verdict"] == "witness"
+
+    @pytest.mark.parametrize(
+        "q_text, r_text",
+        [
+            # a constant r: evaluating it once returned a bare Fraction
+            (HYP, '{"nvars": 2, "degree": 0, "terms": [{"exp": [0,0], "coef": 3}]}'),
+            # the rejection sampler never drew an admissible point here
+            (
+                json.dumps({"dim": 6, "rows": [[1 if i == j == 0 else -1000 * (i == j)
+                                                for j in range(6)] for i in range(6)]}),
+                '{"nvars": 6, "degree": 2, "terms": [{"exp": [1,1,0,0,0,0], "coef": 1}]}',
+            ),
+        ],
+        ids=["constant-r", "former-sampler-fault"],
+    )
+    def test_witness_is_verified(self, tmp_path, capsys, q_text, r_text):
+        q = write(tmp_path, "q.json", q_text)
+        r = write(tmp_path, "r.json", r_text)
+        assert main(["poly-contain", q, r, "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdict"] == "witness"
+        t = parse_rational(payload["witness"]["t"])
+        coords = tuple(
+            QuadExt(parse_rational(a), parse_rational(b), t)
+            for a, b in payload["witness"]["coords"]
+        )
+        assert evaluate(form_from_json(json.loads(q_text)), coords).is_zero()
+        assert not polys.poly_from_json(json.loads(r_text)).evaluate(coords).is_zero()
+
+    @pytest.mark.parametrize("flag", ["--budget", "--seed"])
+    def test_sampler_options_are_gone(self, tmp_path, capsys, flag):
+        q = write(tmp_path, "q.json", HYP)
+        r = write(tmp_path, "r.json", QUARTIC_SUM)
+        with pytest.raises(SystemExit) as exc:
+            main(["poly-contain", q, r, flag, "0"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_degree_above_bound_exit_2(self, tmp_path, capsys):
+        q = write(tmp_path, "q.json", HYP)
+        big = 10**12
+        r = write(tmp_path, "r.json", json.dumps(
+            {"nvars": 2, "degree": big, "terms": [{"exp": [big, 0], "coef": 1}]}))
+        assert main(["poly-contain", q, r]) == 2
+        assert "'degree'" in capsys.readouterr().err
 
     def test_rejects_bad_poly_file(self, tmp_path):
         q = write(tmp_path, "q.json", HYP)
@@ -262,14 +309,32 @@ class TestInternalError:
         self.assert_internal(capsys, code, "CertificateRejected:")
 
     def test_unexpected_exception_exit_5(self, tmp_path, capsys, monkeypatch):
-        def broken_sampler(*args):
-            raise RuntimeError("cone sampler failed to draw an admissible point")
+        def broken_sweep(*args):
+            raise RuntimeError("broken cone sweep")
 
-        monkeypatch.setattr(polys, "sample_cone_point", broken_sampler)
+        monkeypatch.setattr(polys, "sample_cone_point", broken_sweep)
         q = write(tmp_path, "q.json", HYP)
         r = write(tmp_path, "r.json", QUARTIC_SUM)
         code = main(["poly-contain", q, r, "--json"])
-        self.assert_internal(capsys, code, "RuntimeError: cone sampler failed")
+        self.assert_internal(capsys, code, "RuntimeError: broken cone sweep")
+
+    def test_no_witness_found_exit_5_contain(self, tmp_path, capsys, monkeypatch):
+        def empty_family(*args):
+            raise NoWitnessFound("no family member separates r from q")
+
+        monkeypatch.setattr(containment, "construct_witness", empty_family)
+        q = write(tmp_path, "q.json", HYP)
+        r = write(tmp_path, "r.json", CIRCLE)
+        code = main(["contain", q, r, "--json"])
+        self.assert_internal(capsys, code, "NoWitnessFound:")
+
+    def test_no_witness_found_exit_5_poly_contain(self, tmp_path, capsys, monkeypatch):
+        # every swept point is the origin, where the quartic vanishes
+        monkeypatch.setattr(polys, "sample_cone_point", lambda *args: (QuadExt(0), QuadExt(0)))
+        q = write(tmp_path, "q.json", HYP)
+        r = write(tmp_path, "r.json", QUARTIC_SUM)
+        code = main(["poly-contain", q, r, "--json"])
+        self.assert_internal(capsys, code, "NoWitnessFound:")
 
 
 def test_unreadable_input_exit_2(tmp_path, capsys):
@@ -284,7 +349,8 @@ def test_unreadable_input_exit_2(tmp_path, capsys):
 
 # Standard output recorded from the implementation before the semidefinite
 # route, the witness serializer and the file loader were merged; the float
-# digits of simdiag come from numpy's LAPACK.
+# digits of simdiag come from numpy's LAPACK.  The poly-contain witness is
+# the first point of the deterministic cone sweep.
 GOLDEN_INPUTS = {
     "s2": S2,
     "s2p": S2P,
@@ -347,14 +413,14 @@ GOLDEN = [
         ("poly-contain", "hyp3", "quartic3"),
         1,
         "witness: q vanishes but r does not at\n"
-        "  v = (1/2, 0 + 1*sqrt(7/24), 1/3)\n"
-        "  r(v) = 5/108\n",
+        "  v = (0 + 4*sqrt(1/2), -2 + 6*sqrt(1/2), -2 + 4*sqrt(1/2))\n"
+        "  r(v) = -164 + 320*sqrt(1/2)\n",
     ),
     (
         ("poly-contain", "hyp3", "quartic3", "--json"),
         1,
-        '{"verdict":"witness","witness":{"t":"7/24","coords":[["1/2","0"],["0","1"],["1/3","0"]]},'
-        '"q_value":"0","r_value":"5/108"}\n',
+        '{"verdict":"witness","witness":{"t":"1/2","coords":[["0","4"],["-2","6"],["-2","4"]]},'
+        '"q_value":"0","r_value":"-164 + 320*sqrt(1/2)"}\n',
     ),
     (
         ("lorentz", "stretch"),

@@ -6,12 +6,13 @@ import pytest
 import sympy
 
 from qformkit import (
-    BudgetExhausted,
     ConePointWitness,
     DegreeMismatch,
     Divisible,
+    FormatError,
     HomogeneousPoly,
     NotIndefinite,
+    QuadExt,
     QuadraticForm,
     congruence_diagonalize,
     decide_containment_homogeneous,
@@ -24,7 +25,7 @@ from qformkit import (
 )
 from qformkit.containment import Counterexample, Proportional
 from qformkit.forms import load_json
-from qformkit.polys import poly_from_json, poly_to_json
+from qformkit.polys import MAX_DEGREE, poly_from_json, poly_to_json
 
 from conftest import random_homogeneous, random_indefinite
 
@@ -230,43 +231,106 @@ class TestDecideContainmentHomogeneous:
                 )
             else:
                 assert isinstance(form_verdict, Counterexample)
-                assert isinstance(poly_verdict, (ConePointWitness, BudgetExhausted))
-                if isinstance(poly_verdict, ConePointWitness):
-                    assert verify_poly_witness(
-                        q, poly_from_form(r_form), poly_verdict.witness
-                    )
+                assert isinstance(poly_verdict, ConePointWitness)
+                assert verify_poly_witness(
+                    q, poly_from_form(r_form), poly_verdict.witness
+                )
 
-    def test_deterministic_for_fixed_seed(self):
+    def test_deterministic(self):
         r = HomogeneousPoly(2, 4, {(4, 0): 1, (0, 4): 1})
-        v1 = decide_containment_homogeneous(HYP, r, seed=5)
-        v2 = decide_containment_homogeneous(HYP, r, seed=5)
+        v1 = decide_containment_homogeneous(HYP, r)
+        v2 = decide_containment_homogeneous(HYP, r)
         assert v1 == v2
+        assert v1.to_json() == v2.to_json()
+
+
+def assert_verified_witness(q, r):
+    verdict = decide_containment_homogeneous(q, r)
+    assert isinstance(verdict, ConePointWitness)
+    assert verify_poly_witness(q, r, verdict.witness)
+    return verdict.witness
 
 
 class TestSampleConePoint:
     def test_sampled_points_are_exactly_null(self):
-        rng_forms = random.Random(31)
+        rng = random.Random(31)
         for _ in range(20):
-            n = rng_forms.randint(2, 5)
-            q = random_indefinite(rng_forms, n)
+            n = rng.randint(2, 5)
+            q = random_indefinite(rng, n)
             d = congruence_diagonalize(q)
-            rng = random.Random(rng_forms.randint(0, 10**6))
-            for _ in range(50):
-                v = sample_cone_point(d, rng)
-                assert evaluate(q, v).is_zero()
+            for _ in range(10):
+                h = tuple(rng.randint(1, 7) for _ in range(n))
+                for sign in (1, -1):
+                    v = sample_cone_point(d, h, sign)
+                    assert evaluate(q, v).is_zero()
 
     def test_irrational_coordinate_example(self):
         q = QuadraticForm.diagonal([1, -2])
         d = congruence_diagonalize(q)
-        rng = random.Random(0)
-        v = sample_cone_point(d, rng)
+        v = sample_cone_point(d, (1, 1), 1)
         assert evaluate(q, v).is_zero()
+        assert {c.t for c in v} == {Fraction(1, 2)}
+        assert any(c.rad for c in v)
 
     def test_requires_indefinite(self):
         q = QuadraticForm.diagonal([1, 1])
         d = congruence_diagonalize(q)
         with pytest.raises(NotIndefinite):
-            sample_cone_point(d, random.Random(0))
+            sample_cone_point(d, (1, 1), 1)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_r_vanishing_on_one_line_of_a_rank_two_cone(self, sign):
+        # x + sign*y vanishes on one line of x^2 - y^2 = 0, the one each
+        # sweep direction does not reach for the other sign
+        w = assert_verified_witness(HYP, HomogeneousPoly(2, 1, {(1, 0): 1, (0, 1): sign}))
+        assert w.coords[0] == sign * w.coords[1]
+
+    def test_product_of_all_variables_with_a_kernel(self):
+        q = QuadraticForm.diagonal([1, 2, -1, -3, 0, 0])
+        assert_verified_witness(q, HomogeneousPoly(6, 6, {(1,) * 6: 1}))
+
+    def test_former_sampler_fault(self):
+        # the rejection sampler gave up on this input: one positive index
+        # against five negative ones of weight 1000
+        q = QuadraticForm.diagonal([1] + [-1000] * 5)
+        assert_verified_witness(q, HomogeneousPoly(6, 2, {(1, 1, 0, 0, 0, 0): 1}))
+
+    def test_constant_r(self):
+        w = assert_verified_witness(HYP, HomogeneousPoly.constant(2, 3))
+        assert w.r_value == 3
+        assert any(w.coords)
+
+
+class TestEvaluate:
+    def test_matches_sympy_at_quadext_points(self):
+        rng = random.Random(37)
+        xs = sympy.symbols("x1:5")
+        root = sympy.sqrt(sympy.Rational(2, 3))
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            p = random_homogeneous(rng, n, rng.randint(0, 6), max_terms=10)
+            x = tuple(
+                QuadExt(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-2, 2), Fraction(2, 3))
+                for _ in range(n)
+            )
+            got = p.evaluate(x)
+            assert isinstance(got, QuadExt)
+            want = to_sympy(p, xs[:n]).subs(
+                {s: sympy.Rational(c.rat.numerator, c.rat.denominator)
+                 + sympy.Rational(c.rad.numerator, c.rad.denominator) * root
+                 for s, c in zip(xs, x)}
+            )
+            value = sympy.Rational(got.rat.numerator, got.rat.denominator) + sympy.Rational(
+                got.rad.numerator, got.rad.denominator
+            ) * root
+            assert sympy.expand(value - want) == 0
+
+    def test_value_has_the_points_kind(self):
+        point = (QuadExt(1, 1, 2), QuadExt(0, 1, 2))
+        for p in (HomogeneousPoly.constant(2, 3), HomogeneousPoly(2, 1, {})):
+            assert isinstance(p.evaluate(point), QuadExt)
+            assert isinstance(p.evaluate((Fraction(1), Fraction(2))), Fraction)
+        assert HomogeneousPoly.constant(2, 3).evaluate(point) == 3
 
 
 class TestJsonFormat:
@@ -275,12 +339,19 @@ class TestJsonFormat:
         assert poly_from_json(poly_to_json(p)) == p
 
     def test_rejects_degree_mismatch(self):
-        from qformkit import FormatError
-
         with pytest.raises(FormatError, match="sum to"):
             poly_from_json(
                 {"nvars": 2, "degree": 3, "terms": [{"exp": [1, 1], "coef": "1"}]}
             )
+
+    def test_degree_bound(self):
+        def poly(degree):
+            return {"nvars": 2, "degree": degree, "terms": [{"exp": [degree, 0], "coef": 1}]}
+
+        assert poly_from_json(poly(MAX_DEGREE)).degree == MAX_DEGREE
+        for degree in (MAX_DEGREE + 1, 10**12):
+            with pytest.raises(FormatError, match="'degree'"):
+                poly_from_json(poly(degree))
 
     def test_load(self, tmp_path):
         p = HomogeneousPoly(2, 2, {(2, 0): 1})

@@ -46,6 +46,23 @@ class TestQuadExtMul:
         assert qe(2, 0, 2) * qe(0, 1, 3) == qe(0, 2, 3)
 
 
+class TestQuadExtInit:
+    @pytest.mark.parametrize("t", [0, -1, Fraction(0), Fraction(-1, 2), "0"])
+    def test_radicand_must_be_positive(self, t):
+        with pytest.raises(ValueError, match="radicand"):
+            QuadExt(1, 1, t)
+
+    def test_fractions_are_kept_not_copied(self):
+        rat, rad, t = Fraction(1, 3), Fraction(2, 5), Fraction(7, 2)
+        x = QuadExt(rat, rad, t)
+        assert x.rat is rat and x.rad is rad and x.t is t
+
+    def test_other_values_become_fractions(self):
+        x = QuadExt(1, "2/3", 5)
+        assert (type(x.rat), type(x.rad), type(x.t)) == (Fraction,) * 3
+        assert (x.rat, x.rad, x.t) == (1, Fraction(2, 3), 5)
+
+
 class TestEqualValueRadicands:
     def test_square_radicand_equals_rational_multiple(self):
         # sqrt(4) = 2 * sqrt(1) = 2
