@@ -6,16 +6,20 @@ wrong dimension), 3 non-symmetric matrix, 4 hypothesis violation (e.g.
 base form not indefinite), 5 internal error (a certificate failed its
 re-check, a complete witness search came back empty, or qformkit itself
 raised); 5 prints one stderr line and nothing on stdout.
+
+Each subcommand imports the modules it runs when it runs, so a process
+loads only those.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
-from . import containment, forms, polys, relativity, semidefinite
+from . import forms
 from .errors import (
     CertificateRejected,
     ContainmentFails,
@@ -105,6 +109,8 @@ def cmd_canon(args):
 
 
 def cmd_contain(args):
+    from . import containment
+
     q = forms.form_from_json(forms.load_json(args.q))
     r = forms.form_from_json(forms.load_json(args.r))
     verdict = containment.decide_containment(q, r)
@@ -130,6 +136,8 @@ def cmd_contain(args):
 
 
 def cmd_poly_contain(args):
+    from . import polys
+
     q = forms.form_from_json(forms.load_json(args.q))
     r = polys.poly_from_json(forms.load_json(args.r))
     verdict = polys.decide_containment_homogeneous(q, r)
@@ -151,9 +159,12 @@ def cmd_poly_contain(args):
 
 
 def cmd_simdiag(args):
+    from . import semidefinite
+
     q = forms.form_from_json(forms.load_json(args.q))
     r = forms.form_from_json(forms.load_json(args.r))
-    result = semidefinite.simdiag_general(q, r, tol=args.tol)
+    tol = semidefinite.DEFAULT_TOL if args.tol is None else args.tol
+    result = semidefinite.simdiag_general(q, r, tol=tol)
     _emit(
         result.to_json(),
         [
@@ -168,6 +179,8 @@ def cmd_simdiag(args):
 
 
 def cmd_lorentz(args):
+    from . import containment, relativity
+
     L = forms.transform_from_json(forms.load_json(args.transform))
     c = parse_rational(args.c)
     report = relativity.check_interval_invariance(L, c)
@@ -207,6 +220,8 @@ _ANISOTROPIC_JSON = '{"dim": 4, "rows": [[1,0,0,0],[0,2,0,0],[0,0,1,0],[0,0,0,1]
 
 
 def _demo_fixture_substitution():
+    from . import containment, semidefinite
+
     s2 = forms.form_from_json(json.loads(_S2_JSON))
     L = forms.transform_from_json(json.loads(_SUBST_JSON))
     expected = forms.form_from_json(json.loads(_S2_PRIME_EXPECTED))
@@ -241,6 +256,8 @@ def _demo_fixture_substitution():
 
 
 def _demo_fixture_semidefinite_trap():
+    from . import containment, semidefinite
+
     q = forms.form_from_json(json.loads(_SQUARE_JSON))
     r = forms.form_from_json(json.loads(_HYPERBOLIC_JSON))
     rejected = False
@@ -265,6 +282,8 @@ def _demo_fixture_semidefinite_trap():
 
 
 def _demo_fixture_minkowski():
+    from . import containment, relativity
+
     boost = relativity.boost_from_triple(3, 4, 5, "x")
     rep_boost = relativity.check_interval_invariance(boost)
     scaling = forms.LinearTransform.scaling(4, 2)
@@ -311,6 +330,18 @@ def cmd_demo(args):
     return EXIT_OK
 
 
+def _tolerance(text):
+    """--tol: a finite float >= 0.  The residual check is residual > tol,
+    which nan and inf would switch off without a word."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0 <= tol < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return tol
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="qformkit",
@@ -332,7 +363,7 @@ def build_parser():
     add("contain", cmd_contain, q="indefinite base form", r="candidate form")
     add("poly-contain", cmd_poly_contain, q="indefinite quadratic", r="homogeneous polynomial JSON")
     p = add("simdiag", cmd_simdiag, q="first form", r="second form")
-    p.add_argument("--tol", type=float, default=semidefinite.DEFAULT_TOL)
+    p.add_argument("--tol", type=_tolerance, help="residual tolerance, a finite number >= 0")
     p = add("lorentz", cmd_lorentz, transform="candidate transform JSON file")
     p.add_argument("--c", default="1", help="speed of light (rational)")
     p = sub.add_parser("demo")

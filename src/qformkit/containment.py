@@ -11,7 +11,6 @@ checkable certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -25,16 +24,15 @@ from .forms import (
     congruence_diagonalize,
     evaluate,
 )
+from .record import Record
 from .scalars import QuadExt, render_quadext, render_rational
 
 
-@dataclass(frozen=True)
-class WitnessVector:
-    """A vector v with q(v) = 0 and r(v) != 0, coordinates in Q(sqrt(t))."""
+class WitnessVector(Record):
+    """A vector v with q(v) = 0 and r(v) != 0: coords are QuadExt entries
+    sharing one radicand t, q_value and r_value the QuadExt values there."""
 
-    coords: tuple  # QuadExt entries sharing one radicand
-    q_value: QuadExt
-    r_value: QuadExt
+    __slots__ = ("coords", "q_value", "r_value")
 
     @property
     def t(self) -> Fraction:
@@ -63,17 +61,15 @@ def witness_json(w: WitnessVector, key: str = "witness") -> dict:
     }
 
 
-@dataclass(frozen=True)
-class Proportional:
-    alpha: Fraction
+class Proportional(Record):
+    __slots__ = ("alpha",)
 
     def to_json(self):
         return {"verdict": "proportional", "alpha": render_rational(self.alpha)}
 
 
-@dataclass(frozen=True)
-class Counterexample:
-    witness: WitnessVector
+class Counterexample(Record):
+    __slots__ = ("witness",)
 
     def to_json(self):
         return {"verdict": "counterexample", **witness_json(self.witness)}

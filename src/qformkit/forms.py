@@ -4,12 +4,11 @@ diagonalization, inertia, classification, and pullback by a linear map."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from . import linalg
 from .errors import DimensionMismatch, FormatError, NonSymmetricMatrix
+from .record import Record
 from .scalars import QuadExt, parse_rational, render_rational
 
 INDEFINITE = "indefinite"
@@ -20,10 +19,11 @@ NEGATIVE_SEMIDEFINITE_DEGENERATE = "negative-semidefinite-degenerate"
 ZERO = "zero"
 
 
-class QuadraticForm:
+class QuadraticForm(Record):
     """Symmetric rational matrix Q with q(x) = sum_ij Q_ij x_i x_j."""
 
     __slots__ = ("matrix", "dim")
+    _fields = ("matrix",)
 
     def __init__(self, rows):
         m = linalg.mat(rows)
@@ -40,15 +40,6 @@ class QuadraticForm:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dim", n)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadraticForm is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, QuadraticForm) and self.matrix == other.matrix
-
-    def __hash__(self):
-        return hash(self.matrix)
-
     def __repr__(self):
         return f"QuadraticForm({[list(r) for r in self.matrix]!r})"
 
@@ -61,47 +52,48 @@ class QuadraticForm:
         )
 
 
-@dataclass(frozen=True)
-class Inertia:
+class Inertia(Record):
     """Counts of positive (k), negative (m), and zero (z) diagonal entries
     of any congruence diagonalization; invariant by Sylvester's law."""
 
-    k: int
-    m: int
-    z: int
+    __slots__ = ("k", "m", "z")
 
     @property
     def dim(self):
         return self.k + self.m + self.z
 
 
-@dataclass(frozen=True)
-class CongruenceDiagonalization:
+class CongruenceDiagonalization(Record):
     """Invertible basis B (columns) with B^T Q B = diag(diag).
 
-    B comes out of the elimination in ints: column c is cols[c] / scales[c].
-    The rational matrix basis is built from them the first time it is
-    read, so a verdict that needs only diag and inertia never builds it.
+    diag holds the n rational diagonal values, ordered +, -, 0.  B comes
+    out of the elimination in ints: column c is cols[c] / scales[c], with
+    scales[c] a positive int.  The rational matrix basis is built from
+    them the first time it is read, so a verdict that needs only diag and
+    inertia never builds it.
     """
 
-    diag: tuple  # n rational diagonal values, ordered +, -, 0
-    inertia: Inertia
-    cols: tuple  # n integer columns of B, in the order of diag
-    scales: tuple  # n positive ints, one per column
+    __slots__ = ("diag", "inertia", "cols", "scales", "_basis")
 
-    @cached_property
+    @property
     def basis(self) -> tuple:
         """n x n rational matrix, columns are basis vectors."""
-        return tuple(
-            tuple(Fraction(col[r], s) for col, s in zip(self.cols, self.scales))
-            for r in range(len(self.cols))
-        )
+        try:
+            return self._basis
+        except AttributeError:
+            basis = tuple(
+                tuple(Fraction(col[r], s) for col, s in zip(self.cols, self.scales))
+                for r in range(len(self.cols))
+            )
+            object.__setattr__(self, "_basis", basis)
+            return basis
 
 
-class LinearTransform:
+class LinearTransform(Record):
     """Arbitrary square rational matrix; singular inputs are allowed."""
 
     __slots__ = ("matrix", "dim")
+    _fields = ("matrix",)
 
     def __init__(self, rows):
         m = linalg.mat(rows)
@@ -110,12 +102,6 @@ class LinearTransform:
             raise FormatError("matrix is not square")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dim", n)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LinearTransform is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, LinearTransform) and self.matrix == other.matrix
 
     def __repr__(self):
         return f"LinearTransform({[list(r) for r in self.matrix]!r})"

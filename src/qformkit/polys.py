@@ -11,7 +11,6 @@ attaches it to the refutation as a concrete witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations
@@ -35,6 +34,7 @@ from .forms import (
     congruence_diagonalize,
 )
 from .forms import evaluate as form_eval
+from .record import Record
 from .scalars import QuadExt, parse_rational, render_rational
 
 # The degree is the one field of a polynomial file whose cost (division,
@@ -51,7 +51,7 @@ def _heap_entry(exp):
     return (-sum(exp), tuple([-e for e in exp]), exp)
 
 
-class HomogeneousPoly:
+class HomogeneousPoly(Record):
     """Exponent-vector -> coefficient map, all terms of one total degree."""
 
     __slots__ = ("nvars", "degree", "terms")
@@ -72,9 +72,6 @@ class HomogeneousPoly:
         object.__setattr__(self, "nvars", int(nvars))
         object.__setattr__(self, "degree", int(degree))
         object.__setattr__(self, "terms", terms)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HomogeneousPoly is immutable")
 
     def is_zero(self):
         return not self.terms
@@ -184,13 +181,11 @@ class HomogeneousPoly:
         return " + ".join(parts)
 
 
-@dataclass(frozen=True)
-class DivisionResult:
+class DivisionResult(Record):
     """r = q*quotient + remainder, with no remainder monomial divisible by
     the leading monomial of q."""
 
-    quotient: HomogeneousPoly
-    remainder: HomogeneousPoly
+    __slots__ = ("quotient", "remainder")
 
 
 def poly_from_form(q: QuadraticForm) -> HomogeneousPoly:
@@ -269,17 +264,15 @@ def reduce_by_quadratic(r: HomogeneousPoly, q: HomogeneousPoly) -> DivisionResul
     )
 
 
-@dataclass(frozen=True)
-class Divisible:
-    quotient: HomogeneousPoly
+class Divisible(Record):
+    __slots__ = ("quotient",)
 
     def to_json(self):
         return {"verdict": "divisible", "quotient": poly_to_json(self.quotient)}
 
 
-@dataclass(frozen=True)
-class ConePointWitness:
-    witness: WitnessVector
+class ConePointWitness(Record):
+    __slots__ = ("witness",)
 
     def to_json(self):
         return {"verdict": "witness", **witness_json(self.witness)}

@@ -9,13 +9,12 @@ that the transform moves off the cone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
-from .containment import Proportional, WitnessVector, decide_containment, witness_json
+from .containment import Proportional, decide_containment, witness_json
 from .errors import DimensionMismatch, InvalidSpeed, NotPythagorean
 from .forms import LinearTransform, QuadraticForm, apply_transform, matrix_to_json
+from .record import Record
 from .scalars import render_rational
 
 INTERVAL_PRESERVING = "interval-preserving"
@@ -27,12 +26,12 @@ _AXES = {"x": 1, "y": 2, "z": 3}
 _PLANES = {"xy": (1, 2), "xz": (1, 3), "yz": (2, 3)}
 
 
-@dataclass(frozen=True)
-class TransformReport:
-    kappa: Optional[Fraction]
-    classification: str
-    witness_event: Optional[WitnessVector]
-    pulled_back_form: QuadraticForm
+class TransformReport(Record):
+    """kappa with pullback = kappa * interval form, or None when the
+    transform breaks the cone; witness_event is then the light-like event
+    it moves off the cone, and None otherwise."""
+
+    __slots__ = ("kappa", "classification", "witness_event", "pulled_back_form")
 
     def to_json(self):
         out = {

@@ -14,6 +14,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 from .errors import FormatError, MismatchedRadicand
+from .record import Record
 
 Rational = Fraction
 
@@ -56,7 +57,7 @@ def render_rational(x: Fraction) -> str:
     return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
 
 
-class QuadExt:
+class QuadExt(Record):
     """a + b*sqrt(t) with rational a, b and fixed positive rational t.
 
     Two values combine when their radicands agree, when one of them has a
@@ -77,9 +78,6 @@ class QuadExt:
         object.__setattr__(self, "rat", rat)
         object.__setattr__(self, "rad", rad)
         object.__setattr__(self, "t", t)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadExt values are immutable")
 
     @staticmethod
     def _coerce(value, t):

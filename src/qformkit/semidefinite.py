@@ -11,7 +11,6 @@ numpy is imported only there, so every exact path runs without it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -31,25 +30,22 @@ from .forms import (
     classify_inertia,
     congruence_diagonalize,
 )
+from .record import Record
 
 DEFAULT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class SubspaceBasis:
-    dim_ambient: int
-    vectors: tuple  # linearly independent rational vectors
+class SubspaceBasis(Record):
+    """Linearly independent rational vectors in Q^dim_ambient."""
+
+    __slots__ = ("dim_ambient", "vectors")
 
 
-@dataclass(frozen=True)
-class SimDiagResult:
-    """Joint diagonalizing basis (float columns) with both diagonals and
-    the worst scaled off-diagonal residual."""
+class SimDiagResult(Record):
+    """Joint diagonalizing basis (n x n floats, columns are basis vectors)
+    with both diagonals and the worst scaled off-diagonal residual."""
 
-    basis: tuple  # n x n floats, columns are basis vectors
-    q_diag: tuple
-    r_diag: tuple
-    residual: float
+    __slots__ = ("basis", "q_diag", "r_diag", "residual")
 
     def to_json(self):
         return {

@@ -207,6 +207,27 @@ class TestSimdiag:
         r = write(tmp_path, "r.json", HYP)
         assert main(["simdiag", q, r]) == 4
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "x"])
+    def test_tolerance_must_be_finite_and_non_negative(self, tmp_path, capsys, tol):
+        # nan and inf would switch the residual check off without a word
+        q = write(tmp_path, "q.json", S2)
+        r = write(tmp_path, "r.json", S2P)
+        with pytest.raises(SystemExit) as exc:
+            main(["simdiag", q, r, "--tol", tol])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --tol: must be a finite number >= 0" in captured.err
+
+    def test_tolerance_zero_and_tighter_than_default(self, tmp_path, capsys):
+        hyp = write(tmp_path, "hyp.json", HYP)  # an exact basis: residual 0
+        assert main(["simdiag", hyp, hyp, "--tol", "0", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["residual"] == 0.0
+        q = write(tmp_path, "q.json", S2)
+        r = write(tmp_path, "r.json", S2P)
+        assert main(["simdiag", q, r, "--tol", "1e-30"]) == 4  # below the default 1e-9
+        assert "exceeds tolerance 1e-30" in capsys.readouterr().err
+
     @pytest.mark.parametrize("second", ["1", "-1"], ids=["definite", "indefinite"])
     def test_entry_past_float_range_exit_4(self, tmp_path, capsys, second):
         # 1e400 is exact, but the float step cannot hold it

@@ -1,11 +1,13 @@
 """Guards on how the package is built rather than on what it decides:
-numpy stays unloaded outside simdiag's float step, no check in src/ is
-an `assert` that `python -O` would strip, each decision diagonalizes
-each form once and makes Fractions only where its verdict reads them,
-and every qformkit name the benchmark binds to exists."""
+numpy stays unloaded outside simdiag's float step, each subcommand loads
+only the qformkit modules it runs and never `dataclasses`, no check in
+src/ is an `assert` that `python -O` would strip, each decision
+diagonalizes each form once and makes Fractions only where its verdict
+reads them, and every qformkit name the benchmark binds to exists."""
 
 import ast
 import importlib.util
+import json
 import os
 import random
 import subprocess
@@ -83,16 +85,107 @@ def test_numpy_is_loaded_only_by_simdiag_float_step():
     assert proc.stdout.strip() == "ok"
 
 
+# Each probe runs in a fresh interpreter and prints the qformkit modules,
+# and dataclasses if it was loaded, that sys.modules then holds.
+_FOOTPRINT_PROBE = textwrap.dedent(
+    """
+    import contextlib, io, json, os, sys, tempfile
+
+    argv = json.loads(sys.argv[1])
+    if argv is None:
+        import qformkit
+    else:
+        import qformkit.cli as cli
+
+        d = tempfile.mkdtemp()
+        files = []
+        for k, text in enumerate(json.loads(sys.argv[2])):
+            files.append(os.path.join(d, f"{k}.json"))
+            with open(files[-1], "w") as fh:
+                fh.write(text)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv + files)
+        assert code in (0, 1), code
+    print(json.dumps(sorted(m for m in sys.modules if m.startswith("qformkit") or m == "dataclasses")))
+    """
+)
+
+_HYP_JSON = '{"dim": 2, "rows": [[1,0],[0,-1]]}'
+_S2_JSON = '{"dim": 3, "rows": [[2,0,-1],[0,2,-1],[-1,-1,1]]}'
+_S2P_JSON = '{"dim": 3, "rows": [[8,8,-8],[8,16,-12],[-8,-12,10]]}'
+_QUARTIC_JSON = '{"nvars": 2, "degree": 4, "terms": [{"exp": [4,0], "coef": 1}, {"exp": [0,4], "coef": -1}]}'
+_STRETCH_JSON = '{"dim": 4, "rows": [[1,0,0,0],[0,2,0,0],[0,0,1,0],[0,0,0,1]]}'
+
+# the modules every subcommand needs: its parser, the form loader and the exact scalars
+_CLI_BASE = ["cli", "errors", "forms", "linalg", "record", "scalars"]
+
+
+# case -> (subcommand, or None for a bare `import qformkit`; its input
+# files; the qformkit modules it loads past the CLI's base)
+_FOOTPRINTS = {
+    "import-qformkit": (None, [], []),
+    "analyze": ("analyze", [_HYP_JSON], []),
+    "canon": ("canon", [_S2_JSON], []),
+    "contain": ("contain", [_HYP_JSON, _HYP_JSON], ["containment"]),
+    "poly-contain": ("poly-contain", [_HYP_JSON, _QUARTIC_JSON], ["containment", "polys"]),
+    "simdiag": ("simdiag", [_S2_JSON, _S2P_JSON], ["containment", "semidefinite"]),  # runs the float step
+    "lorentz": ("lorentz", [_STRETCH_JSON], ["containment", "relativity"]),
+    "demo": ("demo", [], ["containment", "relativity", "semidefinite"]),
+}
+
+
+@pytest.mark.parametrize("case", _FOOTPRINTS)
+def test_each_subcommand_loads_only_its_modules(case):
+    """import qformkit loads no submodule; a subcommand loads its own
+    modules and the CLI's base, and nothing loads dataclasses."""
+    command, inputs, extra = _FOOTPRINTS[case]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    argv = None if command is None else [command]
+    proc = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT_PROBE, json.dumps(argv), json.dumps(inputs)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    expected = ["qformkit"]
+    if command is not None:
+        expected += [f"qformkit.{m}" for m in _CLI_BASE + extra]
+    assert json.loads(proc.stdout) == sorted(expected)
+
+
+def _package_trees():
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            path = os.path.join(PACKAGE, name)
+            with open(path) as fh:
+                yield name, ast.parse(fh.read(), filename=path)
+
+
 def test_no_assert_statements_in_package():
     found = []
-    for name in sorted(os.listdir(PACKAGE)):
-        if not name.endswith(".py"):
-            continue
-        path = os.path.join(PACKAGE, name)
-        with open(path) as fh:
-            tree = ast.parse(fh.read(), filename=path)
+    for name, tree in _package_trees():
         found += [f"{name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not found, f"assert statements vanish under python -O: {found}"
+
+
+def test_no_dataclasses_import_in_package():
+    """Importing dataclasses and building frozen dataclasses cost a
+    one-shot CLI process about 20 ms; the value types use record.Record."""
+    found = []
+    for name, tree in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "dataclasses" for m in modules):
+                found.append(f"{name}:{node.lineno}")
+    assert not found, f"dataclasses imported at {found}"
 
 
 # every module binding through which qformkit reaches congruence_diagonalize
