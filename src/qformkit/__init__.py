@@ -38,7 +38,6 @@ _EXPORTS = {
         "NoWitnessFound",
         "NumericalFailure",
         "QFormError",
-        "Unsupported",
     ),
     "forms": (
         "CongruenceDiagonalization",
@@ -68,12 +67,10 @@ _EXPORTS = {
         "boost_from_triple",
         "check_interval_invariance",
         "minkowski_form",
-        "rotation_from_triple",
     ),
     "scalars": (
         "QuadExt",
         "Rational",
-        "parse_quadext",
         "parse_rational",
         "render_quadext",
         "render_rational",

@@ -31,7 +31,6 @@ from .errors import (
     NotSemidefinite,
     NumericalFailure,
     QFormError,
-    Unsupported,
 )
 from .scalars import parse_rational, render_rational
 
@@ -68,6 +67,24 @@ def _emit(payload, human_lines, as_json):
     else:
         for line in human_lines:
             print(line)
+
+
+def _counterexample(q, r, w, as_json):
+    """Re-check a null-cone witness of q where r is nonzero, print it, and
+    return the refuted exit code."""
+    from . import containment
+
+    _recheck(containment.verify_witness(q, r, w), "counterexample witness")
+    _emit(
+        containment.Counterexample(w).to_json(),
+        [
+            "counterexample: q vanishes but r does not at",
+            "  v = " + _point(w),
+            f"  q(v) = {w.q_value}, r(v) = {w.r_value}",
+        ],
+        as_json,
+    )
+    return EXIT_REFUTED
 
 
 def cmd_analyze(args):
@@ -121,18 +138,7 @@ def cmd_contain(args):
             args.json,
         )
         return EXIT_OK
-    _recheck(containment.verify_witness(q, r, verdict.witness), "counterexample witness")
-    w = verdict.witness
-    _emit(
-        verdict.to_json(),
-        [
-            "counterexample: q vanishes but r does not at",
-            "  v = " + _point(w),
-            f"  q(v) = {w.q_value}, r(v) = {w.r_value}",
-        ],
-        args.json,
-    )
-    return EXIT_REFUTED
+    return _counterexample(q, r, verdict.witness, args.json)
 
 
 def cmd_poly_contain(args):
@@ -164,7 +170,10 @@ def cmd_simdiag(args):
     q = forms.form_from_json(forms.load_json(args.q))
     r = forms.form_from_json(forms.load_json(args.r))
     tol = semidefinite.DEFAULT_TOL if args.tol is None else args.tol
-    result = semidefinite.simdiag_general(q, r, tol=tol)
+    try:
+        result = semidefinite.simdiag_general(q, r, tol=tol)
+    except ContainmentFails as exc:
+        return _counterexample(q, r, exc.witness, args.json)
     _emit(
         result.to_json(),
         [
@@ -386,12 +395,9 @@ def main(argv=None) -> int:
     except NonSymmetricMatrix as exc:
         print(f"non-symmetric input: {exc}", file=sys.stderr)
         return EXIT_NONSYMMETRIC
-    except (NotIndefinite, NotSemidefinite, Unsupported, InvalidSpeed) as exc:
+    except (NotIndefinite, NotSemidefinite, InvalidSpeed) as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except ContainmentFails as exc:
-        print(f"containment fails: {exc}", file=sys.stderr)
-        return EXIT_REFUTED
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS

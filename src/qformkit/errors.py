@@ -47,15 +47,11 @@ class InvalidSpeed(QFormError):
 
 
 class ContainmentFails(QFormError):
-    """Zero-set containment was refuted; carries the witness when one exists."""
+    """Zero-set containment was refuted; carries a witness where q vanishes and r does not."""
 
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
-
-
-class Unsupported(QFormError):
-    """Pair of forms outside both theorems (mixed orientations)."""
 
 
 class NumericalFailure(QFormError):

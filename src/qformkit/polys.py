@@ -87,44 +87,6 @@ class HomogeneousPoly(Record):
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
 
-    def __add__(self, other):
-        if self.nvars != other.nvars:
-            raise DimensionMismatch("variable counts differ")
-        if not self.is_zero() and not other.is_zero() and self.degree != other.degree:
-            raise DegreeMismatch("cannot add homogeneous polynomials of unequal degree")
-        degree = other.degree if self.is_zero() else self.degree
-        terms = dict(self.terms)
-        for exp, c in other.terms.items():
-            terms[exp] = terms.get(exp, Fraction(0)) + c
-        return HomogeneousPoly(self.nvars, degree, terms)
-
-    def __neg__(self):
-        return HomogeneousPoly(
-            self.nvars, self.degree, {e: -c for e, c in self.terms.items()}
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
-            return HomogeneousPoly(
-                self.nvars,
-                self.degree,
-                {e: c * other for e, c in self.terms.items()},
-            )
-        if self.nvars != other.nvars:
-            raise DimensionMismatch("variable counts differ")
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return HomogeneousPoly(self.nvars, self.degree + other.degree, terms)
-
-    __rmul__ = __mul__
-
     def leading(self):
         """(exponent, coefficient) under graded lex, x1 > x2 > ..."""
         if self.is_zero():
@@ -155,10 +117,6 @@ class HomogeneousPoly(Record):
                     term = row[e] * term
             total = total + term
         return total
-
-    @staticmethod
-    def constant(nvars, value):
-        return HomogeneousPoly(nvars, 0, {(0,) * nvars: Fraction(value)})
 
     def __repr__(self):
         return f"HomogeneousPoly({self.nvars}, {self.degree}, {self.terms!r})"

@@ -23,7 +23,6 @@ CONE_BREAKING = "cone-breaking"
 DEGENERATE = "degenerate"
 
 _AXES = {"x": 1, "y": 2, "z": 3}
-_PLANES = {"xy": (1, 2), "xz": (1, 3), "yz": (2, 3)}
 
 
 class TransformReport(Record):
@@ -103,21 +102,4 @@ def boost_from_triple(a: int, b: int, h: int, axis: str = "x") -> LinearTransfor
     rows[0][ax] = -gb
     rows[ax][0] = -gb
     rows[ax][ax] = gamma
-    return LinearTransform(rows)
-
-
-def rotation_from_triple(a: int, b: int, h: int, plane: str = "xy") -> LinearTransform:
-    """Exact-rational spatial rotation: cos = b/h, sin = a/h."""
-    if plane not in _PLANES:
-        raise ValueError(f"plane must be one of {sorted(_PLANES)}, got {plane!r}")
-    if h == 0 or a * a + b * b != h * h:
-        raise NotPythagorean(f"({a}, {b}, {h}) does not satisfy a^2 + b^2 = h^2")
-    i, j = _PLANES[plane]
-    cos = Fraction(b, h)
-    sin = Fraction(a, h)
-    rows = [[Fraction(int(r == c)) for c in range(4)] for r in range(4)]
-    rows[i][i] = cos
-    rows[j][j] = cos
-    rows[i][j] = -sin
-    rows[j][i] = sin
     return LinearTransform(rows)

@@ -211,22 +211,3 @@ def render_quadext(x: QuadExt) -> str:
     if x.rad == 0:
         return render_rational(x.rat)
     return f"{render_rational(x.rat)} + {render_rational(x.rad)}*sqrt({render_rational(x.t)})"
-
-
-def parse_quadext(text: str) -> QuadExt:
-    """Inverse of render_quadext (bit-exact for rendered values)."""
-    text = text.strip()
-    if "sqrt(" not in text:
-        return QuadExt(parse_rational(text))
-    try:
-        rat_part, rest = text.split(" + ", 1)
-        rad_part, t_part = rest.split("*sqrt(", 1)
-        if not t_part.endswith(")"):
-            raise ValueError(text)
-        return QuadExt(
-            parse_rational(rat_part),
-            parse_rational(rad_part),
-            parse_rational(t_part[:-1]),
-        )
-    except (ValueError, FormatError) as exc:
-        raise FormatError(f"not a quadratic-extension value: {text!r}") from exc

@@ -3,27 +3,26 @@
 For semidefinite q the zero set is the kernel of its matrix, a subspace,
 so containment of zero sets is exact rational kernel containment.  When
 it holds for a semidefinite pair, a joint diagonalizing basis exists: q
-is positive definite on a complement of its kernel, and the classical
-generalized symmetric eigenproblem finishes the job there.  The yes/no
-decision is exact; only the basis construction is floating point, and
-numpy is imported only there, so every exact path runs without it.
+is definite on a complement of its kernel, and a symmetric eigenproblem
+finishes the job there.  Both come from q's one congruence
+diagonalization B^T Q B = diag(d): the columns of B at the zeros of d
+span the kernel, and on the other columns Q is diag(d).  The yes/no
+decision and a refutation's witness are exact; only the eigen step, a
+cyclic Jacobi sweep in plain Python floats, and the basis built from it
+are floating point.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from . import linalg
-from .containment import Counterexample, _decide_in_frame, decide_containment
-from .errors import (
-    ContainmentFails,
-    DimensionMismatch,
-    NotSemidefinite,
-    NumericalFailure,
-    Unsupported,
-)
+from .containment import Counterexample, WitnessVector, _decide_in_frame, decide_containment
+from .errors import ContainmentFails, DimensionMismatch, NotSemidefinite, NumericalFailure
 from .forms import (
     INDEFINITE,
+    CongruenceDiagonalization,
     Inertia,
     QuadraticForm,
     classify,
@@ -31,8 +30,15 @@ from .forms import (
     congruence_diagonalize,
 )
 from .record import Record
+from .scalars import QuadExt
 
 DEFAULT_TOL = 1e-9
+
+# Cyclic Jacobi skips a rotation when |a_pq| <= _JACOBI_EPS * max(|a_pp|, |a_qq|),
+# and stops after a sweep with no rotation.  It converges quadratically; a
+# run that reaches the cap is caught by the residual check.
+_JACOBI_EPS = 2.0**-53
+_JACOBI_SWEEPS = 50
 
 
 class SubspaceBasis(Record):
@@ -72,11 +78,6 @@ def kernel_basis(q: QuadraticForm) -> SubspaceBasis:
     return SubspaceBasis(dim_ambient=q.dim, vectors=vectors)
 
 
-def _annihilates(r: QuadraticForm, vectors) -> bool:
-    zero = (Fraction(0),) * r.dim
-    return all(linalg.mat_vec(r.matrix, v) == zero for v in vectors)
-
-
 def _float(x) -> float:
     """float(x) for an exact value; past the float range (about 1.8e308)
     the float step cannot run, a numerical failure rather than a fault."""
@@ -86,15 +87,54 @@ def _float(x) -> float:
         raise NumericalFailure(f"an exact value is out of float range: {exc}") from exc
 
 
-def _offdiag_residual(mat, tol):
-    import numpy as np
+def _congruent(m, cols):
+    """C^T M C for the matrix C with columns cols, in the scalars of m and
+    cols (ints or floats)."""
+    mc = [[sum(x * y for x, y in zip(row, c)) for row in m] for c in cols]
+    return [[sum(x * y for x, y in zip(a, b)) for b in mc] for a in cols]
 
-    n = mat.shape[0]  # at least 1: a zero q returns before the float step
-    off = float(np.max(np.abs(mat - np.diag(np.diag(mat))))) if n > 1 else 0.0
-    scale = float(np.max(np.abs(np.diag(mat))))
+
+def _offdiag_residual(mat, tol):
+    n = len(mat)  # at least 1
+    off = max((abs(mat[i][j]) for i in range(n) for j in range(n) if i != j), default=0.0)
+    scale = max(abs(mat[i][i]) for i in range(n))
     if scale > tol:
         return off / scale
     return off
+
+
+def _jacobi_eigh(a):
+    """(eigenvalues ascending, eigenvectors as the columns of an orthogonal
+    matrix) of the symmetric float matrix a, by cyclic Jacobi rotations
+    (Golub & Van Loan, Matrix Computations, section 8.5)."""
+    n = len(a)
+    a = [list(row) for row in a]
+    v = [[float(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(_JACOBI_SWEEPS):
+        rotated = False
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq, app, aqq = a[p][q], a[p][p], a[q][q]
+                if abs(apq) <= _JACOBI_EPS * max(abs(app), abs(aqq)):
+                    continue
+                rotated = True
+                # J = [[c, s], [-s, c]] on (p, q) zeroes entry (p, q) of J^T A J
+                tau = (aqq - app) / (2 * apq)
+                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+                c = 1 / math.hypot(1.0, t)
+                s = t * c
+                for row in a + v:  # A J and V J
+                    x, y = row[p], row[q]
+                    row[p], row[q] = c * x - s * y, s * x + c * y
+                rp, rq = a[p], a[q]
+                a[p] = [c * x - s * y for x, y in zip(rp, rq)]
+                a[q] = [s * x + c * y for x, y in zip(rp, rq)]
+                a[p][p], a[q][q] = app - t * apq, aqq + t * apq
+                a[p][q] = a[q][p] = 0.0
+        if not rotated:
+            break
+    order = sorted(range(n), key=lambda i: a[i][i])
+    return [a[i][i] for i in order], [[row[i] for i in order] for row in v]
 
 
 def simdiag_psd(
@@ -102,82 +142,78 @@ def simdiag_psd(
 ) -> SimDiagResult:
     """Joint diagonalization for a semidefinite pair with contained zero
     sets.  Kernel columns of q go in exactly; on the complement q is
-    positive definite and a Cholesky-whitened symmetric eigenproblem
-    diagonalizes both."""
-    return _simdiag_in_frame(q, r, congruence_diagonalize(q).inertia, tol)
+    definite and a whitened symmetric eigenproblem diagonalizes both."""
+    return _simdiag_in_frame(q, r, congruence_diagonalize(q), tol)
 
 
 def _simdiag_in_frame(
-    q: QuadraticForm, r: QuadraticForm, q_inertia: Inertia, tol: float
+    q: QuadraticForm, r: QuadraticForm, dq: CongruenceDiagonalization, tol: float
 ) -> SimDiagResult:
-    """simdiag_psd for a caller that already diagonalized q.
+    """simdiag_psd for a caller that already diagonalized q (dq).
 
-    One rref of Q gives its kernel and its pivot columns.  rref(-Q) =
-    rref(Q), so a negative semidefinite q needs no second one.  The
-    standard vectors at the pivots complete the kernel to a basis: those
-    columns of Q are its lexicographically first column basis, so they
-    are the standard vectors a greedy extension, lowest index first,
-    would pick.  On them the restrictions of Q and R are submatrices.
+    B^T Q B = diag(d) with B invertible, so Q b = 0 exactly for b in the
+    span of the last z columns of B, those at the zeros of d: they are an
+    exact basis of ker Q, and Z_q is contained in Z_r exactly when R maps
+    each of them to zero.  Scaled by 1/sqrt|d_i|, the other columns make
+    W^T Q W = +-I, so the eigenvectors X of W^T R W finish the basis as
+    W X.  R is signed to be positive semidefinite for the eigen step,
+    since r and -r have the same zero set; a psd q may pair with an nsd r.
     """
-    oq = _orientation(q_inertia)
+    oq = _orientation(dq.inertia)
     orr = _orientation(congruence_diagonalize(r).inertia)
-    if oq != 0 and orr != 0 and oq != orr:
-        raise Unsupported("mixed semidefinite orientations")
     if q.dim != r.dim:
         raise DimensionMismatch(f"dims differ: {q.dim} vs {r.dim}")
-    kern, pivots = linalg.kernel(q.matrix)
-    if not _annihilates(r, kern):
-        raise ContainmentFails("zero set of q is not contained in zero set of r")
-    import numpy as np  # first float step: exact paths never load numpy
+    n, nm = q.dim, dq.inertia.k + dq.inertia.m
+    cols, scales = dq.cols, dq.scales
+    den, r_int = linalg.clear_denominators(r.matrix)
+    for col, s in zip(cols[nm:], scales[nm:]):
+        rb = [sum(x * y for x, y in zip(row, col)) for row in r_int]
+        if any(rb):
+            # r is semidefinite, so R b != 0 gives r(b) != 0: b is a witness
+            r_b = QuadExt(Fraction(sum(x * y for x, y in zip(col, rb)), s * s * den))
+            witness = WitnessVector(tuple(QuadExt(Fraction(x, s)) for x in col), QuadExt(0), r_b)
+            raise ContainmentFails(
+                "zero set of q is not contained in zero set of r", witness=witness
+            )
 
-    n = q.dim
-    z = len(kern)
-    nm = len(pivots)
-    kern_f = np.array([[_float(v[i]) for v in kern] for i in range(n)])
-    if nm == 0:  # q = 0, so r = 0: the kernel, all of Q^n, is the basis
-        zeros = (0.0,) * n
-        return SimDiagResult(
-            basis=tuple(map(tuple, kern_f)), q_diag=zeros, r_diag=zeros, residual=0.0
-        )
-
-    # both restrictions, each form signed to be positive semidefinite
     r_unit = -1 if orr < 0 else 1
-    qmf = np.array([[_float(oq * q.matrix[i][j]) for j in pivots] for i in pivots])
-    rmf = np.array([[_float(r_unit * r.matrix[i][j]) for j in pivots] for i in pivots])
-    try:
-        chol = np.linalg.cholesky(qmf)  # qmf = chol @ chol.T
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"Cholesky factorization failed: {exc}") from exc
-    inv_chol = np.linalg.inv(chol)
-    a = inv_chol @ rmf @ inv_chol.T
-    a = (a + a.T) / 2
-    eigvals, eigvecs = np.linalg.eigh(a)
-    x = inv_chol.T @ eigvecs  # x.T qmf x = I, x.T rmf x = diag(eigvals)
-
-    comp_f = np.array([[float(i == p) for p in pivots] for i in range(n)])
-    basis = np.hstack([comp_f @ x, kern_f])
-
-    qf = np.array([[_float(e) for e in row] for row in q.matrix])
-    rf = np.array([[_float(e) for e in row] for row in r.matrix])
-    tq = basis.T @ qf @ basis
-    tr = basis.T @ rf @ basis
+    # column i of W is g_i b_i, g_i = 1 / sqrt|d_i|, and W^T R W is built from
+    # the exact b_i^T R b_j = cols[i] . (R_int cols[j]) / (s_i s_j den)
+    g = [math.sqrt(_float(1 / abs(d))) for d in dq.diag[:nm]]
+    rbb = _congruent(r_int, cols[:nm])
+    a = [
+        [r_unit * _float(Fraction(rbb[i][j], scales[i] * scales[j] * den)) * g[i] * g[j]
+         for j in range(nm)]
+        for i in range(nm)
+    ]
+    eigvals, x = _jacobi_eigh(a)
+    b = [[_float(e) for e in col] for col in zip(*dq.basis)]
+    w = [[e * gi for e in col] for col, gi in zip(b, g)]
+    bcols = [[sum(x[i][j] * wi[k] for i, wi in enumerate(w)) for k in range(n)] for j in range(nm)]
+    bcols += b[nm:]
+    qf = [[_float(e) for e in row] for row in q.matrix]
+    rf = [[_float(e) for e in row] for row in r.matrix]
+    tq = _congruent(qf, bcols)
+    tr = _congruent(rf, bcols)
+    if not all(math.isfinite(e) for m in (tq, tr) for row in m for e in row):
+        raise NumericalFailure("B^T Q B or B^T R B is out of float range")
     residual = max(_offdiag_residual(tq, tol), _offdiag_residual(tr, tol))
     if residual > tol:
         raise NumericalFailure(f"residual {residual} exceeds tolerance {tol}")
 
-    q_diag = tuple([float(oq)] * nm + [0.0] * z)
-    diag_error = float(np.max(np.abs(np.diag(tq) - q_diag)))
+    z = n - nm
+    q_diag = (float(oq),) * nm + (0.0,) * z
+    diag_error = max(abs(tq[i][i] - q_diag[i]) for i in range(n))
     if diag_error > tol:
         raise NumericalFailure(
             f"diagonal of B^T Q B is off the reported q_diag by {diag_error}, "
             f"over tolerance {tol}"
         )
-    r_diag = tuple([r_unit * float(v) for v in eigvals] + [0.0] * z)
     return SimDiagResult(
-        basis=tuple(map(tuple, basis)),
+        basis=tuple(tuple(col[k] for col in bcols) for k in range(n)),
         q_diag=q_diag,
-        r_diag=r_diag,
-        residual=float(residual),
+        r_diag=tuple(r_unit * v for v in eigvals) + (0.0,) * z,
+        residual=residual,
     )
 
 
@@ -201,4 +237,4 @@ def simdiag_general(
         q_diag = tuple(_float(d) for d in dq.diag)
         r_diag = tuple(_float(verdict.alpha * d) for d in dq.diag)
         return SimDiagResult(basis=basis, q_diag=q_diag, r_diag=r_diag, residual=0.0)
-    return _simdiag_in_frame(q, r, dq.inertia, tol)
+    return _simdiag_in_frame(q, r, dq, tol)

@@ -2,13 +2,18 @@ import random
 from fractions import Fraction
 
 from qformkit import (
+    DegreeMismatch,
     DimensionMismatch,
+    FormatError,
     HomogeneousPoly,
     Inertia,
     LinearTransform,
+    NotPythagorean,
     NotSemidefinite,
+    QuadExt,
     QuadraticForm,
     inertia,
+    parse_rational,
 )
 from qformkit import linalg
 
@@ -185,3 +190,75 @@ def reference_diagonalize(q):
     k = sum(1 for d in sorted_diag if d > 0)
     m = sum(1 for d in sorted_diag if d < 0)
     return basis, sorted_diag, Inertia(k, m, n - k - m)
+
+
+# --- reference constructors and arithmetic that only tests use ----------------
+
+
+def poly_constant(nvars, value):
+    return HomogeneousPoly(nvars, 0, {(0,) * nvars: Fraction(value)})
+
+
+def poly_add(a, b):
+    """a + b for homogeneous polynomials of one degree; a zero summand
+    takes the other's degree."""
+    if a.nvars != b.nvars:
+        raise DimensionMismatch("variable counts differ")
+    if not a.is_zero() and not b.is_zero() and a.degree != b.degree:
+        raise DegreeMismatch("cannot add homogeneous polynomials of unequal degree")
+    degree = b.degree if a.is_zero() else a.degree
+    terms = dict(a.terms)
+    for exp, c in b.terms.items():
+        terms[exp] = terms.get(exp, Fraction(0)) + c
+    return HomogeneousPoly(a.nvars, degree, terms)
+
+
+def poly_mul(a, b):
+    """a * b, term by term."""
+    if a.nvars != b.nvars:
+        raise DimensionMismatch("variable counts differ")
+    terms = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            terms[e] = terms.get(e, Fraction(0)) + c1 * c2
+    return HomogeneousPoly(a.nvars, a.degree + b.degree, terms)
+
+
+def parse_quadext(text):
+    """Inverse of render_quadext (bit-exact for rendered values)."""
+    text = text.strip()
+    if "sqrt(" not in text:
+        return QuadExt(parse_rational(text))
+    try:
+        rat_part, rest = text.split(" + ", 1)
+        rad_part, t_part = rest.split("*sqrt(", 1)
+        if not t_part.endswith(")"):
+            raise ValueError(text)
+        return QuadExt(
+            parse_rational(rat_part),
+            parse_rational(rad_part),
+            parse_rational(t_part[:-1]),
+        )
+    except (ValueError, FormatError) as exc:
+        raise FormatError(f"not a quadratic-extension value: {text!r}") from exc
+
+
+_PLANES = {"xy": (1, 2), "xz": (1, 3), "yz": (2, 3)}
+
+
+def rotation_from_triple(a, b, h, plane="xy"):
+    """Exact-rational spatial rotation: cos = b/h, sin = a/h."""
+    if plane not in _PLANES:
+        raise ValueError(f"plane must be one of {sorted(_PLANES)}, got {plane!r}")
+    if h == 0 or a * a + b * b != h * h:
+        raise NotPythagorean(f"({a}, {b}, {h}) does not satisfy a^2 + b^2 = h^2")
+    i, j = _PLANES[plane]
+    cos = Fraction(b, h)
+    sin = Fraction(a, h)
+    rows = [[Fraction(int(r == c)) for c in range(4)] for r in range(4)]
+    rows[i][i] = cos
+    rows[j][j] = cos
+    rows[i][j] = -sin
+    rows[j][i] = sin
+    return LinearTransform(rows)

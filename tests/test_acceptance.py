@@ -30,14 +30,22 @@ from qformkit import (
     minkowski_form,
     poly_from_form,
     reduce_by_quadratic,
-    rotation_from_triple,
     simdiag_psd,
     verify_poly_witness,
     verify_witness,
 )
 from qformkit.cli import main as cli_main
 
-from conftest import compose, random_homogeneous, random_indefinite, random_invertible, random_symmetric
+from conftest import (
+    compose,
+    poly_add,
+    poly_mul,
+    random_homogeneous,
+    random_indefinite,
+    random_invertible,
+    random_symmetric,
+    rotation_from_triple,
+)
 
 
 @contextlib.contextmanager
@@ -130,7 +138,7 @@ def test_criterion_4_theorem1a_round_trip():
             n = rng.randint(2, 4)
             q = random_indefinite(rng, n)
             s = random_homogeneous(rng, n, rng.randint(0, 3))
-            r = poly_from_form(q) * s
+            r = poly_mul(poly_from_form(q), s)
             assert decide_containment_homogeneous(q, r) == Divisible(s)
 
         witnesses = 0
@@ -142,7 +150,7 @@ def test_criterion_4_theorem1a_round_trip():
             while True:
                 s = random_homogeneous(rng, n, rng.randint(0, 3))
                 bump = random_homogeneous(rng, n, s.degree + 2, max_terms=2)
-                r = qp * s + bump
+                r = poly_add(poly_mul(qp, s), bump)
                 if not reduce_by_quadratic(r, qp).remainder.is_zero():
                     break
             verdict = decide_containment_homogeneous(q, r)

@@ -4,7 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from qformkit import NoWitnessFound, QuadExt, containment, polys
+from qformkit import (
+    ContainmentFails,
+    NoWitnessFound,
+    QuadExt,
+    WitnessVector,
+    containment,
+    polys,
+    semidefinite,
+)
 from qformkit.cli import main
 from qformkit.forms import evaluate, form_from_json
 from qformkit.scalars import parse_rational
@@ -207,6 +215,43 @@ class TestSimdiag:
         r = write(tmp_path, "r.json", HYP)
         assert main(["simdiag", q, r]) == 4
 
+    def test_kernel_break_prints_rational_witness(self, tmp_path, capsys):
+        # (1, 1) spans ker q, and r = x^2 + y^2 is 2 there
+        q = write(tmp_path, "q.json", SQUARE)
+        r = write(tmp_path, "r.json", CIRCLE)
+        assert main(["simdiag", q, r, "--json"]) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "verdict": "counterexample",
+            "witness": {"t": "1", "coords": [["1", "0"], ["1", "0"]]},
+            "q_value": "0",
+            "r_value": "2",
+        }
+        assert main(["simdiag", q, r]) == 1
+        assert capsys.readouterr().out == (
+            "counterexample: q vanishes but r does not at\n"
+            "  v = (1, 1)\n"
+            "  q(v) = 0, r(v) = 2\n"
+        )
+
+    @pytest.mark.parametrize("as_json", [[], ["--json"]], ids=["human", "json"])
+    def test_indefinite_refutation_prints_contains_witness(self, tmp_path, capsys, as_json):
+        q = write(tmp_path, "q.json", HYP)
+        r = write(tmp_path, "r.json", CIRCLE)
+        assert main(["contain", q, r, *as_json]) == 1
+        contain_out = capsys.readouterr().out
+        assert main(["simdiag", q, r, *as_json]) == 1
+        assert capsys.readouterr().out == contain_out
+
+    def test_mixed_orientations_exit_0(self, tmp_path, capsys):
+        # r and -r have the same zero set: a psd q pairs with an nsd r
+        q = write(tmp_path, "q.json", '{"dim": 2, "rows": [[1,0],[0,0]]}')
+        r = write(tmp_path, "r.json", '{"dim": 2, "rows": [[-1,0],[0,0]]}')
+        assert main(["simdiag", q, r, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["q_diag"] == [1.0, 0.0]
+        assert payload["r_diag"] == [-1.0, 0.0]
+        assert payload["residual"] == 0.0
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "x"])
     def test_tolerance_must_be_finite_and_non_negative(self, tmp_path, capsys, tol):
         # nan and inf would switch the residual check off without a word
@@ -236,6 +281,17 @@ class TestSimdiag:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("numerical failure: an exact value is out of float range")
+
+    def test_float_overflow_in_the_products_exit_4(self, tmp_path, capsys):
+        # every entry is in float range, but r's eigenvalue 3e308 and the
+        # entries of B^T R B are not; a NaN basis must not pass as exit 0
+        big = '"1.5e308"'
+        q = write(tmp_path, "q.json", CIRCLE)
+        r = write(tmp_path, "r.json", f'{{"dim": 2, "rows": [[{big}, {big}], [{big}, {big}]]}}')
+        assert main(["simdiag", q, r, "--json"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numerical failure: B^T Q B or B^T R B is out of float range\n"
 
 
 class TestLorentz:
@@ -319,6 +375,8 @@ class TestInternalError:
             ("contain", {"q": HYP, "r": CIRCLE}, containment, "verify_witness"),
             ("poly-contain", {"q": HYP, "r": QUARTIC_SUM}, polys, "verify_poly_witness"),
             ("lorentz", {"L": TestLorentz.STRETCH}, containment, "verify_witness"),
+            ("simdiag", {"q": HYP, "r": CIRCLE}, containment, "verify_witness"),
+            ("simdiag", {"q": SQUARE, "r": CIRCLE}, containment, "verify_witness"),
         ],
     )
     def test_rejected_witness_exit_5(
@@ -327,6 +385,21 @@ class TestInternalError:
         monkeypatch.setattr(module, checker, lambda *args: False)
         paths = [write(tmp_path, f"{role}.json", text) for role, text in files.items()]
         code = main([kind, *paths, "--json"])
+        self.assert_internal(capsys, code, "CertificateRejected:")
+
+    def test_tampered_simdiag_witness_exit_5(self, tmp_path, capsys, monkeypatch):
+        # (1, 2) is off ker q, so the real checker rejects it
+        tampered = WitnessVector(
+            coords=(QuadExt(1), QuadExt(2)), q_value=QuadExt(0), r_value=QuadExt(5)
+        )
+
+        def refute(q, r, tol):
+            raise ContainmentFails("tampered", witness=tampered)
+
+        monkeypatch.setattr(semidefinite, "simdiag_general", refute)
+        q = write(tmp_path, "q.json", SQUARE)
+        r = write(tmp_path, "r.json", CIRCLE)
+        code = main(["simdiag", q, r, "--json"])
         self.assert_internal(capsys, code, "CertificateRejected:")
 
     def test_unexpected_exception_exit_5(self, tmp_path, capsys, monkeypatch):
@@ -369,9 +442,10 @@ def test_unreadable_input_exit_2(tmp_path, capsys):
 
 
 # Standard output recorded from the implementation before the semidefinite
-# route, the witness serializer and the file loader were merged; the float
-# digits of simdiag come from numpy's LAPACK.  The poly-contain witness is
-# the first point of the deterministic cone sweep.
+# route, the witness serializer and the file loader were merged.  The float
+# digits of the three semidefinite simdiag entries come from the frame
+# whitening and the Jacobi finish.  The poly-contain witness is the first
+# point of the deterministic cone sweep.
 GOLDEN_INPUTS = {
     "s2": S2,
     "s2p": S2P,
@@ -391,18 +465,18 @@ GOLDEN = [
     (
         ("simdiag", "s2", "s2p", "--json"),
         0,
-        '{"basis":[[-0.6015009550075456,0.37174803446018445,0.5],'
-        "[0.37174803446018445,0.6015009550075456,0.5],[0.0,0.0,1.0]],"
-        '"q_diag":[1.0,1.0,0.0],"r_diag":[1.5278640450004204,10.472135954999576,0.0],'
-        '"residual":4.181736491508817e-17}\n',
+        '{"basis":[[0.6015009550075456,0.37174803446018445,0.5],'
+        "[-0.37174803446018445,0.6015009550075456,0.5],[0.0,0.0,1.0]],"
+        '"q_diag":[1.0,1.0,0.0],"r_diag":[1.5278640450004213,10.472135954999581,0.0],'
+        '"residual":1.060168650785246e-17}\n',
     ),
     (
         ("simdiag", "neg_s2", "neg_s2p", "--json"),
         0,
-        '{"basis":[[-0.6015009550075456,0.37174803446018445,0.5],'
-        "[0.37174803446018445,0.6015009550075456,0.5],[0.0,0.0,1.0]],"
-        '"q_diag":[-1.0,-1.0,0.0],"r_diag":[-1.5278640450004204,-10.472135954999576,0.0],'
-        '"residual":4.181736491508817e-17}\n',
+        '{"basis":[[0.6015009550075456,0.37174803446018445,0.5],'
+        "[-0.37174803446018445,0.6015009550075456,0.5],[0.0,0.0,1.0]],"
+        '"q_diag":[-1.0,-1.0,0.0],"r_diag":[-1.5278640450004213,-10.472135954999581,0.0],'
+        '"residual":1.060168650785246e-17}\n',
     ),
     (
         ("simdiag", "zero", "zero", "--json"),
@@ -412,10 +486,10 @@ GOLDEN = [
     (
         ("simdiag", "pd", "pd2", "--json"),
         0,
-        '{"basis":[[-0.6397824890711094,-0.4366673409793497],'
-        "[-0.11221178963759873,0.6224214924521223]],"
-        '"q_diag":[1.0,1.0],"r_diag":[0.459687576256715,1.7403124237432848],'
-        '"residual":1.2400468566155107e-16}\n',
+        '{"basis":[[0.6397824890711095,-0.4366673409793499],'
+        "[0.1122117896375988,0.6224214924521223]],"
+        '"q_diag":[1.0,1.0],"r_diag":[0.45968757625671525,1.740312423743285],'
+        '"residual":1.1102230246251563e-16}\n',
     ),
     (
         ("contain", "hyp3", "circle3"),

@@ -31,6 +31,8 @@ from qformkit import (
     simdiag_general,
 )
 
+from conftest import poly_mul
+
 HYP = QuadraticForm([[1, 0, 0], [0, -1, 0], [0, 0, 2]])
 CIRCLE = QuadraticForm([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 SQUARE = QuadraticForm([[1, -1], [-1, 1]])
@@ -52,8 +54,8 @@ VALUES = {
     "WitnessVector": _witness,
     "Proportional": lambda: decide_containment(HYP, QuadraticForm([[-3, 0, 0], [0, 3, 0], [0, 0, -6]])),
     "Counterexample": lambda: decide_containment(HYP, CIRCLE),
-    "DivisionResult": lambda: reduce_by_quadratic(X1X2 * X1X2, poly_from_form(HYP)),
-    "Divisible": lambda: decide_containment_homogeneous(HYP, poly_from_form(HYP) * X1X2),
+    "DivisionResult": lambda: reduce_by_quadratic(poly_mul(X1X2, X1X2), poly_from_form(HYP)),
+    "Divisible": lambda: decide_containment_homogeneous(HYP, poly_mul(poly_from_form(HYP), X1X2)),
     "ConePointWitness": lambda: decide_containment_homogeneous(HYP, X1X2),
     "SubspaceBasis": lambda: kernel_basis(SQUARE),
     "SimDiagResult": lambda: simdiag_general(HYP, HYP),

@@ -15,11 +15,10 @@ from qformkit import (
     classify,
     inertia,
     minkowski_form,
-    rotation_from_triple,
     verify_witness,
 )
 
-from conftest import compose
+from conftest import compose, rotation_from_triple
 
 TRIPLES = [(3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25), (20, 21, 29)]
 

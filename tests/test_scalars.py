@@ -8,11 +8,12 @@ from qformkit import (
     FormatError,
     MismatchedRadicand,
     QuadExt,
-    parse_quadext,
     parse_rational,
     render_quadext,
     render_rational,
 )
+
+from conftest import parse_quadext
 
 rationals = st.fractions(max_denominator=1000)
 small_rationals = st.fractions(max_denominator=20)

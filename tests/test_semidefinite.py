@@ -10,7 +10,6 @@ from qformkit import (
     NotSemidefinite,
     NumericalFailure,
     QuadraticForm,
-    Unsupported,
     apply_transform,
     evaluate,
     kernel_basis,
@@ -18,8 +17,10 @@ from qformkit import (
     minkowski_form,
     simdiag_general,
     simdiag_psd,
+    verify_witness,
 )
-from qformkit.forms import LinearTransform
+from qformkit import semidefinite
+from qformkit.forms import LinearTransform, congruence_diagonalize
 
 from conftest import containment_psd, det, rank
 
@@ -48,26 +49,6 @@ def random_psd(rng, n):
 
 def negated(q):
     return QuadraticForm([[-e for e in row] for row in q.matrix])
-
-
-def unit(i, n):
-    return tuple(Fraction(int(j == i)) for j in range(n))
-
-
-def extend_to_basis(kernel_vectors, n):
-    """Reference complement: standard basis vectors, lowest index first,
-    each kept when it raises the rank of the kernel block and those kept
-    so far."""
-    chosen = []
-    current = list(kernel_vectors)
-    for i in range(n):
-        if len(current) == n:
-            break
-        candidate = current + [unit(i, n)]
-        if rank(tuple(candidate)) == len(candidate):
-            chosen.append(unit(i, n))
-            current = candidate
-    return tuple(chosen)
 
 
 class TestKernelBasis:
@@ -160,14 +141,20 @@ class TestSimdiagPsd:
     def test_off_diagonal_of_q_raises(self, monkeypatch):
         # eigenvectors scaled by 2 keep both transformed matrices diagonal,
         # so the off-diagonal residual passes, but diag(B^T Q B) reads 4, not 1
-        eigh = np.linalg.eigh
+        eigh = semidefinite._jacobi_eigh
 
         def scaled_eigh(a):
             vals, vecs = eigh(a)
-            return vals, 2.0 * vecs
+            return vals, [[2.0 * e for e in row] for row in vecs]
 
-        monkeypatch.setattr(np.linalg, "eigh", scaled_eigh)
+        monkeypatch.setattr(semidefinite, "_jacobi_eigh", scaled_eigh)
         with pytest.raises(NumericalFailure, match="diagonal"):
+            simdiag_psd(S2, S2P)
+
+    def test_unconverged_eigen_step_raises(self, monkeypatch):
+        # a Jacobi run cut off before it converges leaves W^T R W off-diagonal
+        monkeypatch.setattr(semidefinite, "_JACOBI_SWEEPS", 0)
+        with pytest.raises(NumericalFailure, match="residual"):
             simdiag_psd(S2, S2P)
 
     def test_rejects_indefinite_r(self):
@@ -177,8 +164,30 @@ class TestSimdiagPsd:
 
     def test_containment_failure(self):
         r = QuadraticForm([[1, 0], [0, 1]])
-        with pytest.raises(ContainmentFails):
+        with pytest.raises(ContainmentFails) as info:
             simdiag_psd(SQUARE, r)
+        # the kernel column of q that r does not annihilate, rational (t = 1)
+        w = info.value.witness
+        assert verify_witness(SQUARE, r, w)
+        assert w.t == 1 and all(c.rad == 0 for c in w.coords)
+        assert w.coords[0] == w.coords[1] != 0
+        assert w.q_value == 0 and w.r_value == 2 * w.coords[0].rat ** 2
+
+    def test_kernel_break_witness_on_random_pairs(self):
+        rng = random.Random(56)
+        refuted = 0
+        for _ in range(200):
+            n = rng.randint(1, 6)
+            q, r = random_psd(rng, n), random_psd(rng, n)
+            if rng.random() < 0.5:
+                r = negated(r)
+            if containment_psd(q, r):
+                continue
+            with pytest.raises(ContainmentFails) as info:
+                simdiag_general(q, r)
+            assert verify_witness(q, r, info.value.witness)
+            refuted += 1
+        assert refuted > 50
 
     def test_soundness_on_random_pairs(self):
         rng = random.Random(53)
@@ -213,22 +222,25 @@ class TestSimdiagPsd:
         assert res.q_diag == (-1.0, -1.0, 0.0)
         assert all(v <= 0 for v in res.r_diag)
 
-    def test_direct_sum_decomposition(self):
-        # the standard vectors at the pivots of rref(Q) are the greedy
-        # complement of ker Q, for psd and nsd forms alike
+    def test_frame_kernel_columns_span_the_kernel(self):
+        # the columns of B at the zeros of d span ker Q, for psd and nsd
+        # forms alike, and with the other columns they make a basis
         rng = random.Random(54)
         for _ in range(200):
             n = rng.randint(1, 7)
             q = random_psd(rng, n)
             if rng.random() < 0.5:
                 q = negated(q)
-            kern, pivots = linalg.kernel(q.matrix)
-            assert kern == kernel_basis(q).vectors
-            comp = tuple(unit(p, n) for p in pivots)
-            assert comp == extend_to_basis(kern, n)
-            full = comp + kern
-            assert len(full) == n
-            assert det(full) != 0
+            dq = congruence_diagonalize(q)
+            basis_cols = linalg.transpose(dq.basis)
+            frame_kern = basis_cols[dq.inertia.k + dq.inertia.m :]
+            kern = kernel_basis(q).vectors
+            assert len(frame_kern) == len(kern) == dq.inertia.z
+            for v in frame_kern:
+                assert linalg.mat_vec(q.matrix, v) == (Fraction(0),) * n
+            if kern:
+                assert rank(frame_kern) == rank(kern) == rank(frame_kern + kern) == len(kern)
+            assert det(basis_cols) != 0
 
     def test_psd_pair_closure(self):
         # null vectors of a psd form span a subspace: combinations stay null
@@ -243,6 +255,51 @@ class TestSimdiagPsd:
             a, b = Fraction(rng.randint(-9, 9)), Fraction(rng.randint(-9, 9))
             comb = tuple(a * xi + b * yi for xi, yi in zip(x, y))
             assert evaluate(q, comb) == 0
+
+
+def _random_symmetric_floats(rng, n, kind):
+    """A symmetric n x n float matrix: entries drawn at random, repeated
+    eigenvalues (Q diag(l) Q^T with l from {1, -2, 0}), a diagonal matrix,
+    or zero."""
+    if kind == "random":
+        m = np.array([[rng.uniform(-5, 5) for _ in range(n)] for _ in range(n)])
+        return m + m.T
+    if kind == "repeated":
+        orth, _ = np.linalg.qr(np.array([[rng.gauss(0, 1) for _ in range(n)] for _ in range(n)]))
+        m = orth @ np.diag([rng.choice((1.0, -2.0, 0.0)) for _ in range(n)]) @ orth.T
+        return (m + m.T) / 2
+    if kind == "diagonal":
+        return np.diag([float(rng.randint(-3, 3)) for _ in range(n)])
+    return np.zeros((n, n))
+
+
+class TestJacobiEigh:
+    """The float finish of simdiag against numpy.linalg.eigh as an oracle."""
+
+    @pytest.mark.parametrize("kind", ["random", "repeated", "diagonal", "zero"])
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_eigh(self, n, kind):
+        rng = random.Random(f"{n}-{kind}")
+        for _ in range(5):
+            m = _random_symmetric_floats(rng, n, kind)
+            vals, vecs = semidefinite._jacobi_eigh(m.tolist())
+            ref = np.linalg.eigh(m)[0]
+            scale = max(1.0, float(np.abs(m).max()))
+            # ascending, as eigh returns them
+            assert vals == sorted(vals)
+            assert np.allclose(vals, ref, rtol=0, atol=1e-13 * scale)
+            v = np.array(vecs)
+            assert np.allclose(v.T @ v, np.eye(n), rtol=0, atol=1e-13)
+            assert np.allclose(v.T @ m @ v, np.diag(vals), rtol=0, atol=1e-13 * scale)
+
+    def test_diagonal_and_zero_inputs_are_not_rotated(self):
+        vals, vecs = semidefinite._jacobi_eigh([[3.0, 0.0], [0.0, -1.0]])
+        assert vals == [-1.0, 3.0]
+        assert vecs == [[0.0, 1.0], [1.0, 0.0]]
+        assert semidefinite._jacobi_eigh([[0.0] * 3 for _ in range(3)]) == (
+            [0.0] * 3,
+            [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+        )
 
 
 class TestSimdiagGeneral:
@@ -264,11 +321,40 @@ class TestSimdiagGeneral:
             simdiag_general(HYP, r)
         assert info.value.witness is not None
 
-    def test_mixed_orientation_unsupported(self):
+    def test_mixed_orientation_decided(self):
+        # r and -r have the same zero set, so a psd q pairs with an nsd r
         q = QuadraticForm([[1, 0], [0, 0]])  # psd
         r = QuadraticForm([[-1, 0], [0, 0]])  # nsd, same kernel
-        with pytest.raises(Unsupported):
-            simdiag_general(q, r)
+        res = simdiag_general(q, r)
+        assert res.q_diag == (1.0, 0.0)
+        assert res.r_diag == (-1.0, 0.0)
+        assert res.residual == 0.0
+        b = np.array(res.basis)
+        assert abs(np.linalg.det(b)) > 0.5
+        qf = np.array([[float(e) for e in row] for row in q.matrix])
+        rf = np.array([[float(e) for e in row] for row in r.matrix])
+        assert np.allclose(b.T @ qf @ b, np.diag(res.q_diag))
+        assert np.allclose(b.T @ rf @ b, np.diag(res.r_diag))
+
+    def test_mixed_orientation_on_random_pairs(self):
+        rng = random.Random(57)
+        checked = 0
+        while checked < 30:
+            n = rng.randint(2, 5)
+            q, s = random_psd(rng, n), random_psd(rng, n)
+            r = QuadraticForm(
+                [[-q.matrix[i][j] - s.matrix[i][j] for j in range(n)] for i in range(n)]
+            )
+            if not containment_psd(q, r):
+                continue
+            res = simdiag_general(q, r)
+            b = np.array(res.basis)
+            qf = np.array([[float(e) for e in row] for row in q.matrix])
+            rf = np.array([[float(e) for e in row] for row in r.matrix])
+            assert np.allclose(b.T @ qf @ b, np.diag(res.q_diag), atol=1e-8)
+            assert np.allclose(b.T @ rf @ b, np.diag(res.r_diag), atol=1e-7)
+            assert all(v >= 0 for v in res.q_diag) and all(v <= 0 for v in res.r_diag)
+            checked += 1
 
     def test_zero_form_pairs_with_anything_semidefinite(self):
         zero = QuadraticForm([[0, 0], [0, 0]])
