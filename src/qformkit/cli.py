@@ -17,7 +17,6 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 
 from . import forms
 from .errors import (
@@ -214,114 +213,11 @@ def cmd_lorentz(args):
     )
 
 
-# --- demo fixtures ------------------------------------------------------------
-
-# Textbook substitution example: two forms sharing the zero line
-# span{(1,1,2)} without being proportional.
-_S2_JSON = '{"dim": 3, "rows": [[2, 0, -1], [0, 2, -1], [-1, -1, 1]]}'
-_SUBST_JSON = '{"dim": 3, "rows": [[-2, -2, 1], [0, 2, -2], [0, 0, -2]]}'
-_S2_PRIME_EXPECTED = '{"dim": 3, "rows": [[8, 8, -8], [8, 16, -12], [-8, -12, 10]]}'
-# The semidefinite trap: (x-y)^2 vanishes only on x = y, where x^2 - y^2
-# also vanishes, yet the pair is not simultaneously diagonalizable.
-_SQUARE_JSON = '{"dim": 2, "rows": [[1, -1], [-1, 1]]}'
-_HYPERBOLIC_JSON = '{"dim": 2, "rows": [[1, 0], [0, -1]]}'
-_ANISOTROPIC_JSON = '{"dim": 4, "rows": [[1,0,0,0],[0,2,0,0],[0,0,1,0],[0,0,0,1]]}'
-
-
-def _demo_fixture_substitution():
-    from . import containment, semidefinite
-
-    s2 = forms.form_from_json(json.loads(_S2_JSON))
-    L = forms.transform_from_json(json.loads(_SUBST_JSON))
-    expected = forms.form_from_json(json.loads(_S2_PRIME_EXPECTED))
-    pulled = forms.apply_transform(s2, L)
-    ok = pulled == expected
-    ine_q = forms.inertia(s2)
-    ine_r = forms.inertia(pulled)
-    ok = ok and (ine_q.k, ine_q.m, ine_q.z) == (2, 0, 1)
-    ok = ok and (ine_r.k, ine_r.m, ine_r.z) == (2, 0, 1)
-    kq = semidefinite.kernel_basis(s2).vectors
-    kr = semidefinite.kernel_basis(pulled).vectors
-    # both kernels must be the single line through (1, 1, 2)
-    line = (Fraction(1), Fraction(1), Fraction(2))
-    ok = ok and kq == kr and len(kq) == 1
-    scale = kq[0][2] / line[2] if kq else None
-    ok = ok and scale and tuple(scale * e for e in line) == kq[0]
-    not_indefinite = False
-    try:
-        containment.decide_containment(s2, pulled)
-    except NotIndefinite:
-        not_indefinite = True
-    ok = ok and not_indefinite
-    return ok, {
-        "name": "linear-substitution",
-        "pulled_back": forms.matrix_to_json(pulled.matrix),
-        "inertia": [ine_q.k, ine_q.m, ine_q.z],
-        "shared_kernel": [[render_rational(e) for e in v] for v in kq],
-        "proportional": False,
-        "containment_rejected": "NotIndefinite",
-        "ok": ok,
-    }
-
-
-def _demo_fixture_semidefinite_trap():
-    from . import containment, semidefinite
-
-    q = forms.form_from_json(json.loads(_SQUARE_JSON))
-    r = forms.form_from_json(json.loads(_HYPERBOLIC_JSON))
-    rejected = False
-    try:
-        semidefinite.simdiag_psd(q, r)
-    except NotSemidefinite:
-        rejected = True
-    not_indef = False
-    try:
-        containment.decide_containment(q, r)
-    except NotIndefinite:
-        not_indef = True
-    ok = rejected and not_indef
-    return ok, {
-        "name": "semidefinite-trap",
-        "q_classification": forms.classify(q),
-        "r_classification": forms.classify(r),
-        "simdiag_rejected": "NotSemidefinite",
-        "containment_rejected": "NotIndefinite",
-        "ok": ok,
-    }
-
-
-def _demo_fixture_minkowski():
-    from . import containment, relativity
-
-    boost = relativity.boost_from_triple(3, 4, 5, "x")
-    rep_boost = relativity.check_interval_invariance(boost)
-    scaling = forms.LinearTransform.scaling(4, 2)
-    rep_scale = relativity.check_interval_invariance(scaling)
-    aniso = forms.transform_from_json(json.loads(_ANISOTROPIC_JSON))
-    rep_break = relativity.check_interval_invariance(aniso)
-    ok = rep_boost.kappa == 1 and rep_scale.kappa == 4
-    ok = ok and rep_break.classification == relativity.CONE_BREAKING
-    q = relativity.minkowski_form(1)
-    ok = ok and containment.verify_witness(
-        q, rep_break.pulled_back_form, rep_break.witness_event
-    )
-    return ok, {
-        "name": "minkowski",
-        "boost_345": rep_boost.to_json(),
-        "scaling_2I": rep_scale.to_json(),
-        "anisotropic": rep_break.to_json(),
-        "ok": ok,
-    }
-
-
 def cmd_demo(args):
-    fixtures = [
-        _demo_fixture_substitution,
-        _demo_fixture_semidefinite_trap,
-        _demo_fixture_minkowski,
-    ]
+    from . import demo
+
     results = []
-    for fixture in fixtures:
+    for fixture in demo.FIXTURES:
         ok, payload = fixture()
         results.append(payload)
         if not ok:

@@ -7,6 +7,11 @@ where the polynomial does not vanish.  A deterministic sweep of cone
 points in Q(sqrt(t)), complete by polynomial identity testing (Schwartz
 1980; Alon 1999, "Combinatorial Nullstellensatz"), finds such a point and
 attaches it to the refutation as a concrete witness.
+
+A polynomial holds its coefficients as Python ints over one positive
+denominator, reduced so that the gcd of the denominator and every
+numerator is 1.  The parser and the division work in those ints; the
+{exponent: Fraction} map `terms` is built only when something reads it.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations
+from math import comb, gcd, lcm
 
 from . import linalg
 from .errors import (
@@ -40,59 +46,101 @@ from .scalars import QuadExt, parse_rational, render_rational
 # The degree is the one field of a polynomial file whose cost (division,
 # the witness sweep's grid, power tables) does not grow with the file.
 MAX_DEGREE = 100
+# The number of monomials of one degree, C(degree + nvars - 1, nvars - 1),
+# bounds the quotient, the remainder and the steps of a division, however
+# few terms the file holds.  At 75,000 the division of a dense quadratic
+# into x1^degree takes about 1 s (nvars 6, 8 and 12 on a 2-core Xeon,
+# Python 3.11).
+MAX_MONOMIALS = 75_000
+
+_set = object.__setattr__
 
 
 def _grlex_key(exp):
     return (sum(exp), exp)
 
 
-def _heap_entry(exp):
-    """Min-heap entry that pops the graded-lex largest exponent first."""
-    return (-sum(exp), tuple([-e for e in exp]), exp)
+def _over_one_denominator(coefs):
+    """(ints, den) with coefs[e] = ints[e] / den for a map of int and
+    Fraction values; den is the lcm of their denominators, zeros drop."""
+    den = lcm(*[c.denominator for c in coefs.values()])
+    return {e: c.numerator * (den // c.denominator) for e, c in coefs.items() if c}, den
 
 
 class HomogeneousPoly(Record):
-    """Exponent-vector -> coefficient map, all terms of one total degree."""
+    """Exponent-vector -> coefficient map, all terms of one total degree,
+    held as nonzero ints _ints over one positive denominator _den."""
 
-    __slots__ = ("nvars", "degree", "terms")
+    __slots__ = ("nvars", "degree", "_ints", "_den", "_terms")
+    _fields = ("nvars", "degree", "terms")
 
     def __init__(self, nvars, degree, terms):
-        terms = {
-            tuple(int(e) for e in exp): Fraction(c)
+        coefs = {
+            tuple(int(e) for e in exp): c if type(c) is int else Fraction(c)
             for exp, c in dict(terms).items()
-            if Fraction(c) != 0
         }
-        for exp in terms:
+        for exp, c in coefs.items():
+            if not c:
+                continue
             if len(exp) != nvars or any(e < 0 for e in exp):
                 raise FormatError(f"bad exponent vector {exp} for {nvars} variables")
             if sum(exp) != degree:
                 raise FormatError(
                     f"exponent vector {exp} has degree {sum(exp)}, expected {degree}"
                 )
-        object.__setattr__(self, "nvars", int(nvars))
-        object.__setattr__(self, "degree", int(degree))
-        object.__setattr__(self, "terms", terms)
+        ints, den = _over_one_denominator(coefs)
+        self._store(int(nvars), int(degree), ints, den)
+
+    def _store(self, nvars, degree, ints, den):
+        _set(self, "nvars", nvars)
+        _set(self, "degree", degree)
+        _set(self, "_ints", ints)
+        _set(self, "_den", den)
+
+    @classmethod
+    def _from_ints(cls, nvars, degree, ints, den):
+        """The polynomial sum ints[e]/den x^e, from nonzero ints and a
+        positive den, reduced by their common gcd; no validation."""
+        g = gcd(den, *ints.values())
+        if g != 1:
+            ints = {e: c // g for e, c in ints.items()}
+            den //= g
+        poly = cls.__new__(cls)
+        poly._store(nvars, degree, ints, den)
+        return poly
+
+    @property
+    def terms(self):
+        """{exponent tuple: Fraction}, built the first time it is read."""
+        try:
+            return self._terms
+        except AttributeError:
+            den = self._den
+            terms = {e: Fraction(c, den) for e, c in self._ints.items()}
+            _set(self, "_terms", terms)
+            return terms
 
     def is_zero(self):
-        return not self.terms
+        return not self._ints
 
     def __eq__(self, other):
         return (
             isinstance(other, HomogeneousPoly)
             and self.nvars == other.nvars
-            and self.terms == other.terms
+            and self._den == other._den
+            and self._ints == other._ints
             and (self.is_zero() or self.degree == other.degree)
         )
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, self._den, frozenset(self._ints.items())))
 
     def leading(self):
         """(exponent, coefficient) under graded lex, x1 > x2 > ..."""
         if self.is_zero():
             raise ValueError("zero polynomial has no leading term")
-        exp = max(self.terms, key=_grlex_key)
-        return exp, self.terms[exp]
+        exp = max(self._ints, key=_grlex_key)
+        return exp, Fraction(self._ints[exp], self._den)
 
     def evaluate(self, x):
         """Value at a point of Fractions or QuadExt entries, of the point's
@@ -150,20 +198,17 @@ def poly_from_form(q: QuadraticForm) -> HomogeneousPoly:
     """Degree-2 polynomial evaluating identically to the form: Q_ii on
     x_i^2 and 2*Q_ij on x_i x_j for i < j."""
     n = q.dim
-    terms = {}
+    den, rows = linalg.clear_denominators(q.matrix)
+    ints = {}
     for i in range(n):
         for j in range(i, n):
-            exp = [0] * n
-            exp[i] += 1
-            exp[j] += 1
-            coef = q.matrix[i][j] if i == j else 2 * q.matrix[i][j]
-            if coef != 0:
-                terms[tuple(exp)] = coef
-    return HomogeneousPoly(n, 2, terms)
-
-
-def _exp_divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+            coef = rows[i][j] if i == j else 2 * rows[i][j]
+            if coef:
+                exp = [0] * n
+                exp[i] += 1
+                exp[j] += 1
+                ints[tuple(exp)] = coef
+    return HomogeneousPoly._from_ints(n, 2, ints, den)
 
 
 def reduce_by_quadratic(r: HomogeneousPoly, q: HomogeneousPoly) -> DivisionResult:
@@ -179,46 +224,81 @@ def reduce_by_quadratic(r: HomogeneousPoly, q: HomogeneousPoly) -> DivisionResul
     pushed each time it enters the work dict; a popped exponent that has
     since cancelled out of it is skipped.  Every term a step adds lies
     below the term it removes, so no exponent is processed twice.
+
+    The division runs on r's and q's integer numerators.  Each exponent
+    vector is packed into one int, x1 in the most significant field, with
+    a guard bit on top of every field (Monagan & Pearce's packed exponent
+    vectors).  All terms of r have one degree, so graded lex is integer
+    order, a monomial product or quotient is an int sum or difference,
+    and the leading monomial L of q divides e exactly when e - L borrows
+    into no guard bit.  A step divides by q's leading integer coefficient
+    c; where c does not divide the coefficient, the work, quotient and
+    remainder dicts are first multiplied by the missing factor, and the
+    scale S records the product (lazy pseudo-division, Knuth, TAOCP 2,
+    4.6.1).  So S * r_ints = q_ints * quotient + remainder, and one gcd
+    reduces each result over the denominators S * den(r) and den(q).
     """
     if q.is_zero() or q.degree != 2:
         raise DegreeMismatch("divisor must be a nonzero quadratic")
     if r.nvars != q.nvars:
         raise DimensionMismatch("variable counts differ")
     n = r.nvars
-    lead_exp, lead_coef = q.leading()
-    tail = [(e, c) for e, c in q.terms.items() if e != lead_exp]
+    width = max(r.degree, 2).bit_length() + 1
+    shifts = [width * (n - 1 - i) for i in range(n)]
+    guard = sum(1 << (s + width - 1) for s in shifts)
+
+    def pack(exp):
+        key = 0
+        for e in exp:
+            key = (key << width) | e
+        return key
+
+    (lead, lead_coef), *tail = sorted([(pack(e), c) for e, c in q._ints.items()], reverse=True)
     quotient = {}
     remainder = {}
-    work = dict(r.terms)
-    heap = [_heap_entry(exp) for exp in work]
+    scale = 1
+    work = {pack(e): c for e, c in r._ints.items()}
+    heap = [-key for key in work]
     heapify(heap)
     while heap:
-        exp = heappop(heap)[2]
-        coef = work.pop(exp, None)
+        key = -heappop(heap)
+        coef = work.pop(key, None)
         if coef is None:
             continue  # cancelled since it was pushed
-        if _exp_divides(lead_exp, exp):
-            qexp = tuple([a - b for a, b in zip(exp, lead_exp)])
-            qcoef = coef / lead_coef
-            quotient[qexp] = qcoef
-            for e2, c2 in tail:
-                e = tuple([a + b for a, b in zip(qexp, e2)])
-                old = work.get(e)
-                if old is None:
-                    work[e] = -qcoef * c2
-                    heappush(heap, _heap_entry(e))
+        qkey = key - lead
+        if qkey & guard:
+            remainder[key] = coef
+            continue
+        if coef % lead_coef:
+            m = abs(lead_coef) // gcd(coef, lead_coef)
+            for part in (work, quotient, remainder):
+                for k in part:
+                    part[k] *= m
+            coef *= m
+            scale *= m
+        qcoef = coef // lead_coef
+        quotient[qkey] = qcoef
+        for off, c2 in tail:
+            e = qkey + off
+            old = work.get(e)
+            if old is None:
+                work[e] = -qcoef * c2
+                heappush(heap, -e)
+            else:
+                new = old - qcoef * c2
+                if new:
+                    work[e] = new
                 else:
-                    new = old - qcoef * c2
-                    if new:
-                        work[e] = new
-                    else:
-                        del work[e]
-        else:
-            remainder[exp] = coef
-    qdeg = max(r.degree - 2, 0)
+                    del work[e]
+    field = (1 << width) - 1
+
+    def unpack(part, factor):
+        return {tuple([key >> s & field for s in shifts]): c * factor for key, c in part.items()}
+
+    den = scale * r._den
     return DivisionResult(
-        quotient=HomogeneousPoly(n, qdeg, quotient),
-        remainder=HomogeneousPoly(n, r.degree, remainder),
+        quotient=HomogeneousPoly._from_ints(n, max(r.degree - 2, 0), unpack(quotient, q._den), den),
+        remainder=HomogeneousPoly._from_ints(n, r.degree, unpack(remainder, 1), den),
     )
 
 
@@ -323,11 +403,19 @@ def poly_from_json(obj) -> HomogeneousPoly:
         nvars, degree, terms = obj["nvars"], obj["degree"], obj["terms"]
     except KeyError as exc:
         raise FormatError(f"missing key {exc}") from exc
-    if not isinstance(nvars, int) or nvars < 1:
+    # type(), not isinstance(): JSON true and false are no count, degree
+    # or exponent
+    if type(nvars) is not int or nvars < 1:
         raise FormatError(f"'nvars' must be a positive integer, got {nvars!r}")
-    if not isinstance(degree, int) or not 0 <= degree <= MAX_DEGREE:
+    if type(degree) is not int or not 0 <= degree <= MAX_DEGREE:
         raise FormatError(
             f"'degree' must be an integer in 0..{MAX_DEGREE}, got {degree!r}"
+        )
+    monomials = comb(degree + nvars - 1, nvars - 1)
+    if monomials > MAX_MONOMIALS:
+        raise FormatError(
+            f"{nvars} variables of degree {degree} have {monomials} monomials, "
+            f"more than {MAX_MONOMIALS}"
         )
     if not isinstance(terms, list):
         raise FormatError("'terms' must be a list")
@@ -339,7 +427,7 @@ def poly_from_json(obj) -> HomogeneousPoly:
         if (
             not isinstance(exp, list)
             or len(exp) != nvars
-            or any(not isinstance(e, int) or e < 0 for e in exp)
+            or any(type(e) is not int or e < 0 for e in exp)
         ):
             raise FormatError(f"term {i}: bad exponent vector {exp!r}")
         if sum(exp) != degree:
@@ -349,8 +437,18 @@ def poly_from_json(obj) -> HomogeneousPoly:
         key = tuple(exp)
         if key in parsed:
             raise FormatError(f"term {i}: duplicate exponent vector {exp!r}")
-        parsed[key] = parse_rational(term["coef"])
-    return HomogeneousPoly(nvars, degree, parsed)
+        coef = term["coef"]
+        # int("1.5") raises, but int(1.5) is 1: only text takes the int
+        # fast path, and floats, bools and null reach parse_rational's error
+        if type(coef) is str:
+            try:
+                coef = int(coef)
+            except ValueError:
+                coef = parse_rational(coef)
+        elif type(coef) is not int:
+            coef = parse_rational(coef)
+        parsed[key] = coef
+    return HomogeneousPoly._from_ints(nvars, degree, *_over_one_denominator(parsed))
 
 
 def poly_to_json(p: HomogeneousPoly):

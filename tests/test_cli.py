@@ -192,6 +192,17 @@ class TestPolyContain:
         assert main(["poly-contain", q, r]) == 2
         assert "'degree'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("coef", ["1.5", "1.0", "true", "false", "null"])
+    def test_float_bool_or_null_coefficient_exit_2(self, tmp_path, capsys, coef):
+        # int(1.0) is 1: a JSON float must not be read as an integer
+        q = write(tmp_path, "q.json", HYP)
+        r = write(tmp_path, "r.json",
+                  '{"nvars": 2, "degree": 2, "terms": [{"exp": [2, 0], "coef": %s}]}' % coef)
+        assert main(["poly-contain", q, r]) == 2
+        captured = capsys.readouterr()
+        assert "not a rational" in captured.err
+        assert captured.out == ""
+
     def test_rejects_bad_poly_file(self, tmp_path):
         q = write(tmp_path, "q.json", HYP)
         r = write(

@@ -17,6 +17,7 @@ import textwrap
 from fractions import Fraction
 
 import pytest
+from conftest import poly_mul, random_homogeneous
 
 import qformkit
 from qformkit import containment, forms, linalg, polys, semidefinite
@@ -130,7 +131,7 @@ _FOOTPRINTS = {
     "poly-contain": ("poly-contain", [_HYP_JSON, _QUARTIC_JSON], ["containment", "polys"]),
     "simdiag": ("simdiag", [_S2_JSON, _S2P_JSON], ["containment", "semidefinite"]),  # runs the float step
     "lorentz": ("lorentz", [_STRETCH_JSON], ["containment", "relativity"]),
-    "demo": ("demo", [], ["containment", "relativity", "semidefinite"]),
+    "demo": ("demo", [], ["containment", "demo", "relativity", "semidefinite"]),
 }
 
 
@@ -308,6 +309,25 @@ def test_fractions_made_per_decision(seed):
     verdict, made = _fractions_made(qformkit.decide_containment, q, r)
     assert isinstance(verdict, qformkit.Counterexample)
     assert qformkit.verify_witness(q, r, verdict.witness)
+    assert made <= 2 * n * n
+
+
+def test_fractions_made_per_poly_division():
+    """Polynomials are parsed and divided in ints: a file of integer
+    coefficients makes no Fraction, and a divisible verdict at most 2n^2
+    at n = 6, degree 8, however many terms r has."""
+    n = 6
+    rng = random.Random(13)
+    q = qformkit.QuadraticForm(_anchored_pair(n, 3)[0])
+    s = random_homogeneous(rng, n, 6, max_terms=600)
+    r = poly_mul(polys.poly_from_form(q), s)
+    obj = json.loads(json.dumps(polys.poly_to_json(r)))
+    assert len(obj["terms"]) > 1000
+    parsed, made = _fractions_made(polys.poly_from_json, obj)
+    assert parsed == r
+    assert made == 0
+    verdict, made = _fractions_made(polys.decide_containment_homogeneous, q, parsed)
+    assert verdict == polys.Divisible(s)
     assert made <= 2 * n * n
 
 

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 import sympy
@@ -25,7 +26,8 @@ from qformkit import (
 )
 from qformkit.containment import Counterexample, Proportional
 from qformkit.forms import load_json
-from qformkit.polys import MAX_DEGREE, poly_from_json, poly_to_json
+from qformkit.polys import MAX_DEGREE, MAX_MONOMIALS, poly_from_json, poly_to_json
+from qformkit.scalars import parse_rational
 
 from conftest import poly_add, poly_constant, poly_mul, random_homogeneous, random_indefinite
 
@@ -162,6 +164,28 @@ def reference_division(r, q):
     )
 
 
+def assert_matches_reference(r, q):
+    res = reduce_by_quadratic(r, q)
+    quotient, remainder = reference_division(r, q)
+    assert res.quotient.terms == quotient.terms
+    assert res.remainder.terms == remainder.terms
+    for got, want in ((res.quotient, quotient), (res.remainder, remainder)):
+        assert json.dumps(poly_to_json(got)) == json.dumps(poly_to_json(want))
+    return quotient
+
+
+# divisors whose leading integer coefficient is not 1, so that the integer
+# division has to rescale: leading 2, 3 and -5, rational coefficients, and
+# a leading monomial x1*x2
+SCALED_DIVISORS = (
+    {(2, 0, 0): 2, (0, 2, 0): -1, (0, 1, 1): 3, (0, 0, 2): 1},
+    {(2, 0, 0): 3, (1, 1, 0): 1, (0, 0, 2): -2},
+    {(2, 0, 0): -5, (1, 0, 1): 2, (0, 2, 0): 7, (0, 1, 1): -1},
+    {(2, 0, 0): Fraction(2, 3), (1, 1, 0): Fraction(-1, 2), (0, 2, 0): Fraction(5, 7), (0, 0, 2): -1},
+    {(1, 1, 0): 3, (0, 2, 0): 1, (0, 1, 1): -2, (0, 0, 2): 5},
+)
+
+
 def test_heap_division_matches_rescan_reference():
     rng = random.Random(2007)
     for k in range(120):
@@ -174,12 +198,24 @@ def test_heap_division_matches_rescan_reference():
         r = random_homogeneous(rng, n, rng.randint(2, 7), max_terms=40)
         if k % 2 == 0:  # divisible, with cancellations along the way
             r = poly_mul(q, random_homogeneous(rng, n, r.degree - 2, max_terms=20))
-        res = reduce_by_quadratic(r, q)
-        quotient, remainder = reference_division(r, q)
-        assert res.quotient.terms == quotient.terms
-        assert res.remainder.terms == remainder.terms
-        for got, want in ((res.quotient, quotient), (res.remainder, remainder)):
-            assert json.dumps(poly_to_json(got)) == json.dumps(poly_to_json(want))
+        assert_matches_reference(r, q)
+    for terms in SCALED_DIVISORS:
+        q = HomogeneousPoly(3, 2, terms)
+        for degree in range(2, 8):
+            r = random_homogeneous(rng, 3, degree, max_terms=40)
+            assert_matches_reference(r, q)
+            assert_matches_reference(poly_mul(q, r), q)
+            rational = {e: c / rng.randint(1, 6) for e, c in r.terms.items()}
+            assert_matches_reference(HomogeneousPoly(3, degree, rational), q)
+        # the fourth power of q's leading monomial: each step divides by the
+        # leading coefficient c again, so the quotient's denominators reach
+        # c^3 and the integer division rescales several times
+        lead, lead_coef = q.leading()
+        r = HomogeneousPoly(3, 8, {tuple(4 * e for e in lead): 1})
+        quotient = assert_matches_reference(r, q)
+        if abs(lead_coef) != 1:
+            top = max(c.denominator for c in quotient.terms.values())
+            assert top % lead_coef.numerator**3 == 0
 
 
 class TestDecideContainmentHomogeneous:
@@ -358,3 +394,48 @@ class TestJsonFormat:
         path = tmp_path / "p.json"
         path.write_text(json.dumps(poly_to_json(p)))
         assert poly_from_json(load_json(path)) == p
+
+
+# coefficients whose int() reading must agree with parse_rational: a value
+# or the same FormatError message
+COEFFICIENTS = (
+    "1_000", " 5 ", "+5", "٥", "-0", "1e3", "7/3", "5/0", "5/-2", "7" * 4301,
+    1.5, True, None,
+)
+
+
+@pytest.mark.parametrize("coef", COEFFICIENTS, ids=lambda c: repr(c)[:12])
+def test_coefficient_fast_path_matches_parse_rational(coef):
+    obj = {"nvars": 1, "degree": 1, "terms": [{"exp": [1], "coef": coef}]}
+    try:
+        want = parse_rational(coef)
+    except FormatError as exc:
+        with pytest.raises(FormatError) as got:
+            poly_from_json(obj)
+        assert str(got.value) == str(exc)
+    else:
+        assert poly_from_json(obj).terms.get((1,), Fraction(0)) == want
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"nvars": True, "degree": 1, "terms": [{"exp": [1], "coef": 1}]}, "'nvars'"),
+        ({"nvars": 1, "degree": True, "terms": [{"exp": [1], "coef": 1}]}, "'degree'"),
+        ({"nvars": 2, "degree": 2, "terms": [{"exp": [True, 1], "coef": 1}]}, "bad exponent vector"),
+    ],
+)
+def test_rejects_booleans_as_integers(obj, message):
+    with pytest.raises(FormatError, match=message):
+        poly_from_json(obj)
+
+
+def test_monomial_bound():
+    # x1^d in 4 variables: C(d + 3, 3) monomials of degree d
+    def poly(degree):
+        return {"nvars": 4, "degree": degree, "terms": [{"exp": [degree, 0, 0, 0], "coef": 1}]}
+
+    assert comb(74 + 3, 3) <= MAX_MONOMIALS < comb(75 + 3, 3)
+    assert poly_from_json(poly(74)).degree == 74
+    with pytest.raises(FormatError, match="76076 monomials, more than 75000"):
+        poly_from_json(poly(75))
