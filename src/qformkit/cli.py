@@ -61,10 +61,13 @@ def _point(w):
 
 
 def _emit(payload, human_lines, as_json):
+    """Print the output of one mode: payload() as one JSON line, or the
+    lines of human_lines().  Each is a callable, so the other mode's
+    output is never built."""
     if as_json:
-        print(json.dumps(payload, separators=(",", ":"), sort_keys=False))
+        print(json.dumps(payload(), separators=(",", ":"), sort_keys=False))
     else:
-        for line in human_lines:
+        for line in human_lines():
             print(line)
 
 
@@ -75,8 +78,8 @@ def _counterexample(q, r, w, as_json):
 
     _recheck(containment.verify_witness(q, r, w), "counterexample witness")
     _emit(
-        containment.Counterexample(w).to_json(),
-        [
+        containment.Counterexample(w).to_json,
+        lambda: [
             "counterexample: q vanishes but r does not at",
             "  v = " + _point(w),
             f"  q(v) = {w.q_value}, r(v) = {w.r_value}",
@@ -91,14 +94,13 @@ def cmd_analyze(args):
     d = forms.congruence_diagonalize(q)
     ine = d.inertia
     cls = forms.classify_inertia(ine)
-    payload = {
-        "inertia": [ine.k, ine.m, ine.z],
-        "classification": cls,
-        "diagonal": [render_rational(v) for v in d.diag],
-    }
     _emit(
-        payload,
-        [
+        lambda: {
+            "inertia": [ine.k, ine.m, ine.z],
+            "classification": cls,
+            "diagonal": [render_rational(v) for v in d.diag],
+        },
+        lambda: [
             f"inertia ({ine.k},{ine.m},{ine.z}), {cls}",
             "diagonal: " + " ".join(render_rational(v) for v in d.diag),
         ],
@@ -110,16 +112,22 @@ def cmd_analyze(args):
 def cmd_canon(args):
     q = forms.form_from_json(forms.load_json(args.form))
     d = forms.congruence_diagonalize(q)
-    payload = {
-        "basis": forms.matrix_to_json(d.basis),
-        "diagonal": [render_rational(v) for v in d.diag],
-        "inertia": [d.inertia.k, d.inertia.m, d.inertia.z],
-    }
-    lines = ["basis columns (one per line):"]
-    n = len(d.diag)
-    for c in range(n):
-        lines.append("  " + " ".join(render_rational(d.basis[r][c]) for r in range(n)))
-    lines.append("diagonal: " + " ".join(render_rational(v) for v in d.diag))
+
+    def payload():
+        return {
+            "basis": forms.matrix_to_json(d.basis),
+            "diagonal": [render_rational(v) for v in d.diag],
+            "inertia": [d.inertia.k, d.inertia.m, d.inertia.z],
+        }
+
+    def lines():
+        n = len(d.diag)
+        return (
+            ["basis columns (one per line):"]
+            + ["  " + " ".join(render_rational(d.basis[r][c]) for r in range(n)) for c in range(n)]
+            + ["diagonal: " + " ".join(render_rational(v) for v in d.diag)]
+        )
+
     _emit(payload, lines, args.json)
     return EXIT_OK
 
@@ -132,8 +140,8 @@ def cmd_contain(args):
     verdict = containment.decide_containment(q, r)
     if isinstance(verdict, containment.Proportional):
         _emit(
-            verdict.to_json(),
-            [f"proportional: r = {render_rational(verdict.alpha)} * q"],
+            verdict.to_json,
+            lambda: [f"proportional: r = {render_rational(verdict.alpha)} * q"],
             args.json,
         )
         return EXIT_OK
@@ -147,13 +155,13 @@ def cmd_poly_contain(args):
     r = polys.poly_from_json(forms.load_json(args.r))
     verdict = polys.decide_containment_homogeneous(q, r)
     if isinstance(verdict, polys.Divisible):
-        _emit(verdict.to_json(), [f"divisible: quotient = {verdict.quotient}"], args.json)
+        _emit(verdict.to_json, lambda: [f"divisible: quotient = {verdict.quotient}"], args.json)
         return EXIT_OK
     _recheck(polys.verify_poly_witness(q, r, verdict.witness), "cone-point witness")
     w = verdict.witness
     _emit(
-        verdict.to_json(),
-        [
+        verdict.to_json,
+        lambda: [
             "witness: q vanishes but r does not at",
             "  v = " + _point(w),
             f"  r(v) = {w.r_value}",
@@ -174,8 +182,8 @@ def cmd_simdiag(args):
     except ContainmentFails as exc:
         return _counterexample(q, r, exc.witness, args.json)
     _emit(
-        result.to_json(),
-        [
+        result.to_json,
+        lambda: [
             "simultaneously diagonalizable",
             "q_diag: " + " ".join(f"{v:.12g}" for v in result.q_diag),
             "r_diag: " + " ".join(f"{v:.12g}" for v in result.r_diag),
@@ -198,14 +206,18 @@ def cmd_lorentz(args):
             containment.verify_witness(q, report.pulled_back_form, report.witness_event),
             "witness event",
         )
-    lines = [f"classification: {report.classification}"]
-    if report.kappa is not None:
-        lines.append(f"kappa: {render_rational(report.kappa)}")
-    if report.witness_event is not None:
-        w = report.witness_event
-        lines.append("witness event: " + _point(w))
-        lines.append(f"  q = {w.q_value}, pulled-back = {w.r_value}")
-    _emit(report.to_json(), lines, args.json)
+
+    def lines():
+        out = [f"classification: {report.classification}"]
+        if report.kappa is not None:
+            out.append(f"kappa: {render_rational(report.kappa)}")
+        if report.witness_event is not None:
+            w = report.witness_event
+            out.append("witness event: " + _point(w))
+            out.append(f"  q = {w.q_value}, pulled-back = {w.r_value}")
+        return out
+
+    _emit(report.to_json, lines, args.json)
     return (
         EXIT_REFUTED
         if report.classification == relativity.CONE_BREAKING
@@ -222,16 +234,17 @@ def cmd_demo(args):
         results.append(payload)
         if not ok:
             _emit(
-                {"fixtures": results, "ok": False},
-                [f"FIXTURE FAILED: {payload['name']}"],
+                lambda: {"fixtures": results, "ok": False},
+                lambda: [f"FIXTURE FAILED: {payload['name']}"],
                 args.json,
             )
             return EXIT_REFUTED
-    lines = []
-    for res in results:
-        lines.append(f"[ok] {res['name']}")
-    lines.append("all demo fixtures behave as documented")
-    _emit({"fixtures": results, "ok": True}, lines, args.json)
+    _emit(
+        lambda: {"fixtures": results, "ok": True},
+        lambda: [f"[ok] {res['name']}" for res in results]
+        + ["all demo fixtures behave as documented"],
+        args.json,
+    )
     return EXIT_OK
 
 

@@ -112,18 +112,18 @@ def _decide_in_frame(
 def _ratio(qm, rm):
     """alpha with rm = alpha*qm entrywise, or None; qm is not zero, and
     both are symmetric, so the upper triangles decide.  Each entry is
-    compared in ints, b == alpha*a cross-multiplied, so the test makes
-    no Fraction past alpha."""
-    n = len(qm)
-    pairs = [(qm[i][j], rm[i][j]) for i in range(n) for j in range(i, n)]
-    a, b = next(p for p in pairs if p[0])
-    alpha = b / a
-    num, den = alpha.numerator, alpha.denominator
-    if all(
-        b.numerator * den * a.denominator == num * a.numerator * b.denominator
-        for a, b in pairs
-    ):
-        return alpha
+    read as an int pair once, and b == alpha*a is compared
+    cross-multiplied, so the test makes no Fraction but alpha, and that
+    only when it holds."""
+    pairs = [
+        (a.as_integer_ratio(), b.as_integer_ratio())
+        for i, (q_row, r_row) in enumerate(zip(qm, rm))
+        for a, b in zip(q_row[i:], r_row[i:])
+    ]
+    (a_num, a_den), (b_num, b_den) = next(p for p in pairs if p[0][0])
+    num, den = b_num * a_den, b_den * a_num  # alpha = num / den, not reduced
+    if all(bn * den * ad == num * an * bd for (an, ad), (bn, bd) in pairs):
+        return Fraction(num, den)
     return None
 
 
@@ -131,56 +131,59 @@ def _witness_family(diag, inertia):
     """Null vectors of diag(d) in diagonalizing coordinates, in the fixed
     iteration order (a)..(e), indices lexicographic, sign + before -.
 
-    A member is (t, support): coordinate i is x + y*sqrt(t) for each
-    (i, x, y) in support, and zero elsewhere.  Every member is exactly
-    null for the diagonal form; jointly their r-evaluations determine
-    every entry of the transformed r-matrix, so at least one is nonzero
-    whenever r is not proportional to q.
+    A member is (tn, td, support): the radicand is t = tn / td with ints
+    tn, td > 0, not always in lowest terms, and coordinate i is
+    x + y*sqrt(t) for each (i, x, y) in support, and zero elsewhere.
+    Every member is exactly null for the diagonal form; jointly their
+    r-evaluations determine every entry of the transformed r-matrix, so
+    at least one is nonzero whenever r is not proportional to q.
     """
     n = len(diag)
     k, m = inertia.k, inertia.m
     pos = range(k)
     neg = range(k, k + m)
     zero = range(k + m, n)
-    one = Fraction(1)
+    nd = [d.as_integer_ratio() for d in diag]
 
     # (a) e_p +- sqrt(d_p / -d_n) e_n
     for p in pos:
         for ng in neg:
-            t = diag[p] / (-diag[ng])
+            tn, td = nd[p][0] * nd[ng][1], -nd[ng][0] * nd[p][1]
             for sign in (1, -1):
-                yield t, ((p, 1, 0), (ng, 0, sign))
+                yield tn, td, ((p, 1, 0), (ng, 0, sign))
     # (b) e_z
     for zi in zero:
-        yield one, ((zi, 1, 0),)
+        yield 1, 1, ((zi, 1, 0),)
     # (c) +-e_p + sqrt(d_p / -d_n) e_n + e_z
     for p in pos:
         for ng in neg:
-            t = diag[p] / (-diag[ng])
+            tn, td = nd[p][0] * nd[ng][1], -nd[ng][0] * nd[p][1]
             for zi in zero:
                 for sign in (1, -1):
-                    yield t, ((p, sign, 0), (ng, 0, 1), (zi, 1, 0))
+                    yield tn, td, ((p, sign, 0), (ng, 0, 1), (zi, 1, 0))
     # (d) e_z +- e_z'
     for i, zi in enumerate(zero):
         for zj in zero[i + 1 :]:
             for sign in (1, -1):
-                yield one, ((zi, 1, 0), (zj, sign, 0))
+                yield 1, 1, ((zi, 1, 0), (zj, sign, 0))
     # (e) sigma1 e_p + sigma2 e_p' + sqrt((d_p + d_p') / -d_n) e_n,
     #     and the mirror construction for pairs of negative indices
     for i, p in enumerate(pos):
         for p2 in pos[i + 1 :]:
+            (a, b), (c, d) = nd[p], nd[p2]
             for ng in neg:
-                t = (diag[p] + diag[p2]) / (-diag[ng])
+                tn, td = (a * d + c * b) * nd[ng][1], -nd[ng][0] * b * d
                 for s1 in (1, -1):
                     for s2 in (1, -1):
-                        yield t, ((p, s1, 0), (p2, s2, 0), (ng, 0, 1))
+                        yield tn, td, ((p, s1, 0), (p2, s2, 0), (ng, 0, 1))
     for i, ng in enumerate(neg):
         for ng2 in neg[i + 1 :]:
+            (a, b), (c, d) = nd[ng], nd[ng2]
             for p in pos:
-                t = (-diag[ng] - diag[ng2]) / diag[p]
+                tn, td = -(a * d + c * b) * nd[p][1], nd[p][0] * b * d
                 for s1 in (1, -1):
                     for s2 in (1, -1):
-                        yield t, ((ng, s1, 0), (ng2, s2, 0), (p, 0, 1))
+                        yield tn, td, ((ng, s1, 0), (ng2, s2, 0), (p, 0, 1))
 
 
 def construct_witness(
@@ -190,11 +193,22 @@ def construct_witness(
     mapped back to original coordinates.  Unreachable failure when r is
     genuinely non-proportional.
 
-    r(Bv) = v^T (B^T R B) v, and a member touches only the entries of
-    B^T R B on its 2-3 support indices, so only those are computed, in
-    ints: with column c of B = cols[c] / scales[c] and R = R_int / den,
-    entry (a, b) is cols[a] . (R_int cols[b]) / (scales[a] scales[b] den),
+    Reading diag_q.cols builds B (see congruence_diagonalize), so a
+    refutation builds it here.  r(Bv) = v^T (B^T R B) v, and a member
+    touches only the entries of B^T R B on its 2-3 support indices, so
+    only those are computed, in ints: with column c of B =
+    cols[c] / scales[c] and R = R_int / den, entry (a, b) is
+    E_ab / (scales[a] scales[b] den), E_ab = cols[a] . (R_int cols[b]),
     with R_int cols[b] cached per column.
+
+    The scan decides r(v) != 0 in ints too.  With t = tn / td, P the
+    product of the support's scales and f_a = P / scales[a], r(v) times
+    P^2 den td is rat + rad sqrt(t), where rat sums
+    w E_ab f_a f_b (x_a x_b td + y_a y_b tn) and rad sums
+    w E_ab f_a f_b (x_a y_b + y_a x_b) td, w = 1 on the diagonal and 2
+    off it.  That is zero iff rat = rad = 0, or rat and rad have
+    opposite signs and rat^2 td = rad^2 tn.  Fractions and QuadExts are
+    made only for the member that fires.
     """
     cols, scales = diag_q.cols, diag_q.scales
     n = len(cols)
@@ -211,28 +225,31 @@ def construct_witness(
             if rb is None:
                 col = [(i, x) for i, x in enumerate(cols[b]) if x]
                 rb = r_cols[b] = [sum(row[i] * x for i, x in col) for row in r_int]
-            dot = sum(x * y for x, y in zip(cols[a], rb) if x)
-            val = entries[key] = Fraction(dot, scales[a] * scales[b] * den)
+            val = entries[key] = sum(x * y for x, y in zip(cols[a], rb) if x)
         return val
 
-    for t, support in _witness_family(diag_q.diag, diag_q.inertia):
+    for tn, td, support in _witness_family(diag_q.diag, diag_q.inertia):
+        scale = math.prod(scales[a] for a, _, _ in support)
+        over = [(a, scale // scales[a], x, y) for a, x, y in support]
         # (x_a + y_a sqrt t)(x_b + y_b sqrt t), weighted by entry (a, b)
         rat = rad = 0
-        for s, (a, xa, ya) in enumerate(support):
-            for b, xb, yb in support[s:]:
-                e = entry(a, b) if a == b else 2 * entry(a, b)
-                rat += e * (xa * xb + t * ya * yb)
-                rad += e * (xa * yb + ya * xb)
-        r_val = QuadExt(rat, rad, t)
-        if not r_val.is_zero():
+        for s, (a, fa, xa, ya) in enumerate(over):
+            for b, fb, xb, yb in over[s:]:
+                e = entry(a, b) * fa * fb
+                if a != b:
+                    e *= 2
+                rat += e * (xa * xb * td + ya * yb * tn)
+                rad += e * (xa * yb + ya * xb) * td
+        if (rat or rad) and not (rat * rad < 0 and rat * rat * td == rad * rad * tn):
+            t = Fraction(tn, td)
+            big = scale * scale * den * td
+            r_val = QuadExt(Fraction(rat, big), Fraction(rad, big), t)
             # coordinate i of Bv is sum over the support of cols[a][i] / scales[a]
-            # times x_a + y_a sqrt t, over one common denominator
-            common = math.lcm(*(scales[a] for a, _, _ in support))
-            over = [(cols[a], common // scales[a], x, y) for a, x, y in support]
+            # times x_a + y_a sqrt t, over the common denominator P
             coords = tuple(
                 QuadExt(
-                    Fraction(sum(col[i] * f * x for col, f, x, _ in over), common),
-                    Fraction(sum(col[i] * f * y for col, f, _, y in over), common),
+                    Fraction(sum(cols[a][i] * f * x for a, f, x, _ in over), scale),
+                    Fraction(sum(cols[a][i] * f * y for a, f, _, y in over), scale),
                     t,
                 )
                 for i in range(n)

@@ -11,6 +11,8 @@ from .errors import DimensionMismatch, FormatError, NonSymmetricMatrix
 from .record import Record
 from .scalars import QuadExt, parse_rational, render_rational
 
+_set = object.__setattr__
+
 INDEFINITE = "indefinite"
 POSITIVE_DEFINITE = "positive-definite"
 NEGATIVE_DEFINITE = "negative-definite"
@@ -68,12 +70,42 @@ class CongruenceDiagonalization(Record):
 
     diag holds the n rational diagonal values, ordered +, -, 0.  B comes
     out of the elimination in ints: column c is cols[c] / scales[c], with
-    scales[c] a positive int.  The rational matrix basis is built from
-    them the first time it is read, so a verdict that needs only diag and
-    inertia never builds it.
+    scales[c] a positive int.  congruence_diagonalize keeps the pivot
+    rows and repairs of its pass, and cols is replayed from them the
+    first time it is read; the rational matrix basis is built from cols
+    the first time it is read.  So a verdict that needs only diag and
+    inertia never builds B.
     """
 
-    __slots__ = ("diag", "inertia", "cols", "scales", "_basis")
+    __slots__ = ("diag", "inertia", "_cols", "scales", "_log", "_basis")
+    _fields = ("diag", "inertia", "cols", "scales")
+
+    def __init__(self, diag, inertia, cols, scales):
+        _set(self, "diag", diag)
+        _set(self, "inertia", inertia)
+        _set(self, "_cols", cols)
+        _set(self, "scales", scales)
+
+    @classmethod
+    def _lazy(cls, diag, inertia, scales, log):
+        """A diagonalization whose cols are replayed from log when read."""
+        d = cls.__new__(cls)
+        _set(d, "diag", diag)
+        _set(d, "inertia", inertia)
+        _set(d, "scales", scales)
+        _set(d, "_log", log)
+        return d
+
+    @property
+    def cols(self) -> tuple:
+        """n int columns, column c of B times scales[c]."""
+        try:
+            return self._cols
+        except AttributeError:
+            cols = _replay(*self._log)
+            _set(self, "_cols", cols)
+            _set(self, "_log", None)
+            return cols
 
     @property
     def basis(self) -> tuple:
@@ -81,11 +113,12 @@ class CongruenceDiagonalization(Record):
         try:
             return self._basis
         except AttributeError:
+            cols = self.cols
             basis = tuple(
-                tuple(Fraction(col[r], s) for col, s in zip(self.cols, self.scales))
-                for r in range(len(self.cols))
+                tuple(Fraction(col[r], s) for col, s in zip(cols, self.scales))
+                for r in range(len(cols))
             )
-            object.__setattr__(self, "_basis", basis)
+            _set(self, "_basis", basis)
             return basis
 
 
@@ -162,27 +195,33 @@ def congruence_diagonalize(q: QuadraticForm) -> CongruenceDiagonalization:
 
     The pass runs in Python ints.  Q = A / den with den the lcm of the
     entry denominators, cleared once.  A pivot step is a Bareiss step
-    (Bareiss 1968): the trailing block of A and the unfinished columns of
-    B are held multiplied by the last nonzero pivot, prev, so every update
-    divides exactly by it.  Column c of B is finished at step c with
-    scale prev, and diag[c] = a_cc / (prev * den).
+    (Bareiss 1968): the trailing block of A is held multiplied by the last
+    nonzero pivot, prev, so every update divides exactly by it, and
+    diag[c] = a_cc / (scale_c * den) with scale_c the prev of step c.
+
+    The pass updates A only.  B takes the same column operations, but no
+    step reads B, and row a[i] is final once step i has run: later steps,
+    swaps and repairs touch rows i + 1 onwards.  So the pass logs each
+    repair (add, swap) and each pivot step (i, p, prev, a[i]) in order,
+    and CongruenceDiagonalization.cols replays the log on the identity
+    (_replay) the first time it is read.
     """
     n = q.dim
     den, a = linalg.clear_denominators(q.matrix)
-    w = [[int(r == c) for r in range(n)] for c in range(n)]  # w[c]: column c of B, times prev
     scales = [1] * n
+    steps = []
     prev = 1
 
     def col_add(j, i):
         # b_j += b_i, and the congruence update of the trailing block of A
-        w[j] = [x + y for x, y in zip(w[j], w[i])]
+        steps.append(("add", j, i))
         for r in range(i, n):
             a[r][j] += a[r][i]
         for r in range(i, n):
             a[j][r] += a[i][r]
 
     def col_swap(i, j):
-        w[i], w[j] = w[j], w[i]
+        steps.append(("swap", i, j))
         for r in range(i, n):
             a[r][i], a[r][j] = a[r][j], a[r][i]
         a[i], a[j] = a[j], a[i]
@@ -207,15 +246,14 @@ def congruence_diagonalize(q: QuadraticForm) -> CongruenceDiagonalization:
         p = a[i][i]
         if p == 0:
             continue  # whole trailing row is zero
-        row_i, w_i = a[i], w[i]
+        row_i = a[i]
+        steps.append(("pivot", i, p, prev, row_i))
         for j in range(i + 1, n):
             c = row_i[j]
             if c:
                 a[j][j:] = [(p * x - c * y) // prev for x, y in zip(a[j][j:], row_i[j:])]
-                w[j] = [(p * x - c * y) // prev for x, y in zip(w[j], w_i)]
             else:
                 a[j][j:] = [p * x // prev for x in a[j][j:]]
-                w[j] = [p * x // prev for x in w[j]]
         prev = p
 
     sign = [(d > 0) - (d < 0) for d in (a[i][i] * scales[i] for i in range(n))]
@@ -226,12 +264,38 @@ def congruence_diagonalize(q: QuadraticForm) -> CongruenceDiagonalization:
     )
     k = sign.count(1)
     m = sign.count(-1)
-    return CongruenceDiagonalization(
+    return CongruenceDiagonalization._lazy(
         diag=tuple(Fraction(a[c][c], scales[c] * den) for c in order),
         inertia=Inertia(k, m, n - k - m),
-        cols=tuple(tuple(w[c] if scales[c] > 0 else [-x for x in w[c]]) for c in order),
         scales=tuple(abs(scales[c]) for c in order),
+        log=(n, steps, [(c, scales[c] < 0) for c in order]),
     )
+
+
+def _replay(n, steps, order):
+    """The int columns of B from congruence_diagonalize's log: its steps
+    applied to the identity, then its order, negating the columns of a
+    negative scale.  As in the pass, a pivot step is a Bareiss step, so
+    each unfinished column is held multiplied by the last pivot and every
+    update divides exactly by it."""
+    w = [[int(r == c) for r in range(n)] for c in range(n)]  # w[c]: column c of B
+    for op, *args in steps:
+        if op == "add":
+            j, i = args
+            w[j] = [x + y for x, y in zip(w[j], w[i])]
+        elif op == "swap":
+            i, j = args
+            w[i], w[j] = w[j], w[i]
+        else:
+            i, p, prev, row_i = args
+            w_i = w[i]
+            for j in range(i + 1, n):
+                c = row_i[j]
+                if c:
+                    w[j] = [(p * x - c * y) // prev for x, y in zip(w[j], w_i)]
+                else:
+                    w[j] = [p * x // prev for x in w[j]]
+    return tuple(tuple([-x for x in w[c]] if negate else w[c]) for c, negate in order)
 
 
 def inertia(q: QuadraticForm) -> Inertia:
@@ -260,11 +324,27 @@ def classify_inertia(ine: Inertia) -> str:
 
 def apply_transform(q: QuadraticForm, L: LinearTransform) -> QuadraticForm:
     """Pullback L^T Q L: evaluates the original form on transformed
-    coordinates, evaluate(result, x) = evaluate(q, Lx)."""
+    coordinates, evaluate(result, x) = evaluate(q, Lx).
+
+    With Q = Q_int / den_Q and L = L_int / den_L cleared once, the
+    product runs in ints, L^T Q L = L_int^T Q_int L_int / (den_Q den_L^2),
+    and the result is symmetric, so one Fraction is made per entry of
+    its upper triangle."""
     if q.dim != L.dim:
         raise DimensionMismatch(f"form dim {q.dim} != transform dim {L.dim}")
-    lt = linalg.transpose(L.matrix)
-    return QuadraticForm(linalg.mat_mul(linalg.mat_mul(lt, q.matrix), L.matrix))
+    den_q, q_int = linalg.clear_denominators(q.matrix)
+    den_l, l_int = linalg.clear_denominators(L.matrix)
+    m = linalg.mat_mul(linalg.mat_mul(linalg.transpose(l_int), q_int), l_int)
+    den = den_q * den_l * den_l
+    n = q.dim
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = Fraction(m[i][j], den)
+    form = QuadraticForm.__new__(QuadraticForm)
+    _set(form, "matrix", tuple(map(tuple, rows)))
+    _set(form, "dim", n)
+    return form
 
 
 # --- matrix exchange format (shared with the CLI) ---------------------------

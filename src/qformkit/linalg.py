@@ -24,8 +24,11 @@ def identity(n):
 def clear_denominators(a):
     """(den, rows) with a = rows / den: den is the lcm of the entry
     denominators and rows are Python ints."""
-    den = math.lcm(*(e.denominator for row in a for e in row))
-    return den, [[e.numerator * (den // e.denominator) for e in row] for row in a]
+    # one as_integer_ratio call reads an entry; its numerator and
+    # denominator properties would take two, and a third for the scaling
+    pairs = [[e.as_integer_ratio() for e in row] for row in a]
+    den = math.lcm(*[d for row in pairs for _, d in row])
+    return den, [[x * (den // d) for x, d in row] for row in pairs]
 
 
 def transpose(a):

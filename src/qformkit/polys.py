@@ -41,7 +41,7 @@ from .forms import (
 )
 from .forms import evaluate as form_eval
 from .record import Record
-from .scalars import QuadExt, parse_rational, render_rational
+from .scalars import QuadExt, parse_rational, render_ratio
 
 # The degree is the one field of a polynomial file whose cost (division,
 # the witness sweep's grid, power tables) does not grow with the file.
@@ -169,21 +169,23 @@ class HomogeneousPoly(Record):
     def __repr__(self):
         return f"HomogeneousPoly({self.nvars}, {self.degree}, {self.terms!r})"
 
+    def _rendered_terms(self):
+        """(exponent, rendered coefficient) in descending graded lex,
+        read from the ints without building terms."""
+        ints, den = self._ints, self._den
+        return [(e, render_ratio(ints[e], den)) for e in sorted(ints, key=_grlex_key, reverse=True)]
+
     def __str__(self):
         if self.is_zero():
             return "0"
         parts = []
-        for exp in sorted(self.terms, key=_grlex_key, reverse=True):
-            c = self.terms[exp]
+        for exp, c in self._rendered_terms():
             mono = "*".join(
                 f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
                 for i, e in enumerate(exp)
                 if e
             )
-            if mono:
-                parts.append(f"{render_rational(c)}*{mono}")
-            else:
-                parts.append(render_rational(c))
+            parts.append(f"{c}*{mono}" if mono else c)
         return " + ".join(parts)
 
 
@@ -455,8 +457,5 @@ def poly_to_json(p: HomogeneousPoly):
     return {
         "nvars": p.nvars,
         "degree": p.degree,
-        "terms": [
-            {"exp": list(exp), "coef": render_rational(p.terms[exp])}
-            for exp in sorted(p.terms, key=_grlex_key, reverse=True)
-        ],
+        "terms": [{"exp": list(exp), "coef": c} for exp, c in p._rendered_terms()],
     }

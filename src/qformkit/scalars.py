@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 
 from .errors import FormatError, MismatchedRadicand
 from .record import Record
@@ -51,10 +52,22 @@ def render_rational(x: Fraction) -> str:
     """Canonical "n/d" (or "n" when the denominator is 1), exact at any
     size: str(int) refuses more than 4300 digits, str(Decimal(int)) does
     not, and reads the same."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(Decimal(x.numerator))
-    return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return _render(*x.as_integer_ratio())
+
+
+def render_ratio(num: int, den: int) -> str:
+    """render_rational(Fraction(num, den)) for ints num and den > 0,
+    without making the Fraction."""
+    g = gcd(num, den)
+    return _render(num // g, den // g)
+
+
+def _render(num, den):
+    if den == 1:
+        return str(Decimal(num))
+    return f"{Decimal(num)}/{Decimal(den)}"
 
 
 class QuadExt(Record):

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 from qformkit import (
+    CongruenceDiagonalization,
     DegreeMismatch,
     DimensionMismatch,
     FormatError,
@@ -190,6 +191,69 @@ def reference_diagonalize(q):
     k = sum(1 for d in sorted_diag if d > 0)
     m = sum(1 for d in sorted_diag if d < 0)
     return basis, sorted_diag, Inertia(k, m, n - k - m)
+
+
+def eager_diagonalize(q):
+    """congruence_diagonalize as one pass that builds B beside A: every
+    column operation is applied to the int columns w of B as it is made.
+    The lazy diagonalization's replayed cols, and its diag, inertia and
+    scales, must equal these bit for bit."""
+    n = q.dim
+    den, a = linalg.clear_denominators(q.matrix)
+    w = [[int(r == c) for r in range(n)] for c in range(n)]  # w[c]: column c of B, times prev
+    scales = [1] * n
+    prev = 1
+
+    def col_add(j, i):
+        w[j] = [x + y for x, y in zip(w[j], w[i])]
+        for r in range(i, n):
+            a[r][j] += a[r][i]
+        for r in range(i, n):
+            a[j][r] += a[i][r]
+
+    def col_swap(i, j):
+        w[i], w[j] = w[j], w[i]
+        for r in range(i, n):
+            a[r][i], a[r][j] = a[r][j], a[r][i]
+        a[i], a[j] = a[j], a[i]
+
+    for i in range(n):
+        if a[i][i] == 0:
+            for r in range(i, n):
+                for l in range(r + 1, n):
+                    a[l][r] = a[r][l]
+            swap_at = next((l for l in range(i + 1, n) if a[l][l]), None)
+            if swap_at is None:
+                swap_at = next((j for j in range(i + 1, n) if a[i][j]), None)
+                if swap_at is not None:
+                    col_add(swap_at, i)
+            if swap_at is not None:
+                col_swap(i, swap_at)
+        scales[i] = prev
+        p = a[i][i]
+        if p == 0:
+            continue
+        row_i, w_i = a[i], w[i]
+        for j in range(i + 1, n):
+            c = row_i[j]
+            a[j][j:] = [(p * x - c * y) // prev for x, y in zip(a[j][j:], row_i[j:])]
+            w[j] = [(p * x - c * y) // prev for x, y in zip(w[j], w_i)]
+        prev = p
+
+    sign = [(d > 0) - (d < 0) for d in (a[i][i] * scales[i] for i in range(n))]
+    order = (
+        [i for i in range(n) if sign[i] > 0]
+        + [i for i in range(n) if sign[i] < 0]
+        + [i for i in range(n) if sign[i] == 0]
+    )
+    k = sign.count(1)
+    m = sign.count(-1)
+    return CongruenceDiagonalization(
+        diag=tuple(Fraction(a[c][c], scales[c] * den) for c in order),
+        inertia=Inertia(k, m, n - k - m),
+        cols=tuple(tuple(w[c] if scales[c] > 0 else [-x for x in w[c]]) for c in order),
+        scales=tuple(abs(scales[c]) for c in order),
+    )
 
 
 # --- reference constructors and arithmetic that only tests use ----------------

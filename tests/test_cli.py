@@ -127,6 +127,20 @@ class TestPolyContain:
         payload = json.loads(capsys.readouterr().out)
         assert payload["verdict"] == "divisible"
 
+    def test_json_renders_no_human_output(self, tmp_path, capsys, monkeypatch):
+        """--json builds only the JSON payload: the human line, which
+        renders the whole quotient, is never built."""
+
+        def refuse(self):
+            raise AssertionError("the human output was rendered")
+
+        monkeypatch.setattr(polys.HomogeneousPoly, "__str__", refuse)
+        q = write(tmp_path, "q.json", HYP)
+        quartic = {"nvars": 2, "degree": 4, "terms": [{"exp": [4, 0], "coef": 1}, {"exp": [0, 4], "coef": -1}]}
+        r = write(tmp_path, "r.json", json.dumps(quartic))
+        assert main(["poly-contain", q, r, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "divisible"
+
     def test_witness(self, tmp_path, capsys):
         q = write(tmp_path, "q.json", HYP)
         r = write(

@@ -247,7 +247,8 @@ def _is_proportional(rp, diag, alpha):
 
 
 def _dense(member, n):
-    t, support = member
+    tn, td, support = member
+    t = Fraction(tn, td)
     v = [QuadExt(0, 0, t)] * n
     for i, x, y in support:
         v[i] = QuadExt(x, y, t)

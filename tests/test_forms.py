@@ -1,9 +1,12 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
 from qformkit import (
+    CongruenceDiagonalization,
     DimensionMismatch,
     Inertia,
     LinearTransform,
@@ -23,6 +26,7 @@ from conftest import (
     bilinear_eval,
     compose,
     det,
+    eager_diagonalize,
     random_indefinite,
     random_invertible,
     random_symmetric,
@@ -177,6 +181,66 @@ class TestIntegerPassMatchesReference:
 
     def test_huge_entries(self):
         self.assert_matches(form_from_json({"dim": 2, "rows": [["1e3000", 1], [1, "-1e3000"]]}))
+
+
+class TestLazyBasisMatchesEagerPass:
+    """congruence_diagonalize keeps its pivot rows and repairs and replays
+    B from them when cols is first read; diag, inertia, scales and the
+    replayed cols must equal the pass in conftest that builds B beside A,
+    bit for bit."""
+
+    def test_random_forms(self):
+        rng = random.Random(14)
+        degenerate = repaired = 0
+        for _ in range(1200):
+            q = _mixed_form(rng, rng.randint(1, 9))
+            d, e = congruence_diagonalize(q), eager_diagonalize(q)
+            assert (d.diag, d.inertia, d.scales, d.cols) == (e.diag, e.inertia, e.scales, e.cols)
+            degenerate += d.inertia.z >= 1
+            repaired += any(q.matrix[i][i] == 0 for i in range(q.dim))
+        assert degenerate >= 200 and repaired >= 200
+
+    def test_unread_cols_behave_as_read(self):
+        q = QuadraticForm([[0, 2, 1], [2, 0, 3], [1, 3, 0]])
+        read = congruence_diagonalize(q)
+        assert read.cols  # replayed before the comparisons below
+        for copied in (
+            pickle.loads(pickle.dumps(congruence_diagonalize(q))),
+            copy.copy(congruence_diagonalize(q)),
+            copy.deepcopy(congruence_diagonalize(q)),
+            congruence_diagonalize(q),
+        ):
+            assert copied == read
+            assert hash(copied) == hash(read)
+            assert repr(copied) == repr(read)
+            assert copied.basis == read.basis
+
+    def test_public_constructor(self):
+        d = congruence_diagonalize(S2)
+        rebuilt = CongruenceDiagonalization(d.diag, d.inertia, d.cols, d.scales)
+        assert rebuilt == d
+        assert rebuilt.basis == d.basis
+
+
+def test_int_pullback_matches_fraction_product():
+    """apply_transform multiplies cleared integer matrices; the result
+    equals L^T Q L taken in Fractions."""
+    rng = random.Random(15)
+
+    def entry():
+        return Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 5, 9)))
+
+    for _ in range(1000):
+        n = rng.randint(1, 5)
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = entry()
+        q = QuadraticForm(rows)
+        L = LinearTransform([[entry() for _ in range(n)] for _ in range(n)])
+        lt = linalg.transpose(L.matrix)
+        expected = QuadraticForm(linalg.mat_mul(linalg.mat_mul(lt, q.matrix), L.matrix))
+        assert apply_transform(q, L) == expected
 
 
 class TestInertia:

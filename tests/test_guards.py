@@ -296,8 +296,9 @@ def _fractions_made(fn, *args):
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_fractions_made_per_decision(seed):
-    """The diagonal frame is built in ints: Fractions are made where a
-    verdict reads them, at most n^2 to confirm and 2n^2 to refute at n = 16."""
+    """The diagonal frame is built in ints and the witness family is
+    scanned in ints: Fractions are made where a verdict reads them, at
+    most n^2 to confirm and 5n to refute at n = 16."""
     n = 16
     q_rows, r_rows = _anchored_pair(n, seed)
     q = qformkit.QuadraticForm(q_rows)
@@ -309,7 +310,41 @@ def test_fractions_made_per_decision(seed):
     verdict, made = _fractions_made(qformkit.decide_containment, q, r)
     assert isinstance(verdict, qformkit.Counterexample)
     assert qformkit.verify_witness(q, r, verdict.witness)
-    assert made <= 2 * n * n
+    assert made <= 5 * n
+
+
+def test_fractions_made_per_interval_check():
+    """The pullback L^T eta L is multiplied in ints, one Fraction per entry
+    of its upper triangle: a whole check of a 4x4 boost makes at most 40."""
+    report, made = _fractions_made(qformkit.check_interval_invariance, qformkit.boost_from_triple(3, 4, 5))
+    assert report.classification == "interval-preserving"
+    assert made <= 40
+
+
+def _proportional_pair():
+    q = qformkit.QuadraticForm(_anchored_pair(8, 4)[0])
+    return q, qformkit.QuadraticForm([[3 * e for e in row] for row in q.matrix])
+
+
+@pytest.mark.parametrize(
+    "decide",
+    [
+        lambda: qformkit.decide_containment(*_proportional_pair()),
+        lambda: qformkit.inertia(_proportional_pair()[0]),
+        lambda: qformkit.classify(_proportional_pair()[0]),
+        lambda: qformkit.check_interval_invariance(qformkit.boost_from_triple(3, 4, 5)),
+    ],
+    ids=["contain-proportional", "inertia", "classify", "lorentz-preserving"],
+)
+def test_verdicts_without_a_witness_never_build_b(monkeypatch, decide):
+    """B is replayed from the pass's log only when cols is read; a verdict
+    that needs diag and inertia alone never reads it."""
+
+    def refuse(*args):
+        raise AssertionError("the columns of B were built")
+
+    monkeypatch.setattr(forms, "_replay", refuse)
+    decide()
 
 
 def test_fractions_made_per_poly_division():
