@@ -69,10 +69,14 @@ class Proportional(Record):
 
 
 class Counterexample(Record):
+    """A refutation: the witness is a point where q vanishes and r does
+    not.  A subclass names another verdict by overriding _label."""
+
     __slots__ = ("witness",)
+    _label = "counterexample"
 
     def to_json(self):
-        return {"verdict": "counterexample", **witness_json(self.witness)}
+        return {"verdict": self._label, **witness_json(self.witness)}
 
 
 ContainmentVerdict = Proportional | Counterexample
@@ -191,13 +195,24 @@ def construct_witness(
 ) -> WitnessVector:
     """First member of the witness family on which r is exactly nonzero,
     mapped back to original coordinates.  Unreachable failure when r is
-    genuinely non-proportional.
+    genuinely non-proportional."""
+    witness = _first_witness(diag_q, *linalg.clear_denominators(r.matrix))
+    if witness is None:
+        raise NoWitnessFound(
+            "no family member separates r from q; r is proportional to q"
+        )
+    return witness
+
+
+def _first_witness(diag_q: CongruenceDiagonalization, den, r_int):
+    """construct_witness for R = r_int / den (ints), or None when no
+    member fires.
 
     Reading diag_q.cols builds B (see congruence_diagonalize), so a
     refutation builds it here.  r(Bv) = v^T (B^T R B) v, and a member
-    touches only the entries of B^T R B on its 2-3 support indices, so
+    touches only the entries of B^T R B on its 1-3 support indices, so
     only those are computed, in ints: with column c of B =
-    cols[c] / scales[c] and R = R_int / den, entry (a, b) is
+    cols[c] / scales[c], entry (a, b) is
     E_ab / (scales[a] scales[b] den), E_ab = cols[a] . (R_int cols[b]),
     with R_int cols[b] cached per column.
 
@@ -211,8 +226,6 @@ def construct_witness(
     made only for the member that fires.
     """
     cols, scales = diag_q.cols, diag_q.scales
-    n = len(cols)
-    den, r_int = linalg.clear_denominators(r.matrix)
     r_cols = {}
     entries = {}
 
@@ -244,16 +257,6 @@ def construct_witness(
             t = Fraction(tn, td)
             big = scale * scale * den * td
             r_val = QuadExt(Fraction(rat, big), Fraction(rad, big), t)
-            # coordinate i of Bv is sum over the support of cols[a][i] / scales[a]
-            # times x_a + y_a sqrt t, over the common denominator P
-            coords = tuple(
-                QuadExt(
-                    Fraction(sum(cols[a][i] * f * x for a, f, x, _ in over), scale),
-                    Fraction(sum(cols[a][i] * f * y for a, f, _, y in over), scale),
-                    t,
-                )
-                for i in range(n)
-            )
             # q(Bv) = v^T diag(d) v, zero by construction of the family
             d = diag_q.diag
             q_val = QuadExt(
@@ -261,10 +264,8 @@ def construct_witness(
                 sum(2 * d[a] * x * y for a, x, y in support),
                 t,
             )
-            return WitnessVector(coords=coords, q_value=q_val, r_value=r_val)
-    raise NoWitnessFound(
-        "no family member separates r from q; r is proportional to q"
-    )
+            return WitnessVector(diag_q.pullback(support, t), q_val, r_val)
+    return None
 
 
 def verify_witness(q: QuadraticForm, r: QuadraticForm, w: WitnessVector) -> bool:

@@ -4,6 +4,7 @@ diagonalization, inertia, classification, and pullback by a linear map."""
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from . import linalg
@@ -47,7 +48,7 @@ class QuadraticForm(Record):
 
     @staticmethod
     def diagonal(entries):
-        entries = [Fraction(e) for e in entries]
+        entries = list(entries)
         n = len(entries)
         return QuadraticForm(
             [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)]
@@ -121,6 +122,32 @@ class CongruenceDiagonalization(Record):
             _set(self, "_basis", basis)
             return basis
 
+    def pullback(self, support, t) -> tuple:
+        """B v, the input coordinates of the frame vector v with
+        v_a = x + y*sqrt(t) for each (a, x, y) in support, x and y ints or
+        Fractions, and v_a = 0 elsewhere.
+
+        Column a of B is cols[a] / scales[a], so coordinate i of B v is a
+        sum over the support of cols[a][i] (x + y sqrt t) / scales[a]; it
+        runs in ints over one common denominator, and one QuadExt is made
+        per coordinate.  basis is not read."""
+        cols, scales = self.cols, self.scales
+        # column a times x is cols[a] * xn / (scales[a] * xd)
+        terms = [
+            (cols[a], *x.as_integer_ratio(), *y.as_integer_ratio(), scales[a])
+            for a, x, y in support
+        ]
+        den = math.lcm(*[s * d for _, _, xd, _, yd, s in terms for d in (xd, yd)])
+        rat = rad = [0] * len(cols)
+        for col, xn, xd, yn, yd, s in terms:
+            if xn:
+                x = xn * den // (s * xd)
+                rat = [acc + c * x for acc, c in zip(rat, col)]
+            if yn:
+                y = yn * den // (s * yd)
+                rad = [acc + c * y for acc, c in zip(rad, col)]
+        return tuple(QuadExt(Fraction(a, den), Fraction(b, den), t) for a, b in zip(rat, rad))
+
 
 class LinearTransform(Record):
     """Arbitrary square rational matrix; singular inputs are allowed."""
@@ -150,7 +177,7 @@ class LinearTransform(Record):
 
     @staticmethod
     def diagonal(entries):
-        entries = [Fraction(e) for e in entries]
+        entries = list(entries)
         n = len(entries)
         return LinearTransform(
             [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)]
@@ -358,7 +385,8 @@ def matrix_rows_from_json(obj):
         rows = obj["rows"]
     except KeyError as exc:
         raise FormatError(f"missing key {exc}") from exc
-    if not isinstance(n, int) or n < 1:
+    # type(), not isinstance(): JSON true and false are no dimension
+    if type(n) is not int or n < 1:
         raise FormatError(f"'dim' must be a positive integer, got {n!r}")
     if not isinstance(rows, list) or len(rows) != n:
         raise FormatError(f"'rows' must be a list of {n} rows")
@@ -397,5 +425,7 @@ def load_json(path):
     with open(path) as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+        # bad JSON, bytes that are not UTF-8, or arrays nested past the
+        # decoder's recursion limit
+        except (ValueError, RecursionError) as exc:
             raise FormatError(f"{path}: {exc}") from exc

@@ -11,7 +11,9 @@ from fractions import Fraction
 
 
 def mat(rows):
-    return tuple(tuple(Fraction(e) for e in row) for row in rows)
+    """rows as a tuple of Fraction row tuples; an entry that is already a
+    Fraction is kept, not copied."""
+    return tuple(tuple(e if type(e) is Fraction else Fraction(e) for e in row) for row in rows)
 
 
 def identity(n):

@@ -30,7 +30,7 @@ from .errors import (
     NoWitnessFound,
     NotIndefinite,
 )
-from .containment import WitnessVector, witness_json
+from .containment import Counterexample, WitnessVector
 from .forms import (
     INDEFINITE,
     CongruenceDiagonalization,
@@ -41,7 +41,7 @@ from .forms import (
 )
 from .forms import evaluate as form_eval
 from .record import Record
-from .scalars import QuadExt, parse_rational, render_ratio
+from .scalars import parse_rational, render_ratio
 
 # The degree is the one field of a polynomial file whose cost (division,
 # the witness sweep's grid, power tables) does not grow with the file.
@@ -311,11 +311,14 @@ class Divisible(Record):
         return {"verdict": "divisible", "quotient": poly_to_json(self.quotient)}
 
 
-class ConePointWitness(Record):
-    __slots__ = ("witness",)
+class ConePointWitness(Counterexample):
+    """The refutation of poly-contain: a real cone point of q where r is
+    nonzero."""
 
-    def to_json(self):
-        return {"verdict": "witness", **witness_json(self.witness)}
+    # Record derives the fields from the class's own __slots__, empty here
+    __slots__ = ()
+    _fields = ("witness",)
+    _label = "witness"
 
 
 def sample_cone_point(diag_q: CongruenceDiagonalization, h, sign):
@@ -339,11 +342,7 @@ def sample_cone_point(diag_q: CongruenceDiagonalization, h, sign):
     rat[p] += delta
     rad[n] += delta
     t = d[p] / -d[n]
-    basis = diag_q.basis
-    return tuple(
-        QuadExt(a, sign * b, t)
-        for a, b in zip(linalg.mat_vec(basis, rat), linalg.mat_vec(basis, rad))
-    )
+    return diag_q.pullback([(a, x, sign * y) for a, (x, y) in enumerate(zip(rat, rad))], t)
 
 
 def _grid(n, size):

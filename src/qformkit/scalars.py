@@ -100,35 +100,28 @@ class QuadExt(Record):
             return QuadExt(value, 0, t)
         return NotImplemented
 
-    def _join_t(self, other: "QuadExt") -> Fraction:
-        if self.rad != 0 and other.rad != 0 and self.t != other.t:
-            raise MismatchedRadicand(
-                f"cannot combine sqrt({self.t}) with sqrt({other.t})"
-            )
-        if self.rad != 0:
-            return self.t
-        if other.rad != 0:
-            return other.t
-        return self.t
-
-    def _over_own_t(self, other: "QuadExt") -> "QuadExt":
-        """other rewritten over self.t, when t'/t is a rational square s^2:
-        b*sqrt(t') = (b*s)*sqrt(t)."""
+    def _align(self, other: "QuadExt"):
+        """(other, t): the radicand t of a sum or product with other, and
+        other written over it.  t is self's radicand unless only other has
+        a nonzero sqrt-part; when both do and the radicands differ, other
+        is rewritten over self.t, which needs t'/t to be a rational square
+        s^2: b*sqrt(t') = (b*s)*sqrt(t)."""
+        if not other.rad or other.t == self.t:
+            return other, self.t
+        if not self.rad:
+            return other, other.t
         s = _exact_sqrt(other.t / self.t)
         if s is None:
             raise MismatchedRadicand(
                 f"cannot combine sqrt({self.t}) with sqrt({other.t})"
             )
-        return QuadExt(other.rat, other.rad * s, self.t)
+        return QuadExt(other.rat, other.rad * s, self.t), self.t
 
     def __add__(self, other):
         other = self._coerce(other, self.t)
         if other is NotImplemented:
             return NotImplemented
-        try:
-            t = self._join_t(other)
-        except MismatchedRadicand:  # kept off the common, equal-radicand path
-            other, t = self._over_own_t(other), self.t
+        other, t = self._align(other)
         return QuadExt(self.rat + other.rat, self.rad + other.rad, t)
 
     __radd__ = __add__
@@ -152,10 +145,7 @@ class QuadExt(Record):
         other = self._coerce(other, self.t)
         if other is NotImplemented:
             return NotImplemented
-        try:
-            t = self._join_t(other)
-        except MismatchedRadicand:
-            other, t = self._over_own_t(other), self.t
+        other, t = self._align(other)
         # (a + b sqrt t)(c + d sqrt t) = (ac + bd t) + (ad + bc) sqrt t
         return QuadExt(
             self.rat * other.rat + self.rad * other.rad * t,

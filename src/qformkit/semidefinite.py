@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 
 from . import linalg
-from .containment import Counterexample, WitnessVector, _decide_in_frame, decide_containment
+from .containment import Counterexample, _decide_in_frame, _first_witness, decide_containment
 from .errors import ContainmentFails, DimensionMismatch, NotSemidefinite, NumericalFailure
 from .forms import (
     INDEFINITE,
@@ -30,7 +30,6 @@ from .forms import (
     congruence_diagonalize,
 )
 from .record import Record
-from .scalars import QuadExt
 
 DEFAULT_TOL = 1e-9
 
@@ -152,12 +151,27 @@ def _simdiag_in_frame(
     """simdiag_psd for a caller that already diagonalized q (dq).
 
     B^T Q B = diag(d) with B invertible, so Q b = 0 exactly for b in the
-    span of the last z columns of B, those at the zeros of d: they are an
-    exact basis of ker Q, and Z_q is contained in Z_r exactly when R maps
-    each of them to zero.  Scaled by 1/sqrt|d_i|, the other columns make
-    W^T Q W = +-I, so the eigenvectors X of W^T R W finish the basis as
-    W X.  R is signed to be positive semidefinite for the eigen step,
-    since r and -r have the same zero set; a psd q may pair with an nsd r.
+    span of the last z columns b_z of B, those at the zeros of d: they are
+    an exact basis of ker Q, and Z_q is contained in Z_r exactly when R
+    maps each of them to zero.
+
+    That test is the witness family of containment.construct_witness.
+    d has one sign off its zeros, and members (a), (c) and (e) each pair
+    a positive with a negative index, so the only members are (b), b_z
+    in frame order, then (d), b_z +- b_z'.  r is semidefinite, so
+    R = +-C^T C and b^T R b = +-|C b|^2 is zero exactly when R b = 0.  So
+    the first member that fires is the first kernel column that R does
+    not map to zero, with r(b_z) != 0 and q(b_z) = 0.  When no (b) member
+    fires, R b_z = 0 for every z, so every (d) member has
+    r = (b_z +- b_z')^T R (b_z +- b_z') = 0 and does not fire either: the
+    scan comes back empty exactly when Z_q is contained in Z_r.  In that
+    case it also tries the z(z - 1) (d) members, whose only new entries
+    are the z(z - 1)/2 products b_z^T (R b_z'), R b_z' cached.
+
+    Scaled by 1/sqrt|d_i|, the other columns make W^T Q W = +-I, so the
+    eigenvectors X of W^T R W finish the basis as W X.  R is signed to be
+    positive semidefinite for the eigen step, since r and -r have the same
+    zero set; a psd q may pair with an nsd r.
     """
     oq = _orientation(dq.inertia)
     orr = _orientation(congruence_diagonalize(r).inertia)
@@ -166,15 +180,11 @@ def _simdiag_in_frame(
     n, nm = q.dim, dq.inertia.k + dq.inertia.m
     cols, scales = dq.cols, dq.scales
     den, r_int = linalg.clear_denominators(r.matrix)
-    for col, s in zip(cols[nm:], scales[nm:]):
-        rb = [sum(x * y for x, y in zip(row, col)) for row in r_int]
-        if any(rb):
-            # r is semidefinite, so R b != 0 gives r(b) != 0: b is a witness
-            r_b = QuadExt(Fraction(sum(x * y for x, y in zip(col, rb)), s * s * den))
-            witness = WitnessVector(tuple(QuadExt(Fraction(x, s)) for x in col), QuadExt(0), r_b)
-            raise ContainmentFails(
-                "zero set of q is not contained in zero set of r", witness=witness
-            )
+    witness = _first_witness(dq, den, r_int)
+    if witness is not None:
+        raise ContainmentFails(
+            "zero set of q is not contained in zero set of r", witness=witness
+        )
 
     r_unit = -1 if orr < 0 else 1
     # column i of W is g_i b_i, g_i = 1 / sqrt|d_i|, and W^T R W is built from

@@ -13,6 +13,8 @@ from qformkit import (
     NotSemidefinite,
     QuadExt,
     QuadraticForm,
+    WitnessVector,
+    congruence_diagonalize,
     inertia,
     parse_rational,
 )
@@ -123,6 +125,22 @@ def containment_psd(q, r):
             raise NotSemidefinite("form is indefinite")
     zero = (Fraction(0),) * r.dim
     return all(linalg.mat_vec(r.matrix, v) == zero for v in linalg.kernel(q.matrix)[0])
+
+
+def kernel_break_witness(q, r):
+    """The kernel test simdiag ran before it became the witness family:
+    the first kernel column b of q's frame with R b != 0, as the rational
+    witness simdiag raises (q(b) = 0, r(b) = b^T R b), or None when R maps
+    every kernel column to zero."""
+    dq = congruence_diagonalize(q)
+    nm = dq.inertia.k + dq.inertia.m
+    den, r_int = linalg.clear_denominators(r.matrix)
+    for col, s in zip(dq.cols[nm:], dq.scales[nm:]):
+        rb = [sum(x * y for x, y in zip(row, col)) for row in r_int]
+        if any(rb):
+            r_b = QuadExt(Fraction(sum(x * y for x, y in zip(col, rb)), s * s * den))
+            return WitnessVector(tuple(QuadExt(Fraction(x, s)) for x in col), QuadExt(0), r_b)
+    return None
 
 
 def rank(a):

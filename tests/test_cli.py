@@ -63,6 +63,12 @@ class TestAnalyze:
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["analyze", str(tmp_path / "absent.json")]) == 2
 
+    @pytest.mark.parametrize("dim", ["true", "false"])
+    def test_bool_dim_exit_2(self, tmp_path, capsys, dim):
+        path = write(tmp_path, "q.json", f'{{"dim": {dim}, "rows": [[1]]}}')
+        assert main(["analyze", path]) == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestContain:
     def test_proportional_exit_0(self, tmp_path, capsys):
@@ -466,11 +472,25 @@ def test_unreadable_input_exit_2(tmp_path, capsys):
             assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize(
+    "kind", ["analyze", "lorentz", "poly-contain"], ids=["form", "transform", "poly"]
+)
+def test_deeply_nested_json_exit_2(tmp_path, capsys, kind):
+    # json.load raises RecursionError on arrays nested past its limit
+    nested = write(tmp_path, "nested.json", "[" * 200_000)
+    files = [write(tmp_path, "hyp.json", HYP), nested] if kind == "poly-contain" else [nested]
+    assert main([kind, *files]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: ")
+
+
 # Standard output recorded from the implementation before the semidefinite
 # route, the witness serializer and the file loader were merged.  The float
 # digits of the three semidefinite simdiag entries come from the frame
 # whitening and the Jacobi finish.  The poly-contain witness is the first
-# point of the deterministic cone sweep.
+# point of the deterministic cone sweep.  The two kernel2 entries were
+# recorded before simdiag's kernel test became the witness family.
 GOLDEN_INPUTS = {
     "s2": S2,
     "s2p": S2P,
@@ -484,6 +504,10 @@ GOLDEN_INPUTS = {
     "quartic3": '{"nvars": 3, "degree": 4, "terms": '
     '[{"exp": [4,0,0], "coef": 1}, {"exp": [0,2,2], "coef": "-1/2"}]}',
     "stretch": TestLorentz.STRETCH,
+    # ker q is spanned by frame columns (-1, 1, 0) and (0, 0, 1); r moves only
+    # the second, and their sum would fire too if (d) came before (b)
+    "kernel2": '{"dim": 3, "rows": [[1,1,0],[1,1,0],[0,0,0]]}',
+    "kernel2_break": '{"dim": 3, "rows": [[1,1,0],[1,1,0],[0,0,2]]}',
 }
 
 GOLDEN = [
@@ -515,6 +539,19 @@ GOLDEN = [
         "[0.1122117896375988,0.6224214924521223]],"
         '"q_diag":[1.0,1.0],"r_diag":[0.45968757625671525,1.740312423743285],'
         '"residual":1.1102230246251563e-16}\n',
+    ),
+    (
+        ("simdiag", "kernel2", "kernel2_break"),
+        1,
+        "counterexample: q vanishes but r does not at\n"
+        "  v = (0, 0, 1)\n"
+        "  q(v) = 0, r(v) = 2\n",
+    ),
+    (
+        ("simdiag", "kernel2", "kernel2_break", "--json"),
+        1,
+        '{"verdict":"counterexample","witness":{"t":"1","coords":[["0","0"],["0","0"],["1","0"]]},'
+        '"q_value":"0","r_value":"2"}\n',
     ),
     (
         ("contain", "hyp3", "circle3"),

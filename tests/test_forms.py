@@ -11,6 +11,7 @@ from qformkit import (
     Inertia,
     LinearTransform,
     NonSymmetricMatrix,
+    QuadExt,
     QuadraticForm,
     apply_transform,
     classify,
@@ -20,7 +21,7 @@ from qformkit import (
     linalg,
     minkowski_form,
 )
-from qformkit.forms import form_from_json, matrix_to_json
+from qformkit.forms import form_from_json, matrix_to_json, transform_from_json
 
 from conftest import (
     bilinear_eval,
@@ -222,6 +223,31 @@ class TestLazyBasisMatchesEagerPass:
         assert rebuilt.basis == d.basis
 
 
+def test_frame_pullback_matches_basis_product():
+    """CongruenceDiagonalization.pullback(support, t) sums B v in ints; it
+    equals the Fraction product basis . v exactly, on degenerate and
+    rational forms, for int and Fraction supports, and for square and
+    non-square radicands."""
+    rng = random.Random(16)
+    for k in range(1000):
+        n = k % 8 + 1
+        d = congruence_diagonalize(_mixed_form(rng, n))
+        t = rng.choice((Fraction(1), Fraction(9, 4), Fraction(2), Fraction(5, 3)))
+        if k % 2:
+            def value():
+                return rng.randint(-4, 4)
+        else:
+            def value():
+                return Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+        support = [(a, value(), value()) for a in rng.sample(range(n), rng.randint(1, n))]
+        v = [QuadExt(0, 0, t)] * n
+        for a, x, y in support:
+            v[a] = QuadExt(x, y, t)
+        expected = linalg.mat_vec(d.basis, v)
+        got = d.pullback(support, t)
+        assert [(c.rat, c.rad, c.t) for c in got] == [(c.rat, c.rad, c.t) for c in expected]
+
+
 def test_int_pullback_matches_fraction_product():
     """apply_transform multiplies cleared integer matrices; the result
     equals L^T Q L taken in Fractions."""
@@ -334,6 +360,14 @@ class TestJsonFormat:
     def test_rejects_non_symmetric(self):
         with pytest.raises(NonSymmetricMatrix):
             form_from_json({"dim": 2, "rows": [[1, 2], [3, 4]]})
+
+    @pytest.mark.parametrize("load", [form_from_json, transform_from_json], ids=["form", "transform"])
+    @pytest.mark.parametrize("dim", [True, False])
+    def test_rejects_bool_dim(self, load, dim):
+        from qformkit import FormatError
+
+        with pytest.raises(FormatError, match="'dim' must be a positive integer"):
+            load({"dim": dim, "rows": [[1]]})
 
     def test_rejects_bad_entry(self):
         from qformkit import FormatError

@@ -315,10 +315,22 @@ def test_fractions_made_per_decision(seed):
 
 def test_fractions_made_per_interval_check():
     """The pullback L^T eta L is multiplied in ints, one Fraction per entry
-    of its upper triangle: a whole check of a 4x4 boost makes at most 40."""
+    of its upper triangle, and the interval form's entries are not copied:
+    a whole check of a 4x4 boost makes at most 33."""
     report, made = _fractions_made(qformkit.check_interval_invariance, qformkit.boost_from_triple(3, 4, 5))
     assert report.classification == "interval-preserving"
-    assert made <= 40
+    assert made <= 33
+
+
+@pytest.mark.parametrize("entry", [lambda e: e, str], ids=["int", "text"])
+def test_fractions_made_per_form_parse(entry):
+    """Each entry of a form file becomes one Fraction, which the form keeps:
+    at most n^2 at n = 16."""
+    n = 16
+    obj = {"dim": n, "rows": [[entry(int(e)) for e in row] for row in _anchored_pair(n, 1)[0]]}
+    q, made = _fractions_made(forms.form_from_json, obj)
+    assert q.dim == n
+    assert made <= n * n
 
 
 def _proportional_pair():
@@ -345,6 +357,26 @@ def test_verdicts_without_a_witness_never_build_b(monkeypatch, decide):
 
     monkeypatch.setattr(forms, "_replay", refuse)
     decide()
+
+
+_SQUARE = qformkit.QuadraticForm([[1, -1], [-1, 1]])
+
+
+def test_witness_paths_never_read_basis(monkeypatch):
+    """Every refutation is built in q's frame and mapped back by
+    CongruenceDiagonalization.pullback from the int columns of B; no
+    witness path builds the rational basis."""
+
+    def refuse(self):
+        raise AssertionError("the rational basis was built")
+
+    monkeypatch.setattr(forms.CongruenceDiagonalization, "basis", property(refuse))
+    verdict = qformkit.decide_containment_homogeneous(_HYP, _X1X2)
+    assert isinstance(verdict, qformkit.ConePointWitness)
+    with pytest.raises(qformkit.ContainmentFails):
+        qformkit.simdiag_general(_SQUARE, qformkit.QuadraticForm([[1, 0], [0, 1]]))
+    report = qformkit.check_interval_invariance(_STRETCH)
+    assert report.classification == "cone-breaking"
 
 
 def test_fractions_made_per_poly_division():

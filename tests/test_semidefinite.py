@@ -22,7 +22,7 @@ from qformkit import (
 from qformkit import semidefinite
 from qformkit.forms import LinearTransform, congruence_diagonalize
 
-from conftest import containment_psd, det, rank
+from conftest import containment_psd, det, kernel_break_witness, rank
 
 S2 = QuadraticForm([[2, 0, -1], [0, 2, -1], [-1, -1, 1]])
 S2P = QuadraticForm([[8, 8, -8], [8, 16, -12], [-8, -12, 10]])
@@ -188,6 +188,41 @@ class TestSimdiagPsd:
             assert verify_witness(q, r, info.value.witness)
             refuted += 1
         assert refuted > 50
+
+    def test_kernel_test_matches_the_reference_loop(self):
+        """simdiag's kernel test is containment's witness family: on random
+        semidefinite pairs it raises the same witness as the loop over the
+        frame's kernel columns (conftest.kernel_break_witness), and passes
+        exactly when that loop finds none."""
+        rng = random.Random(58)
+
+        def matrix(rows, cols):
+            return tuple(tuple(Fraction(rng.randint(-3, 3)) for _ in range(cols)) for _ in range(rows))
+
+        def gram(g):
+            return QuadraticForm(linalg.mat_mul(linalg.transpose(g), g))
+
+        outcomes = set()
+        for _ in range(320):
+            n = rng.randint(2, 7)
+            g = matrix(rng.randint(1, n), n)
+            q = gram(g)
+            if rng.random() < 0.5:  # ker q = ker G lies in ker MG: Z_q in Z_r
+                r = gram(linalg.mat_mul(matrix(rng.randint(1, n), len(g)), g))
+            else:
+                r = gram(matrix(rng.randint(1, n), n))
+            q = negated(q) if rng.random() < 0.3 else q
+            r = negated(r) if rng.random() < 0.3 else r
+            expected = kernel_break_witness(q, r)
+            if expected is None:
+                simdiag_general(q, r)
+            else:
+                with pytest.raises(ContainmentFails) as info:
+                    simdiag_general(q, r)
+                assert repr(info.value.witness) == repr(expected)
+            outcomes.add((min(congruence_diagonalize(q).inertia.z, 2), expected is None))
+        # (kernel size up to 2, contained): every pair with a kernel both ways
+        assert outcomes == {(0, True), (1, True), (1, False), (2, True), (2, False)}
 
     def test_soundness_on_random_pairs(self):
         rng = random.Random(53)
