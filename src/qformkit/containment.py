@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from . import linalg
 from .errors import DimensionMismatch, NoWitnessFound, NotIndefinite
 from .forms import (
     INDEFINITE,
@@ -25,7 +24,7 @@ from .forms import (
     evaluate,
 )
 from .record import Record
-from .scalars import QuadExt, render_quadext, render_rational
+from .scalars import QuadExt, exact_sqrt, render_quadext, render_rational
 
 
 class WitnessVector(Record):
@@ -107,27 +106,27 @@ def _decide_in_frame(
             "the base form must be indefinite (take both signs); "
             "semidefinite forms are outside this decision procedure"
         )
-    alpha = _ratio(q.matrix, r.matrix)
+    alpha = _ratio(q, r)
     if alpha is not None:
         return Proportional(alpha)
     return Counterexample(construct_witness(dq, r))
 
 
-def _ratio(qm, rm):
-    """alpha with rm = alpha*qm entrywise, or None; qm is not zero, and
-    both are symmetric, so the upper triangles decide.  Each entry is
-    read as an int pair once, and b == alpha*a is compared
-    cross-multiplied, so the test makes no Fraction but alpha, and that
-    only when it holds."""
+def _ratio(q, r):
+    """alpha with R = alpha*Q entrywise, or None; Q is not zero, and both
+    are symmetric, so the upper triangles decide.  With Q = Q_int / den_Q
+    and R = R_int / den_R, and (a, b) the first entries of Q_int and R_int
+    with a != 0, R = alpha*Q exactly when R_int a = b Q_int, and then
+    alpha = b den_Q / (den_R a): the test runs in ints and makes no
+    Fraction but alpha, and that only when it holds."""
     pairs = [
-        (a.as_integer_ratio(), b.as_integer_ratio())
-        for i, (q_row, r_row) in enumerate(zip(qm, rm))
-        for a, b in zip(q_row[i:], r_row[i:])
+        (x, y)
+        for i, (q_row, r_row) in enumerate(zip(q.ints, r.ints))
+        for x, y in zip(q_row[i:], r_row[i:])
     ]
-    (a_num, a_den), (b_num, b_den) = next(p for p in pairs if p[0][0])
-    num, den = b_num * a_den, b_den * a_num  # alpha = num / den, not reduced
-    if all(bn * den * ad == num * an * bd for (an, ad), (bn, bd) in pairs):
-        return Fraction(num, den)
+    a, b = next(p for p in pairs if p[0])
+    if all(y * a == b * x for x, y in pairs):
+        return Fraction(b * q.den, r.den * a)
     return None
 
 
@@ -196,7 +195,7 @@ def construct_witness(
     """First member of the witness family on which r is exactly nonzero,
     mapped back to original coordinates.  Unreachable failure when r is
     genuinely non-proportional."""
-    witness = _first_witness(diag_q, *linalg.clear_denominators(r.matrix))
+    witness = _first_witness(diag_q, r.den, r.ints)
     if witness is None:
         raise NoWitnessFound(
             "no family member separates r from q; r is proportional to q"
@@ -255,6 +254,10 @@ def _first_witness(diag_q: CongruenceDiagonalization, den, r_int):
                 rad += e * (xa * yb + ya * xb) * td
         if (rat or rad) and not (rat * rad < 0 and rat * rat * td == rad * rad * tn):
             t = Fraction(tn, td)
+            root = exact_sqrt(t)
+            if root is not None:  # as pullback does, fold sqrt(t) into the rational part
+                support = [(a, x + y * root if y else x, 0) for a, x, y in support]
+                rat, rad, t = rat + rad * root, 0, Fraction(1)
             big = scale * scale * den * td
             r_val = QuadExt(Fraction(rat, big), Fraction(rad, big), t)
             # q(Bv) = v^T diag(d) v, zero by construction of the family

@@ -10,7 +10,7 @@ from fractions import Fraction
 from . import linalg
 from .errors import DimensionMismatch, FormatError, NonSymmetricMatrix
 from .record import Record
-from .scalars import QuadExt, parse_rational, render_rational
+from .scalars import QuadExt, exact_sqrt, parse_rational, render_ratio, render_rational
 
 _set = object.__setattr__
 
@@ -22,37 +22,106 @@ NEGATIVE_SEMIDEFINITE_DEGENERATE = "negative-semidefinite-degenerate"
 ZERO = "zero"
 
 
-class QuadraticForm(Record):
+def _pair(e):
+    """(num, den) of a matrix entry in lowest terms, den > 0: an int as it
+    is, anything else as Fraction(e) reads it."""
+    if type(e) is int:
+        return e, 1
+    return (e if type(e) is Fraction else Fraction(e)).as_integer_ratio()
+
+
+def _over_one_denominator(rows, ratios):
+    """(den, ints) of the matrix whose entry (i, j) is x / d for
+    (x, d) = ratios[rows[i][j]], d > 0: den is the lcm of the entries'
+    reduced denominators, and entry (i, j) is ints[i][j] / den.  Each
+    distinct entry is scaled once, and the rows are mapped through them."""
+    den = math.lcm(*[d for _, d in ratios.values()])
+    scaled = {e: x * (den // d) for e, (x, d) in ratios.items()}
+    # a ratio not in lowest terms leaves a common factor of den and every entry
+    g = math.gcd(den, *scaled.values())
+    if g != 1:
+        den //= g
+        scaled = {e: x // g for e, x in scaled.items()}
+    return den, tuple(tuple(map(scaled.__getitem__, row)) for row in rows)
+
+
+class _IntMatrix:
+    """A square rational matrix held as Python ints over one positive
+    denominator: entry (i, j) is ints[i][j] / den, with den the lcm of the
+    entries' reduced denominators, so equal matrices hold equal (den, ints).
+    The Fraction rows `matrix` are built the first time they are read."""
+
+    __slots__ = ()
+
+    def __init__(self, rows):
+        rows = [[_pair(e) for e in row] for row in rows]
+        if any(len(row) != len(rows) for row in rows):
+            raise FormatError("matrix is not square")
+        self._store(*_over_one_denominator(rows, {p: p for row in rows for p in row}))
+
+    def _store(self, den, ints):
+        _set(self, "den", den)
+        _set(self, "ints", ints)
+        _set(self, "dim", len(ints))
+
+    @classmethod
+    def _of(cls, den, ints):
+        """The matrix ints / den, (den, ints) already canonical; no validation."""
+        m = cls.__new__(cls)
+        m._store(den, ints)
+        return m
+
+    @classmethod
+    def diagonal(cls, entries):
+        entries = list(entries)
+        n = len(entries)
+        return cls([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
+
+    @property
+    def matrix(self) -> tuple:
+        """n x n tuple of Fraction rows, built the first time it is read."""
+        try:
+            return self._matrix
+        except AttributeError:
+            den = self.den
+            m = tuple(tuple(Fraction(x, den) for x in row) for row in self.ints)
+            _set(self, "_matrix", m)
+            return m
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.den == other.den and self.ints == other.ints
+
+    def __hash__(self):
+        return hash((self.den, self.ints))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({[list(r) for r in self.matrix]!r})"
+
+
+def _check_symmetric(m: _IntMatrix):
+    """Raise NonSymmetricMatrix at the first entry (i, j), i < j, that
+    differs from (j, i)."""
+    ints = m.ints
+    if ints != tuple(zip(*ints)):
+        n, den = m.dim, m.den
+        i, j = next((i, j) for i in range(n) for j in range(i + 1, n) if ints[i][j] != ints[j][i])
+        raise NonSymmetricMatrix(
+            f"entry ({i},{j}) = {render_ratio(ints[i][j], den)} differs from "
+            f"({j},{i}) = {render_ratio(ints[j][i], den)}"
+        )
+
+
+class QuadraticForm(_IntMatrix, Record):
     """Symmetric rational matrix Q with q(x) = sum_ij Q_ij x_i x_j."""
 
-    __slots__ = ("matrix", "dim")
+    __slots__ = ("dim", "den", "ints", "_matrix")
     _fields = ("matrix",)
 
     def __init__(self, rows):
-        m = linalg.mat(rows)
-        n = len(m)
-        if any(len(row) != n for row in m):
-            raise FormatError("matrix is not square")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if m[i][j] != m[j][i]:
-                    raise NonSymmetricMatrix(
-                        f"entry ({i},{j}) = {render_rational(m[i][j])} differs from "
-                        f"({j},{i}) = {render_rational(m[j][i])}"
-                    )
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "dim", n)
-
-    def __repr__(self):
-        return f"QuadraticForm({[list(r) for r in self.matrix]!r})"
-
-    @staticmethod
-    def diagonal(entries):
-        entries = list(entries)
-        n = len(entries)
-        return QuadraticForm(
-            [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)]
-        )
+        super().__init__(rows)
+        _check_symmetric(self)
 
 
 class Inertia(Record):
@@ -125,12 +194,16 @@ class CongruenceDiagonalization(Record):
     def pullback(self, support, t) -> tuple:
         """B v, the input coordinates of the frame vector v with
         v_a = x + y*sqrt(t) for each (a, x, y) in support, x and y ints or
-        Fractions, and v_a = 0 elsewhere.
+        Fractions, and v_a = 0 elsewhere.  When t is the square of a
+        rational, sqrt(t) is folded into x, and B v is rational over t = 1.
 
         Column a of B is cols[a] / scales[a], so coordinate i of B v is a
         sum over the support of cols[a][i] (x + y sqrt t) / scales[a]; it
         runs in ints over one common denominator, and one QuadExt is made
         per coordinate.  basis is not read."""
+        root = exact_sqrt(t)
+        if root is not None:
+            support, t = [(a, x + y * root if y else x, 0) for a, x, y in support], Fraction(1)
         cols, scales = self.cols, self.scales
         # column a times x is cols[a] * xn / (scales[a] * xd)
         terms = [
@@ -149,39 +222,22 @@ class CongruenceDiagonalization(Record):
         return tuple(QuadExt(Fraction(a, den), Fraction(b, den), t) for a, b in zip(rat, rad))
 
 
-class LinearTransform(Record):
+class LinearTransform(_IntMatrix, Record):
     """Arbitrary square rational matrix; singular inputs are allowed."""
 
-    __slots__ = ("matrix", "dim")
+    __slots__ = ("dim", "den", "ints", "_matrix")
     _fields = ("matrix",)
 
-    def __init__(self, rows):
-        m = linalg.mat(rows)
-        n = len(m)
-        if any(len(row) != n for row in m):
-            raise FormatError("matrix is not square")
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "dim", n)
-
-    def __repr__(self):
-        return f"LinearTransform({[list(r) for r in self.matrix]!r})"
+    # Record would otherwise make an __init__ taking the fields
+    __init__ = _IntMatrix.__init__
 
     @staticmethod
     def identity(n):
-        return LinearTransform(linalg.identity(n))
+        return LinearTransform.diagonal([1] * n)
 
     @staticmethod
     def scaling(n, c):
-        c = Fraction(c)
-        return LinearTransform(linalg.mat_scale(linalg.identity(n), c))
-
-    @staticmethod
-    def diagonal(entries):
-        entries = list(entries)
-        n = len(entries)
-        return LinearTransform(
-            [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)]
-        )
+        return LinearTransform.diagonal([c] * n)
 
 
 def evaluate(q: QuadraticForm, x):
@@ -194,23 +250,34 @@ def evaluate(q: QuadraticForm, x):
         raise DimensionMismatch(f"vector length {len(x)} != dim {q.dim}")
     t = x[0].t if x and isinstance(x[0], QuadExt) else None
     if t is not None and all(isinstance(c, QuadExt) and c.t == t for c in x):
-        return _evaluate_split(q.matrix, x, t)
+        return _evaluate_split(q, x, t)
+    m = q.ints
     total = 0
     for i in range(q.dim):
         for j in range(q.dim):
-            total = total + q.matrix[i][j] * x[i] * x[j]
-    return total
+            total = total + m[i][j] * x[i] * x[j]
+    return total * Fraction(1, q.den)
 
 
-def _evaluate_split(m, x, t):
-    a = [(i, c.rat) for i, c in enumerate(x) if c.rat]
-    b = [(i, c.rad) for i, c in enumerate(x) if c.rad]
+def _evaluate_split(q, x, t):
+    """evaluate at a + b*sqrt(t), in ints: with a = a_int / D and
+    b = b_int / D over one common denominator D, and Q = Q_int / den,
+    q(x) = (a^T Q a + t b^T Q b + 2 a^T Q b sqrt t) is read off the int
+    products a_int^T Q_int a_int, b_int^T Q_int b_int and
+    a_int^T Q_int b_int over D^2 den, and one QuadExt is made."""
+    pairs = [(c.rat.as_integer_ratio(), c.rad.as_integer_ratio()) for c in x]
+    d = math.lcm(*[d for (_, ad), (_, bd) in pairs for d in (ad, bd)])
+    a = [(i, an * (d // ad)) for i, ((an, ad), _) in enumerate(pairs) if an]
+    b = [(i, bn * (d // bd)) for i, (_, (bn, bd)) in enumerate(pairs) if bn]
+    m = q.ints
     qa = {i: sum(m[i][j] * v for j, v in a) for i, _ in a}
     qb = {i: sum(m[i][j] * v for j, v in b) for i in {i for i, _ in a + b}}
     aqa = sum(v * qa[i] for i, v in a)
     bqb = sum(v * qb[i] for i, v in b)
     aqb = sum(v * qb[i] for i, v in a)
-    return QuadExt(aqa + t * bqb, 2 * aqb, t)
+    tn, td = t.as_integer_ratio()
+    big = d * d * q.den
+    return QuadExt(Fraction(aqa * td + tn * bqb, big * td), Fraction(2 * aqb, big), t)
 
 
 def congruence_diagonalize(q: QuadraticForm) -> CongruenceDiagonalization:
@@ -220,11 +287,11 @@ def congruence_diagonalize(q: QuadraticForm) -> CongruenceDiagonalization:
     square roots); the diagonal is permuted to the order positives,
     negatives, zeros and the inertia is read off the signs.
 
-    The pass runs in Python ints.  Q = A / den with den the lcm of the
-    entry denominators, cleared once.  A pivot step is a Bareiss step
-    (Bareiss 1968): the trailing block of A is held multiplied by the last
-    nonzero pivot, prev, so every update divides exactly by it, and
-    diag[c] = a_cc / (scale_c * den) with scale_c the prev of step c.
+    The pass runs in Python ints, on the form's own Q = A / den.  A pivot
+    step is a Bareiss step (Bareiss 1968): the trailing block of A is held
+    multiplied by the last nonzero pivot, prev, so every update divides
+    exactly by it, and diag[c] = a_cc / (scale_c * den) with scale_c the
+    prev of step c.
 
     The pass updates A only.  B takes the same column operations, but no
     step reads B, and row a[i] is final once step i has run: later steps,
@@ -234,7 +301,7 @@ def congruence_diagonalize(q: QuadraticForm) -> CongruenceDiagonalization:
     (_replay) the first time it is read.
     """
     n = q.dim
-    den, a = linalg.clear_denominators(q.matrix)
+    den, a = q.den, [list(row) for row in q.ints]
     scales = [1] * n
     steps = []
     prev = 1
@@ -353,31 +420,50 @@ def apply_transform(q: QuadraticForm, L: LinearTransform) -> QuadraticForm:
     """Pullback L^T Q L: evaluates the original form on transformed
     coordinates, evaluate(result, x) = evaluate(q, Lx).
 
-    With Q = Q_int / den_Q and L = L_int / den_L cleared once, the
-    product runs in ints, L^T Q L = L_int^T Q_int L_int / (den_Q den_L^2),
-    and the result is symmetric, so one Fraction is made per entry of
-    its upper triangle."""
+    With Q = Q_int / den_Q and L = L_int / den_L, the product runs in
+    ints, L^T Q L = L_int^T Q_int L_int / (den_Q den_L^2), and one gcd
+    reduces it to the result's own (den, ints)."""
     if q.dim != L.dim:
         raise DimensionMismatch(f"form dim {q.dim} != transform dim {L.dim}")
-    den_q, q_int = linalg.clear_denominators(q.matrix)
-    den_l, l_int = linalg.clear_denominators(L.matrix)
-    m = linalg.mat_mul(linalg.mat_mul(linalg.transpose(l_int), q_int), l_int)
-    den = den_q * den_l * den_l
-    n = q.dim
-    rows = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            rows[i][j] = rows[j][i] = Fraction(m[i][j], den)
-    form = QuadraticForm.__new__(QuadraticForm)
-    _set(form, "matrix", tuple(map(tuple, rows)))
-    _set(form, "dim", n)
-    return form
+    m = linalg.mat_mul(linalg.mat_mul(linalg.transpose(L.ints), q.ints), L.ints)
+    den = q.den * L.den * L.den
+    return QuadraticForm._of(*_over_one_denominator(m, {x: (x, den) for row in m for x in row}))
 
 
 # --- matrix exchange format (shared with the CLI) ---------------------------
 
 
+# the entry types matrix_rows_from_json reads once per distinct value;
+# True == 1 and 1.0 == 1, so bool and float must not share their keys
+_INT_OR_TEXT = {int, str}
+
+
+def _read_entry(e):
+    """(num, den) of a JSON matrix entry, den > 0.  An int is read as it
+    is, and text as int() reads it, or as "n/d" with int() on each side of
+    the slash; int() also takes a space or a sign beside the slash, and
+    Fraction() does not, so a digit must stand on either side of it.
+    Every other spelling (decimals, exponents) and every error goes
+    through parse_rational."""
+    if type(e) is int:
+        return e, 1
+    if type(e) is str:
+        num, slash, den = e.partition("/")
+        try:
+            if not slash:
+                return int(num), 1
+            if num[-1:].isdigit() and den[:1].isdigit():
+                d = int(den)
+                if d:
+                    return int(num), d
+        except ValueError:
+            pass
+    return parse_rational(e).as_integer_ratio()
+
+
 def matrix_rows_from_json(obj):
+    """(den, ints) of a JSON matrix: entry (i, j) is ints[i][j] / den, and
+    den is the lcm of the entries' reduced denominators."""
     if not isinstance(obj, dict):
         raise FormatError("expected a JSON object with 'dim' and 'rows'")
     try:
@@ -390,26 +476,40 @@ def matrix_rows_from_json(obj):
         raise FormatError(f"'dim' must be a positive integer, got {n!r}")
     if not isinstance(rows, list) or len(rows) != n:
         raise FormatError(f"'rows' must be a list of {n} rows")
-    out = []
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != n:
-            raise FormatError(f"row {i} must be a list of {n} entries")
-        parsed = []
-        for j, e in enumerate(row):
-            try:
-                parsed.append(parse_rational(e))
-            except FormatError as exc:
-                raise FormatError(f"entry ({i},{j}): {exc}") from exc
-        out.append(parsed)
-    return out
+    bad = next((i for i, row in enumerate(rows) if not isinstance(row, list) or len(row) != n), n)
+    ratios = _read_entries(rows[:bad], n)  # entries before a bad row fail first
+    if bad < n:
+        raise FormatError(f"row {bad} must be a list of {n} entries")
+    return _over_one_denominator(rows, ratios)
+
+
+def _read_entries(rows, n):
+    """{entry: (num, den)} for the entries of rows of n entries each; an
+    error names the first bad entry.  A matrix file repeats few values,
+    so each distinct entry is read once."""
+    entries = [e for row in rows for e in row]
+    if {*map(type, entries)} <= _INT_OR_TEXT:
+        new = dict.fromkeys(entries)
+    else:
+        new = entries  # an entry of another type fails in _read_entry, in order
+    ratios = {}
+    for e in new:
+        try:
+            ratios[e] = _read_entry(e)
+        except FormatError as exc:
+            k = next(k for k, x in enumerate(entries) if x is e)
+            raise FormatError(f"entry ({k // n},{k % n}): {exc}") from exc
+    return ratios
 
 
 def form_from_json(obj) -> QuadraticForm:
-    return QuadraticForm(matrix_rows_from_json(obj))
+    q = QuadraticForm._of(*matrix_rows_from_json(obj))
+    _check_symmetric(q)
+    return q
 
 
 def transform_from_json(obj) -> LinearTransform:
-    return LinearTransform(matrix_rows_from_json(obj))
+    return LinearTransform._of(*matrix_rows_from_json(obj))
 
 
 def matrix_to_json(rows):

@@ -1,36 +1,13 @@
-"""Small exact linear-algebra helpers over Fraction matrices.
+"""Small exact linear-algebra helpers.
 
-Matrices are tuples of row tuples.  Everything here is plain Gaussian
-elimination in rational arithmetic; nothing is numeric.
+Matrices are tuples of row tuples, of ints or Fractions.  rref and
+kernel are plain Gaussian elimination in rational arithmetic; nothing
+is numeric.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-
-
-def mat(rows):
-    """rows as a tuple of Fraction row tuples; an entry that is already a
-    Fraction is kept, not copied."""
-    return tuple(tuple(e if type(e) is Fraction else Fraction(e) for e in row) for row in rows)
-
-
-def identity(n):
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
-        for i in range(n)
-    )
-
-
-def clear_denominators(a):
-    """(den, rows) with a = rows / den: den is the lcm of the entry
-    denominators and rows are Python ints."""
-    # one as_integer_ratio call reads an entry; its numerator and
-    # denominator properties would take two, and a third for the scaling
-    pairs = [[e.as_integer_ratio() for e in row] for row in a]
-    den = math.lcm(*[d for row in pairs for _, d in row])
-    return den, [[x * (den // d) for x, d in row] for row in pairs]
 
 
 def transpose(a):
@@ -48,11 +25,6 @@ def mat_vec(a, v):
     """Matrix times vector; generic in the vector's scalar kind (Fraction
     or QuadExt), relying on operator overloads."""
     return tuple(sum(e * x for e, x in zip(row, v)) for row in a)
-
-
-def mat_scale(a, c):
-    c = Fraction(c)
-    return tuple(tuple(c * e for e in row) for row in a)
 
 
 def rref(a):

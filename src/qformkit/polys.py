@@ -21,7 +21,6 @@ from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import comb, gcd, lcm
 
-from . import linalg
 from .errors import (
     CertificateRejected,
     DegreeMismatch,
@@ -200,7 +199,7 @@ def poly_from_form(q: QuadraticForm) -> HomogeneousPoly:
     """Degree-2 polynomial evaluating identically to the form: Q_ii on
     x_i^2 and 2*Q_ij on x_i x_j for i < j."""
     n = q.dim
-    den, rows = linalg.clear_denominators(q.matrix)
+    den, rows = q.den, q.ints
     ints = {}
     for i in range(n):
         for j in range(i, n):

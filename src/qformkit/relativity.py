@@ -97,7 +97,7 @@ def boost_from_triple(a: int, b: int, h: int, axis: str = "x") -> LinearTransfor
     ax = _AXES[axis]
     gamma = Fraction(h, b)
     gb = Fraction(a, b)
-    rows = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
+    rows = [[int(i == j) for j in range(4)] for i in range(4)]
     rows[0][0] = gamma
     rows[0][ax] = -gb
     rows[ax][0] = -gb

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from .errors import FormatError, MismatchedRadicand
 from .record import Record
@@ -110,7 +110,7 @@ class QuadExt(Record):
             return other, self.t
         if not self.rad:
             return other, other.t
-        s = _exact_sqrt(other.t / self.t)
+        s = exact_sqrt(other.t / self.t)
         if s is None:
             raise MismatchedRadicand(
                 f"cannot combine sqrt({self.t}) with sqrt({other.t})"
@@ -184,7 +184,7 @@ class QuadExt(Record):
             return hash(Fraction(0))
         if self.rad == 0:
             return hash(self.rat)
-        root = _exact_sqrt(self.t)
+        root = exact_sqrt(self.t)
         if root is not None:
             return hash(self.rat + self.rad * root)
         return hash((self.rat, self.rad * self.rad * self.t, self.rad > 0))
@@ -196,10 +196,8 @@ class QuadExt(Record):
         return render_quadext(self)
 
 
-def _exact_sqrt(t: Fraction):
+def exact_sqrt(t: Fraction):
     """Rational square root of t, or None when t is not a perfect square."""
-    from math import isqrt
-
     num, den = t.numerator, t.denominator
     if num < 0:
         return None

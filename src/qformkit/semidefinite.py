@@ -179,7 +179,7 @@ def _simdiag_in_frame(
         raise DimensionMismatch(f"dims differ: {q.dim} vs {r.dim}")
     n, nm = q.dim, dq.inertia.k + dq.inertia.m
     cols, scales = dq.cols, dq.scales
-    den, r_int = linalg.clear_denominators(r.matrix)
+    den, r_int = r.den, r.ints
     witness = _first_witness(dq, den, r_int)
     if witness is not None:
         raise ContainmentFails(

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -78,6 +79,27 @@ def _exponents(nvars, degree):
 # --- exact reference helpers: plain elimination, used only by tests -----------
 
 
+def identity(n):
+    return tuple(
+        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
+        for i in range(n)
+    )
+
+
+def mat_scale(a, c):
+    c = Fraction(c)
+    return tuple(tuple(c * e for e in row) for row in a)
+
+
+def clear_denominators(a):
+    """(den, rows) with a = rows / den: den is the lcm of the entry
+    denominators and rows are Python ints.  A form's own (den, ints) must
+    equal this applied to its Fraction matrix."""
+    pairs = [[Fraction(e).as_integer_ratio() for e in row] for row in a]
+    den = math.lcm(*[d for row in pairs for _, d in row])
+    return den, [[x * (den // d) for x, d in row] for row in pairs]
+
+
 def det(a):
     n = len(a)
     m = [list(row) for row in a]
@@ -134,7 +156,7 @@ def kernel_break_witness(q, r):
     every kernel column to zero."""
     dq = congruence_diagonalize(q)
     nm = dq.inertia.k + dq.inertia.m
-    den, r_int = linalg.clear_denominators(r.matrix)
+    den, r_int = clear_denominators(r.matrix)
     for col, s in zip(dq.cols[nm:], dq.scales[nm:]):
         rb = [sum(x * y for x, y in zip(row, col)) for row in r_int]
         if any(rb):
@@ -149,7 +171,7 @@ def rank(a):
 
 def inverse(a):
     n = len(a)
-    aug = [list(row) + list(ident_row) for row, ident_row in zip(a, linalg.identity(n))]
+    aug = [list(row) + list(ident_row) for row, ident_row in zip(a, identity(n))]
     rows, pivots = linalg.rref(aug)
     if pivots[:n] != tuple(range(n)):
         raise ZeroDivisionError("matrix is singular")
@@ -162,7 +184,7 @@ def reference_diagonalize(q):
     pivots, swaps and zero-pivot repairs, with every entry a Fraction."""
     n = q.dim
     a = [list(row) for row in q.matrix]
-    b = [list(row) for row in linalg.identity(n)]  # columns are basis vectors
+    b = [list(row) for row in identity(n)]  # columns are basis vectors
 
     def col_addmul(j, i, c):
         # basis col j += c * col i; congruence update of A
@@ -217,7 +239,7 @@ def eager_diagonalize(q):
     The lazy diagonalization's replayed cols, and its diag, inertia and
     scales, must equal these bit for bit."""
     n = q.dim
-    den, a = linalg.clear_denominators(q.matrix)
+    den, a = clear_denominators(q.matrix)
     w = [[int(r == c) for r in range(n)] for c in range(n)]  # w[c]: column c of B, times prev
     scales = [1] * n
     prev = 1

@@ -26,7 +26,6 @@ from qformkit import (
     decide_containment_homogeneous,
     inertia,
     kernel_basis,
-    linalg,
     minkowski_form,
     poly_from_form,
     reduce_by_quadratic,
@@ -38,6 +37,7 @@ from qformkit.cli import main as cli_main
 
 from conftest import (
     compose,
+    mat_scale,
     poly_add,
     poly_mul,
     random_homogeneous,
@@ -87,7 +87,7 @@ def _perturb_nonproportional(rng, q, alpha):
     while True:
         i, j = rng.randrange(n), rng.randrange(n)
         delta = Fraction(rng.choice([-2, -1, 1, 2]))
-        rows = [list(row) for row in linalg.mat_scale(q.matrix, alpha)]
+        rows = [list(row) for row in mat_scale(q.matrix, alpha)]
         rows[i][j] += delta
         if i != j:
             rows[j][i] += delta
@@ -113,7 +113,7 @@ def test_criterion_2_theorem1_round_trip():
             n = rng.randint(2, 6)
             q = random_indefinite(rng, n)
             alpha = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-            r = QuadraticForm(linalg.mat_scale(q.matrix, alpha))
+            r = QuadraticForm(mat_scale(q.matrix, alpha))
             assert decide_containment(q, r) == Proportional(alpha)
             r2 = _perturb_nonproportional(rng, q, alpha)
             verdict = decide_containment(q, r2)

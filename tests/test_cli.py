@@ -490,7 +490,9 @@ def test_deeply_nested_json_exit_2(tmp_path, capsys, kind):
 # digits of the three semidefinite simdiag entries come from the frame
 # whitening and the Jacobi finish.  The poly-contain witness is the first
 # point of the deterministic cone sweep.  The two kernel2 entries were
-# recorded before simdiag's kernel test became the witness family.
+# recorded before simdiag's kernel test became the witness family.  The
+# two lorentz entries were recorded again when the sqrt(1) of their
+# witness event came to be folded into its rational part.
 GOLDEN_INPUTS = {
     "s2": S2,
     "s2p": S2P,
@@ -583,7 +585,7 @@ GOLDEN = [
         ("lorentz", "stretch"),
         1,
         "classification: cone-breaking\n"
-        "witness event: (0 + 1*sqrt(1), 1, 0, 0)\n"
+        "witness event: (1, 1, 0, 0)\n"
         "  q = 0, pulled-back = 3\n",
     ),
     (
@@ -591,7 +593,7 @@ GOLDEN = [
         1,
         '{"kappa":null,"classification":"cone-breaking","pulled_back_form":{"dim":4,"rows":'
         '[["-1","0","0","0"],["0","4","0","0"],["0","0","1","0"],["0","0","0","1"]]},'
-        '"witness_event":{"t":"1","coords":[["0","1"],["1","0"],["0","0"],["0","0"]]},'
+        '"witness_event":{"t":"1","coords":[["1","0"],["1","0"],["0","0"],["0","0"]]},'
         '"q_value":"0","r_value":"3"}\n',
     ),
 ]

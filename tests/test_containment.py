@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from qformkit.containment import WitnessVector, _witness_family
 from qformkit.errors import MismatchedRadicand, NoWitnessFound
 from qformkit.forms import INDEFINITE, LinearTransform
 
-from conftest import inverse, random_indefinite, random_invertible
+from conftest import inverse, mat_scale, random_indefinite, random_invertible
 
 HYP = QuadraticForm([[1, 0], [0, -1]])  # x^2 - y^2
 
@@ -92,7 +93,9 @@ class TestConstructWitness:
         )
         r = QuadraticForm(r_mat)
         w = construct_witness(d, r)
-        assert w.t == 4  # s = sqrt(d1 / -d2) = sqrt(4), uniform code path
+        # s = sqrt(d1 / -d2) = sqrt(4) = 2 is folded into the rational part
+        assert w.t == 1
+        assert all(c.rad == 0 for c in (*w.coords, w.q_value, w.r_value))
         assert verify_witness(q, r, w)
         assert w.r_value == 4
 
@@ -113,7 +116,7 @@ def _perturbed(rng, q, alpha):
         i = rng.randrange(n)
         j = rng.randrange(n)
         delta = Fraction(rng.choice([-2, -1, 1, 2]))
-        rows = [list(row) for row in linalg.mat_scale(q.matrix, alpha)]
+        rows = [list(row) for row in mat_scale(q.matrix, alpha)]
         rows[i][j] += delta
         if i != j:
             rows[j][i] += delta
@@ -141,7 +144,7 @@ class TestRandomizedProperties:
             n = rng.randint(2, 6)
             q = random_indefinite(rng, n)
             alpha = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-            r = QuadraticForm(linalg.mat_scale(q.matrix, alpha))
+            r = QuadraticForm(mat_scale(q.matrix, alpha))
             assert decide_containment(q, r) == Proportional(alpha)
 
     def test_perturbations_yield_verified_counterexamples(self):
@@ -161,7 +164,7 @@ class TestRandomizedProperties:
             n = rng.randint(2, 5)
             q = random_indefinite(rng, n)
             alpha = Fraction(rng.choice([1, 2, 3, -1, -2]), rng.randint(1, 3))
-            r = QuadraticForm(linalg.mat_scale(q.matrix, alpha))
+            r = QuadraticForm(mat_scale(q.matrix, alpha))
             assert decide_containment(q, r) == Proportional(alpha)
             # nonzero alpha keeps r indefinite with the same zero set
             assert decide_containment(r, q) == Proportional(1 / alpha)
@@ -219,7 +222,7 @@ class TestJsonRendering:
         assert payload["verdict"] == "counterexample"
         assert payload["q_value"] == "0"
         assert payload["r_value"] == "2"
-        assert payload["witness"]["coords"] == [["1", "0"], ["0", "1"]]
+        assert payload["witness"]["coords"] == [["1", "0"], ["1", "0"]]
         json.dumps(payload)
 
 
@@ -279,12 +282,22 @@ def _reference_decide(q, r):
         r_val = _loop_evaluate(r.matrix, coords)
         if not r_val.is_zero():
             q_val = _loop_evaluate(diag_matrix, v)
-            return Counterexample(WitnessVector(tuple(coords), q_val, r_val))
+            return Counterexample(WitnessVector(tuple(map(_folded, coords)), _folded(q_val), _folded(r_val)))
     raise NoWitnessFound("reference found no witness")
 
 
 def _exact(x):
     return (x.rat, x.rad, x.t)
+
+
+def _folded(x):
+    """x over t = 1 when its radicand is a rational square, as witnesses are
+    printed."""
+    num, den = x.t.as_integer_ratio()
+    rn, rd = math.isqrt(num), math.isqrt(den)
+    if rn * rn == num and rd * rd == den:
+        return QuadExt(x.rat + x.rad * Fraction(rn, rd))
+    return x
 
 
 def _assert_same_verdict(got, want):
@@ -345,7 +358,7 @@ class TestDiagonalFrameEquivalence:
             n = rng.randint(2, 7)
             q = random_indefinite(rng, n)
             alpha = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-            r = QuadraticForm(linalg.mat_scale(q.matrix, alpha))
+            r = QuadraticForm(mat_scale(q.matrix, alpha))
             _assert_same_verdict(decide_containment(q, r), _reference_decide(q, r))
             anchored = k % 2 == 0
             rows = [list(row) for row in r.matrix]
@@ -362,7 +375,7 @@ class TestDiagonalFrameEquivalence:
         for _ in range(60):
             n = rng.randint(2, 7)
             q = _zero_diagonal_indefinite(rng, n)
-            r = QuadraticForm(linalg.mat_scale(q.matrix, Fraction(rng.randint(-3, 3))))
+            r = QuadraticForm(mat_scale(q.matrix, Fraction(rng.randint(-3, 3))))
             _assert_same_verdict(decide_containment(q, r), _reference_decide(q, r))
             rows = [list(row) for row in r.matrix]
             rows[0][0] += 1
@@ -402,16 +415,18 @@ class TestDiagonalFrameEquivalence:
             r = _in_frame(q, bumps, Fraction(1))
             got = decide_containment(q, r)
             _assert_same_verdict(got, _reference_decide(q, r))
-            assert got.witness.t == 4
+            assert got.witness.t == 1  # sqrt(4) is folded into the rational part
 
 
 # Bytes recorded from the dense-member implementation: one case per
 # witness family, so a change in family order or sign order shows here.
+# The four witnesses of a square radicand (t = 1 or 4) were recorded again
+# when sqrt(t) came to be folded into the rational part.
 _GOLDEN = [
     (
         [[1, 0], [0, -1]],
         [[1, 0], [0, 1]],
-        '{"verdict":"counterexample","witness":{"t":"1","coords":[["1","0"],["0","1"]]},'
+        '{"verdict":"counterexample","witness":{"t":"1","coords":[["1","0"],["1","0"]]},'
         '"q_value":"0","r_value":"2"}',
     ),
     (
@@ -423,7 +438,7 @@ _GOLDEN = [
     (
         [[1, 0, 0], [0, -1, 0], [0, 0, 0]],
         [[1, 0, 3], [0, -1, 0], [3, 0, 0]],
-        '{"verdict":"counterexample","witness":{"t":"1","coords":[["1","0"],["0","1"],["1","0"]]},'
+        '{"verdict":"counterexample","witness":{"t":"1","coords":[["1","0"],["1","0"],["1","0"]]},'
         '"q_value":"0","r_value":"6"}',
     ),
     (
@@ -441,14 +456,14 @@ _GOLDEN = [
     (
         [[3, 0, 0], [0, -1, 0], [0, 0, -2]],
         [[3, 0, 0], [0, -1, -1], [0, -1, -2]],
-        '{"verdict":"counterexample","witness":{"t":"1","coords":[["0","1"],["1","0"],["1","0"]]},'
+        '{"verdict":"counterexample","witness":{"t":"1","coords":[["1","0"],["1","0"],["1","0"]]},'
         '"q_value":"0","r_value":"-2"}',
     ),
     (
         [[0, 1, 2], [1, 0, 3], [2, 3, 0]],
         [[0, 1, 2], [1, 1, 3], [2, 3, 0]],
-        '{"verdict":"counterexample","witness":{"t":"4","coords":[["1","-1/2"],["1","1/2"],["0","0"]]},'
-        '"q_value":"0","r_value":"2 + 1*sqrt(4)"}',
+        '{"verdict":"counterexample","witness":{"t":"1","coords":[["0","0"],["2","0"],["0","0"]]},'
+        '"q_value":"0","r_value":"4"}',
     ),
 ]
 

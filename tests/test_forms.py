@@ -1,6 +1,8 @@
 import copy
+import json
 import pickle
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -21,13 +23,18 @@ from qformkit import (
     linalg,
     minkowski_form,
 )
+from qformkit.cli import main
+from qformkit.errors import FormatError
 from qformkit.forms import form_from_json, matrix_to_json, transform_from_json
+from qformkit.scalars import parse_rational
 
 from conftest import (
     bilinear_eval,
+    clear_denominators,
     compose,
     det,
     eager_diagonalize,
+    mat_scale,
     random_indefinite,
     random_invertible,
     random_symmetric,
@@ -227,7 +234,7 @@ def test_frame_pullback_matches_basis_product():
     """CongruenceDiagonalization.pullback(support, t) sums B v in ints; it
     equals the Fraction product basis . v exactly, on degenerate and
     rational forms, for int and Fraction supports, and for square and
-    non-square radicands."""
+    non-square radicands, a square one folded into the rational part."""
     rng = random.Random(16)
     for k in range(1000):
         n = k % 8 + 1
@@ -244,6 +251,9 @@ def test_frame_pullback_matches_basis_product():
         for a, x, y in support:
             v[a] = QuadExt(x, y, t)
         expected = linalg.mat_vec(d.basis, v)
+        root = {Fraction(1): 1, Fraction(9, 4): Fraction(3, 2)}.get(t)
+        if root is not None:
+            expected = [QuadExt(c.rat + c.rad * root) for c in expected]
         got = d.pullback(support, t)
         assert [(c.rat, c.rad, c.t) for c in got] == [(c.rat, c.rad, c.t) for c in expected]
 
@@ -312,7 +322,7 @@ class TestApplyTransform:
     def test_scalar_transform(self):
         q = minkowski_form(1)
         r = apply_transform(q, LinearTransform.scaling(4, 2))
-        assert r.matrix == linalg.mat_scale(q.matrix, 4)
+        assert r.matrix == mat_scale(q.matrix, 4)
 
     def test_textbook_substitution(self):
         # x' = -2x - 2y + z, y' = 2y - 2z, z' = -2z applied to the
@@ -374,3 +384,116 @@ class TestJsonFormat:
 
         with pytest.raises(FormatError, match=r"\(0,1\)"):
             form_from_json({"dim": 2, "rows": [[1, "x"], ["x", 1]]})
+
+
+# matrix entries whose int-first reading must agree with parse_rational: the
+# same value, or the same FormatError message and exit code 2
+ENTRIES = (
+    3, "-0", "+5", " 5 ", "1_000", "\u0665",
+    "7/3", "14/6", "-3/4", "3/-4", "3 / 4", "-3/-4", "5/0",
+    "3 /4", "3/ 4", "3/+4", "+3/4", " -7/14 ",
+    "0x10", "1e3", "1.5", "1e99999", "7" * 4301,
+    1.5, True, None,
+)
+
+
+@pytest.mark.parametrize(
+    "load, command", [(form_from_json, "analyze"), (transform_from_json, "lorentz")], ids=["form", "transform"]
+)
+@pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: repr(e)[:12])
+def test_entry_reading_matches_parse_rational(tmp_path, capsys, load, command, entry):
+    obj = {"dim": 2, "rows": [[entry, "1/2"], ["1/2", entry]]}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(obj))
+    try:
+        want = parse_rational(entry)
+    except FormatError as exc:
+        message = f"entry (0,0): {exc}"
+        with pytest.raises(FormatError) as got:
+            load(obj)
+        assert str(got.value) == message
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err == f"parse error: {message}\n"
+    else:
+        half = Fraction(1, 2)
+        assert load(obj).matrix == ((want, half), (half, want))
+        assert main([command, str(path)]) in (0, 1)
+
+
+def test_non_symmetric_ratio_message(tmp_path, capsys):
+    obj = {"dim": 2, "rows": [[1, "14/6"], ["7/4", 1]]}
+    message = "entry (0,1) = 7/3 differs from (1,0) = 7/4"
+    with pytest.raises(NonSymmetricMatrix) as got:
+        form_from_json(obj)
+    assert str(got.value) == message
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(obj))
+    assert main(["analyze", str(path)]) == 3
+    assert capsys.readouterr().err == f"non-symmetric input: {message}\n"
+
+
+def _spelling(rng, v):
+    """One JSON spelling of the Fraction v: an int, "n/d" (not always in
+    lowest terms) or a decimal, plain or with an exponent."""
+    p, q = v.as_integer_ratio()
+    k = rng.randint(2, 6)
+    choices = [f"{p}/{q}", f"{p * k}/{q * k}"]
+    if q == 1:
+        choices += [p, str(p), f"{p}.0"]
+    m = next((m for m in range(4) if 10**m % q == 0), None)
+    if m is not None:
+        scaled = p * 10**m // q
+        choices += [f"{scaled}e-{m}", str(Decimal(scaled).scaleb(-m))]
+    return rng.choice(choices)
+
+
+def test_int_form_matches_reference_and_spelling():
+    """A form read from JSON holds (den, ints) equal to clear_denominators
+    of its Fraction matrix, whatever the spelling of each entry: equal
+    matrices written differently give equal forms with equal hashes, and
+    matrix reads back the values written."""
+    rng = random.Random(17)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        values = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                values[i][j] = values[j][i] = Fraction(
+                    rng.randint(-40, 40), rng.choice((1, 1, 2, 3, 4, 5, 8, 10, 12, 25))
+                )
+        want = tuple(map(tuple, values))
+        forms_read = []
+        for load in (form_from_json, transform_from_json):
+            spelled = [{"dim": n, "rows": [[_spelling(rng, v) for v in row] for row in values]} for _ in range(3)]
+            read = [load(json.loads(json.dumps(obj))) for obj in spelled]
+            for m in read:
+                den, ints = clear_denominators(m.matrix)
+                assert (m.den, [list(row) for row in m.ints]) == (den, ints)
+                assert m.matrix == want
+                assert m == read[0] and hash(m) == hash(read[0])
+            forms_read.append(read[0])
+        assert forms_read[0] == QuadraticForm(values)
+        assert forms_read[1] == LinearTransform(values)
+    two = [form_from_json({"dim": 1, "rows": [[e]]}) for e in (2, "4/2", "2.0")]
+    assert two[0] == two[1] == two[2] and len({hash(q) for q in two}) == 1
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[1, "1/2"], ["1/2", "x"]], "entry (1,1): not a rational: 'x'"),
+        ([[1, True], [True, 1]], "entry (0,1): not a rational: True"),
+        ([[1, 1.0], [1.0, 1]], "entry (0,1): not a rational: 1.0"),
+        ([["x", 1], [1]], "entry (0,0): not a rational: 'x'"),
+        ([[1, 2], [1]], "row 1 must be a list of 2 entries"),
+        ([["1/0", None], [1, 1]], "entry (0,0): not a rational: '1/0'"),
+        ([[1, 2, 3], [2, 1, "y"], [3, "y", 1]], "entry (1,2): not a rational: 'y'"),
+    ],
+)
+def test_error_names_the_first_bad_entry(rows, message):
+    """Entries are read once per distinct value, and an error still names
+    the first bad entry in row order, before a later row's shape."""
+    for load in (form_from_json, transform_from_json):
+        with pytest.raises(FormatError) as got:
+            load({"dim": len(rows), "rows": rows})
+        assert str(got.value) == message

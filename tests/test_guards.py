@@ -294,43 +294,94 @@ def _fractions_made(fn, *args):
     return out, count[0]
 
 
+def _refute_and_recheck(q, r):
+    verdict = qformkit.decide_containment(q, r)
+    return verdict, qformkit.verify_witness(q, r, verdict.witness)
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_fractions_made_per_decision(seed):
-    """The diagonal frame is built in ints and the witness family is
-    scanned in ints: Fractions are made where a verdict reads them, at
-    most n^2 to confirm and 5n to refute at n = 16."""
+    """The diagonal frame, the proportionality test, the witness scan and
+    the re-check run in ints: Fractions are made where a verdict reads
+    them.  At n = 16 a confirmation makes the n diagonal values and alpha;
+    a refutation and its re-check make the n diagonal values, the 2n parts
+    of the witness's coordinates and at most 32 more."""
     n = 16
     q_rows, r_rows = _anchored_pair(n, seed)
     q = qformkit.QuadraticForm(q_rows)
     verdict, made = _fractions_made(qformkit.decide_containment, q, qformkit.QuadraticForm(r_rows))
     assert isinstance(verdict, qformkit.Proportional)
-    assert made <= n * n
+    assert made <= n + 1
     r_rows[0][0] += 1
     r = qformkit.QuadraticForm(r_rows)
-    verdict, made = _fractions_made(qformkit.decide_containment, q, r)
+    (verdict, rechecked), made = _fractions_made(_refute_and_recheck, q, r)
     assert isinstance(verdict, qformkit.Counterexample)
-    assert qformkit.verify_witness(q, r, verdict.witness)
-    assert made <= 5 * n
+    assert rechecked
+    assert made <= 3 * n + 32
 
 
 def test_fractions_made_per_interval_check():
-    """The pullback L^T eta L is multiplied in ints, one Fraction per entry
-    of its upper triangle, and the interval form's entries are not copied:
-    a whole check of a 4x4 boost makes at most 33."""
+    """The interval form is built in ints, with no Fraction off its
+    diagonal, and the pullback L^T eta L is multiplied in ints: a whole
+    check of a 4x4 boost makes at most 8 (c, c^2 and -c^2, the 4 diagonal
+    values and kappa)."""
     report, made = _fractions_made(qformkit.check_interval_invariance, qformkit.boost_from_triple(3, 4, 5))
     assert report.classification == "interval-preserving"
-    assert made <= 33
+    assert made <= 8
 
 
-@pytest.mark.parametrize("entry", [lambda e: e, str], ids=["int", "text"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        # Fraction arguments are made here, outside the counted call
+        lambda c=Fraction(-1): qformkit.QuadraticForm.diagonal([c, 1, 1, 1]),
+        lambda c=Fraction(1, 2): qformkit.LinearTransform.diagonal([c, 1, 3, 1]),
+        lambda: qformkit.LinearTransform.identity(4),
+        lambda c=Fraction(1, 2): qformkit.LinearTransform.scaling(4, c),
+    ],
+    ids=["form-diagonal", "transform-diagonal", "identity", "scaling"],
+)
+def test_built_in_matrices_make_no_fractions(build):
+    """The built-in matrices are held in ints: no Fraction, on the diagonal
+    or off it."""
+    assert _fractions_made(build)[1] == 0
+
+
+@pytest.mark.parametrize(
+    "entry", [lambda e: e, str, lambda e: f"{e}/6"], ids=["int", "text", "ratio-text"]
+)
 def test_fractions_made_per_form_parse(entry):
-    """Each entry of a form file becomes one Fraction, which the form keeps:
-    at most n^2 at n = 16."""
+    """A form file is read into ints over one denominator: int, integer
+    text and "n/d" text entries make no Fraction at n = 16."""
     n = 16
     obj = {"dim": n, "rows": [[entry(int(e)) for e in row] for row in _anchored_pair(n, 1)[0]]}
     q, made = _fractions_made(forms.form_from_json, obj)
     assert q.dim == n
-    assert made <= n * n
+    assert made == 0
+
+
+def test_decisions_never_read_the_fraction_matrix(monkeypatch):
+    """Containment with its re-check and the interval check read each
+    form's (den, ints) only; the Fraction rows `matrix` are never built,
+    to confirm or to refute."""
+    q, r = _proportional_pair()
+    q_rows, r_rows = _anchored_pair(8, 5)
+    r_rows[0][0] += 1
+    q_bad, r_bad = qformkit.QuadraticForm(q_rows), qformkit.QuadraticForm(r_rows)
+    boost = qformkit.boost_from_triple(3, 4, 5)
+
+    def refuse(self):
+        raise AssertionError("the Fraction matrix was built")
+
+    monkeypatch.setattr(forms._IntMatrix, "matrix", property(refuse))
+    assert isinstance(qformkit.decide_containment(q, r), qformkit.Proportional)
+    verdict, rechecked = _refute_and_recheck(q_bad, r_bad)
+    assert isinstance(verdict, qformkit.Counterexample) and rechecked
+    assert qformkit.check_interval_invariance(boost).classification == "interval-preserving"
+    report = qformkit.check_interval_invariance(_STRETCH)
+    assert report.classification == "cone-breaking"
+    eta = qformkit.minkowski_form(1)
+    assert qformkit.verify_witness(eta, report.pulled_back_form, report.witness_event)
 
 
 def _proportional_pair():

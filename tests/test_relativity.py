@@ -18,7 +18,7 @@ from qformkit import (
     verify_witness,
 )
 
-from conftest import compose, rotation_from_triple
+from conftest import compose, identity, rotation_from_triple
 
 TRIPLES = [(3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25), (20, 21, 29)]
 
@@ -79,7 +79,7 @@ class TestRotation:
         from qformkit import linalg
 
         rt = linalg.transpose(R.matrix)
-        assert linalg.mat_mul(rt, R.matrix) == linalg.identity(4)
+        assert linalg.mat_mul(rt, R.matrix) == identity(4)
 
     def test_identity_rotation(self):
         assert rotation_from_triple(0, 1, 1, "xy") == LinearTransform.identity(4)
