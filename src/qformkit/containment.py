@@ -41,12 +41,14 @@ class WitnessVector(Record):
         return self.coords[0].t if self.coords else Fraction(1)
 
     def to_json(self):
+        """t and each coordinate's (rational part, sqrt part) over t;
+        QuadExt._align writes a coordinate over t, and raises
+        MismatchedRadicand when no rational square joins the radicands."""
+        lead = next((c for c in self.coords if c.rad), None)
+        coords = self.coords if lead is None else [lead._align(c)[0] for c in self.coords]
         return {
             "t": render_rational(self.t),
-            "coords": [
-                [render_rational(c.rat), render_rational(c.rad)]
-                for c in self.coords
-            ],
+            "coords": [[render_rational(c.rat), render_rational(c.rad)] for c in coords],
         }
 
 
@@ -148,10 +150,18 @@ def _witness_family(diag, inertia):
     zero = range(k + m, n)
     nd = [d.as_integer_ratio() for d in diag]
 
+    def radicand(c, a, b=None):
+        # t = (d_a [+ d_b]) / -d_c as (tn, td > 0); d_c has the other sign
+        (an, ad), (cn, cd) = nd[a], nd[c]
+        if b is not None:
+            bn, bd = nd[b]
+            an, ad = an * bd + bn * ad, ad * bd
+        return (an if cn < 0 else -an) * cd, abs(cn) * ad
+
     # (a) e_p +- sqrt(d_p / -d_n) e_n
     for p in pos:
         for ng in neg:
-            tn, td = nd[p][0] * nd[ng][1], -nd[ng][0] * nd[p][1]
+            tn, td = radicand(ng, p)
             for sign in (1, -1):
                 yield tn, td, ((p, 1, 0), (ng, 0, sign))
     # (b) e_z
@@ -160,7 +170,7 @@ def _witness_family(diag, inertia):
     # (c) +-e_p + sqrt(d_p / -d_n) e_n + e_z
     for p in pos:
         for ng in neg:
-            tn, td = nd[p][0] * nd[ng][1], -nd[ng][0] * nd[p][1]
+            tn, td = radicand(ng, p)
             for zi in zero:
                 for sign in (1, -1):
                     yield tn, td, ((p, sign, 0), (ng, 0, 1), (zi, 1, 0))
@@ -170,23 +180,15 @@ def _witness_family(diag, inertia):
             for sign in (1, -1):
                 yield 1, 1, ((zi, 1, 0), (zj, sign, 0))
     # (e) sigma1 e_p + sigma2 e_p' + sqrt((d_p + d_p') / -d_n) e_n,
-    #     and the mirror construction for pairs of negative indices
-    for i, p in enumerate(pos):
-        for p2 in pos[i + 1 :]:
-            (a, b), (c, d) = nd[p], nd[p2]
-            for ng in neg:
-                tn, td = (a * d + c * b) * nd[ng][1], -nd[ng][0] * b * d
-                for s1 in (1, -1):
-                    for s2 in (1, -1):
-                        yield tn, td, ((p, s1, 0), (p2, s2, 0), (ng, 0, 1))
-    for i, ng in enumerate(neg):
-        for ng2 in neg[i + 1 :]:
-            (a, b), (c, d) = nd[ng], nd[ng2]
-            for p in pos:
-                tn, td = -(a * d + c * b) * nd[p][1], nd[p][0] * b * d
-                for s1 in (1, -1):
-                    for s2 in (1, -1):
-                        yield tn, td, ((ng, s1, 0), (ng2, s2, 0), (p, 0, 1))
+    #     then the mirror construction for pairs of negative indices
+    for same, other in ((pos, neg), (neg, pos)):
+        for i, a in enumerate(same):
+            for b in same[i + 1 :]:
+                for c in other:
+                    tn, td = radicand(c, a, b)
+                    for s1 in (1, -1):
+                        for s2 in (1, -1):
+                            yield tn, td, ((a, s1, 0), (b, s2, 0), (c, 0, 1))
 
 
 def construct_witness(
@@ -195,7 +197,7 @@ def construct_witness(
     """First member of the witness family on which r is exactly nonzero,
     mapped back to original coordinates.  Unreachable failure when r is
     genuinely non-proportional."""
-    witness = _first_witness(diag_q, r.den, r.ints)
+    witness = _first_witness(diag_q, r)
     if witness is None:
         raise NoWitnessFound(
             "no family member separates r from q; r is proportional to q"
@@ -203,9 +205,9 @@ def construct_witness(
     return witness
 
 
-def _first_witness(diag_q: CongruenceDiagonalization, den, r_int):
-    """construct_witness for R = r_int / den (ints), or None when no
-    member fires.
+def _first_witness(diag_q: CongruenceDiagonalization, r: QuadraticForm):
+    """construct_witness, or None when no member fires.  R = R_int / den
+    is r's (ints, den).
 
     Reading diag_q.cols builds B (see congruence_diagonalize), so a
     refutation builds it here.  r(Bv) = v^T (B^T R B) v, and a member
@@ -236,7 +238,7 @@ def _first_witness(diag_q: CongruenceDiagonalization, den, r_int):
             rb = r_cols.get(b)
             if rb is None:
                 col = [(i, x) for i, x in enumerate(cols[b]) if x]
-                rb = r_cols[b] = [sum(row[i] * x for i, x in col) for row in r_int]
+                rb = r_cols[b] = [sum(row[i] * x for i, x in col) for row in r.ints]
             val = entries[key] = sum(x * y for x, y in zip(cols[a], rb) if x)
         return val
 
@@ -258,7 +260,7 @@ def _first_witness(diag_q: CongruenceDiagonalization, den, r_int):
             if root is not None:  # as pullback does, fold sqrt(t) into the rational part
                 support = [(a, x + y * root if y else x, 0) for a, x, y in support]
                 rat, rad, t = rat + rad * root, 0, Fraction(1)
-            big = scale * scale * den * td
+            big = scale * scale * r.den * td
             r_val = QuadExt(Fraction(rat, big), Fraction(rad, big), t)
             # q(Bv) = v^T diag(d) v, zero by construction of the family
             d = diag_q.diag

@@ -241,31 +241,28 @@ class LinearTransform(_IntMatrix, Record):
 
 
 def evaluate(q: QuadraticForm, x):
-    """q(x) for a vector of Fractions or QuadExt values (shared radicand).
+    """q(x) for a vector of ints, Fractions or QuadExt values; a Fraction
+    when no entry is a QuadExt.
 
-    A QuadExt vector a + b*sqrt(t) with one radicand t is evaluated as
-    the rational forms a^T Q a + t * b^T Q b and 2 * a^T Q b.
+    Each entry is read as a + b*sqrt(t), t the radicand of the first entry
+    with a sqrt-part: QuadExt._align writes the others over it, and raises
+    MismatchedRadicand when no rational square joins the two radicands.
+    With a = a_int / D and b = b_int / D over one common denominator D,
+    and Q = Q_int / den, q(x) = a^T Q a + t b^T Q b + 2 a^T Q b sqrt(t) is
+    read off the int products a_int^T Q_int a_int, b_int^T Q_int b_int and
+    a_int^T Q_int b_int over D^2 den.
     """
     if len(x) != q.dim:
         raise DimensionMismatch(f"vector length {len(x)} != dim {q.dim}")
-    t = x[0].t if x and isinstance(x[0], QuadExt) else None
-    if t is not None and all(isinstance(c, QuadExt) and c.t == t for c in x):
-        return _evaluate_split(q, x, t)
-    m = q.ints
-    total = 0
-    for i in range(q.dim):
-        for j in range(q.dim):
-            total = total + m[i][j] * x[i] * x[j]
-    return total * Fraction(1, q.den)
-
-
-def _evaluate_split(q, x, t):
-    """evaluate at a + b*sqrt(t), in ints: with a = a_int / D and
-    b = b_int / D over one common denominator D, and Q = Q_int / den,
-    q(x) = (a^T Q a + t b^T Q b + 2 a^T Q b sqrt t) is read off the int
-    products a_int^T Q_int a_int, b_int^T Q_int b_int and
-    a_int^T Q_int b_int over D^2 den, and one QuadExt is made."""
-    pairs = [(c.rat.as_integer_ratio(), c.rad.as_integer_ratio()) for c in x]
+    ext = [c for c in x if isinstance(c, QuadExt)]
+    lead = next((c for c in ext if c.rad), ext[0] if ext else None)
+    # pullback gives every coordinate the same t object: no comparison then
+    x = [
+        lead._align(c)[0] if isinstance(c, QuadExt) and c.rad and c.t is not lead.t else c
+        for c in x
+    ]
+    parts = [(c.rat, c.rad) if isinstance(c, QuadExt) else (c, 0) for c in x]
+    pairs = [(u.as_integer_ratio(), v.as_integer_ratio()) for u, v in parts]
     d = math.lcm(*[d for (_, ad), (_, bd) in pairs for d in (ad, bd)])
     a = [(i, an * (d // ad)) for i, ((an, ad), _) in enumerate(pairs) if an]
     b = [(i, bn * (d // bd)) for i, (_, (bn, bd)) in enumerate(pairs) if bn]
@@ -275,9 +272,10 @@ def _evaluate_split(q, x, t):
     aqa = sum(v * qa[i] for i, v in a)
     bqb = sum(v * qb[i] for i, v in b)
     aqb = sum(v * qb[i] for i, v in a)
-    tn, td = t.as_integer_ratio()
     big = d * d * q.den
-    return QuadExt(Fraction(aqa * td + tn * bqb, big * td), Fraction(2 * aqb, big), t)
+    tn, td = (1, 1) if lead is None else lead.t.as_integer_ratio()
+    rat = Fraction(aqa * td + tn * bqb, big * td)
+    return rat if lead is None else QuadExt(rat, Fraction(2 * aqb, big), lead.t)
 
 
 def congruence_diagonalize(q: QuadraticForm) -> CongruenceDiagonalization:
@@ -439,19 +437,19 @@ _INT_OR_TEXT = {int, str}
 
 
 def _read_entry(e):
-    """(num, den) of a JSON matrix entry, den > 0.  An int is read as it
-    is, and text as int() reads it, or as "n/d" with int() on each side of
-    the slash; int() also takes a space or a sign beside the slash, and
-    Fraction() does not, so a digit must stand on either side of it.
-    Every other spelling (decimals, exponents) and every error goes
-    through parse_rational."""
+    """(num, den) of a JSON matrix entry or polynomial coefficient,
+    den > 0.  An int is read as it is, and text as int() reads it, or as
+    "n/d" with int() on each side of the slash; int() also takes a space
+    or a sign beside the slash, and Fraction() does not, so a digit must
+    stand on either side of it.  Every other spelling (decimals,
+    exponents) and every error goes through parse_rational."""
     if type(e) is int:
         return e, 1
     if type(e) is str:
-        num, slash, den = e.partition("/")
         try:
-            if not slash:
-                return int(num), 1
+            if "/" not in e:
+                return int(e), 1
+            num, den = e.split("/", 1)
             if num[-1:].isdigit() and den[:1].isdigit():
                 d = int(den)
                 if d:

@@ -37,10 +37,12 @@ from .forms import (
     classify,
     classify_inertia,
     congruence_diagonalize,
+    _pair,
+    _read_entry,
 )
 from .forms import evaluate as form_eval
 from .record import Record
-from .scalars import parse_rational, render_ratio
+from .scalars import render_ratio
 
 # The degree is the one field of a polynomial file whose cost (division,
 # the witness sweep's grid, power tables) does not grow with the file.
@@ -60,10 +62,10 @@ def _grlex_key(exp):
 
 
 def _over_one_denominator(coefs):
-    """(ints, den) with coefs[e] = ints[e] / den for a map of int and
-    Fraction values; den is the lcm of their denominators, zeros drop."""
-    den = lcm(*[c.denominator for c in coefs.values()])
-    return {e: c.numerator * (den // c.denominator) for e, c in coefs.items() if c}, den
+    """(ints, den) with ints[e] / den = x / d for a map of (x, d) pairs,
+    d > 0; den is the lcm of the d, and zeros drop."""
+    den = lcm(*[d for _, d in coefs.values()])
+    return {e: x * (den // d) for e, (x, d) in coefs.items() if x}, den
 
 
 class HomogeneousPoly(Record):
@@ -74,11 +76,8 @@ class HomogeneousPoly(Record):
     _fields = ("nvars", "degree", "terms")
 
     def __init__(self, nvars, degree, terms):
-        coefs = {
-            tuple(int(e) for e in exp): c if type(c) is int else Fraction(c)
-            for exp, c in dict(terms).items()
-        }
-        for exp, c in coefs.items():
+        coefs = {tuple(int(e) for e in exp): _pair(c) for exp, c in dict(terms).items()}
+        for exp, (c, _) in coefs.items():
             if not c:
                 continue
             if len(exp) != nvars or any(e < 0 for e in exp):
@@ -437,17 +436,7 @@ def poly_from_json(obj) -> HomogeneousPoly:
         key = tuple(exp)
         if key in parsed:
             raise FormatError(f"term {i}: duplicate exponent vector {exp!r}")
-        coef = term["coef"]
-        # int("1.5") raises, but int(1.5) is 1: only text takes the int
-        # fast path, and floats, bools and null reach parse_rational's error
-        if type(coef) is str:
-            try:
-                coef = int(coef)
-            except ValueError:
-                coef = parse_rational(coef)
-        elif type(coef) is not int:
-            coef = parse_rational(coef)
-        parsed[key] = coef
+        parsed[key] = _read_entry(term["coef"])
     return HomogeneousPoly._from_ints(nvars, degree, *_over_one_denominator(parsed))
 
 

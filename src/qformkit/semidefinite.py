@@ -15,7 +15,6 @@ are floating point.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from . import linalg
 from .containment import Counterexample, _decide_in_frame, _first_witness, decide_containment
@@ -77,20 +76,20 @@ def kernel_basis(q: QuadraticForm) -> SubspaceBasis:
     return SubspaceBasis(dim_ambient=q.dim, vectors=vectors)
 
 
-def _float(x) -> float:
-    """float(x) for an exact value; past the float range (about 1.8e308)
+def _float(num, den) -> float:
+    """num / den for ints num and den > 0, correctly rounded as
+    float(Fraction(num, den)) is; past the float range (about 1.8e308)
     the float step cannot run, a numerical failure rather than a fault."""
     try:
-        return float(x)
+        return num / den
     except OverflowError as exc:
         raise NumericalFailure(f"an exact value is out of float range: {exc}") from exc
 
 
 def _congruent(m, cols):
-    """C^T M C for the matrix C with columns cols, in the scalars of m and
-    cols (ints or floats)."""
-    mc = [[sum(x * y for x, y in zip(row, c)) for row in m] for c in cols]
-    return [[sum(x * y for x, y in zip(a, b)) for b in mc] for a in cols]
+    """C^T M C for symmetric M and the matrix C with columns cols, in the
+    scalars of m and cols (ints or floats)."""
+    return linalg.mat_mul(linalg.mat_mul(cols, m), linalg.transpose(cols))
 
 
 def _offdiag_residual(mat, tol):
@@ -179,8 +178,7 @@ def _simdiag_in_frame(
         raise DimensionMismatch(f"dims differ: {q.dim} vs {r.dim}")
     n, nm = q.dim, dq.inertia.k + dq.inertia.m
     cols, scales = dq.cols, dq.scales
-    den, r_int = r.den, r.ints
-    witness = _first_witness(dq, den, r_int)
+    witness = _first_witness(dq, r)
     if witness is not None:
         raise ContainmentFails(
             "zero set of q is not contained in zero set of r", witness=witness
@@ -189,20 +187,19 @@ def _simdiag_in_frame(
     r_unit = -1 if orr < 0 else 1
     # column i of W is g_i b_i, g_i = 1 / sqrt|d_i|, and W^T R W is built from
     # the exact b_i^T R b_j = cols[i] . (R_int cols[j]) / (s_i s_j den)
-    g = [math.sqrt(_float(1 / abs(d))) for d in dq.diag[:nm]]
-    rbb = _congruent(r_int, cols[:nm])
+    g = [math.sqrt(_float(d.denominator, abs(d.numerator))) for d in dq.diag[:nm]]
+    rbb = _congruent(r.ints, cols[:nm])
     a = [
-        [r_unit * _float(Fraction(rbb[i][j], scales[i] * scales[j] * den)) * g[i] * g[j]
-         for j in range(nm)]
+        [r_unit * _float(rbb[i][j], scales[i] * scales[j] * r.den) * g[i] * g[j] for j in range(nm)]
         for i in range(nm)
     ]
     eigvals, x = _jacobi_eigh(a)
-    b = [[_float(e) for e in col] for col in zip(*dq.basis)]
+    b = [[_float(e, s) for e in col] for col, s in zip(cols, scales)]
     w = [[e * gi for e in col] for col, gi in zip(b, g)]
     bcols = [[sum(x[i][j] * wi[k] for i, wi in enumerate(w)) for k in range(n)] for j in range(nm)]
     bcols += b[nm:]
-    qf = [[_float(e) for e in row] for row in q.matrix]
-    rf = [[_float(e) for e in row] for row in r.matrix]
+    qf = [[_float(e, q.den) for e in row] for row in q.ints]
+    rf = [[_float(e, r.den) for e in row] for row in r.ints]
     tq = _congruent(qf, bcols)
     tr = _congruent(rf, bcols)
     if not all(math.isfinite(e) for m in (tq, tr) for row in m for e in row):
@@ -243,8 +240,9 @@ def simdiag_general(
                 "q has a null-cone point where r is nonzero",
                 witness=verdict.witness,
             )
-        basis = tuple(tuple(_float(e) for e in row) for row in dq.basis)
-        q_diag = tuple(_float(d) for d in dq.diag)
-        r_diag = tuple(_float(verdict.alpha * d) for d in dq.diag)
+        an, ad = verdict.alpha.as_integer_ratio()
+        basis = tuple(zip(*[[_float(e, s) for e in col] for col, s in zip(dq.cols, dq.scales)]))
+        q_diag = tuple(_float(d.numerator, d.denominator) for d in dq.diag)
+        r_diag = tuple(_float(an * d.numerator, ad * d.denominator) for d in dq.diag)
         return SimDiagResult(basis=basis, q_diag=q_diag, r_diag=r_diag, residual=0.0)
     return _simdiag_in_frame(q, r, dq, tol)

@@ -366,3 +366,56 @@ def rotation_from_triple(a, b, h, plane="xy"):
     rows[i][j] = -sin
     rows[j][i] = sin
     return LinearTransform(rows)
+
+
+def reference_witness_family(diag, inertia):
+    """The witness family as containment._witness_family yielded it when
+    each construction was written out on its own: (tn, td, support) for
+    (a)..(e) in order, the radicand formula repeated per member kind and
+    the (e) loop repeated for pairs of negative indices."""
+    n = len(diag)
+    k, m = inertia.k, inertia.m
+    pos = range(k)
+    neg = range(k, k + m)
+    zero = range(k + m, n)
+    nd = [d.as_integer_ratio() for d in diag]
+
+    # (a) e_p +- sqrt(d_p / -d_n) e_n
+    for p in pos:
+        for ng in neg:
+            tn, td = nd[p][0] * nd[ng][1], -nd[ng][0] * nd[p][1]
+            for sign in (1, -1):
+                yield tn, td, ((p, 1, 0), (ng, 0, sign))
+    # (b) e_z
+    for zi in zero:
+        yield 1, 1, ((zi, 1, 0),)
+    # (c) +-e_p + sqrt(d_p / -d_n) e_n + e_z
+    for p in pos:
+        for ng in neg:
+            tn, td = nd[p][0] * nd[ng][1], -nd[ng][0] * nd[p][1]
+            for zi in zero:
+                for sign in (1, -1):
+                    yield tn, td, ((p, sign, 0), (ng, 0, 1), (zi, 1, 0))
+    # (d) e_z +- e_z'
+    for i, zi in enumerate(zero):
+        for zj in zero[i + 1 :]:
+            for sign in (1, -1):
+                yield 1, 1, ((zi, 1, 0), (zj, sign, 0))
+    # (e) sigma1 e_p + sigma2 e_p' + sqrt((d_p + d_p') / -d_n) e_n,
+    #     and the mirror construction for pairs of negative indices
+    for i, p in enumerate(pos):
+        for p2 in pos[i + 1 :]:
+            (a, b), (c, d) = nd[p], nd[p2]
+            for ng in neg:
+                tn, td = (a * d + c * b) * nd[ng][1], -nd[ng][0] * b * d
+                for s1 in (1, -1):
+                    for s2 in (1, -1):
+                        yield tn, td, ((p, s1, 0), (p2, s2, 0), (ng, 0, 1))
+    for i, ng in enumerate(neg):
+        for ng2 in neg[i + 1 :]:
+            (a, b), (c, d) = nd[ng], nd[ng2]
+            for p in pos:
+                tn, td = -(a * d + c * b) * nd[p][1], nd[p][0] * b * d
+                for s1 in (1, -1):
+                    for s2 in (1, -1):
+                        yield tn, td, ((ng, s1, 0), (ng2, s2, 0), (p, 0, 1))

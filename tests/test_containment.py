@@ -22,12 +22,11 @@ from qformkit import (
     minkowski_form,
     verify_witness,
 )
-from qformkit import forms
 from qformkit.containment import WitnessVector, _witness_family
 from qformkit.errors import MismatchedRadicand, NoWitnessFound
-from qformkit.forms import INDEFINITE, LinearTransform
+from qformkit.forms import INDEFINITE, Inertia, LinearTransform
 
-from conftest import inverse, mat_scale, random_indefinite, random_invertible
+from conftest import inverse, mat_scale, random_indefinite, random_invertible, reference_witness_family
 
 HYP = QuadraticForm([[1, 0], [0, -1]])  # x^2 - y^2
 
@@ -224,6 +223,16 @@ class TestJsonRendering:
         assert payload["r_value"] == "2"
         assert payload["witness"]["coords"] == [["1", "0"], ["1", "0"]]
         json.dumps(payload)
+
+    def test_coordinates_are_written_over_one_radicand(self):
+        # sqrt(8) = 2*sqrt(2): written over t = 2, it reads back as itself
+        w = WitnessVector((QuadExt(0, 1, 2), QuadExt(1, 1, 8)), QuadExt(0), QuadExt(1))
+        assert w.to_json() == {"t": "2", "coords": [["0", "1"], ["1", "2"]]}
+
+    def test_unrelated_radicands_are_not_written(self):
+        w = WitnessVector((QuadExt(0, 1, 2), QuadExt(0, 1, 3)), QuadExt(0), QuadExt(1))
+        with pytest.raises(MismatchedRadicand):
+            w.to_json()
 
 
 # --- reference: the decision path before it moved into one diagonal frame ---
@@ -503,11 +512,7 @@ class TestEvaluateSplit:
         assert evaluate(q, x) == _loop_evaluate(q.matrix, x)
         assert type(evaluate(q, x)) is Fraction
 
-    def test_mixed_radicands_take_the_fallback(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("split taken for a mixed-radicand vector")
-
-        monkeypatch.setattr(forms, "_evaluate_split", refuse)
+    def test_mixed_radicands_take_the_fallback(self):
         q = QuadraticForm([[1, 1, 1], [1, -1, 0], [1, 0, 2]])
         # sqrt(8) = 2*sqrt(2): radicands differ, values combine
         x = (QuadExt(1, 1, 2), QuadExt(0, 1, 8), QuadExt(3, 0, 5))
@@ -515,6 +520,41 @@ class TestEvaluateSplit:
         y = (QuadExt(1, 1, 2), QuadExt(0, 1, 3), QuadExt(1))
         with pytest.raises(MismatchedRadicand):
             evaluate(q, y)
+
+    @pytest.mark.parametrize("kind", ["rational", "one-radicand", "square-factor", "mixed-entries"])
+    def test_every_kind_of_vector_equals_generic_loop(self, kind):
+        """Rational vectors, one radicand, radicands that differ by a
+        rational square (sqrt(8) beside sqrt(2)), and a mix of ints,
+        Fractions and QuadExts: the value is the generic loop's, and a
+        Fraction exactly when no entry is a QuadExt."""
+        rng = random.Random(f"evaluate-{kind}")
+
+        def entry(t):
+            rat = Fraction(rng.randint(-4, 4), rng.randint(1, 3)) * rng.choice([0, 1])
+            rad = Fraction(rng.randint(-4, 4), rng.randint(1, 3)) * rng.choice([0, 1])
+            if kind == "rational":
+                return rat
+            if kind == "one-radicand":
+                return QuadExt(rat, rad, t)
+            square = rng.choice([Fraction(1), Fraction(4), Fraction(9, 4), Fraction(1, 16)])
+            if kind == "square-factor" or rng.random() < 0.4:
+                return QuadExt(rat, rad, t * square)
+            return rng.choice([rat, rat.numerator])
+
+        for _ in range(150):
+            n = rng.randint(1, 6)
+            q = random_indefinite(rng, n) if n > 1 else QuadraticForm([[rng.randint(-3, 3)]])
+            t = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+            x = tuple(entry(t) for _ in range(n))
+            got = evaluate(q, x)
+            want = _loop_evaluate(q.matrix, x)
+            assert type(got) is (QuadExt if any(isinstance(c, QuadExt) for c in x) else Fraction)
+            assert got == want
+
+    def test_unrelated_radicands_raise(self):
+        q = QuadraticForm([[1, 1], [1, -1]])
+        with pytest.raises(MismatchedRadicand):
+            evaluate(q, (QuadExt(0, 1, 2), QuadExt(0, 1, 3)))
 
     def test_tampered_witness_with_mixed_radicands(self):
         r = QuadraticForm([[1, 0], [0, 1]])
@@ -534,3 +574,23 @@ class TestEvaluateSplit:
             r_value=w.r_value,
         )
         assert not verify_witness(HYP, r, off)
+
+
+def test_witness_family_matches_reference():
+    """The witness family yields the reference's (tn, td, support)
+    sequence, member for member, for random diagonals of every inertia
+    with k, m, z <= 4."""
+    rng = random.Random(71)
+    for k in range(5):
+        for m in range(5):
+            for z in range(5):
+                if k + m + z == 0:
+                    continue
+                for _ in range(3):
+                    diag = tuple(
+                        [Fraction(rng.randint(1, 9), rng.randint(1, 5)) for _ in range(k)]
+                        + [-Fraction(rng.randint(1, 9), rng.randint(1, 5)) for _ in range(m)]
+                        + [Fraction(0)] * z
+                    )
+                    ine = Inertia(k, m, z)
+                    assert list(_witness_family(diag, ine)) == list(reference_witness_family(diag, ine))

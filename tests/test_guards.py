@@ -382,6 +382,26 @@ def test_decisions_never_read_the_fraction_matrix(monkeypatch):
     assert report.classification == "cone-breaking"
     eta = qformkit.minkowski_form(1)
     assert qformkit.verify_witness(eta, report.pulled_back_form, report.witness_event)
+    _run_simdiag_pairs()
+
+
+_S2_ROWS = [[2, 0, -1], [0, 2, -1], [-1, -1, 1]]
+_S2P_ROWS = [[8, 8, -8], [8, 16, -12], [-8, -12, 10]]
+
+
+def _run_simdiag_pairs():
+    """simdiag_general on a psd pair (S2/S2'), a psd q with an nsd r, an
+    indefinite proportional pair and a refuting pair, each form built anew."""
+    form = qformkit.QuadraticForm
+    hyp_rows = [[1, 0, 0], [0, -1, 0], [0, 0, 2]]
+    for q_rows, r_rows in [
+        (_S2_ROWS, _S2P_ROWS),
+        (_S2_ROWS, [[-e for e in row] for row in _S2P_ROWS]),
+        (hyp_rows, [[3 * e for e in row] for row in hyp_rows]),
+    ]:
+        assert isinstance(qformkit.simdiag_general(form(q_rows), form(r_rows)), qformkit.SimDiagResult)
+    with pytest.raises(qformkit.ContainmentFails):
+        qformkit.simdiag_general(form(hyp_rows), form([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
 
 
 def _proportional_pair():
@@ -428,6 +448,17 @@ def test_witness_paths_never_read_basis(monkeypatch):
         qformkit.simdiag_general(_SQUARE, qformkit.QuadraticForm([[1, 0], [0, 1]]))
     report = qformkit.check_interval_invariance(_STRETCH)
     assert report.classification == "cone-breaking"
+    _run_simdiag_pairs()
+
+
+def test_fractions_made_per_simdiag():
+    """simdiag reads its float step from the ints: on the S2/S2' pair it
+    makes at most 10 Fractions (its diagonal values among them), where it
+    made 41 when the float step read the Fraction views."""
+    q, r = qformkit.QuadraticForm(_S2_ROWS), qformkit.QuadraticForm(_S2P_ROWS)
+    result, made = _fractions_made(qformkit.simdiag_general, q, r)
+    assert isinstance(result, qformkit.SimDiagResult)
+    assert made <= 10
 
 
 def test_fractions_made_per_poly_division():

@@ -396,10 +396,12 @@ class TestJsonFormat:
         assert poly_from_json(load_json(path)) == p
 
 
-# coefficients whose int() reading must agree with parse_rational: a value
+# coefficients whose int-first reading must agree with parse_rational: a value
 # or the same FormatError message
 COEFFICIENTS = (
     "1_000", " 5 ", "+5", "٥", "-0", "1e3", "7/3", "5/0", "5/-2", "7" * 4301,
+    "14/6", "-3/4", "3/-4", "3 / 4", "-3/-4", "3 /4", "3/ 4", "3/+4", "+3/4",
+    " -7/14 ", "0x10", "1.5", "1e99999",
     1.5, True, None,
 )
 
