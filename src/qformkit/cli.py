@@ -233,19 +233,15 @@ def cmd_demo(args):
         ok, payload = fixture()
         results.append(payload)
         if not ok:
-            _emit(
-                lambda: {"fixtures": results, "ok": False},
-                lambda: [f"FIXTURE FAILED: {payload['name']}"],
-                args.json,
-            )
-            return EXIT_REFUTED
-    _emit(
-        lambda: {"fixtures": results, "ok": True},
-        lambda: [f"[ok] {res['name']}" for res in results]
-        + ["all demo fixtures behave as documented"],
-        args.json,
-    )
-    return EXIT_OK
+            break
+
+    def lines():
+        if not ok:
+            return [f"FIXTURE FAILED: {payload['name']}"]
+        return [f"[ok] {r['name']}" for r in results] + ["all demo fixtures behave as documented"]
+
+    _emit(lambda: {"fixtures": results, "ok": ok}, lines, args.json)
+    return EXIT_OK if ok else EXIT_REFUTED
 
 
 def _tolerance(text):

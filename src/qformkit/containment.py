@@ -24,7 +24,7 @@ from .forms import (
     evaluate,
 )
 from .record import Record
-from .scalars import QuadExt, exact_sqrt, render_quadext, render_rational
+from .scalars import QuadExt, _is_zero, exact_sqrt, render_quadext, render_rational
 
 
 class WitnessVector(Record):
@@ -222,8 +222,7 @@ def _first_witness(diag_q: CongruenceDiagonalization, r: QuadraticForm):
     P^2 den td is rat + rad sqrt(t), where rat sums
     w E_ab f_a f_b (x_a x_b td + y_a y_b tn) and rad sums
     w E_ab f_a f_b (x_a y_b + y_a x_b) td, w = 1 on the diagonal and 2
-    off it.  That is zero iff rat = rad = 0, or rat and rad have
-    opposite signs and rat^2 td = rad^2 tn.  Fractions and QuadExts are
+    off it, and scalars._is_zero tests it.  Fractions and QuadExts are
     made only for the member that fires.
     """
     cols, scales = diag_q.cols, diag_q.scales
@@ -254,7 +253,7 @@ def _first_witness(diag_q: CongruenceDiagonalization, r: QuadraticForm):
                     e *= 2
                 rat += e * (xa * xb * td + ya * yb * tn)
                 rad += e * (xa * yb + ya * xb) * td
-        if (rat or rad) and not (rat * rad < 0 and rat * rat * td == rad * rad * tn):
+        if not _is_zero(rat, rad, tn, td):
             t = Fraction(tn, td)
             root = exact_sqrt(t)
             if root is not None:  # as pullback does, fold sqrt(t) into the rational part

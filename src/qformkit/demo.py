@@ -31,18 +31,12 @@ def substitution():
     L = forms.transform_from_json(json.loads(_SUBST_JSON))
     expected = forms.form_from_json(json.loads(_S2_PRIME_EXPECTED))
     pulled = forms.apply_transform(s2, L)
-    ok = pulled == expected
     ine_q = forms.inertia(s2)
-    ine_r = forms.inertia(pulled)
-    ok = ok and (ine_q.k, ine_q.m, ine_q.z) == (2, 0, 1)
-    ok = ok and (ine_r.k, ine_r.m, ine_r.z) == (2, 0, 1)
+    ok = pulled == expected and ine_q == forms.inertia(pulled) == forms.Inertia(2, 0, 1)
     kq = semidefinite.kernel_basis(s2).vectors
-    kr = semidefinite.kernel_basis(pulled).vectors
-    # both kernels must be the single line through (1, 1, 2)
-    line = (Fraction(1), Fraction(1), Fraction(2))
-    ok = ok and kq == kr and len(kq) == 1
-    scale = kq[0][2] / line[2] if kq else None
-    ok = ok and scale and tuple(scale * e for e in line) == kq[0]
+    # both kernels must be the single line through (1, 1, 2), its last entry 1
+    half = Fraction(1, 2)
+    ok = ok and kq == semidefinite.kernel_basis(pulled).vectors == ((half, half, 1),)
     not_indefinite = False
     try:
         containment.decide_containment(s2, pulled)

@@ -9,10 +9,8 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import DimensionMismatch, FormatError, NonSymmetricMatrix
-from .record import Record
+from .record import Record, _set
 from .scalars import QuadExt, exact_sqrt, parse_rational, render_ratio, render_rational
-
-_set = object.__setattr__
 
 INDEFINITE = "indefinite"
 POSITIVE_DEFINITE = "positive-definite"

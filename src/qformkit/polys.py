@@ -41,7 +41,7 @@ from .forms import (
     _read_entry,
 )
 from .forms import evaluate as form_eval
-from .record import Record
+from .record import Record, _set
 from .scalars import render_ratio
 
 # The degree is the one field of a polynomial file whose cost (division,
@@ -53,8 +53,6 @@ MAX_DEGREE = 100
 # into x1^degree takes about 1 s (nvars 6, 8 and 12 on a 2-core Xeon,
 # Python 3.11).
 MAX_MONOMIALS = 75_000
-
-_set = object.__setattr__
 
 
 def _grlex_key(exp):

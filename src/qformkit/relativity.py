@@ -66,25 +66,16 @@ def check_interval_invariance(L: LinearTransform, c=Fraction(1)) -> TransformRep
     pulled = apply_transform(q, L)
     verdict = decide_containment(q, pulled)
     if isinstance(verdict, Proportional):
-        kappa = verdict.alpha
+        kappa, event = verdict.alpha, None
         if kappa == 1:
             cls = INTERVAL_PRESERVING
         elif kappa == 0:
             cls = DEGENERATE
         else:
             cls = CONFORMAL_SCALING
-        return TransformReport(
-            kappa=kappa,
-            classification=cls,
-            witness_event=None,
-            pulled_back_form=pulled,
-        )
-    return TransformReport(
-        kappa=None,
-        classification=CONE_BREAKING,
-        witness_event=verdict.witness,
-        pulled_back_form=pulled,
-    )
+    else:
+        kappa, cls, event = None, CONE_BREAKING, verdict.witness
+    return TransformReport(kappa, cls, event, pulled)
 
 
 def boost_from_triple(a: int, b: int, h: int, axis: str = "x") -> LinearTransform:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .errors import FormatError, MismatchedRadicand
-from .record import Record
+from .record import Record, _set
 
 Rational = Fraction
 
@@ -88,9 +88,9 @@ class QuadExt(Record):
         t = t if type(t) is Fraction else Fraction(t)
         if t <= 0:
             raise ValueError(f"radicand must be positive, got {t}")
-        object.__setattr__(self, "rat", rat)
-        object.__setattr__(self, "rad", rad)
-        object.__setattr__(self, "t", t)
+        _set(self, "rat", rat)
+        _set(self, "rad", rad)
+        _set(self, "t", t)
 
     @staticmethod
     def _coerce(value, t):
@@ -157,12 +157,7 @@ class QuadExt(Record):
 
     def is_zero(self) -> bool:
         """Exact zero test, valid even when t is a perfect square."""
-        if self.rat == 0 and self.rad == 0:
-            return True
-        if self.rat == 0 or self.rad == 0:
-            return False
-        opposite = (self.rat > 0) != (self.rad > 0)
-        return opposite and self.rat * self.rat == self.rad * self.rad * self.t
+        return _is_zero(self.rat, self.rad, *self.t.as_integer_ratio())
 
     def __bool__(self):
         return not self.is_zero()
@@ -194,6 +189,16 @@ class QuadExt(Record):
 
     def __str__(self):
         return render_quadext(self)
+
+
+def _is_zero(rat, rad, tn, td) -> bool:
+    """Whether rat + rad*sqrt(tn / td) is zero, for rat and rad ints or
+    Fractions and ints tn, td > 0, in lowest terms or not: both parts are
+    zero, or they have opposite signs and rat^2 td = rad^2 tn.  Exact even
+    when tn / td is a perfect square."""
+    if not rad:
+        return not rat
+    return (rat < 0) != (rad < 0) and rat * rat * td == rad * rad * tn
 
 
 def exact_sqrt(t: Fraction):

@@ -15,6 +15,7 @@ are floating point.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from . import linalg
 from .containment import Counterexample, _decide_in_frame, _first_witness, decide_containment
@@ -70,10 +71,26 @@ def _orientation(ine: Inertia) -> int:
 
 def kernel_basis(q: QuadraticForm) -> SubspaceBasis:
     """Exact basis of {x : Qx = 0}.  For semidefinite q this is exactly
-    the zero set: q(x) = 0 forces x into the matrix kernel."""
-    _orientation(congruence_diagonalize(q).inertia)  # rejects indefinite input
-    vectors, _ = linalg.kernel(q.matrix)
+    the zero set: q(x) = 0 forces x into the matrix kernel.
+
+    The basis is read off q's frame: the columns of B at the zeros of d
+    (see _simdiag_in_frame), each divided by its last nonzero entry.  A
+    kernel of dimension 1 then gets the vector rref(Q) gives it, whose
+    free column is its last nonzero coordinate, set to 1."""
+    dq = congruence_diagonalize(q)
+    _orientation(dq.inertia)  # rejects indefinite input
+    kernel = dq.cols[dq.inertia.k + dq.inertia.m :]
+    lasts = [next(e for e in reversed(col) if e) for col in kernel]
+    vectors = tuple(tuple(Fraction(e, last) for e in col) for col, last in zip(kernel, lasts))
     return SubspaceBasis(dim_ambient=q.dim, vectors=vectors)
+
+
+def _check_tol(tol):
+    """Raise ValueError unless tol is a finite number >= 0, the rule of
+    the CLI's --tol: with nan the checks residual > tol and
+    diag_error > tol never fire, and with inf they pass any value."""
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
 
 
 def _float(num, den) -> float:
@@ -141,6 +158,7 @@ def simdiag_psd(
     """Joint diagonalization for a semidefinite pair with contained zero
     sets.  Kernel columns of q go in exactly; on the complement q is
     definite and a whitened symmetric eigenproblem diagonalizes both."""
+    _check_tol(tol)
     return _simdiag_in_frame(q, r, congruence_diagonalize(q), tol)
 
 
@@ -230,6 +248,7 @@ def simdiag_general(
     """Dispatch over both theorems: indefinite q goes through the
     proportionality decision (any diagonalizing basis of q then works for
     both); semidefinite pairs go through the kernel route."""
+    _check_tol(tol)
     if q.dim != r.dim:
         raise DimensionMismatch(f"dims differ: {q.dim} vs {r.dim}")
     dq = congruence_diagonalize(q)

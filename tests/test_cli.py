@@ -379,6 +379,22 @@ class TestDemo:
             "minkowski",
         ]
 
+    def test_stops_at_the_first_failed_fixture(self, monkeypatch, capsys):
+        from qformkit import demo
+
+        def fixture(name, ok):
+            return lambda: (ok, {"name": name, "ok": ok})
+
+        monkeypatch.setattr(
+            demo, "FIXTURES", (fixture("a", True), fixture("b", False), fixture("c", True))
+        )
+        assert main(["demo"]) == 1
+        assert capsys.readouterr().out == "FIXTURE FAILED: b\n"
+        assert main(["demo", "--json"]) == 1
+        assert capsys.readouterr().out == (
+            '{"fixtures":[{"name":"a","ok":true},{"name":"b","ok":false}],"ok":false}\n'
+        )
+
 
 QUARTIC_SUM = json.dumps(
     {
@@ -492,7 +508,8 @@ def test_deeply_nested_json_exit_2(tmp_path, capsys, kind):
 # point of the deterministic cone sweep.  The two kernel2 entries were
 # recorded before simdiag's kernel test became the witness family.  The
 # two lorentz entries were recorded again when the sqrt(1) of their
-# witness event came to be folded into its rational part.
+# witness event came to be folded into its rational part.  The demo entry
+# was recorded while kernel_basis still eliminated on the Fraction matrix.
 GOLDEN_INPUTS = {
     "s2": S2,
     "s2p": S2P,
@@ -595,6 +612,24 @@ GOLDEN = [
         '[["-1","0","0","0"],["0","4","0","0"],["0","0","1","0"],["0","0","0","1"]]},'
         '"witness_event":{"t":"1","coords":[["1","0"],["1","0"],["0","0"],["0","0"]]},'
         '"q_value":"0","r_value":"3"}\n',
+    ),
+    (
+        ("demo", "--json"),
+        0,
+        '{"fixtures":[{"name":"linear-substitution","pulled_back":{"dim":3,"rows":[["8","8",'
+        '"-8"],["8","16","-12"],["-8","-12","10"]]},"inertia":[2,0,1],"shared_kernel":[["1/2",'
+        '"1/2","1"]],"proportional":false,"containment_rejected":"NotIndefinite","ok":true},'
+        '{"name":"semidefinite-trap","q_classification":"positive-semidefinite-degenerate",'
+        '"r_classification":"indefinite","simdiag_rejected":"NotSemidefinite",'
+        '"containment_rejected":"NotIndefinite","ok":true},'
+        '{"name":"minkowski","boost_345":{"kappa":"1","classification":"interval-preserving",'
+        '"pulled_back_form":{"dim":4,"rows":[["-1","0","0","0"],["0","1","0","0"],["0","0",'
+        '"1","0"],["0","0","0","1"]]}},"scaling_2I":{"kappa":"4","classification":"conformal-scaling",'
+        '"pulled_back_form":{"dim":4,"rows":[["-4","0","0","0"],["0","4","0","0"],["0","0",'
+        '"4","0"],["0","0","0","4"]]}},"anisotropic":{"kappa":null,"classification":"cone-breaking",'
+        '"pulled_back_form":{"dim":4,"rows":[["-1","0","0","0"],["0","4","0","0"],["0","0",'
+        '"1","0"],["0","0","0","1"]]},"witness_event":{"t":"1","coords":[["1","0"],["1","0"],'
+        '["0","0"],["0","0"]]},"q_value":"0","r_value":"3"},"ok":true}],"ok":true}\n',
     ),
 ]
 

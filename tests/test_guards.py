@@ -250,6 +250,8 @@ def rref_calls(monkeypatch):
         (lambda: qformkit.decide_containment_homogeneous(_HYP, _X1X2), [_HYP], 0),
         # kernel and complement of q from its frame; r only for its orientation
         (lambda: qformkit.simdiag_general(_S2, _S2P), [_S2, _S2P], 0),
+        # the kernel is read off q's frame, with no second elimination
+        (lambda: qformkit.kernel_basis(_S2), [_S2], 0),
     ],
     ids=[
         "contain-refute",
@@ -258,6 +260,7 @@ def rref_calls(monkeypatch):
         "simdiag-indefinite",
         "poly-non-divisible",
         "simdiag-semidefinite",
+        "kernel-basis",
     ],
 )
 def test_one_diagonalization_per_decision(diagonalize_calls, rref_calls, decide, diagonalized, rrefs):
@@ -361,9 +364,9 @@ def test_fractions_made_per_form_parse(entry):
 
 
 def test_decisions_never_read_the_fraction_matrix(monkeypatch):
-    """Containment with its re-check and the interval check read each
-    form's (den, ints) only; the Fraction rows `matrix` are never built,
-    to confirm or to refute."""
+    """Containment with its re-check, the interval check, simdiag and
+    kernel_basis read each form's (den, ints) only; the Fraction rows
+    `matrix` are never built, to confirm or to refute."""
     q, r = _proportional_pair()
     q_rows, r_rows = _anchored_pair(8, 5)
     r_rows[0][0] += 1
@@ -383,6 +386,7 @@ def test_decisions_never_read_the_fraction_matrix(monkeypatch):
     eta = qformkit.minkowski_form(1)
     assert qformkit.verify_witness(eta, report.pulled_back_form, report.witness_event)
     _run_simdiag_pairs()
+    assert len(qformkit.kernel_basis(qformkit.QuadraticForm(_S2_ROWS)).vectors) == 1
 
 
 _S2_ROWS = [[2, 0, -1], [0, 2, -1], [-1, -1, 1]]
@@ -459,6 +463,16 @@ def test_fractions_made_per_simdiag():
     result, made = _fractions_made(qformkit.simdiag_general, q, r)
     assert isinstance(result, qformkit.SimDiagResult)
     assert made <= 10
+
+
+def test_fractions_made_per_kernel_basis():
+    """kernel_basis reads q's frame: on S2 it makes the 3 diagonal values
+    and the 3 entries of its one kernel vector, where the elimination on
+    the Fraction matrix made 36."""
+    q = qformkit.QuadraticForm(_S2_ROWS)
+    basis, made = _fractions_made(qformkit.kernel_basis, q)
+    assert len(basis.vectors) == 1
+    assert made <= 6
 
 
 def test_fractions_made_per_poly_division():

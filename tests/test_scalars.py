@@ -12,6 +12,7 @@ from qformkit import (
     render_quadext,
     render_rational,
 )
+from qformkit import scalars
 
 from conftest import parse_quadext
 
@@ -116,6 +117,36 @@ class TestQuadExtZero:
 
     def test_near_miss(self):
         assert not qe(2, -1, 5).is_zero()
+
+    @staticmethod
+    def reference(rat, rad, t):
+        """QuadExt.is_zero as it was written on the value's own fields."""
+        if rat == 0 and rad == 0:
+            return True
+        if rat == 0 or rad == 0:
+            return False
+        return (rat > 0) != (rad > 0) and rat * rat == rad * rad * t
+
+    PARTS = [0, 1, -1, 2, -2, 3, -3, Fraction(3, 2), Fraction(-3, 2), Fraction(2, 3), Fraction(-1, 3)]
+    # perfect squares (1, 4, 9/4, 1/9) among them
+    RADICANDS = [Fraction(1), Fraction(4), Fraction(9, 4), Fraction(1, 9), Fraction(2), Fraction(1, 2),
+                 Fraction(9, 8), Fraction(4, 9)]
+
+    def test_rule_matches_the_reference(self):
+        zeros = 0
+        for t in self.RADICANDS:
+            tn, td = t.as_integer_ratio()
+            for rat in self.PARTS:
+                for rad in self.PARTS:
+                    want = self.reference(Fraction(rat), Fraction(rad), t)
+                    zeros += want
+                    assert qe(rat, rad, t).is_zero() is want
+                    # ints and Fractions, (tn, td) in lowest terms and not
+                    for k in (1, 2, 6):
+                        assert scalars._is_zero(rat, rad, k * tn, k * td) is want
+                        assert scalars._is_zero(Fraction(rat), Fraction(rad), k * tn, k * td) is want
+        # 0 + 0 sqrt(t) for each t, and every cancellation over a square t
+        assert zeros > len(self.RADICANDS)
 
 
 @given(rationals, rationals, rationals)

@@ -28,6 +28,19 @@ S2 = QuadraticForm([[2, 0, -1], [0, 2, -1], [-1, -1, 1]])
 S2P = QuadraticForm([[8, 8, -8], [8, 16, -12], [-8, -12, 10]])
 SQUARE = QuadraticForm([[1, -1], [-1, 1]])  # (x-y)^2
 HYP = QuadraticForm([[1, 0], [0, -1]])
+# a psd pair whose float step lands far off q's diagonal
+FAR_Q = QuadraticForm(
+    [
+        [Fraction(50625000000000001, 62500), Fraction(-202499999999999999, 250000000)],
+        [Fraction(-202499999999999999, 250000000), Fraction(810000000000000001, 1000000000000)],
+    ]
+)
+FAR_R = QuadraticForm(
+    [
+        [Fraction(30625000000000004, 625), Fraction(37, 1250)],
+        [Fraction(37, 1250), Fraction(25000000000001, 62500000000000000)],
+    ]
+)
 
 
 def brute_eigs_2x2(a, b, d):
@@ -99,6 +112,28 @@ class TestKernelBasis:
             assert rank(aug) == len(kern)
 
 
+    def test_matches_the_rref_reference(self):
+        # read off q's frame: the rref basis whenever the kernel is a line
+        # or nothing, the same span otherwise, each vector's last nonzero
+        # entry 1
+        rng = random.Random(56)
+        wider = 0
+        for _ in range(400):
+            q = random_psd(rng, rng.randint(1, 7))
+            if rng.random() < 0.5:
+                q = negated(q)
+            kern = kernel_basis(q).vectors
+            ref = linalg.kernel(q.matrix)[0]
+            assert all(type(e) is Fraction for v in kern for e in v)
+            assert all([e for e in v if e][-1] == 1 for v in kern)
+            if len(ref) <= 1:
+                assert kern == ref
+            else:
+                wider += 1
+                assert len(kern) == len(ref) == rank(kern) == rank(kern + ref)
+        assert wider >= 50
+
+
 class TestContainmentPsd:
     def test_textbook_pair(self):
         assert containment_psd(S2, S2P) is True
@@ -156,6 +191,24 @@ class TestSimdiagPsd:
         monkeypatch.setattr(semidefinite, "_JACOBI_SWEEPS", 0)
         with pytest.raises(NumericalFailure, match="residual"):
             simdiag_psd(S2, S2P)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("simdiag", [simdiag_psd, simdiag_general])
+    def test_tolerance_must_be_finite_and_non_negative(self, simdiag, tol):
+        # the cli's --tol rule: with nan no check can fail, so this pair,
+        # whose diagonal check fails at the default tol, came back a result
+        with pytest.raises(NumericalFailure, match="diagonal"):
+            simdiag(FAR_Q, FAR_R)
+        with pytest.raises(ValueError, match="finite number >= 0"):
+            simdiag(FAR_Q, FAR_R, tol=tol)
+        with pytest.raises(ValueError, match="finite number >= 0"):
+            simdiag(S2, S2P, tol=tol)
+
+    @pytest.mark.parametrize("simdiag", [simdiag_psd, simdiag_general])
+    def test_zero_tolerance_is_accepted(self, simdiag):
+        res = simdiag(QuadraticForm([[1, 0], [0, 1]]), QuadraticForm([[1, 0], [0, 2]]), tol=0.0)
+        assert res.residual == 0.0
+        assert res.r_diag == (1.0, 2.0)
 
     def test_rejects_indefinite_r(self):
         # the non-simultaneously-diagonalizable pair
