@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import forms
@@ -31,7 +30,7 @@ from .errors import (
     NumericalFailure,
     QFormError,
 )
-from .scalars import parse_rational, render_rational
+from .scalars import parse_rational, render_ratio, render_rational
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -113,18 +112,20 @@ def cmd_canon(args):
     q = forms.form_from_json(forms.load_json(args.form))
     d = forms.congruence_diagonalize(q)
 
+    # column c of B is cols[c] / scales[c]
+    columns = [[render_ratio(x, s) for x in col] for col, s in zip(d.cols, d.scales)]
+
     def payload():
         return {
-            "basis": forms.matrix_to_json(d.basis),
+            "basis": {"dim": len(columns), "rows": [list(row) for row in zip(*columns)]},
             "diagonal": [render_rational(v) for v in d.diag],
             "inertia": [d.inertia.k, d.inertia.m, d.inertia.z],
         }
 
     def lines():
-        n = len(d.diag)
         return (
             ["basis columns (one per line):"]
-            + ["  " + " ".join(render_rational(d.basis[r][c]) for r in range(n)) for c in range(n)]
+            + ["  " + " ".join(col) for col in columns]
             + ["diagonal: " + " ".join(render_rational(v) for v in d.diag)]
         )
 
@@ -245,14 +246,15 @@ def cmd_demo(args):
 
 
 def _tolerance(text):
-    """--tol: a finite float >= 0.  The residual check is residual > tol,
-    which nan and inf would switch off without a word."""
+    """--tol: a float that semidefinite's tol rule accepts, so a bad value
+    exits 2 with argparse's message rather than 5."""
+    from .semidefinite import _check_tol
+
     try:
         tol = float(text)
+        _check_tol(tol)
     except ValueError:
-        tol = math.nan
-    if not 0 <= tol < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}") from None
     return tol
 
 
@@ -280,9 +282,7 @@ def build_parser():
     p.add_argument("--tol", type=_tolerance, help="residual tolerance, a finite number >= 0")
     p = add("lorentz", cmd_lorentz, transform="candidate transform JSON file")
     p.add_argument("--c", default="1", help="speed of light (rational)")
-    p = sub.add_parser("demo")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_demo)
+    add("demo", cmd_demo)
     return parser
 
 

@@ -26,6 +26,15 @@ _HYPERBOLIC_JSON = '{"dim": 2, "rows": [[1, 0], [0, -1]]}'
 _ANISOTROPIC_JSON = '{"dim": 4, "rows": [[1,0,0,0],[0,2,0,0],[0,0,1,0],[0,0,0,1]]}'
 
 
+def _raises(error, fn, *args):
+    """Whether fn(*args) raises error; any other exception propagates."""
+    try:
+        fn(*args)
+    except error:
+        return True
+    return False
+
+
 def substitution():
     s2 = forms.form_from_json(json.loads(_S2_JSON))
     L = forms.transform_from_json(json.loads(_SUBST_JSON))
@@ -37,15 +46,10 @@ def substitution():
     # both kernels must be the single line through (1, 1, 2), its last entry 1
     half = Fraction(1, 2)
     ok = ok and kq == semidefinite.kernel_basis(pulled).vectors == ((half, half, 1),)
-    not_indefinite = False
-    try:
-        containment.decide_containment(s2, pulled)
-    except NotIndefinite:
-        not_indefinite = True
-    ok = ok and not_indefinite
+    ok = _raises(NotIndefinite, containment.decide_containment, s2, pulled) and ok
     return ok, {
         "name": "linear-substitution",
-        "pulled_back": forms.matrix_to_json(pulled.matrix),
+        "pulled_back": forms.matrix_to_json(pulled),
         "inertia": [ine_q.k, ine_q.m, ine_q.z],
         "shared_kernel": [[render_rational(e) for e in v] for v in kq],
         "proportional": False,
@@ -57,17 +61,8 @@ def substitution():
 def semidefinite_trap():
     q = forms.form_from_json(json.loads(_SQUARE_JSON))
     r = forms.form_from_json(json.loads(_HYPERBOLIC_JSON))
-    rejected = False
-    try:
-        semidefinite.simdiag_psd(q, r)
-    except NotSemidefinite:
-        rejected = True
-    not_indef = False
-    try:
-        containment.decide_containment(q, r)
-    except NotIndefinite:
-        not_indef = True
-    ok = rejected and not_indef
+    rejected = _raises(NotSemidefinite, semidefinite.simdiag_psd, q, r)
+    ok = _raises(NotIndefinite, containment.decide_containment, q, r) and rejected
     return ok, {
         "name": "semidefinite-trap",
         "q_classification": forms.classify(q),

@@ -10,7 +10,7 @@ from fractions import Fraction
 from . import linalg
 from .errors import DimensionMismatch, FormatError, NonSymmetricMatrix
 from .record import Record, _set
-from .scalars import QuadExt, exact_sqrt, parse_rational, render_ratio, render_rational
+from .scalars import QuadExt, exact_sqrt, parse_rational, render_ratio
 
 INDEFINITE = "indefinite"
 POSITIVE_DEFINITE = "positive-definite"
@@ -47,7 +47,8 @@ class _IntMatrix:
     """A square rational matrix held as Python ints over one positive
     denominator: entry (i, j) is ints[i][j] / den, with den the lcm of the
     entries' reduced denominators, so equal matrices hold equal (den, ints).
-    The Fraction rows `matrix` are built the first time they are read."""
+    The Fraction rows `matrix` are built the first time they are read, by
+    repr; no command reads them."""
 
     __slots__ = ()
 
@@ -141,8 +142,8 @@ class CongruenceDiagonalization(Record):
     scales[c] a positive int.  congruence_diagonalize keeps the pivot
     rows and repairs of its pass, and cols is replayed from them the
     first time it is read; the rational matrix basis is built from cols
-    the first time it is read.  So a verdict that needs only diag and
-    inertia never builds B.
+    the first time it is read, and no command reads it.  So a verdict
+    that needs only diag and inertia never builds B.
     """
 
     __slots__ = ("diag", "inertia", "_cols", "scales", "_log", "_basis")
@@ -421,7 +422,7 @@ def apply_transform(q: QuadraticForm, L: LinearTransform) -> QuadraticForm:
     reduces it to the result's own (den, ints)."""
     if q.dim != L.dim:
         raise DimensionMismatch(f"form dim {q.dim} != transform dim {L.dim}")
-    m = linalg.mat_mul(linalg.mat_mul(linalg.transpose(L.ints), q.ints), L.ints)
+    m = linalg.congruent(q.ints, L.ints)
     den = q.den * L.den * L.den
     return QuadraticForm._of(*_over_one_denominator(m, {x: (x, den) for row in m for x in row}))
 
@@ -508,11 +509,11 @@ def transform_from_json(obj) -> LinearTransform:
     return LinearTransform._of(*matrix_rows_from_json(obj))
 
 
-def matrix_to_json(rows):
-    return {
-        "dim": len(rows),
-        "rows": [[render_rational(e) for e in row] for row in rows],
-    }
+def matrix_to_json(m: _IntMatrix):
+    """The JSON matrix of a QuadraticForm or LinearTransform, rendered
+    from its (den, ints)."""
+    den = m.den
+    return {"dim": m.dim, "rows": [[render_ratio(x, den) for x in row] for row in m.ints]}
 
 
 def load_json(path):

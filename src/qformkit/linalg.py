@@ -21,6 +21,11 @@ def mat_mul(a, b):
     )
 
 
+def congruent(m, c):
+    """C^T M C, in the scalars of m and c (ints, Fractions or floats)."""
+    return mat_mul(mat_mul(transpose(c), m), c)
+
+
 def mat_vec(a, v):
     """Matrix times vector; generic in the vector's scalar kind (Fraction
     or QuadExt), relying on operator overloads."""

@@ -140,13 +140,15 @@ class HomogeneousPoly(Record):
 
     def evaluate(self, x):
         """Value at a point of Fractions or QuadExt entries, of the point's
-        kind, from one table of the powers each coordinate needs."""
+        kind, from one table of the powers each coordinate needs; the sum
+        runs over the int coefficients and is divided by the denominator
+        once."""
         if len(x) != self.nvars:
             raise DimensionMismatch(
                 f"point length {len(x)} != nvars {self.nvars}"
             )
         one = x[0] * 0 + 1
-        tops = [max(col) for col in zip(*self.terms)] or [0] * self.nvars
+        tops = [max(col) for col in zip(*self._ints)] or [0] * self.nvars
         powers = []
         for xi, top in zip(x, tops):
             row = [one]
@@ -154,13 +156,13 @@ class HomogeneousPoly(Record):
                 row.append(row[-1] * xi)
             powers.append(row)
         total = one * 0
-        for exp, c in self.terms.items():
+        for exp, c in self._ints.items():
             term = c
             for row, e in zip(powers, exp):
                 if e:
                     term = row[e] * term
             total = total + term
-        return total
+        return total * Fraction(1, self._den)
 
     def __repr__(self):
         return f"HomogeneousPoly({self.nvars}, {self.degree}, {self.terms!r})"

@@ -36,7 +36,7 @@ class TransformReport(Record):
         out = {
             "kappa": None if self.kappa is None else render_rational(self.kappa),
             "classification": self.classification,
-            "pulled_back_form": matrix_to_json(self.pulled_back_form.matrix),
+            "pulled_back_form": matrix_to_json(self.pulled_back_form),
         }
         if self.witness_event is not None:
             out.update(witness_json(self.witness_event, "witness_event"))

@@ -103,12 +103,6 @@ def _float(num, den) -> float:
         raise NumericalFailure(f"an exact value is out of float range: {exc}") from exc
 
 
-def _congruent(m, cols):
-    """C^T M C for symmetric M and the matrix C with columns cols, in the
-    scalars of m and cols (ints or floats)."""
-    return linalg.mat_mul(linalg.mat_mul(cols, m), linalg.transpose(cols))
-
-
 def _offdiag_residual(mat, tol):
     n = len(mat)  # at least 1
     off = max((abs(mat[i][j]) for i in range(n) for j in range(n) if i != j), default=0.0)
@@ -206,7 +200,7 @@ def _simdiag_in_frame(
     # column i of W is g_i b_i, g_i = 1 / sqrt|d_i|, and W^T R W is built from
     # the exact b_i^T R b_j = cols[i] . (R_int cols[j]) / (s_i s_j den)
     g = [math.sqrt(_float(d.denominator, abs(d.numerator))) for d in dq.diag[:nm]]
-    rbb = _congruent(r.ints, cols[:nm])
+    rbb = linalg.congruent(r.ints, linalg.transpose(cols[:nm]))
     a = [
         [r_unit * _float(rbb[i][j], scales[i] * scales[j] * r.den) * g[i] * g[j] for j in range(nm)]
         for i in range(nm)
@@ -218,8 +212,9 @@ def _simdiag_in_frame(
     bcols += b[nm:]
     qf = [[_float(e, q.den) for e in row] for row in q.ints]
     rf = [[_float(e, r.den) for e in row] for row in r.ints]
-    tq = _congruent(qf, bcols)
-    tr = _congruent(rf, bcols)
+    bmat = linalg.transpose(bcols)
+    tq = linalg.congruent(qf, bmat)
+    tr = linalg.congruent(rf, bmat)
     if not all(math.isfinite(e) for m in (tq, tr) for row in m for e in row):
         raise NumericalFailure("B^T Q B or B^T R B is out of float range")
     residual = max(_offdiag_residual(tq, tol), _offdiag_residual(tr, tol))

@@ -1,3 +1,4 @@
+import argparse
 import json
 from decimal import Decimal
 from fractions import Fraction
@@ -295,6 +296,19 @@ class TestSimdiag:
         assert captured.out == ""
         assert "argument --tol: must be a finite number >= 0" in captured.err
 
+    @pytest.mark.parametrize("text", ["0", "-0.0", "1e-30", "1e400", "nan", "inf", "-1", "x"])
+    def test_tolerance_follows_the_library_rule(self, text):
+        from qformkit.cli import _tolerance
+
+        try:
+            tol = float(text)
+            semidefinite._check_tol(tol)
+        except ValueError:
+            with pytest.raises(argparse.ArgumentTypeError):
+                _tolerance(text)
+        else:
+            assert _tolerance(text) == tol
+
     def test_tolerance_zero_and_tighter_than_default(self, tmp_path, capsys):
         hyp = write(tmp_path, "hyp.json", HYP)  # an exact basis: residual 0
         assert main(["simdiag", hyp, hyp, "--tol", "0", "--json"]) == 0
@@ -378,6 +392,29 @@ class TestDemo:
             "semidefinite-trap",
             "minkowski",
         ]
+
+    def test_help_describes_json(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["demo", "--help"])
+        assert exc.value.code == 0
+        assert "machine-readable output" in capsys.readouterr().out
+
+    def test_missing_rejection_fails_the_fixture(self, monkeypatch, capsys):
+        # S2 against its pullback must raise NotIndefinite; a decision
+        # that returns instead fails the first fixture
+        monkeypatch.setattr(containment, "decide_containment", lambda q, r: None)
+        assert main(["demo"]) == 1
+        assert capsys.readouterr().out == "FIXTURE FAILED: linear-substitution\n"
+
+    def test_other_exceptions_propagate(self, monkeypatch, capsys):
+        def fail(q, r):
+            raise RuntimeError("unexpected")
+
+        monkeypatch.setattr(containment, "decide_containment", fail)
+        assert main(["demo"]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: RuntimeError: unexpected\n"
 
     def test_stops_at_the_first_failed_fixture(self, monkeypatch, capsys):
         from qformkit import demo

@@ -318,6 +318,21 @@ class TestClassify:
         assert classify(QuadraticForm([[0, 0], [0, 0]])) == "zero"
 
 
+@pytest.mark.parametrize("kind", ["int", "float"])
+def test_congruent_matches_explicit_product(kind):
+    """linalg.congruent runs the same products in the same order as the
+    explicit chain, so int results agree and float results agree bit for
+    bit; C may be n x k."""
+    rng = random.Random(f"congruent-{kind}")
+    draw = (lambda: rng.randint(-9, 9)) if kind == "int" else (lambda: rng.uniform(-1e3, 1e3))
+    for _ in range(60):
+        n, k = rng.randint(1, 6), rng.randint(1, 6)
+        m = [[draw() for _ in range(n)] for _ in range(n)]
+        c = [[draw() for _ in range(k)] for _ in range(n)]
+        expected = linalg.mat_mul(linalg.mat_mul(linalg.transpose(c), m), c)
+        assert linalg.congruent(m, c) == expected
+
+
 class TestApplyTransform:
     def test_scalar_transform(self):
         q = minkowski_form(1)
@@ -360,7 +375,7 @@ class TestApplyTransform:
 
 class TestJsonFormat:
     def test_round_trip(self):
-        obj = matrix_to_json(S2.matrix)
+        obj = matrix_to_json(S2)
         assert form_from_json(obj) == S2
 
     def test_fraction_entries(self):

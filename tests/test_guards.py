@@ -3,8 +3,8 @@ nothing in the package imports numpy and no subcommand loads it, each
 subcommand loads only the qformkit modules it runs and never
 `dataclasses`, no check in src/ is an `assert` that `python -O` would
 strip, each decision diagonalizes each form once and makes Fractions
-only where its verdict reads them, and every qformkit name the benchmark
-binds to exists."""
+only where its verdict reads them, no command prints through a Fraction
+view, and every qformkit name the benchmark binds to exists."""
 
 import ast
 import importlib.util
@@ -453,6 +453,56 @@ def test_witness_paths_never_read_basis(monkeypatch):
     report = qformkit.check_interval_invariance(_STRETCH)
     assert report.classification == "cone-breaking"
     _run_simdiag_pairs()
+
+
+def _cli_oneshot_argvs(directory):
+    """Every command line of the benchmark's cli-oneshot corpus of seeds 0
+    and 3 (demo among them), human and --json, its inputs written to
+    directory; each item's inputs are in the order the command takes."""
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", os.path.join(ROOT, "perfbench", "corpus.py"))
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    argvs = []
+    for seed in (0, 3):
+        for k, item in enumerate(corpus.build("cli-oneshot", seed)):
+            files = []
+            for role, (_, obj) in item["inputs"].items():
+                path = os.path.join(directory, f"{seed}-{k}-{role}.json")
+                with open(path, "w") as fh:
+                    json.dump(obj, fh)
+                files.append(path)
+            argvs += [[item["kind"], *files], [item["kind"], *files, "--json"]]
+    return argvs
+
+
+def test_no_command_builds_a_fraction_view(monkeypatch, capsys, tmp_path):
+    """Every command prints from the ints its decision used: with a form's
+    Fraction rows `matrix`, the rational basis B and a polynomial's
+    Fraction `terms` refusing to be built, each cli-oneshot command gives
+    the same exit code and stdout."""
+    from qformkit.cli import main
+
+    argvs = _cli_oneshot_argvs(tmp_path)
+    assert ["demo", "--json"] in argvs
+
+    def run_all():
+        runs = []
+        for argv in argvs:
+            code = main(argv)
+            runs.append((code, capsys.readouterr().out))
+        return runs
+
+    plain = run_all()
+    assert {code for code, _ in plain} == {0, 1}
+
+    def refuse(self):
+        raise AssertionError("a Fraction view was built")
+
+    monkeypatch.setattr(forms._IntMatrix, "matrix", property(refuse))
+    monkeypatch.setattr(forms.CongruenceDiagonalization, "basis", property(refuse))
+    monkeypatch.setattr(polys.HomogeneousPoly, "terms", property(refuse))
+    for argv, before, after in zip(argvs, plain, run_all()):
+        assert after == before, argv
 
 
 def test_fractions_made_per_simdiag():
