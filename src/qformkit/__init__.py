@@ -70,7 +70,6 @@ _EXPORTS = {
     ),
     "scalars": (
         "QuadExt",
-        "Rational",
         "parse_rational",
         "render_quadext",
         "render_rational",

@@ -14,15 +14,7 @@ import math
 from fractions import Fraction
 
 from .errors import DimensionMismatch, NoWitnessFound, NotIndefinite
-from .forms import (
-    INDEFINITE,
-    CongruenceDiagonalization,
-    QuadraticForm,
-    classify,
-    classify_inertia,
-    congruence_diagonalize,
-    evaluate,
-)
+from .forms import CongruenceDiagonalization, QuadraticForm, classify, congruence_diagonalize, evaluate
 from .record import Record
 from .scalars import QuadExt, _is_zero, exact_sqrt, render_quadext, render_rational
 
@@ -103,7 +95,7 @@ def _decide_in_frame(
     B is invertible, so B^T R B = alpha*diag(d) exactly when R = alpha*Q:
     proportionality is an entrywise test on the original matrices.
     """
-    if classify_inertia(dq.inertia) != INDEFINITE:
+    if not (dq.inertia.k and dq.inertia.m):
         raise NotIndefinite(
             "the base form must be indefinite (take both signs); "
             "semidefinite forms are outside this decision procedure"

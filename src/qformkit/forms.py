@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import DimensionMismatch, FormatError, NonSymmetricMatrix
-from .record import Record, _set
+from .record import Record, _set, lazy
 from .scalars import QuadExt, exact_sqrt, parse_rational, render_ratio
 
 INDEFINITE = "indefinite"
@@ -28,19 +28,23 @@ def _pair(e):
     return (e if type(e) is Fraction else Fraction(e)).as_integer_ratio()
 
 
-def _over_one_denominator(rows, ratios):
-    """(den, ints) of the matrix whose entry (i, j) is x / d for
-    (x, d) = ratios[rows[i][j]], d > 0: den is the lcm of the entries'
-    reduced denominators, and entry (i, j) is ints[i][j] / den.  Each
-    distinct entry is scaled once, and the rows are mapped through them."""
-    den = math.lcm(*[d for _, d in ratios.values()])
-    scaled = {e: x * (den // d) for e, (x, d) in ratios.items()}
-    # a ratio not in lowest terms leaves a common factor of den and every entry
-    g = math.gcd(den, *scaled.values())
+def _common_denominator(ratios):
+    """(den, ints) of the ratios {d: {key: x}}, each key's value x / d
+    with ints x and d > 0: ints[key] / den = x / d, den > 0 and
+    gcd(den, *ints.values()) = 1, so equal values give equal (den, ints).
+    den is the lcm of the d over that common factor, which is not 1 when a
+    ratio is not in lowest terms.  A group whose d is the lcm is taken as
+    it is, so ints over one denominator cost one gcd."""
+    den = math.lcm(*ratios)
+    ints = {}
+    for d, nums in ratios.items():
+        f = den // d
+        ints.update(nums if f == 1 else {e: x * f for e, x in nums.items()})
+    g = math.gcd(den, *ints.values())
     if g != 1:
         den //= g
-        scaled = {e: x // g for e, x in scaled.items()}
-    return den, tuple(tuple(map(scaled.__getitem__, row)) for row in rows)
+        ints = {e: x // g for e, x in ints.items()}
+    return den, ints
 
 
 class _IntMatrix:
@@ -56,18 +60,24 @@ class _IntMatrix:
         rows = [[_pair(e) for e in row] for row in rows]
         if any(len(row) != len(rows) for row in rows):
             raise FormatError("matrix is not square")
-        self._store(*_over_one_denominator(rows, {p: p for row in rows for p in row}))
+        ratios = {}
+        for x, d in {p for row in rows for p in row}:
+            ratios.setdefault(d, {})[x, d] = x
+        self._fill(rows, ratios)
 
-    def _store(self, den, ints):
+    def _fill(self, rows, ratios):
+        """Entry (i, j) is ratios' value of key rows[i][j], written over
+        one denominator by _common_denominator."""
+        den, ints = _common_denominator(ratios)
         _set(self, "den", den)
-        _set(self, "ints", ints)
-        _set(self, "dim", len(ints))
+        _set(self, "ints", tuple(tuple(map(ints.__getitem__, row)) for row in rows))
+        _set(self, "dim", len(rows))
 
     @classmethod
-    def _of(cls, den, ints):
-        """The matrix ints / den, (den, ints) already canonical; no validation."""
+    def _of(cls, rows, ratios):
+        """The matrix _fill makes of rows and ratios; no validation."""
         m = cls.__new__(cls)
-        m._store(den, ints)
+        m._fill(rows, ratios)
         return m
 
     @classmethod
@@ -76,16 +86,11 @@ class _IntMatrix:
         n = len(entries)
         return cls([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @property
+    @lazy
     def matrix(self) -> tuple:
         """n x n tuple of Fraction rows, built the first time it is read."""
-        try:
-            return self._matrix
-        except AttributeError:
-            den = self.den
-            m = tuple(tuple(Fraction(x, den) for x in row) for row in self.ints)
-            _set(self, "_matrix", m)
-            return m
+        den = self.den
+        return tuple(tuple(Fraction(x, den) for x in row) for row in self.ints)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -165,30 +170,21 @@ class CongruenceDiagonalization(Record):
         _set(d, "_log", log)
         return d
 
-    @property
+    @lazy
     def cols(self) -> tuple:
         """n int columns, column c of B times scales[c]."""
-        try:
-            return self._cols
-        except AttributeError:
-            cols = _replay(*self._log)
-            _set(self, "_cols", cols)
-            _set(self, "_log", None)
-            return cols
+        cols = _replay(*self._log)
+        _set(self, "_log", None)
+        return cols
 
-    @property
+    @lazy
     def basis(self) -> tuple:
         """n x n rational matrix, columns are basis vectors."""
-        try:
-            return self._basis
-        except AttributeError:
-            cols = self.cols
-            basis = tuple(
-                tuple(Fraction(col[r], s) for col, s in zip(cols, self.scales))
-                for r in range(len(cols))
-            )
-            _set(self, "_basis", basis)
-            return basis
+        cols = self.cols
+        return tuple(
+            tuple(Fraction(col[r], s) for col, s in zip(cols, self.scales))
+            for r in range(len(cols))
+        )
 
     def pullback(self, support, t) -> tuple:
         """B v, the input coordinates of the frame vector v with
@@ -400,7 +396,7 @@ def classify(q: QuadraticForm) -> str:
 def classify_inertia(ine: Inertia) -> str:
     """Classification of any form with inertia ine (k, m, z)."""
     n = ine.dim
-    if ine.k > 0 and ine.m > 0:
+    if ine.k and ine.m:
         return INDEFINITE
     if ine.k == n:
         return POSITIVE_DEFINITE
@@ -423,8 +419,7 @@ def apply_transform(q: QuadraticForm, L: LinearTransform) -> QuadraticForm:
     if q.dim != L.dim:
         raise DimensionMismatch(f"form dim {q.dim} != transform dim {L.dim}")
     m = linalg.congruent(q.ints, L.ints)
-    den = q.den * L.den * L.den
-    return QuadraticForm._of(*_over_one_denominator(m, {x: (x, den) for row in m for x in row}))
+    return QuadraticForm._of(m, {q.den * L.den * L.den: {x: x for row in m for x in row}})
 
 
 # --- matrix exchange format (shared with the CLI) ---------------------------
@@ -459,8 +454,9 @@ def _read_entry(e):
 
 
 def matrix_rows_from_json(obj):
-    """(den, ints) of a JSON matrix: entry (i, j) is ints[i][j] / den, and
-    den is the lcm of the entries' reduced denominators."""
+    """(rows, ratios) of a JSON matrix, for _IntMatrix._of: the rows of
+    entries as written, and {d: {entry: x}} with each distinct entry's
+    value x / d, d > 0."""
     if not isinstance(obj, dict):
         raise FormatError("expected a JSON object with 'dim' and 'rows'")
     try:
@@ -477,13 +473,13 @@ def matrix_rows_from_json(obj):
     ratios = _read_entries(rows[:bad], n)  # entries before a bad row fail first
     if bad < n:
         raise FormatError(f"row {bad} must be a list of {n} entries")
-    return _over_one_denominator(rows, ratios)
+    return rows, ratios
 
 
 def _read_entries(rows, n):
-    """{entry: (num, den)} for the entries of rows of n entries each; an
-    error names the first bad entry.  A matrix file repeats few values,
-    so each distinct entry is read once."""
+    """{den: {entry: num}} for the entries of rows of n entries each, den
+    > 0; an error names the first bad entry.  A matrix file repeats few
+    values, so each distinct entry is read once."""
     entries = [e for row in rows for e in row]
     if {*map(type, entries)} <= _INT_OR_TEXT:
         new = dict.fromkeys(entries)
@@ -492,10 +488,11 @@ def _read_entries(rows, n):
     ratios = {}
     for e in new:
         try:
-            ratios[e] = _read_entry(e)
+            x, d = _read_entry(e)
         except FormatError as exc:
             k = next(k for k, x in enumerate(entries) if x is e)
             raise FormatError(f"entry ({k // n},{k % n}): {exc}") from exc
+        ratios.setdefault(d, {})[e] = x
     return ratios
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations
-from math import comb, gcd, lcm
+from math import comb, gcd
 
 from .errors import (
     CertificateRejected,
@@ -31,17 +31,16 @@ from .errors import (
 )
 from .containment import Counterexample, WitnessVector
 from .forms import (
-    INDEFINITE,
     CongruenceDiagonalization,
     QuadraticForm,
     classify,
-    classify_inertia,
     congruence_diagonalize,
+    _common_denominator,
     _pair,
     _read_entry,
 )
 from .forms import evaluate as form_eval
-from .record import Record, _set
+from .record import Record, _set, lazy
 from .scalars import render_ratio
 
 # The degree is the one field of a polynomial file whose cost (division,
@@ -59,13 +58,6 @@ def _grlex_key(exp):
     return (sum(exp), exp)
 
 
-def _over_one_denominator(coefs):
-    """(ints, den) with ints[e] / den = x / d for a map of (x, d) pairs,
-    d > 0; den is the lcm of the d, and zeros drop."""
-    den = lcm(*[d for _, d in coefs.values()])
-    return {e: x * (den // d) for e, (x, d) in coefs.items() if x}, den
-
-
 class HomogeneousPoly(Record):
     """Exponent-vector -> coefficient map, all terms of one total degree,
     held as nonzero ints _ints over one positive denominator _den."""
@@ -75,7 +67,8 @@ class HomogeneousPoly(Record):
 
     def __init__(self, nvars, degree, terms):
         coefs = {tuple(int(e) for e in exp): _pair(c) for exp, c in dict(terms).items()}
-        for exp, (c, _) in coefs.items():
+        ratios = {}
+        for exp, (c, d) in coefs.items():
             if not c:
                 continue
             if len(exp) != nvars or any(e < 0 for e in exp):
@@ -84,37 +77,30 @@ class HomogeneousPoly(Record):
                 raise FormatError(
                     f"exponent vector {exp} has degree {sum(exp)}, expected {degree}"
                 )
-        ints, den = _over_one_denominator(coefs)
-        self._store(int(nvars), int(degree), ints, den)
+            ratios.setdefault(d, {})[exp] = c
+        self._fill(int(nvars), int(degree), ratios)
 
-    def _store(self, nvars, degree, ints, den):
+    def _fill(self, nvars, degree, ratios):
+        den, ints = _common_denominator(ratios)
         _set(self, "nvars", nvars)
         _set(self, "degree", degree)
         _set(self, "_ints", ints)
         _set(self, "_den", den)
 
     @classmethod
-    def _from_ints(cls, nvars, degree, ints, den):
-        """The polynomial sum ints[e]/den x^e, from nonzero ints and a
-        positive den, reduced by their common gcd; no validation."""
-        g = gcd(den, *ints.values())
-        if g != 1:
-            ints = {e: c // g for e, c in ints.items()}
-            den //= g
+    def _from_ints(cls, nvars, degree, ratios):
+        """The polynomial sum x/d x^e over ratios {d: {e: x}} of nonzero
+        ints x and d > 0, written over one denominator by
+        forms._common_denominator; no validation."""
         poly = cls.__new__(cls)
-        poly._store(nvars, degree, ints, den)
+        poly._fill(nvars, degree, ratios)
         return poly
 
-    @property
+    @lazy
     def terms(self):
         """{exponent tuple: Fraction}, built the first time it is read."""
-        try:
-            return self._terms
-        except AttributeError:
-            den = self._den
-            terms = {e: Fraction(c, den) for e, c in self._ints.items()}
-            _set(self, "_terms", terms)
-            return terms
+        den = self._den
+        return {e: Fraction(c, den) for e, c in self._ints.items()}
 
     def is_zero(self):
         return not self._ints
@@ -130,13 +116,6 @@ class HomogeneousPoly(Record):
 
     def __hash__(self):
         return hash((self.nvars, self._den, frozenset(self._ints.items())))
-
-    def leading(self):
-        """(exponent, coefficient) under graded lex, x1 > x2 > ..."""
-        if self.is_zero():
-            raise ValueError("zero polynomial has no leading term")
-        exp = max(self._ints, key=_grlex_key)
-        return exp, Fraction(self._ints[exp], self._den)
 
     def evaluate(self, x):
         """Value at a point of Fractions or QuadExt entries, of the point's
@@ -208,7 +187,7 @@ def poly_from_form(q: QuadraticForm) -> HomogeneousPoly:
                 exp[i] += 1
                 exp[j] += 1
                 ints[tuple(exp)] = coef
-    return HomogeneousPoly._from_ints(n, 2, ints, den)
+    return HomogeneousPoly._from_ints(n, 2, {den: ints})
 
 
 def reduce_by_quadratic(r: HomogeneousPoly, q: HomogeneousPoly) -> DivisionResult:
@@ -297,8 +276,8 @@ def reduce_by_quadratic(r: HomogeneousPoly, q: HomogeneousPoly) -> DivisionResul
 
     den = scale * r._den
     return DivisionResult(
-        quotient=HomogeneousPoly._from_ints(n, max(r.degree - 2, 0), unpack(quotient, q._den), den),
-        remainder=HomogeneousPoly._from_ints(n, r.degree, unpack(remainder, 1), den),
+        quotient=HomogeneousPoly._from_ints(n, max(r.degree - 2, 0), {den: unpack(quotient, q._den)}),
+        remainder=HomogeneousPoly._from_ints(n, r.degree, {den: unpack(remainder, 1)}),
     )
 
 
@@ -330,7 +309,7 @@ def sample_cone_point(diag_q: CongruenceDiagonalization, h, sign):
     v = delta*c - 2*beta*h is null, and Bv is returned.
     """
     ine = diag_q.inertia
-    if ine.k < 1 or ine.m < 1:
+    if not (ine.k and ine.m):
         raise NotIndefinite("a cone point needs an indefinite form")
     d = diag_q.diag
     p, n = 0, ine.k
@@ -360,20 +339,24 @@ def decide_containment_homogeneous(q: QuadraticForm, r: HomogeneousPoly):
     at c, and for a rank-2 q the two signs put c on both planes of the
     cone.  So if q does not divide r, r(Bv) is for one sign a nonzero
     polynomial in h of degree <= 2 deg r, which cannot vanish on all of
-    {1, ..., 2 deg r + 1}^n.  NoWitnessFound is unreachable."""
+    {1, ..., 2 deg r + 1}^n.  NoWitnessFound is unreachable.
+
+    r = q*s + rem for the division's quotient s and remainder rem, and q
+    vanishes at every swept point, so the sweep evaluates rem, which has
+    no more terms than r and usually far fewer: r(v) = rem(v) there."""
     if q.dim != r.nvars:
         raise DimensionMismatch(f"form dim {q.dim} != poly nvars {r.nvars}")
     dq = congruence_diagonalize(q)
-    if classify_inertia(dq.inertia) != INDEFINITE:
+    if not (dq.inertia.k and dq.inertia.m):
         raise NotIndefinite("the quadratic divisor must be indefinite")
-    qp = poly_from_form(q)
-    division = reduce_by_quadratic(r, qp)
-    if division.remainder.is_zero():
+    division = reduce_by_quadratic(r, poly_from_form(q))
+    rem = division.remainder
+    if rem.is_zero():
         return Divisible(division.quotient)
     for h in _grid(r.nvars, 2 * r.degree + 1):
         for sign in (1, -1):
             coords = sample_cone_point(dq, h, sign)
-            r_val = r.evaluate(coords)
+            r_val = rem.evaluate(coords)
             # v = 0 for at most one sign, and r(0) != 0 only for a constant r
             if not r_val.is_zero() and any(coords):
                 q_val = form_eval(q, coords)
@@ -418,7 +401,8 @@ def poly_from_json(obj) -> HomogeneousPoly:
         )
     if not isinstance(terms, list):
         raise FormatError("'terms' must be a list")
-    parsed = {}
+    seen = set()
+    ratios = {}
     for i, term in enumerate(terms):
         if not isinstance(term, dict) or "exp" not in term or "coef" not in term:
             raise FormatError(f"term {i} must have 'exp' and 'coef'")
@@ -434,10 +418,13 @@ def poly_from_json(obj) -> HomogeneousPoly:
                 f"term {i}: exponents sum to {sum(exp)}, expected degree {degree}"
             )
         key = tuple(exp)
-        if key in parsed:
+        if key in seen:
             raise FormatError(f"term {i}: duplicate exponent vector {exp!r}")
-        parsed[key] = _read_entry(term["coef"])
-    return HomogeneousPoly._from_ints(nvars, degree, *_over_one_denominator(parsed))
+        seen.add(key)
+        x, d = _read_entry(term["coef"])
+        if x:
+            ratios.setdefault(d, {})[key] = x
+    return HomogeneousPoly._from_ints(nvars, degree, ratios)
 
 
 def poly_to_json(p: HomogeneousPoly):

@@ -7,6 +7,8 @@ are the arguments that rebuild the value.  The base gives field-wise
 pickles and copies a value as a call of its class on its fields.  A
 subclass that writes no ``__init__`` gets one taking the fields by
 position or keyword, compiled once per class, as a dataclass's is.
+An attribute built from the fields the first time it is read is a
+``lazy`` one.
 """
 
 _set = object.__setattr__
@@ -24,6 +26,25 @@ def _make_init(cls):
     init = namespace["__init__"]
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     return init
+
+
+class lazy:
+    """A read-only attribute computed by fn(self) the first time it is
+    read and kept in the slot "_" + fn.__name__, which the class lists in
+    its __slots__."""
+
+    def __init__(self, fn):
+        self.fn, self.slot, self.__doc__ = fn, "_" + fn.__name__, fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        try:
+            return getattr(obj, self.slot)
+        except AttributeError:
+            value = self.fn(obj)
+            _set(obj, self.slot, value)
+            return value
 
 
 class Record:

@@ -17,8 +17,6 @@ from math import gcd, isqrt
 from .errors import FormatError, MismatchedRadicand
 from .record import Record, _set
 
-Rational = Fraction
-
 
 # Python already refuses to read an int of more digits than this from text;
 # a decimal exponent is held to the same size, so "1e100000000" cannot

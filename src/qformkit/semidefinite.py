@@ -20,15 +20,7 @@ from fractions import Fraction
 from . import linalg
 from .containment import Counterexample, _decide_in_frame, _first_witness, decide_containment
 from .errors import ContainmentFails, DimensionMismatch, NotSemidefinite, NumericalFailure
-from .forms import (
-    INDEFINITE,
-    CongruenceDiagonalization,
-    Inertia,
-    QuadraticForm,
-    classify,
-    classify_inertia,
-    congruence_diagonalize,
-)
+from .forms import CongruenceDiagonalization, Inertia, QuadraticForm, classify, congruence_diagonalize
 from .record import Record
 
 DEFAULT_TOL = 1e-9
@@ -61,11 +53,11 @@ class SimDiagResult(Record):
         }
 
 
-def _orientation(ine: Inertia) -> int:
+def _orientation(ine: Inertia, name: str) -> int:
     """+1 / -1 / 0 for a psd / nsd / zero form of inertia ine; raises on
-    indefinite."""
+    indefinite, naming the form."""
     if ine.k and ine.m:
-        raise NotSemidefinite("form is indefinite")
+        raise NotSemidefinite(f"{name} is indefinite")
     return 1 if ine.k else -1 if ine.m else 0
 
 
@@ -78,7 +70,7 @@ def kernel_basis(q: QuadraticForm) -> SubspaceBasis:
     kernel of dimension 1 then gets the vector rref(Q) gives it, whose
     free column is its last nonzero coordinate, set to 1."""
     dq = congruence_diagonalize(q)
-    _orientation(dq.inertia)  # rejects indefinite input
+    _orientation(dq.inertia, "q")  # rejects indefinite input
     kernel = dq.cols[dq.inertia.k + dq.inertia.m :]
     lasts = [next(e for e in reversed(col) if e) for col in kernel]
     vectors = tuple(tuple(Fraction(e, last) for e in col) for col, last in zip(kernel, lasts))
@@ -101,6 +93,11 @@ def _float(num, den) -> float:
         return num / den
     except OverflowError as exc:
         raise NumericalFailure(f"an exact value is out of float range: {exc}") from exc
+
+
+def _float_cols(dq: CongruenceDiagonalization):
+    """The columns of dq's basis B as floats, cols[c] / scales[c]."""
+    return [[_float(e, s) for e in col] for col, s in zip(dq.cols, dq.scales)]
 
 
 def _offdiag_residual(mat, tol):
@@ -184,8 +181,8 @@ def _simdiag_in_frame(
     positive semidefinite for the eigen step, since r and -r have the same
     zero set; a psd q may pair with an nsd r.
     """
-    oq = _orientation(dq.inertia)
-    orr = _orientation(congruence_diagonalize(r).inertia)
+    oq = _orientation(dq.inertia, "q")
+    orr = _orientation(congruence_diagonalize(r).inertia, "r")
     if q.dim != r.dim:
         raise DimensionMismatch(f"dims differ: {q.dim} vs {r.dim}")
     n, nm = q.dim, dq.inertia.k + dq.inertia.m
@@ -206,7 +203,7 @@ def _simdiag_in_frame(
         for i in range(nm)
     ]
     eigvals, x = _jacobi_eigh(a)
-    b = [[_float(e, s) for e in col] for col, s in zip(cols, scales)]
+    b = _float_cols(dq)
     w = [[e * gi for e in col] for col, gi in zip(b, g)]
     bcols = [[sum(x[i][j] * wi[k] for i, wi in enumerate(w)) for k in range(n)] for j in range(nm)]
     bcols += b[nm:]
@@ -247,7 +244,7 @@ def simdiag_general(
     if q.dim != r.dim:
         raise DimensionMismatch(f"dims differ: {q.dim} vs {r.dim}")
     dq = congruence_diagonalize(q)
-    if classify_inertia(dq.inertia) == INDEFINITE:
+    if dq.inertia.k and dq.inertia.m:
         verdict = _decide_in_frame(q, r, dq)
         if isinstance(verdict, Counterexample):
             raise ContainmentFails(
@@ -255,7 +252,7 @@ def simdiag_general(
                 witness=verdict.witness,
             )
         an, ad = verdict.alpha.as_integer_ratio()
-        basis = tuple(zip(*[[_float(e, s) for e in col] for col, s in zip(dq.cols, dq.scales)]))
+        basis = tuple(zip(*_float_cols(dq)))
         q_diag = tuple(_float(d.numerator, d.denominator) for d in dq.diag)
         r_diag = tuple(_float(an * d.numerator, ad * d.denominator) for d in dq.diag)
         return SimDiagResult(basis=basis, q_diag=q_diag, r_diag=r_diag, residual=0.0)

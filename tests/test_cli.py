@@ -242,10 +242,13 @@ class TestSimdiag:
         payload = json.loads(capsys.readouterr().out)
         assert payload["residual"] <= 1e-9
 
-    def test_non_diagonalizable_pair_exit_4(self, tmp_path):
-        q = write(tmp_path, "q.json", SQUARE)
-        r = write(tmp_path, "r.json", HYP)
-        assert main(["simdiag", q, r]) == 4
+    def test_non_diagonalizable_pair_exit_4(self, tmp_path, capsys):
+        # a semidefinite q with an indefinite r: the message names r
+        for q_text, r_text in [(SQUARE, HYP), (S2, '{"dim": 3, "rows": [[1,0,0],[0,-1,0],[0,0,0]]}')]:
+            q = write(tmp_path, "q.json", q_text)
+            r = write(tmp_path, "r.json", r_text)
+            assert main(["simdiag", q, r]) == 4
+            assert capsys.readouterr() == ("", "hypothesis violation: r is indefinite\n")
 
     def test_kernel_break_prints_rational_witness(self, tmp_path, capsys):
         # (1, 1) spans ker q, and r = x^2 + y^2 is 2 there

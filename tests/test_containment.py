@@ -6,20 +6,27 @@ from fractions import Fraction
 import pytest
 
 from qformkit import (
+    ConePointWitness,
+    ContainmentFails,
     Counterexample,
     NotIndefinite,
     Proportional,
     QuadExt,
     QuadraticForm,
+    SimDiagResult,
     apply_transform,
     classify,
     congruence_diagonalize,
     construct_witness,
     decide_containment,
+    decide_containment_homogeneous,
     evaluate,
     inertia,
     linalg,
     minkowski_form,
+    poly_from_form,
+    sample_cone_point,
+    simdiag_general,
     verify_witness,
 )
 from qformkit.containment import WitnessVector, _witness_family
@@ -71,6 +78,44 @@ class TestDecideContainment:
         q = QuadraticForm([[1, -1], [-1, 1]])
         with pytest.raises(NotIndefinite):
             decide_containment(q, HYP)
+
+
+@pytest.mark.parametrize(
+    "q, simdiag_ok",
+    [
+        (QuadraticForm([[0, 0], [0, 0]]), False),
+        (QuadraticForm([[1, 0], [0, 2]]), True),
+        (QuadraticForm([[1, -1], [-1, 1]]), False),
+        (HYP, False),
+    ],
+    ids=["zero", "definite", "semidefinite", "indefinite"],
+)
+def test_one_indefiniteness_test(q, simdiag_ok):
+    """Containment, poly-contain and the cone-point sampler take exactly
+    the q with both signs in its inertia; simdiag takes any q, and r =
+    x^2 + 2xy + 3y^2 is refuted on the zero set of all but the definite
+    q."""
+    r = QuadraticForm([[1, 1], [1, 3]])
+    dq = congruence_diagonalize(q)
+    calls = [
+        lambda: decide_containment(q, r),
+        lambda: decide_containment_homogeneous(q, poly_from_form(r)),
+        lambda: sample_cone_point(dq, (1, 2), 1),
+    ]
+    if dq.inertia.k and dq.inertia.m:
+        verdict, cone, point = [call() for call in calls]
+        assert isinstance(verdict, Counterexample)
+        assert isinstance(cone, ConePointWitness)
+        assert evaluate(q, point).is_zero() and any(point)
+    else:
+        for call in calls:
+            with pytest.raises(NotIndefinite):
+                call()
+    if simdiag_ok:
+        assert isinstance(simdiag_general(q, r), SimDiagResult)
+    else:
+        with pytest.raises(ContainmentFails):
+            simdiag_general(q, r)
 
 
 class TestConstructWitness:

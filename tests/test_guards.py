@@ -544,6 +544,25 @@ def test_fractions_made_per_poly_division():
     assert made <= 2 * n * n
 
 
+@pytest.mark.parametrize("degree", [4, 6, 8])
+def test_fractions_made_per_poly_refutation(degree):
+    """The sweep evaluates the division's remainder, not r: q vanishes at
+    every swept point, so r = q*s + rem has r(v) = rem(v) there.  For r =
+    q*s plus one monomial that q's leading monomial does not divide, rem
+    is that monomial, and a refuting decision at n = 4 makes at most 300
+    Fractions, where evaluating r made 800 to 2100."""
+    n = 4
+    rng = random.Random(degree)
+    q = qformkit.QuadraticForm(_anchored_pair(n, degree)[0])
+    qs = poly_mul(polys.poly_from_form(q), random_homogeneous(rng, n, degree - 2, max_terms=40))
+    bump = (0,) * (n - 1) + (degree,)
+    r = polys.HomogeneousPoly(n, degree, {**qs.terms, bump: qs.terms.get(bump, 0) + 1})
+    verdict, made = _fractions_made(polys.decide_containment_homogeneous, q, r)
+    assert isinstance(verdict, polys.ConePointWitness)
+    assert polys.verify_poly_witness(q, r, verdict.witness)
+    assert made <= 300
+
+
 # qformkit names perfbench/workloads.py calls or tests with isinstance
 _WORKLOAD_NAMES = {
     "cli": ("main",),

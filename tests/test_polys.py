@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 from math import comb
@@ -42,6 +43,11 @@ def to_sympy(p, symbols):
             term *= s**e
         expr += term
     return sympy.expand(expr)
+
+
+def leading(p):
+    exp = max(p.terms, key=lambda e: (sum(e), e))  # graded lex, x1 > x2 > ...
+    return exp, p.terms[exp]
 
 
 class TestPolyFromForm:
@@ -127,7 +133,7 @@ class TestReduceByQuadratic:
             )
             assert sympy.expand(lhs - to_sympy(r, syms)) == 0
             # no remainder monomial is divisible by the leading monomial of q
-            lead, _ = q.leading()
+            lead, _ = leading(q)
             for exp in res.remainder.terms:
                 assert not all(a <= b for a, b in zip(lead, exp))
 
@@ -210,7 +216,7 @@ def test_heap_division_matches_rescan_reference():
         # the fourth power of q's leading monomial: each step divides by the
         # leading coefficient c again, so the quotient's denominators reach
         # c^3 and the integer division rescales several times
-        lead, lead_coef = q.leading()
+        lead, lead_coef = leading(q)
         r = HomogeneousPoly(3, 8, {tuple(4 * e for e in lead): 1})
         quotient = assert_matches_reference(r, q)
         if abs(lead_coef) != 1:
@@ -404,6 +410,30 @@ COEFFICIENTS = (
     " -7/14 ", "0x10", "1.5", "1e99999",
     1.5, True, None,
 )
+
+
+def test_every_constructor_gives_one_normal_form():
+    """Fractions, a JSON file with coefficients not in lowest terms, and
+    ints over a denominator that shares a factor with them all give the
+    same (_den, _ints): den > 0 and gcd(den, *ints) = 1."""
+    rng = random.Random(29)
+    for _ in range(200):
+        n, degree = rng.randint(1, 4), rng.randint(0, 5)
+        exps = random_homogeneous(rng, n, degree, max_terms=8).terms
+        values = {e: Fraction(rng.randint(-30, 30), rng.choice((1, 2, 3, 4, 6, 9, 10))) for e in exps}
+        k = rng.randint(1, 6)
+        spelled = [{"exp": list(e), "coef": f"{v.numerator * k}/{v.denominator * k}"} for e, v in values.items()]
+        den = k * math.lcm(*[v.denominator for v in values.values()])
+        ints = {e: int(v * den) for e, v in values.items() if v}
+        built = [
+            HomogeneousPoly(n, degree, values),
+            poly_from_json({"nvars": n, "degree": degree, "terms": spelled}),
+            HomogeneousPoly._from_ints(n, degree, {den: ints}),
+        ]
+        for p in built:
+            assert (p._den, p._ints) == (built[0]._den, built[0]._ints)
+        assert built[0]._den > 0 and math.gcd(built[0]._den, *built[0]._ints.values()) == 1
+        assert built[0].terms == {e: v for e, v in values.items() if v}
 
 
 @pytest.mark.parametrize("coef", COEFFICIENTS, ids=lambda c: repr(c)[:12])

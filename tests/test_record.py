@@ -4,6 +4,7 @@ construction, copy and pickle for every value type, and every public name
 reachable from `qformkit`."""
 
 import copy
+import inspect
 import pickle
 from fractions import Fraction
 
@@ -30,6 +31,8 @@ from qformkit import (
     reduce_by_quadratic,
     simdiag_general,
 )
+
+from qformkit.record import lazy
 
 from conftest import poly_mul
 
@@ -84,6 +87,32 @@ def test_lazy_basis_survives_copy():
     assert d.basis is basis  # built once
     for back in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d)):
         assert back.basis == basis
+
+
+# every record.lazy attribute, on a value that has not built it yet
+LAZY = {
+    "QuadraticForm.matrix": (lambda: QuadraticForm([[1, 2], [2, 1]]), "matrix"),
+    "LinearTransform.matrix": (lambda: LinearTransform([[1, 2], [3, 4]]), "matrix"),
+    "CongruenceDiagonalization.cols": (lambda: congruence_diagonalize(QuadraticForm([[0, 1], [1, 0]])), "cols"),
+    "CongruenceDiagonalization.basis": (lambda: congruence_diagonalize(QuadraticForm([[0, 1], [1, 0]])), "basis"),
+    "HomogeneousPoly.terms": (lambda: HomogeneousPoly(3, 2, {(1, 1, 0): Fraction(1, 2)}), "terms"),
+}
+
+
+@pytest.mark.parametrize("make, name", LAZY.values(), ids=LAZY)
+def test_lazy_attribute_is_built_once_and_read_only(monkeypatch, make, name):
+    value = make()
+    attr = inspect.getattr_static(type(value), name)
+    assert isinstance(attr, lazy)
+    calls = []
+    fn = attr.fn
+    monkeypatch.setattr(attr, "fn", lambda obj: calls.append(obj) or fn(obj))
+    first = getattr(value, name)
+    assert all(getattr(value, name) is first for _ in range(3))
+    assert calls == [value]
+    with pytest.raises(AttributeError):
+        setattr(value, name, first)
+    assert getattr(value, name) is first
 
 
 def test_repr_is_the_dataclass_repr():
