@@ -39,6 +39,19 @@ EXIT_NONSYMMETRIC = 3
 EXIT_HYPOTHESIS = 4
 EXIT_INTERNAL = 5
 
+# (error types, exit code, stderr prefix), the first row that matches
+# wins; a prefix of None is a fault of qformkit, never a verdict
+_EXITS = (
+    (OSError, EXIT_PARSE, "error"),
+    (FormatError, EXIT_PARSE, "parse error"),
+    (NonSymmetricMatrix, EXIT_NONSYMMETRIC, "non-symmetric input"),
+    ((NotIndefinite, NotSemidefinite, InvalidSpeed), EXIT_HYPOTHESIS, "hypothesis violation"),
+    (NumericalFailure, EXIT_HYPOTHESIS, "numerical failure"),
+    ((CertificateRejected, NoWitnessFound), EXIT_INTERNAL, None),
+    (QFormError, EXIT_PARSE, "error"),
+    (Exception, EXIT_INTERNAL, None),
+)
+
 
 def _recheck(ok, what):
     """Fail closed: a certificate that fails its independent re-check is
@@ -47,11 +60,8 @@ def _recheck(ok, what):
         raise CertificateRejected(f"{what} failed its independent re-check")
 
 
-def _internal_error(exc) -> int:
-    """One stderr line for a fault of qformkit itself (exit 5)."""
-    message = " ".join(str(exc).splitlines())
-    print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
-    return EXIT_INTERNAL
+def _form(path):
+    return forms.form_from_json(forms.load_json(path))
 
 
 def _point(w):
@@ -70,119 +80,105 @@ def _emit(payload, human_lines, as_json):
             print(line)
 
 
-def _counterexample(q, r, w, as_json):
-    """Re-check a null-cone witness of q where r is nonzero, print it, and
-    return the refuted exit code."""
+def _counterexample(q, r, w):
+    """Re-check a null-cone witness of q where r is nonzero; the refuted
+    exit code and its output."""
     from . import containment
 
     _recheck(containment.verify_witness(q, r, w), "counterexample witness")
-    _emit(
+    return (
+        EXIT_REFUTED,
         containment.Counterexample(w).to_json,
         lambda: [
             "counterexample: q vanishes but r does not at",
             "  v = " + _point(w),
             f"  q(v) = {w.q_value}, r(v) = {w.r_value}",
         ],
-        as_json,
     )
-    return EXIT_REFUTED
+
+
+# Each cmd_* returns (exit code, payload, human_lines), the last two the
+# callables main hands to _emit.
 
 
 def cmd_analyze(args):
-    q = forms.form_from_json(forms.load_json(args.form))
-    d = forms.congruence_diagonalize(q)
+    d = forms.congruence_diagonalize(_form(args.form))
     ine = d.inertia
     cls = forms.classify_inertia(ine)
-    _emit(
-        lambda: {
-            "inertia": [ine.k, ine.m, ine.z],
-            "classification": cls,
-            "diagonal": [render_rational(v) for v in d.diag],
-        },
-        lambda: [
-            f"inertia ({ine.k},{ine.m},{ine.z}), {cls}",
-            "diagonal: " + " ".join(render_rational(v) for v in d.diag),
-        ],
-        args.json,
+    diagonal = [render_rational(v) for v in d.diag]
+    return (
+        EXIT_OK,
+        lambda: {"inertia": [ine.k, ine.m, ine.z], "classification": cls, "diagonal": diagonal},
+        lambda: [f"inertia ({ine.k},{ine.m},{ine.z}), {cls}", "diagonal: " + " ".join(diagonal)],
     )
-    return EXIT_OK
 
 
 def cmd_canon(args):
-    q = forms.form_from_json(forms.load_json(args.form))
-    d = forms.congruence_diagonalize(q)
-
+    d = forms.congruence_diagonalize(_form(args.form))
     # column c of B is cols[c] / scales[c]
     columns = [[render_ratio(x, s) for x in col] for col, s in zip(d.cols, d.scales)]
-
-    def payload():
-        return {
+    diagonal = [render_rational(v) for v in d.diag]
+    return (
+        EXIT_OK,
+        lambda: {
             "basis": {"dim": len(columns), "rows": [list(row) for row in zip(*columns)]},
-            "diagonal": [render_rational(v) for v in d.diag],
+            "diagonal": diagonal,
             "inertia": [d.inertia.k, d.inertia.m, d.inertia.z],
-        }
-
-    def lines():
-        return (
+        },
+        lambda: (
             ["basis columns (one per line):"]
             + ["  " + " ".join(col) for col in columns]
-            + ["diagonal: " + " ".join(render_rational(v) for v in d.diag)]
-        )
-
-    _emit(payload, lines, args.json)
-    return EXIT_OK
+            + ["diagonal: " + " ".join(diagonal)]
+        ),
+    )
 
 
 def cmd_contain(args):
     from . import containment
 
-    q = forms.form_from_json(forms.load_json(args.q))
-    r = forms.form_from_json(forms.load_json(args.r))
+    q, r = _form(args.q), _form(args.r)
     verdict = containment.decide_containment(q, r)
     if isinstance(verdict, containment.Proportional):
-        _emit(
+        return (
+            EXIT_OK,
             verdict.to_json,
             lambda: [f"proportional: r = {render_rational(verdict.alpha)} * q"],
-            args.json,
         )
-        return EXIT_OK
-    return _counterexample(q, r, verdict.witness, args.json)
+    return _counterexample(q, r, verdict.witness)
 
 
 def cmd_poly_contain(args):
     from . import polys
 
-    q = forms.form_from_json(forms.load_json(args.q))
+    q = _form(args.q)
     r = polys.poly_from_json(forms.load_json(args.r))
     verdict = polys.decide_containment_homogeneous(q, r)
     if isinstance(verdict, polys.Divisible):
-        _emit(verdict.to_json, lambda: [f"divisible: quotient = {verdict.quotient}"], args.json)
-        return EXIT_OK
-    _recheck(polys.verify_poly_witness(q, r, verdict.witness), "cone-point witness")
+        return EXIT_OK, verdict.to_json, lambda: [f"divisible: quotient = {verdict.quotient}"]
     w = verdict.witness
-    _emit(
+    _recheck(polys.verify_poly_witness(q, r, w), "cone-point witness")
+    return (
+        EXIT_REFUTED,
         verdict.to_json,
         lambda: [
             "witness: q vanishes but r does not at",
             "  v = " + _point(w),
             f"  r(v) = {w.r_value}",
         ],
-        args.json,
     )
-    return EXIT_REFUTED
 
 
 def cmd_simdiag(args):
     from . import semidefinite
 
-    q = forms.form_from_json(forms.load_json(args.q))
-    r = forms.form_from_json(forms.load_json(args.r))
+    q, r = _form(args.q), _form(args.r)
     tol = semidefinite.DEFAULT_TOL if args.tol is None else args.tol
     try:
         result = semidefinite.simdiag_general(q, r, tol=tol)
     except ContainmentFails as exc:
-        return _counterexample(q, r, exc.witness, args.json)
-    _emit(
+        return _counterexample(q, r, exc.witness)
+    return (
+        EXIT_OK,
         result.to_json,
         lambda: [
             "simultaneously diagonalizable",
@@ -190,9 +186,7 @@ def cmd_simdiag(args):
             "r_diag: " + " ".join(f"{v:.12g}" for v in result.r_diag),
             f"residual: {result.residual:.3e}",
         ],
-        args.json,
     )
-    return EXIT_OK
 
 
 def cmd_lorentz(args):
@@ -218,12 +212,8 @@ def cmd_lorentz(args):
             out.append(f"  q = {w.q_value}, pulled-back = {w.r_value}")
         return out
 
-    _emit(report.to_json, lines, args.json)
-    return (
-        EXIT_REFUTED
-        if report.classification == relativity.CONE_BREAKING
-        else EXIT_OK
-    )
+    refuted = report.classification == relativity.CONE_BREAKING
+    return EXIT_REFUTED if refuted else EXIT_OK, report.to_json, lines
 
 
 def cmd_demo(args):
@@ -241,8 +231,7 @@ def cmd_demo(args):
             return [f"FIXTURE FAILED: {payload['name']}"]
         return [f"[ok] {r['name']}" for r in results] + ["all demo fixtures behave as documented"]
 
-    _emit(lambda: {"fixtures": results, "ok": ok}, lines, args.json)
-    return EXIT_OK if ok else EXIT_REFUTED
+    return EXIT_OK if ok else EXIT_REFUTED, lambda: {"fixtures": results, "ok": ok}, lines
 
 
 def _tolerance(text):
@@ -287,32 +276,20 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except FormatError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except NonSymmetricMatrix as exc:
-        print(f"non-symmetric input: {exc}", file=sys.stderr)
-        return EXIT_NONSYMMETRIC
-    except (NotIndefinite, NotSemidefinite, InvalidSpeed) as exc:
-        print(f"hypothesis violation: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except NumericalFailure as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except (CertificateRejected, NoWitnessFound) as exc:
-        return _internal_error(exc)
-    except QFormError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except Exception as exc:  # a fault of qformkit, never a verdict
-        return _internal_error(exc)
+        code, payload, human_lines = args.func(args)
+        _emit(payload, human_lines, args.json)
+        return code
+    except Exception as exc:
+        code, prefix = next((c, p) for types, c, p in _EXITS if isinstance(exc, types))
+        message = str(exc)
+        if prefix is None:
+            # one stderr line for a fault of qformkit itself
+            prefix = f"internal error: {type(exc).__name__}"
+            message = " ".join(message.splitlines())
+        print(f"{prefix}: {message}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -265,9 +265,10 @@ def _first_witness(diag_q: CongruenceDiagonalization, r: QuadraticForm):
 
 
 def verify_witness(q: QuadraticForm, r: QuadraticForm, w: WitnessVector) -> bool:
-    """Independent certificate check: recompute both values exactly."""
+    """Independent certificate check: recompute both values exactly; q's
+    is zero, r's is not, and each equals the value the witness carries."""
     if q.dim != r.dim or len(w.coords) != q.dim:
         raise DimensionMismatch("witness length does not match form dimension")
     q_val = evaluate(q, w.coords)
     r_val = evaluate(r, w.coords)
-    return q_val.is_zero() and not r_val.is_zero()
+    return q_val.is_zero() and not r_val.is_zero() and w.q_value == q_val and w.r_value == r_val

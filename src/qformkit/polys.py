@@ -369,10 +369,12 @@ def decide_containment_homogeneous(q: QuadraticForm, r: HomogeneousPoly):
 
 
 def verify_poly_witness(q: QuadraticForm, r: HomogeneousPoly, w: WitnessVector) -> bool:
-    """Independent recheck: q vanishes at the witness, r does not."""
+    """Independent recheck: q vanishes at the witness, r does not, and
+    each value equals the one the witness carries."""
     if q.dim != r.nvars or len(w.coords) != q.dim:
         raise DimensionMismatch("witness length does not match")
-    return form_eval(q, w.coords).is_zero() and not r.evaluate(w.coords).is_zero()
+    q_val, r_val = form_eval(q, w.coords), r.evaluate(w.coords)
+    return q_val.is_zero() and not r_val.is_zero() and w.q_value == q_val and w.r_value == r_val
 
 
 # --- polynomial exchange format ----------------------------------------------

@@ -164,6 +164,9 @@ class QuadExt(Record):
         other = self._coerce(other, self.t)
         if other is NotImplemented:
             return NotImplemented
+        # the same parts over the same radicand: equal, and no Fraction made
+        if self.t == other.t and self.rat == other.rat and self.rad == other.rad:
+            return True
         try:
             return (self - other).is_zero()
         except MismatchedRadicand:

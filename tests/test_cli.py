@@ -10,8 +10,11 @@ from qformkit import (
     NoWitnessFound,
     QuadExt,
     WitnessVector,
+    cli,
     containment,
+    errors,
     polys,
+    relativity,
     semidefinite,
 )
 from qformkit.cli import main
@@ -69,6 +72,22 @@ class TestAnalyze:
         path = write(tmp_path, "q.json", f'{{"dim": {dim}, "rows": [[1]]}}')
         assert main(["analyze", path]) == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[1]", "expected a JSON object with 'dim' and 'rows'"),
+            ('{"rows": [[1]]}', "missing key 'dim'"),
+            ('{"dim": 1}', "missing key 'rows'"),
+            ('{"dim": 2, "rows": [[1, 0]]}', "'rows' must be a list of 2 rows"),
+            ('{"dim": 1, "rows": {"0": [1]}}', "'rows' must be a list of 1 rows"),
+        ],
+        ids=["not-an-object", "no-dim", "no-rows", "too-few-rows", "rows-not-a-list"],
+    )
+    def test_bad_matrix_file_exit_2(self, tmp_path, capsys, text, message):
+        path = write(tmp_path, "q.json", text)
+        assert main(["analyze", path]) == 2
+        assert capsys.readouterr() == ("", f"parse error: {message}\n")
 
 
 class TestContain:
@@ -223,6 +242,27 @@ class TestPolyContain:
         captured = capsys.readouterr()
         assert "not a rational" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[]", "expected a JSON object with 'nvars', 'degree', 'terms'"),
+            ('{"nvars": 2, "degree": 2}', "missing key 'terms'"),
+            ('{"nvars": 2, "degree": 2, "terms": {}}', "'terms' must be a list"),
+            ('{"nvars": 2, "degree": 2, "terms": [{"coef": 1}]}', "term 0 must have 'exp' and 'coef'"),
+            ('{"nvars": 2, "degree": 2, "terms": [{"exp": [2, 0]}]}', "term 0 must have 'exp' and 'coef'"),
+            (
+                '{"nvars": 2, "degree": 2, "terms": [{"exp": [1, 1], "coef": 1}, {"exp": [1, 1], "coef": 2}]}',
+                "term 1: duplicate exponent vector [1, 1]",
+            ),
+        ],
+        ids=["not-an-object", "no-terms", "terms-not-a-list", "no-exp", "no-coef", "repeated-exp"],
+    )
+    def test_bad_poly_file_exit_2(self, tmp_path, capsys, text, message):
+        q = write(tmp_path, "q.json", HYP)
+        r = write(tmp_path, "r.json", text)
+        assert main(["poly-contain", q, r]) == 2
+        assert capsys.readouterr() == ("", f"parse error: {message}\n")
 
     def test_rejects_bad_poly_file(self, tmp_path):
         q = write(tmp_path, "q.json", HYP)
@@ -474,6 +514,41 @@ class TestInternalError:
         code = main([kind, *paths, "--json"])
         self.assert_internal(capsys, code, "CertificateRejected:")
 
+    @pytest.mark.parametrize(
+        "kind, files, module, decision",
+        [
+            ("contain", {"q": HYP, "r": CIRCLE}, containment, "decide_containment"),
+            ("poly-contain", {"q": HYP, "r": QUARTIC_SUM}, polys, "decide_containment_homogeneous"),
+            ("lorentz", {"L": TestLorentz.STRETCH}, relativity, "check_interval_invariance"),
+            ("simdiag", {"q": HYP, "r": CIRCLE}, semidefinite, "simdiag_general"),
+            ("simdiag", {"q": SQUARE, "r": CIRCLE}, semidefinite, "simdiag_general"),
+        ],
+    )
+    def test_wrong_printed_value_exit_5(
+        self, tmp_path, capsys, monkeypatch, kind, files, module, decision
+    ):
+        """A refutation whose r(v) is not r at its v is never printed."""
+        real = getattr(module, decision)
+
+        def wrong(w):
+            return WitnessVector(w.coords, w.q_value, w.r_value + 1)
+
+        def tampered(*args, **kwargs):
+            try:
+                out = real(*args, **kwargs)
+            except ContainmentFails as exc:
+                raise ContainmentFails(str(exc), witness=wrong(exc.witness)) from None
+            if isinstance(out, relativity.TransformReport):
+                return relativity.TransformReport(
+                    out.kappa, out.classification, wrong(out.witness_event), out.pulled_back_form
+                )
+            return type(out)(wrong(out.witness))
+
+        monkeypatch.setattr(module, decision, tampered)
+        paths = [write(tmp_path, f"{role}.json", text) for role, text in files.items()]
+        code = main([kind, *paths, "--json"])
+        self.assert_internal(capsys, code, "CertificateRejected:")
+
     def test_tampered_simdiag_witness_exit_5(self, tmp_path, capsys, monkeypatch):
         # (1, 2) is off ker q, so the real checker rejects it
         tampered = WitnessVector(
@@ -516,6 +591,48 @@ class TestInternalError:
         r = write(tmp_path, "r.json", QUARTIC_SUM)
         code = main(["poly-contain", q, r, "--json"])
         self.assert_internal(capsys, code, "NoWitnessFound:")
+
+
+# The exit code and the one stderr line of each error a subcommand can raise
+EXIT_CONTRACT = [
+    (OSError("boom"), 2, "error: boom"),
+    (errors.QFormError("boom"), 2, "error: boom"),
+    (errors.FormatError("boom"), 2, "parse error: boom"),
+    (errors.MismatchedRadicand("boom"), 2, "error: boom"),
+    (errors.DimensionMismatch("boom"), 2, "error: boom"),
+    (errors.NonSymmetricMatrix("boom"), 3, "non-symmetric input: boom"),
+    (errors.NotIndefinite("boom"), 4, "hypothesis violation: boom"),
+    (errors.NotSemidefinite("boom"), 4, "hypothesis violation: boom"),
+    (errors.NoWitnessFound("boom"), 5, "internal error: NoWitnessFound: boom"),
+    (errors.DegreeMismatch("boom"), 2, "error: boom"),
+    (errors.NotPythagorean("boom"), 2, "error: boom"),
+    (errors.InvalidSpeed("boom"), 4, "hypothesis violation: boom"),
+    (errors.ContainmentFails("boom"), 2, "error: boom"),
+    (errors.NumericalFailure("boom"), 4, "numerical failure: boom"),
+    (errors.CertificateRejected("two\nlines"), 5, "internal error: CertificateRejected: two lines"),
+    (ValueError("boom"), 5, "internal error: ValueError: boom"),
+]
+
+
+def test_exit_contract_lists_every_library_error():
+    listed = {type(exc) for exc, _, _ in EXIT_CONTRACT}
+    defined = {
+        cls for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, errors.QFormError)
+    }
+    assert defined <= listed
+
+
+@pytest.mark.parametrize(
+    "exc, code, line", EXIT_CONTRACT, ids=[type(e).__name__ for e, _, _ in EXIT_CONTRACT]
+)
+def test_exit_code_and_stderr_line(monkeypatch, capsys, exc, code, line):
+    def raise_it(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_demo", raise_it)
+    assert main(["demo", "--json"]) == code
+    assert capsys.readouterr() == ("", line + "\n")
 
 
 def test_unreadable_input_exit_2(tmp_path, capsys):

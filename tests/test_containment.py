@@ -9,6 +9,8 @@ from qformkit import (
     ConePointWitness,
     ContainmentFails,
     Counterexample,
+    DimensionMismatch,
+    HomogeneousPoly,
     NotIndefinite,
     Proportional,
     QuadExt,
@@ -25,8 +27,11 @@ from qformkit import (
     linalg,
     minkowski_form,
     poly_from_form,
+    reduce_by_quadratic,
     sample_cone_point,
     simdiag_general,
+    simdiag_psd,
+    verify_poly_witness,
     verify_witness,
 )
 from qformkit.containment import WitnessVector, _witness_family
@@ -619,6 +624,54 @@ class TestEvaluateSplit:
             r_value=w.r_value,
         )
         assert not verify_witness(HYP, r, off)
+
+
+class TestVerifyWitnessValues:
+    """verify_witness also requires the q(v) and r(v) a witness carries
+    to be the values at v."""
+
+    R = QuadraticForm([[1, 0], [0, 1]])
+
+    def test_tampered_value_fails(self):
+        w = decide_containment(HYP, self.R).witness
+        assert verify_witness(HYP, self.R, w)
+        assert not verify_witness(HYP, self.R, WitnessVector(w.coords, w.q_value, w.r_value + 1))
+        assert not verify_witness(HYP, self.R, WitnessVector(w.coords, w.q_value + 1, w.r_value))
+
+    def test_equal_value_written_another_way(self):
+        w = decide_containment(HYP, self.R).witness
+        assert w.r_value == QuadExt(2)
+        # 2 as a plain rational, and as sqrt(4)
+        for value in (Fraction(2), QuadExt(0, 1, 4)):
+            assert verify_witness(HYP, self.R, WitnessVector(w.coords, 0, value))
+
+
+THREE = QuadraticForm([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+QUAD3 = HomogeneousPoly(3, 2, {(2, 0, 0): 1})
+CIRCLE_WITNESS = decide_containment(HYP, QuadraticForm([[1, 0], [0, 1]])).witness
+MISMATCHED = {
+    "decide_containment": lambda: decide_containment(HYP, THREE),
+    "verify_witness": lambda: verify_witness(HYP, THREE, CIRCLE_WITNESS),
+    "apply_transform": lambda: apply_transform(HYP, LinearTransform.identity(3)),
+    "reduce_by_quadratic": lambda: reduce_by_quadratic(QUAD3, poly_from_form(HYP)),
+    "decide_containment_homogeneous": lambda: decide_containment_homogeneous(HYP, QUAD3),
+    "verify_poly_witness": lambda: verify_poly_witness(HYP, QUAD3, CIRCLE_WITNESS),
+    "HomogeneousPoly.evaluate": lambda: QUAD3.evaluate((Fraction(1), Fraction(2))),
+    "simdiag_general": lambda: simdiag_general(HYP, THREE),
+    "simdiag_psd": lambda: simdiag_psd(QuadraticForm([[1, 0], [0, 0]]), THREE),
+}
+
+
+@pytest.mark.parametrize("call", MISMATCHED.values(), ids=MISMATCHED.keys())
+def test_dimension_mismatch(call):
+    with pytest.raises(DimensionMismatch):
+        call()
+
+
+def test_construct_witness_on_proportional_r():
+    # r = 2q: no family member separates them
+    with pytest.raises(NoWitnessFound):
+        construct_witness(congruence_diagonalize(HYP), QuadraticForm([[2, 0], [0, -2]]))
 
 
 def test_witness_family_matches_reference():

@@ -52,6 +52,11 @@ def test_symmetry_enforced():
         QuadraticForm([[1, 2], [3, 4]])
 
 
+def test_square_matrix_enforced():
+    with pytest.raises(FormatError, match="matrix is not square"):
+        QuadraticForm([[1, 2]])
+
+
 class TestEvaluate:
     def test_light_cone_event(self):
         q = minkowski_form(1)

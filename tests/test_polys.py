@@ -25,7 +25,7 @@ from qformkit import (
     sample_cone_point,
     verify_poly_witness,
 )
-from qformkit.containment import Counterexample, Proportional
+from qformkit.containment import Counterexample, Proportional, WitnessVector
 from qformkit.forms import load_json
 from qformkit.polys import MAX_DEGREE, MAX_MONOMIALS, poly_from_json, poly_to_json
 from qformkit.scalars import parse_rational
@@ -460,6 +460,31 @@ def test_coefficient_fast_path_matches_parse_rational(coef):
 def test_rejects_booleans_as_integers(obj, message):
     with pytest.raises(FormatError, match=message):
         poly_from_json(obj)
+
+
+@pytest.mark.parametrize(
+    "terms, message",
+    [
+        ({(2,): 1}, "bad exponent vector"),
+        ({(3, -1): 1}, "bad exponent vector"),
+        ({(1, 0): 1}, "has degree 1, expected 2"),
+    ],
+)
+def test_constructor_checks_exponents(terms, message):
+    with pytest.raises(FormatError, match=message):
+        HomogeneousPoly(2, 2, terms)
+
+
+def test_verify_poly_witness_compares_the_carried_values():
+    q = QuadraticForm([[1, 0, 0], [0, -2, 0], [0, 0, 3]])
+    r = HomogeneousPoly(3, 4, {(4, 0, 0): 1, (0, 2, 2): Fraction(-1, 2)})
+    w = decide_containment_homogeneous(q, r).witness
+    assert str(w.r_value) == "-164 + 320*sqrt(1/2)"
+    assert verify_poly_witness(q, r, w)
+    # the same values, as a plain rational and over sqrt(8): 80 sqrt(8) = 320 sqrt(1/2)
+    assert verify_poly_witness(q, r, WitnessVector(w.coords, 0, QuadExt(-164, 80, 8)))
+    assert not verify_poly_witness(q, r, WitnessVector(w.coords, w.q_value, w.r_value + 1))
+    assert not verify_poly_witness(q, r, WitnessVector(w.coords, w.q_value + 1, w.r_value))
 
 
 def test_monomial_bound():

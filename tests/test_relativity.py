@@ -69,6 +69,10 @@ class TestBoost:
         with pytest.raises(NotPythagorean):
             boost_from_triple(1, 1, 1, "x")
 
+    def test_unknown_axis(self):
+        with pytest.raises(ValueError, match="axis must be one of"):
+            boost_from_triple(3, 4, 5, "w")
+
 
 class TestRotation:
     def test_345_xy(self):
