@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import DimensionMismatch, NoWitnessFound, NotIndefinite
+from .errors import DimensionMismatch, MismatchedRadicand, NoWitnessFound, NotIndefinite
 from .forms import CongruenceDiagonalization, QuadraticForm, classify, congruence_diagonalize, evaluate
 from .record import Record
 from .scalars import QuadExt, _is_zero, exact_sqrt, render_quadext, render_rational
@@ -247,28 +247,31 @@ def _first_witness(diag_q: CongruenceDiagonalization, r: QuadraticForm):
                 rad += e * (xa * yb + ya * xb) * td
         if not _is_zero(rat, rad, tn, td):
             t = Fraction(tn, td)
+            coords = diag_q.pullback(support, t)
             root = exact_sqrt(t)
-            if root is not None:  # as pullback does, fold sqrt(t) into the rational part
-                support = [(a, x + y * root if y else x, 0) for a, x, y in support]
+            if root is not None:  # pullback folds sqrt(t) into the coordinates; so too r's value
                 rat, rad, t = rat + rad * root, 0, Fraction(1)
             big = scale * scale * r.den * td
             r_val = QuadExt(Fraction(rat, big), Fraction(rad, big), t)
-            # q(Bv) = v^T diag(d) v, zero by construction of the family
-            d = diag_q.diag
-            q_val = QuadExt(
-                sum(d[a] * (x * x + t * y * y) for a, x, y in support),
-                sum(2 * d[a] * x * y for a, x, y in support),
-                t,
-            )
-            return WitnessVector(diag_q.pullback(support, t), q_val, r_val)
+            # q(Bv) = v^T diag(d) v is zero by construction of the family
+            return WitnessVector(coords, QuadExt(0, 0, t), r_val)
     return None
 
 
 def verify_witness(q: QuadraticForm, r: QuadraticForm, w: WitnessVector) -> bool:
     """Independent certificate check: recompute both values exactly; q's
     is zero, r's is not, and each equals the value the witness carries."""
-    if q.dim != r.dim or len(w.coords) != q.dim:
-        raise DimensionMismatch("witness length does not match form dimension")
-    q_val = evaluate(q, w.coords)
-    r_val = evaluate(r, w.coords)
-    return q_val.is_zero() and not r_val.is_zero() and w.q_value == q_val and w.r_value == r_val
+    return _holds(q, w, lambda x: evaluate(r, x))
+
+
+def _holds(q: QuadraticForm, w: WitnessVector, r_at) -> bool:
+    """Whether q(v) = 0, r(v) = r_at(v) != 0, and both equal the values w
+    carries, at w's coordinates v.  It fails closed: coordinates whose
+    radicands no rational square joins are no point of one quadratic
+    extension, and are rejected, not raised on.  A length that is not
+    q's or r's raises DimensionMismatch from the evaluation."""
+    try:
+        q_val, r_val = evaluate(q, w.coords), r_at(w.coords)
+    except MismatchedRadicand:
+        return False
+    return not q_val and bool(r_val) and w.q_value == q_val and w.r_value == r_val

@@ -20,14 +20,6 @@ NEGATIVE_SEMIDEFINITE_DEGENERATE = "negative-semidefinite-degenerate"
 ZERO = "zero"
 
 
-def _pair(e):
-    """(num, den) of a matrix entry in lowest terms, den > 0: an int as it
-    is, anything else as Fraction(e) reads it."""
-    if type(e) is int:
-        return e, 1
-    return (e if type(e) is Fraction else Fraction(e)).as_integer_ratio()
-
-
 def _common_denominator(ratios):
     """(den, ints) of the ratios {d: {key: x}}, each key's value x / d
     with ints x and d > 0: ints[key] / den = x / d, den > 0 and
@@ -57,7 +49,7 @@ class _IntMatrix:
     __slots__ = ()
 
     def __init__(self, rows):
-        rows = [[_pair(e) for e in row] for row in rows]
+        rows = [[_read_entry(e) for e in row] for row in rows]
         if any(len(row) != len(rows) for row in rows):
             raise FormatError("matrix is not square")
         ratios = {}
@@ -431,8 +423,9 @@ _INT_OR_TEXT = {int, str}
 
 
 def _read_entry(e):
-    """(num, den) of a JSON matrix entry or polynomial coefficient,
-    den > 0.  An int is read as it is, and text as int() reads it, or as
+    """(num, den) of a matrix entry or polynomial coefficient, from a
+    JSON file or a constructor, den > 0.  An int is read as it is, a
+    Fraction as its ratio, and text as int() reads it, or as
     "n/d" with int() on each side of the slash; int() also takes a space
     or a sign beside the slash, and Fraction() does not, so a digit must
     stand on either side of it.  Every other spelling (decimals,

@@ -29,14 +29,13 @@ from .errors import (
     NoWitnessFound,
     NotIndefinite,
 )
-from .containment import Counterexample, WitnessVector
+from .containment import Counterexample, WitnessVector, _holds
 from .forms import (
     CongruenceDiagonalization,
     QuadraticForm,
     classify,
     congruence_diagonalize,
     _common_denominator,
-    _pair,
     _read_entry,
 )
 from .forms import evaluate as form_eval
@@ -66,19 +65,7 @@ class HomogeneousPoly(Record):
     _fields = ("nvars", "degree", "terms")
 
     def __init__(self, nvars, degree, terms):
-        coefs = {tuple(int(e) for e in exp): _pair(c) for exp, c in dict(terms).items()}
-        ratios = {}
-        for exp, (c, d) in coefs.items():
-            if not c:
-                continue
-            if len(exp) != nvars or any(e < 0 for e in exp):
-                raise FormatError(f"bad exponent vector {exp} for {nvars} variables")
-            if sum(exp) != degree:
-                raise FormatError(
-                    f"exponent vector {exp} has degree {sum(exp)}, expected {degree}"
-                )
-            ratios.setdefault(d, {})[exp] = c
-        self._fill(int(nvars), int(degree), ratios)
+        self._fill(int(nvars), int(degree), _term_ratios(nvars, degree, dict(terms).items()))
 
     def _fill(self, nvars, degree, ratios):
         den, ints = _common_denominator(ratios)
@@ -371,10 +358,7 @@ def decide_containment_homogeneous(q: QuadraticForm, r: HomogeneousPoly):
 def verify_poly_witness(q: QuadraticForm, r: HomogeneousPoly, w: WitnessVector) -> bool:
     """Independent recheck: q vanishes at the witness, r does not, and
     each value equals the one the witness carries."""
-    if q.dim != r.nvars or len(w.coords) != q.dim:
-        raise DimensionMismatch("witness length does not match")
-    q_val, r_val = form_eval(q, w.coords), r.evaluate(w.coords)
-    return q_val.is_zero() and not r_val.is_zero() and w.q_value == q_val and w.r_value == r_val
+    return _holds(q, w, r.evaluate)
 
 
 # --- polynomial exchange format ----------------------------------------------
@@ -387,8 +371,7 @@ def poly_from_json(obj) -> HomogeneousPoly:
         nvars, degree, terms = obj["nvars"], obj["degree"], obj["terms"]
     except KeyError as exc:
         raise FormatError(f"missing key {exc}") from exc
-    # type(), not isinstance(): JSON true and false are no count, degree
-    # or exponent
+    # type(), not isinstance(): JSON true and false are no count or degree
     if type(nvars) is not int or nvars < 1:
         raise FormatError(f"'nvars' must be a positive integer, got {nvars!r}")
     if type(degree) is not int or not 0 <= degree <= MAX_DEGREE:
@@ -403,14 +386,29 @@ def poly_from_json(obj) -> HomogeneousPoly:
         )
     if not isinstance(terms, list):
         raise FormatError("'terms' must be a list")
+
+    def pairs():
+        for i, term in enumerate(terms):
+            if not isinstance(term, dict) or "exp" not in term or "coef" not in term:
+                raise FormatError(f"term {i} must have 'exp' and 'coef'")
+            yield term["exp"], term["coef"]
+
+    return HomogeneousPoly._from_ints(nvars, degree, _term_ratios(nvars, degree, pairs()))
+
+
+def _term_ratios(nvars, degree, pairs):
+    """{d: {exponent tuple: x}} of the nonzero coefficients x / d, d > 0,
+    of the (exponent, coefficient) pairs of a polynomial in nvars
+    variables of one degree, from a JSON file or a constructor.  Every
+    term is checked, zero or not: its exponents are nvars ints >= 0 that
+    sum to degree, and no other term has them; the coefficient is read by
+    forms._read_entry."""
     seen = set()
     ratios = {}
-    for i, term in enumerate(terms):
-        if not isinstance(term, dict) or "exp" not in term or "coef" not in term:
-            raise FormatError(f"term {i} must have 'exp' and 'coef'")
-        exp = term["exp"]
+    for i, (exp, coef) in enumerate(pairs):
+        # type(), not isinstance(): JSON true and false are no exponent
         if (
-            not isinstance(exp, list)
+            not isinstance(exp, (list, tuple))
             or len(exp) != nvars
             or any(type(e) is not int or e < 0 for e in exp)
         ):
@@ -423,10 +421,10 @@ def poly_from_json(obj) -> HomogeneousPoly:
         if key in seen:
             raise FormatError(f"term {i}: duplicate exponent vector {exp!r}")
         seen.add(key)
-        x, d = _read_entry(term["coef"])
+        x, d = _read_entry(coef)
         if x:
             ratios.setdefault(d, {})[key] = x
-    return HomogeneousPoly._from_ints(nvars, degree, ratios)
+    return ratios
 
 
 def poly_to_json(p: HomogeneousPoly):

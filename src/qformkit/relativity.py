@@ -15,7 +15,7 @@ from .containment import Proportional, decide_containment, witness_json
 from .errors import DimensionMismatch, InvalidSpeed, NotPythagorean
 from .forms import LinearTransform, QuadraticForm, apply_transform, matrix_to_json
 from .record import Record
-from .scalars import render_rational
+from .scalars import parse_rational, render_rational
 
 INTERVAL_PRESERVING = "interval-preserving"
 CONFORMAL_SCALING = "conformal-scaling"
@@ -45,7 +45,7 @@ class TransformReport(Record):
 
 def minkowski_form(c, dim_space: int = 3) -> QuadraticForm:
     """diag(-c^2, 1, ..., 1) on (1 + dim_space) coordinates, time first."""
-    c = Fraction(c)
+    c = parse_rational(c)
     if c <= 0:
         raise InvalidSpeed(f"speed of light must be positive, got {c}")
     if dim_space < 1:

@@ -514,40 +514,65 @@ class TestInternalError:
         code = main([kind, *paths, "--json"])
         self.assert_internal(capsys, code, "CertificateRejected:")
 
-    @pytest.mark.parametrize(
-        "kind, files, module, decision",
-        [
-            ("contain", {"q": HYP, "r": CIRCLE}, containment, "decide_containment"),
-            ("poly-contain", {"q": HYP, "r": QUARTIC_SUM}, polys, "decide_containment_homogeneous"),
-            ("lorentz", {"L": TestLorentz.STRETCH}, relativity, "check_interval_invariance"),
-            ("simdiag", {"q": HYP, "r": CIRCLE}, semidefinite, "simdiag_general"),
-            ("simdiag", {"q": SQUARE, "r": CIRCLE}, semidefinite, "simdiag_general"),
-        ],
-    )
-    def test_wrong_printed_value_exit_5(
-        self, tmp_path, capsys, monkeypatch, kind, files, module, decision
-    ):
-        """A refutation whose r(v) is not r at its v is never printed."""
-        real = getattr(module, decision)
+    # each command, its input files, and the decision that refutes them
+    DECISIONS = [
+        ("contain", {"q": HYP, "r": CIRCLE}, containment, "decide_containment"),
+        ("poly-contain", {"q": HYP, "r": QUARTIC_SUM}, polys, "decide_containment_homogeneous"),
+        ("lorentz", {"L": TestLorentz.STRETCH}, relativity, "check_interval_invariance"),
+        ("simdiag", {"q": HYP, "r": CIRCLE}, semidefinite, "simdiag_general"),
+        ("simdiag", {"q": SQUARE, "r": CIRCLE}, semidefinite, "simdiag_general"),
+    ]
 
-        def wrong(w):
-            return WitnessVector(w.coords, w.q_value, w.r_value + 1)
+    def assert_forged_witness_rejected(
+        self, tmp_path, capsys, monkeypatch, kind, files, module, decision, forge
+    ):
+        """Patch decision to return its refutation with forge(witness) in
+        place of the witness: the command exits 5 and prints nothing."""
+        real = getattr(module, decision)
 
         def tampered(*args, **kwargs):
             try:
                 out = real(*args, **kwargs)
             except ContainmentFails as exc:
-                raise ContainmentFails(str(exc), witness=wrong(exc.witness)) from None
+                raise ContainmentFails(str(exc), witness=forge(exc.witness)) from None
             if isinstance(out, relativity.TransformReport):
                 return relativity.TransformReport(
-                    out.kappa, out.classification, wrong(out.witness_event), out.pulled_back_form
+                    out.kappa, out.classification, forge(out.witness_event), out.pulled_back_form
                 )
-            return type(out)(wrong(out.witness))
+            return type(out)(forge(out.witness))
 
         monkeypatch.setattr(module, decision, tampered)
         paths = [write(tmp_path, f"{role}.json", text) for role, text in files.items()]
         code = main([kind, *paths, "--json"])
         self.assert_internal(capsys, code, "CertificateRejected:")
+
+    @pytest.mark.parametrize("kind, files, module, decision", DECISIONS)
+    def test_wrong_printed_value_exit_5(
+        self, tmp_path, capsys, monkeypatch, kind, files, module, decision
+    ):
+        """A refutation whose r(v) is not r at its v is never printed."""
+
+        def wrong(w):
+            return WitnessVector(w.coords, w.q_value, w.r_value + 1)
+
+        self.assert_forged_witness_rejected(
+            tmp_path, capsys, monkeypatch, kind, files, module, decision, wrong
+        )
+
+    @pytest.mark.parametrize("kind, files, module, decision", DECISIONS)
+    def test_unrelated_radicands_exit_5(
+        self, tmp_path, capsys, monkeypatch, kind, files, module, decision
+    ):
+        """A witness at (sqrt 2, sqrt 3, 0, ...) is no point of one
+        quadratic extension: its re-check fails, it is not an input error."""
+
+        def unrelated(w):
+            coords = (QuadExt(0, 1, 2), QuadExt(0, 1, 3)) + (QuadExt(0),) * (len(w.coords) - 2)
+            return WitnessVector(coords, w.q_value, w.r_value)
+
+        self.assert_forged_witness_rejected(
+            tmp_path, capsys, monkeypatch, kind, files, module, decision, unrelated
+        )
 
     def test_tampered_simdiag_witness_exit_5(self, tmp_path, capsys, monkeypatch):
         # (1, 2) is off ker q, so the real checker rejects it

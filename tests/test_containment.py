@@ -533,6 +533,60 @@ def test_witness_bytes_match_recorded(q_rows, r_rows, expected):
     assert json.dumps(verdict.to_json(), separators=(",", ":")) == expected
 
 
+def _witness(t, *coords):
+    return {"t": t, "coords": [list(c) for c in coords]}
+
+
+# One witness per family member kind, the member named by the id: q, r,
+# and the certificate the first member that fires gives
+_MEMBER_KINDS = {
+    # q = diag(1, -1), r = x^2: t = 1 is a square, folded into the rational part
+    "a-square-radicand": (
+        [[1, 0], [0, -1]], [[1, 0], [0, 0]],
+        _witness("1", ("1", "0"), ("1", "0")), "1",
+    ),
+    # q = diag(1, -2), r = x^2
+    "a-non-square-radicand": (
+        [[1, 0], [0, -2]], [[1, 0], [0, 0]],
+        _witness("1/2", ("1", "0"), ("0", "1")), "1",
+    ),
+    # q = diag(1, -2), r = 2xy: r(v) has a sqrt part
+    "a-sqrt-part-in-r": (
+        [[1, 0], [0, -2]], [[0, 1], [1, 0]],
+        _witness("1/2", ("1", "0"), ("0", "1")), "0 + 2*sqrt(1/2)",
+    ),
+    # q = diag(1, -1, 0), r = x^2 - y^2 + z^2
+    "b": (
+        [[1, 0, 0], [0, -1, 0], [0, 0, 0]], [[1, 0, 0], [0, -1, 0], [0, 0, 1]],
+        _witness("1", ("0", "0"), ("0", "0"), ("1", "0")), "1",
+    ),
+    # q = diag(1, -1, 0), r = 2xz
+    "c": (
+        [[1, 0, 0], [0, -1, 0], [0, 0, 0]], [[0, 0, 1], [0, 0, 0], [1, 0, 0]],
+        _witness("1", ("1", "0"), ("1", "0"), ("1", "0")), "2",
+    ),
+    # q = diag(1, -1, 0, 0), r = 2 x3 x4
+    "d": (
+        [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+        [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+        _witness("1", ("0", "0"), ("0", "0"), ("1", "0"), ("1", "0")), "2",
+    ),
+    # q = diag(1, 1, -1), r = 2xy
+    "e": (
+        [[1, 0, 0], [0, 1, 0], [0, 0, -1]], [[0, 1, 0], [1, 0, 0], [0, 0, 0]],
+        _witness("2", ("1", "0"), ("1", "0"), ("0", "1")), "2",
+    ),
+}
+
+
+@pytest.mark.parametrize("q_rows, r_rows, witness, r_value", _MEMBER_KINDS.values(), ids=_MEMBER_KINDS.keys())
+def test_witness_bytes_per_member_kind(q_rows, r_rows, witness, r_value):
+    verdict = decide_containment(QuadraticForm(q_rows), QuadraticForm(r_rows))
+    assert verdict.to_json() == {
+        "verdict": "counterexample", "witness": witness, "q_value": "0", "r_value": r_value,
+    }
+
+
 def _random_quadext_vector(rng, n, t):
     return tuple(
         QuadExt(
@@ -644,6 +698,12 @@ class TestVerifyWitnessValues:
         # 2 as a plain rational, and as sqrt(4)
         for value in (Fraction(2), QuadExt(0, 1, 4)):
             assert verify_witness(HYP, self.R, WitnessVector(w.coords, 0, value))
+
+    def test_unrelated_radicands_fail_closed(self):
+        # no rational square joins sqrt(2) and sqrt(3): rejected, not raised on
+        w = WitnessVector((QuadExt(0, 1, 2), QuadExt(0, 1, 3)), 0, 1)
+        assert not verify_witness(HYP, self.R, w)
+        assert not verify_poly_witness(HYP, poly_from_form(self.R), w)
 
 
 THREE = QuadraticForm([[1, 0, 0], [0, 1, 0], [0, 0, 1]])

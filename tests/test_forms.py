@@ -11,6 +11,7 @@ import pytest
 from qformkit import (
     CongruenceDiagonalization,
     DimensionMismatch,
+    HomogeneousPoly,
     Inertia,
     LinearTransform,
     NonSymmetricMatrix,
@@ -449,6 +450,42 @@ def test_entry_reading_matches_parse_rational(tmp_path, capsys, load, command, e
         half = Fraction(1, 2)
         assert load(obj).matrix == ((want, half), (half, want))
         assert main([command, str(path)]) in (0, 1)
+
+
+# a library constructor of each kind, on one rational value v
+CONSTRUCTORS = {
+    "QuadraticForm": lambda v: QuadraticForm([[v, 1], [1, 0]]),
+    "LinearTransform": lambda v: LinearTransform([[v, 1], [0, v]]),
+    "QuadraticForm.diagonal": lambda v: QuadraticForm.diagonal([v, -1]),
+    "HomogeneousPoly": lambda v: HomogeneousPoly(2, 2, {(2, 0): v, (0, 2): -1}),
+    "minkowski_form": minkowski_form,
+}
+
+
+@pytest.mark.parametrize("build", CONSTRUCTORS.values(), ids=CONSTRUCTORS.keys())
+@pytest.mark.parametrize("value", [0.5, True, Decimal("0.5")], ids=repr)
+def test_constructors_refuse_what_json_refuses(build, value):
+    with pytest.raises(FormatError, match="not a rational"):
+        build(value)
+
+
+@pytest.mark.parametrize("build", CONSTRUCTORS.values(), ids=CONSTRUCTORS.keys())
+@pytest.mark.parametrize(
+    "value, want",
+    [
+        (3, Fraction(3)),
+        (Fraction(2, 3), Fraction(2, 3)),
+        ("7/14", Fraction(1, 2)),
+        ("1.5e-3", Fraction(3, 2000)),
+    ],
+    ids=repr,
+)
+def test_constructors_read_values_as_json_does(build, value, want):
+    """A constructor reads a value as a JSON file's entry is read, a
+    Fraction as its "n/d" spelling."""
+    spelled = str(value) if isinstance(value, Fraction) else value
+    assert form_from_json({"dim": 1, "rows": [[spelled]]}).matrix == ((want,),)
+    assert build(value) == build(want)
 
 
 def test_non_symmetric_ratio_message(tmp_path, capsys):

@@ -467,7 +467,9 @@ def test_rejects_booleans_as_integers(obj, message):
     [
         ({(2,): 1}, "bad exponent vector"),
         ({(3, -1): 1}, "bad exponent vector"),
-        ({(1, 0): 1}, "has degree 1, expected 2"),
+        ({(1, 0): 1}, "exponents sum to 1, expected degree 2"),
+        ({(2,): 0}, "bad exponent vector"),  # a zero coefficient is checked too
+        ({(1.0, 1): 1}, "bad exponent vector"),
     ],
 )
 def test_constructor_checks_exponents(terms, message):
