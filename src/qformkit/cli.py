@@ -139,6 +139,10 @@ def cmd_contain(args):
     q, r = _form(args.q), _form(args.r)
     verdict = containment.decide_containment(q, r)
     if isinstance(verdict, containment.Proportional):
+        # R = alpha Q entrywise, in ints: R_int ad den_Q = an Q_int den_R
+        an, ad = verdict.alpha.as_integer_ratio()
+        same = (y * ad * q.den == an * x * r.den for u, v in zip(q.ints, r.ints) for x, y in zip(u, v))
+        _recheck(q.dim == r.dim and all(same), "proportionality constant")
         return (
             EXIT_OK,
             verdict.to_json,

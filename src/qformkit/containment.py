@@ -201,13 +201,14 @@ def _first_witness(diag_q: CongruenceDiagonalization, r: QuadraticForm):
     """construct_witness, or None when no member fires.  R = R_int / den
     is r's (ints, den).
 
-    Reading diag_q.cols builds B (see congruence_diagonalize), so a
-    refutation builds it here.  r(Bv) = v^T (B^T R B) v, and a member
-    touches only the entries of B^T R B on its 1-3 support indices, so
-    only those are computed, in ints: with column c of B =
-    cols[c] / scales[c], entry (a, b) is
-    E_ab / (scales[a] scales[b] den), E_ab = cols[a] . (R_int cols[b]),
-    with R_int cols[b] cached per column.
+    r(Bv) = v^T (B^T R B) v, and a member touches only the entries of
+    B^T R B on its 1-3 support indices, so only those are computed, in
+    ints: with column c of B = column(c) / scales[c], entry (a, b) is
+    E_ab / (scales[a] scales[b] den), E_ab = column(a) . (R_int column(b)),
+    with R_int column(b) cached per column.  diag_q.column builds a
+    column of B the first time it is read (see forms._column), so a
+    refutation builds only the columns its scan reads, and cols is not
+    read.
 
     The scan decides r(v) != 0 in ints too.  With t = tn / td, P the
     product of the support's scales and f_a = P / scales[a], r(v) times
@@ -217,7 +218,7 @@ def _first_witness(diag_q: CongruenceDiagonalization, r: QuadraticForm):
     off it, and scalars._is_zero tests it.  Fractions and QuadExts are
     made only for the member that fires.
     """
-    cols, scales = diag_q.cols, diag_q.scales
+    column, scales = diag_q.column, diag_q.scales
     r_cols = {}
     entries = {}
 
@@ -228,9 +229,9 @@ def _first_witness(diag_q: CongruenceDiagonalization, r: QuadraticForm):
             a, b = key
             rb = r_cols.get(b)
             if rb is None:
-                col = [(i, x) for i, x in enumerate(cols[b]) if x]
+                col = [(i, x) for i, x in enumerate(column(b)) if x]
                 rb = r_cols[b] = [sum(row[i] * x for i, x in col) for row in r.ints]
-            val = entries[key] = sum(x * y for x, y in zip(cols[a], rb) if x)
+            val = entries[key] = sum(x * y for x, y in zip(column(a), rb) if x)
         return val
 
     for tn, td, support in _witness_family(diag_q.diag, diag_q.inertia):

@@ -135,37 +135,45 @@ class CongruenceDiagonalization(Record):
     """Invertible basis B (columns) with B^T Q B = diag(diag).
 
     diag holds the n rational diagonal values, ordered +, -, 0.  B comes
-    out of the elimination in ints: column c is cols[c] / scales[c], with
-    scales[c] a positive int.  congruence_diagonalize keeps the pivot
-    rows and repairs of its pass, and cols is replayed from them the
-    first time it is read; the rational matrix basis is built from cols
-    the first time it is read, and no command reads it.  So a verdict
-    that needs only diag and inertia never builds B.
+    out of the elimination in ints: column f is column(f) / scales[f],
+    with scales[f] a positive int.  congruence_diagonalize keeps the pivot
+    rows and repairs of its pass, and column(f) is built from them the
+    first time it is read and kept; cols is all n of them, and the
+    rational matrix basis is built from cols the first time it is read,
+    by no command.  So a verdict that needs only diag and inertia never
+    builds B, and a witness builds the 1-3 columns its support reads.
     """
 
-    __slots__ = ("diag", "inertia", "_cols", "scales", "_log", "_basis")
+    __slots__ = ("diag", "inertia", "_cols", "scales", "_log", "_built", "_basis")
     _fields = ("diag", "inertia", "cols", "scales")
 
     def __init__(self, diag, inertia, cols, scales):
         _set(self, "diag", diag)
         _set(self, "inertia", inertia)
-        _set(self, "_cols", cols)
+        _set(self, "_built", list(cols))
         _set(self, "scales", scales)
 
     @classmethod
     def _lazy(cls, diag, inertia, scales, log):
-        """A diagonalization whose cols are replayed from log when read."""
-        d = cls.__new__(cls)
-        _set(d, "diag", diag)
-        _set(d, "inertia", inertia)
-        _set(d, "scales", scales)
+        """A diagonalization whose columns are built from log, the pass's
+        (steps, order), when read."""
+        d = cls(diag, inertia, [None] * len(scales), scales)
         _set(d, "_log", log)
         return d
 
+    def column(self, f) -> tuple:
+        """The n ints of column f of B times scales[f], built by _column
+        the first time it is read and kept."""
+        if self._built[f] is None:
+            steps, order = self._log
+            self._built[f] = _column(steps, order[f], self.scales[f], len(order))
+        return self._built[f]
+
     @lazy
     def cols(self) -> tuple:
-        """n int columns, column c of B times scales[c]."""
-        cols = _replay(*self._log)
+        """n int columns, column(f) for each f; the log is let go once
+        they are all built."""
+        cols = tuple(map(self.column, range(len(self.scales))))
         _set(self, "_log", None)
         return cols
 
@@ -184,21 +192,22 @@ class CongruenceDiagonalization(Record):
         Fractions, and v_a = 0 elsewhere.  When t is the square of a
         rational, sqrt(t) is folded into x, and B v is rational over t = 1.
 
-        Column a of B is cols[a] / scales[a], so coordinate i of B v is a
-        sum over the support of cols[a][i] (x + y sqrt t) / scales[a]; it
-        runs in ints over one common denominator, and one QuadExt is made
-        per coordinate.  basis is not read."""
+        Column a of B is column(a) / scales[a], so coordinate i of B v is
+        a sum over the support of column(a)[i] (x + y sqrt t) / scales[a];
+        it runs in ints over one common denominator, and one QuadExt is
+        made per coordinate.  Only the support's columns are built, and
+        neither cols nor basis is read."""
         root = exact_sqrt(t)
         if root is not None:
             support, t = [(a, x + y * root if y else x, 0) for a, x, y in support], Fraction(1)
-        cols, scales = self.cols, self.scales
-        # column a times x is cols[a] * xn / (scales[a] * xd)
+        scales = self.scales
+        # column a times x is column(a) * xn / (scales[a] * xd)
         terms = [
-            (cols[a], *x.as_integer_ratio(), *y.as_integer_ratio(), scales[a])
+            (self.column(a), *x.as_integer_ratio(), *y.as_integer_ratio(), scales[a])
             for a, x, y in support
         ]
         den = math.lcm(*[s * d for _, _, xd, _, yd, s in terms for d in (xd, yd)])
-        rat = rad = [0] * len(cols)
+        rat = rad = [0] * len(scales)
         for col, xn, xd, yn, yd, s in terms:
             if xn:
                 x = xn * den // (s * xd)
@@ -281,9 +290,10 @@ def congruence_diagonalize(q: QuadraticForm) -> CongruenceDiagonalization:
     The pass updates A only.  B takes the same column operations, but no
     step reads B, and row a[i] is final once step i has run: later steps,
     swaps and repairs touch rows i + 1 onwards.  So the pass logs each
-    repair (add, swap) and each pivot step (i, p, prev, a[i]) in order,
-    and CongruenceDiagonalization.cols replays the log on the identity
-    (_replay) the first time it is read.
+    repair (add, swap) and each pivot step (i, a[i]), whose pivot is
+    a[i][i].  CongruenceDiagonalization.column builds a column of B from
+    the log the first time it is read, by back-substitution on the pivot
+    rows whose every division is exact (_column gives the argument).
     """
     n = q.dim
     den, a = q.den, [list(row) for row in q.ints]
@@ -293,7 +303,7 @@ def congruence_diagonalize(q: QuadraticForm) -> CongruenceDiagonalization:
 
     def col_add(j, i):
         # b_j += b_i, and the congruence update of the trailing block of A
-        steps.append(("add", j, i))
+        steps.append(("add", i, j))
         for r in range(i, n):
             a[r][j] += a[r][i]
         for r in range(i, n):
@@ -326,7 +336,7 @@ def congruence_diagonalize(q: QuadraticForm) -> CongruenceDiagonalization:
         if p == 0:
             continue  # whole trailing row is zero
         row_i = a[i]
-        steps.append(("pivot", i, p, prev, row_i))
+        steps.append(("pivot", i, row_i))
         for j in range(i + 1, n):
             c = row_i[j]
             if c:
@@ -347,34 +357,44 @@ def congruence_diagonalize(q: QuadraticForm) -> CongruenceDiagonalization:
         diag=tuple(Fraction(a[c][c], scales[c] * den) for c in order),
         inertia=Inertia(k, m, n - k - m),
         scales=tuple(abs(scales[c]) for c in order),
-        log=(n, steps, [(c, scales[c] < 0) for c in order]),
+        log=(steps, order),
     )
 
 
-def _replay(n, steps, order):
-    """The int columns of B from congruence_diagonalize's log: its steps
-    applied to the identity, then its order, negating the columns of a
-    negative scale.  As in the pass, a pivot step is a Bareiss step, so
-    each unfinished column is held multiplied by the last pivot and every
-    update divides exactly by it."""
-    w = [[int(r == c) for r in range(n)] for c in range(n)]  # w[c]: column c of B
-    for op, *args in steps:
-        if op == "add":
-            j, i = args
-            w[j] = [x + y for x, y in zip(w[j], w[i])]
-        elif op == "swap":
-            i, j = args
-            w[i], w[j] = w[j], w[i]
+def _column(steps, c, s, n):
+    """Column c of the pass's B times s = |scale_c|, as n ints, from the
+    pass's steps alone.  B is the product of the steps' column operations
+    in order, so B e_c is e_c with the steps applied from last to first:
+    a repair (add, i, j), b_j += b_i, does z_i += z_j; (swap, i, j) swaps
+    z_i and z_j; and a pivot step (i, row), b_j -= (row[j] / p) b_i for
+    j > i with p = row[i], does z_i -= (sum_{j > i} row[j] z_j) / p.  A
+    step of index i > c touches coordinates after c only, all zero until
+    the walk reaches step c, so it is skipped; the rest cost O(n) each,
+    and z is zero past hi.
+
+    Every // p is exact.  Let A' be den Q in ints after all the pass's
+    swaps and repairs, and P the indices before c that pivoted; the
+    Bareiss prev at c, s up to sign, is det A'[P, P].  Once the walk has
+    undone pivot i, z is s times column c of the basis that the pass's
+    operations from pivot i on make of the identity, up to later repairs,
+    which are unimodular int operations.  By Cramer's rule and Schur's
+    determinant formula, each entry of that column is a minor of A' on
+    the rows P over det A'[P, P].  So z stays an int vector, and the sum,
+    p times the change in z_i, divides by p.
+    """
+    z = [0] * n
+    z[c], hi = s, c + 1
+    for op, i, x in reversed(steps):
+        if i > c:
+            continue
+        if op == "pivot":
+            z[i] -= sum(a * b for a, b in zip(x[i + 1 : hi], z[i + 1 : hi])) // x[i]
+        elif op == "add":
+            z[i] += z[x]
         else:
-            i, p, prev, row_i = args
-            w_i = w[i]
-            for j in range(i + 1, n):
-                c = row_i[j]
-                if c:
-                    w[j] = [(p * x - c * y) // prev for x, y in zip(w[j], w_i)]
-                else:
-                    w[j] = [p * x // prev for x in w[j]]
-    return tuple(tuple([-x for x in w[c]] if negate else w[c]) for c, negate in order)
+            z[i], z[x] = z[x], z[i]
+            hi = max(hi, x + 1)
+    return tuple(z)
 
 
 def inertia(q: QuadraticForm) -> Inertia:

@@ -66,12 +66,13 @@ def kernel_basis(q: QuadraticForm) -> SubspaceBasis:
     the zero set: q(x) = 0 forces x into the matrix kernel.
 
     The basis is read off q's frame: the columns of B at the zeros of d
-    (see _simdiag_in_frame), each divided by its last nonzero entry.  A
-    kernel of dimension 1 then gets the vector rref(Q) gives it, whose
-    free column is its last nonzero coordinate, set to 1."""
+    (see _simdiag_in_frame), each divided by its last nonzero entry; only
+    those z columns are built.  A kernel of dimension 1 then gets the
+    vector rref(Q) gives it, whose free column is its last nonzero
+    coordinate, set to 1."""
     dq = congruence_diagonalize(q)
     _orientation(dq.inertia, "q")  # rejects indefinite input
-    kernel = dq.cols[dq.inertia.k + dq.inertia.m :]
+    kernel = [dq.column(f) for f in range(dq.inertia.k + dq.inertia.m, q.dim)]
     lasts = [next(e for e in reversed(col) if e) for col in kernel]
     vectors = tuple(tuple(Fraction(e, last) for e in col) for col, last in zip(kernel, lasts))
     return SubspaceBasis(dim_ambient=q.dim, vectors=vectors)
@@ -186,13 +187,13 @@ def _simdiag_in_frame(
     if q.dim != r.dim:
         raise DimensionMismatch(f"dims differ: {q.dim} vs {r.dim}")
     n, nm = q.dim, dq.inertia.k + dq.inertia.m
-    cols, scales = dq.cols, dq.scales
     witness = _first_witness(dq, r)
     if witness is not None:
         raise ContainmentFails(
             "zero set of q is not contained in zero set of r", witness=witness
         )
 
+    cols, scales = dq.cols, dq.scales
     r_unit = -1 if orr < 0 else 1
     # column i of W is g_i b_i, g_i = 1 / sqrt|d_i|, and W^T R W is built from
     # the exact b_i^T R b_j = cols[i] . (R_int cols[j]) / (s_i s_j den)

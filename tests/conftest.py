@@ -1,4 +1,6 @@
+import importlib.util
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -20,6 +22,16 @@ from qformkit import (
     parse_rational,
 )
 from qformkit import linalg
+
+
+def perfbench_module(name):
+    """perfbench/<name>.py of this checkout, loaded read-only as a module
+    apart from the benchmark's own imports."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", os.path.join(root, "perfbench", f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_symmetric(rng: random.Random, n: int, lo=-5, hi=5) -> QuadraticForm:
@@ -294,6 +306,34 @@ def eager_diagonalize(q):
         cols=tuple(tuple(w[c] if scales[c] > 0 else [-x for x in w[c]]) for c in order),
         scales=tuple(abs(scales[c]) for c in order),
     )
+
+
+def reference_replay(d):
+    """The int columns of B of an unread congruence_diagonalize result d,
+    replayed forward from its log on the identity: each step applied in
+    order, a pivot step as a Bareiss step, so each unfinished column is
+    held multiplied by the last pivot and every update divides exactly by
+    it.  Column c then carries the signed scale of step c, so a column of
+    negative scale is negated, as in the frame's cols."""
+    steps, order = d._log
+    n = len(order)
+    w = [[int(r == c) for r in range(n)] for c in range(n)]  # w[c]: column c of B
+    prev, pivots = 1, {}
+    for op, i, x in steps:
+        if op == "add":  # b_x += b_i
+            w[x] = [u + v for u, v in zip(w[x], w[i])]
+        elif op == "swap":
+            w[i], w[x] = w[x], w[i]
+        else:
+            p, w_i = x[i], w[i]
+            for j in range(i + 1, n):
+                w[j] = [(p * u - x[j] * v) // prev for u, v in zip(w[j], w_i)]
+            pivots[i] = prev = p
+
+    def negative(c):  # the signed scale of step c is the last pivot before it
+        return next((pivots[i] for i in range(c - 1, -1, -1) if i in pivots), 1) < 0
+
+    return tuple(tuple(-u for u in w[c]) if negative(c) else tuple(w[c]) for c in order)
 
 
 # --- reference constructors and arithmetic that only tests use ----------------

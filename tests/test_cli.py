@@ -574,6 +574,24 @@ class TestInternalError:
             tmp_path, capsys, monkeypatch, kind, files, module, decision, unrelated
         )
 
+    @pytest.mark.parametrize(
+        "r, alpha",
+        [
+            (HYP, Fraction(2)),
+            (HYP, Fraction(-1)),
+            (CIRCLE, Fraction(1)),
+            ('{"dim": 2, "rows": [[0,0],[0,0]]}', Fraction(1)),
+        ],
+        ids=["r=q, alpha 2", "r=q, alpha -1", "r not proportional", "r zero, alpha 1"],
+    )
+    def test_wrong_alpha_exit_5(self, tmp_path, capsys, monkeypatch, r, alpha):
+        """A proportional verdict whose alpha does not give R = alpha Q
+        entrywise is never printed."""
+        monkeypatch.setattr(containment, "decide_containment", lambda q, r: containment.Proportional(alpha))
+        q, r = write(tmp_path, "q.json", HYP), write(tmp_path, "r.json", r)
+        code = main(["contain", q, r, "--json"])
+        self.assert_internal(capsys, code, "CertificateRejected: proportionality constant")
+
     def test_tampered_simdiag_witness_exit_5(self, tmp_path, capsys, monkeypatch):
         # (1, 2) is off ker q, so the real checker rejects it
         tampered = WitnessVector(

@@ -38,11 +38,13 @@ from conftest import (
     det,
     eager_diagonalize,
     mat_scale,
+    perfbench_module,
     random_indefinite,
     random_invertible,
     random_symmetric,
     random_vector,
     reference_diagonalize,
+    reference_replay,
 )
 
 S2 = QuadraticForm([[2, 0, -1], [0, 2, -1], [-1, -1, 1]])  # 2x^2+2y^2+z^2-2xz-2yz
@@ -219,11 +221,13 @@ class TestLazyBasisMatchesEagerPass:
     def test_unread_cols_behave_as_read(self, monkeypatch):
         q = QuadraticForm([[0, 2, 1], [2, 0, 3], [1, 3, 0]])
         read = congruence_diagonalize(q)
-        replays = []
-        replay = forms._replay
-        monkeypatch.setattr(forms, "_replay", lambda *log: replays.append(log) or replay(*log))
-        assert read.cols is read.cols  # replayed once, before the comparisons below
-        assert len(replays) == 1
+        builds = []
+        column = forms._column
+        monkeypatch.setattr(forms, "_column", lambda *args: builds.append(args) or column(*args))
+        assert read.cols is read.cols  # each column built once, before the comparisons below
+        assert len(builds) == q.dim
+        assert all(read.column(f) is read.cols[f] for f in range(q.dim))
+        assert len(builds) == q.dim
         with pytest.raises(AttributeError):
             read.cols = read.cols
         for copied in (
@@ -242,6 +246,77 @@ class TestLazyBasisMatchesEagerPass:
         rebuilt = CongruenceDiagonalization(d.diag, d.inertia, d.cols, d.scales)
         assert rebuilt == d
         assert rebuilt.basis == d.basis
+
+
+def _sparse_diagonal_form(rng, n):
+    """Random symmetric form whose diagonal is mostly zero, so the pass
+    repairs and swaps: off-diagonal entries in -3..3, some of them 1/2 or
+    -5/3, and a few zero rows."""
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i == j:
+                v = Fraction(rng.choice((-2, 1, 3))) if rng.random() < 0.2 else Fraction(0)
+            else:
+                v = rng.choice((Fraction(rng.randint(-3, 3)),) * 4 + (Fraction(1, 2), Fraction(-5, 3)))
+            rows[i][j] = rows[j][i] = v
+    for i in rng.sample(range(n), n // 4):
+        for j in range(n):
+            rows[i][j] = rows[j][i] = Fraction(0)
+    return QuadraticForm(rows)
+
+
+def _contain_sweep_forms():
+    """Every q and r of the benchmark's contain-sweep corpus, seeds 0-3;
+    perfbench/corpus.py is loaded read-only."""
+    corpus = perfbench_module("corpus")
+    return [
+        form_from_json(obj)
+        for seed in range(4)
+        for item in corpus.build("contain-sweep", seed)
+        if item["kind"] == "contain"
+        for _, obj in item["inputs"].values()
+    ]
+
+
+class TestColumnMatchesReplay:
+    """CongruenceDiagonalization.column(f) back-substitutes one column of
+    B from the pass's log; each column, read alone, in any order or all at
+    once through cols, equals the forward replay of the whole log in
+    conftest, int for int."""
+
+    @staticmethod
+    def assert_matches(q, rng):
+        expected = reference_replay(congruence_diagonalize(q))
+        one = congruence_diagonalize(q)
+        order = list(range(q.dim))
+        rng.shuffle(order)
+        assert all(one.column(f) == expected[f] for f in order)
+        assert congruence_diagonalize(q).cols == expected
+
+    def test_random_forms_with_mostly_zero_diagonals(self):
+        rng = random.Random(40)
+        swapped = added = 0
+        for k in range(1500):
+            q = _sparse_diagonal_form(rng, k % 10 + 1)
+            self.assert_matches(q, rng)
+            ops = {op for op, _, _ in congruence_diagonalize(q)._log[0]}
+            swapped += "swap" in ops
+            added += "add" in ops
+        assert swapped >= 500 and added >= 200
+
+    def test_contain_sweep_forms(self):
+        rng = random.Random(41)
+        forms_ = _contain_sweep_forms()
+        assert {q.dim for q in forms_} >= {3, 24, 32}
+        for q in forms_:
+            self.assert_matches(q, rng)
+
+    def test_n48(self):
+        rng = random.Random(42)
+        q = _sparse_diagonal_form(rng, 48)
+        self.assert_matches(q, rng)
+        self.assert_matches(random_symmetric(rng, 48, -3, 3), rng)
 
 
 def test_frame_pullback_matches_basis_product():

@@ -17,7 +17,7 @@ import textwrap
 from fractions import Fraction
 
 import pytest
-from conftest import poly_mul, random_homogeneous
+from conftest import perfbench_module, poly_mul, random_homogeneous
 
 import qformkit
 from qformkit import containment, forms, linalg, polys, semidefinite
@@ -424,14 +424,80 @@ def _proportional_pair():
     ids=["contain-proportional", "inertia", "classify", "lorentz-preserving"],
 )
 def test_verdicts_without_a_witness_never_build_b(monkeypatch, decide):
-    """B is replayed from the pass's log only when cols is read; a verdict
-    that needs diag and inertia alone never reads it."""
+    """A column of B is built from the pass's log only when it is read; a
+    verdict that needs diag and inertia alone builds none."""
 
     def refuse(*args):
-        raise AssertionError("the columns of B were built")
+        raise AssertionError("a column of B was built")
 
-    monkeypatch.setattr(forms, "_replay", refuse)
+    monkeypatch.setattr(forms, "_column", refuse)
     decide()
+
+
+def _count_column_builds(monkeypatch):
+    """The pass index of every column of B built from now on; reading
+    cols raises."""
+    built = []
+    column = forms._column
+
+    def counted(steps, c, s, n):
+        built.append(c)
+        return column(steps, c, s, n)
+
+    def refuse(self):
+        raise AssertionError("cols was read")
+
+    monkeypatch.setattr(forms, "_column", counted)
+    monkeypatch.setattr(forms.CongruenceDiagonalization, "cols", property(refuse))
+    return built
+
+
+def test_witness_builds_only_the_columns_it_reads(monkeypatch):
+    """A refutation builds the columns of B its witness reads and no more:
+    on an anchored n = 32 pair with r perturbed at (0, 0), the first
+    witness-family member fires, and its support is 2 indices.  A
+    proportional verdict builds none."""
+    q_rows, r_rows = _anchored_pair(32, 5)
+    r_rows[0][0] += 1
+    q, r = qformkit.QuadraticForm(q_rows), qformkit.QuadraticForm(r_rows)
+    built = _count_column_builds(monkeypatch)
+    verdict = qformkit.decide_containment(q, r)
+    assert isinstance(verdict, qformkit.Counterexample)
+    assert len(built) == len(set(built)) == 2
+    assert qformkit.verify_witness(q, r, verdict.witness)
+    built.clear()
+    assert isinstance(qformkit.decide_containment(*_proportional_pair()), qformkit.Proportional)
+    assert built == []
+
+
+def test_semidefinite_refutation_builds_only_kernel_columns(monkeypatch):
+    """simdiag on a semidefinite q scans the kernel columns of B in frame
+    order: with q = diag(1, ..., 10, 0, 0) and r = x_11^2, the second one
+    fires, so 2 of the 12 columns are built, and the float step, which
+    reads cols, never runs."""
+    n = 12
+    q = qformkit.QuadraticForm([[i + 1 if i == j < n - 2 else 0 for j in range(n)] for i in range(n)])
+    r = qformkit.QuadraticForm([[int(i == j == n - 1) for j in range(n)] for i in range(n)])
+    built = _count_column_builds(monkeypatch)
+    with pytest.raises(qformkit.ContainmentFails):
+        qformkit.simdiag_general(q, r)
+    assert len(built) == len(set(built)) == 2
+
+
+@pytest.mark.parametrize("z", [0, 1, 2, 4])
+def test_kernel_basis_builds_one_column_per_zero_pivot(monkeypatch, z):
+    """kernel_basis of a semidefinite form with z zero pivots builds the z
+    kernel columns of B and no other."""
+    rng = random.Random(z)
+    n = 7
+    c = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n - z)]
+    rows = [[sum(c[k][i] * c[k][j] for k in range(n - z)) for j in range(n)] for i in range(n)]
+    q = qformkit.QuadraticForm(rows)
+    assert qformkit.inertia(q).z == z
+    built = _count_column_builds(monkeypatch)
+    basis = semidefinite.kernel_basis(q)
+    assert len(basis.vectors) == z
+    assert len(built) == len(set(built)) == z
 
 
 _SQUARE = qformkit.QuadraticForm([[1, -1], [-1, 1]])
@@ -459,9 +525,7 @@ def _cli_oneshot_argvs(directory):
     """Every command line of the benchmark's cli-oneshot corpus of seeds 0
     and 3 (demo among them), human and --json, its inputs written to
     directory; each item's inputs are in the order the command takes."""
-    spec = importlib.util.spec_from_file_location("perfbench_corpus", os.path.join(ROOT, "perfbench", "corpus.py"))
-    corpus = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(corpus)
+    corpus = perfbench_module("corpus")
     argvs = []
     for seed in (0, 3):
         for k, item in enumerate(corpus.build("cli-oneshot", seed)):
@@ -579,9 +643,7 @@ def test_benchmark_bindings_resolve():
     """perfbench/spans.py wraps qformkit functions at every module binding
     its callers go through (semidefinite.classify, polys.form_eval, ...),
     so a binding the package no longer uses must still be there."""
-    spec = importlib.util.spec_from_file_location("perfbench_spans", os.path.join(ROOT, "perfbench", "spans.py"))
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = perfbench_module("spans")
     original = forms.congruence_diagonalize
     tracer = spans.Tracer()
     try:
