@@ -60,6 +60,14 @@ def _recheck(ok, what):
         raise CertificateRejected(f"{what} failed its independent re-check")
 
 
+def _recheck_alpha(q, r, alpha):
+    """Fail closed unless R = alpha Q entrywise, tested in ints:
+    R_int ad den_Q = an Q_int den_R with alpha = an / ad."""
+    an, ad = alpha.as_integer_ratio()
+    same = (y * ad * q.den == an * x * r.den for u, v in zip(q.ints, r.ints) for x, y in zip(u, v))
+    _recheck(q.dim == r.dim and all(same), "proportionality constant")
+
+
 def _form(path):
     return forms.form_from_json(forms.load_json(path))
 
@@ -139,10 +147,7 @@ def cmd_contain(args):
     q, r = _form(args.q), _form(args.r)
     verdict = containment.decide_containment(q, r)
     if isinstance(verdict, containment.Proportional):
-        # R = alpha Q entrywise, in ints: R_int ad den_Q = an Q_int den_R
-        an, ad = verdict.alpha.as_integer_ratio()
-        same = (y * ad * q.den == an * x * r.den for u, v in zip(q.ints, r.ints) for x, y in zip(u, v))
-        _recheck(q.dim == r.dim and all(same), "proportionality constant")
+        _recheck_alpha(q, r, verdict.alpha)
         return (
             EXIT_OK,
             verdict.to_json,
@@ -181,6 +186,8 @@ def cmd_simdiag(args):
         result = semidefinite.simdiag_general(q, r, tol=tol)
     except ContainmentFails as exc:
         return _counterexample(q, r, exc.witness)
+    if hasattr(result, "_alpha"):  # the indefinite route: r_diag is alpha times q_diag
+        _recheck_alpha(q, r, result._alpha)
     return (
         EXIT_OK,
         result.to_json,

@@ -92,10 +92,13 @@ def _decide_in_frame(
 ) -> ContainmentVerdict:
     """decide_containment for a caller that already diagonalized q (dq).
 
-    B is invertible, so B^T R B = alpha*diag(d) exactly when R = alpha*Q:
-    proportionality is an entrywise test on the original matrices.
+    A pivot of each sign proves q indefinite, so dq.lead, which runs q's
+    pass only that far, is the indefiniteness test.  B is invertible, so
+    B^T R B = alpha*diag(d) exactly when R = alpha*Q: proportionality is
+    an entrywise test on the original matrices, and needs no more of the
+    pass.  A refutation resumes it only when construct_witness does.
     """
-    if not (dq.inertia.k and dq.inertia.m):
+    if dq.lead is None:
         raise NotIndefinite(
             "the base form must be indefinite (take both signs); "
             "semidefinite forms are outside this decision procedure"
@@ -188,8 +191,13 @@ def construct_witness(
 ) -> WitnessVector:
     """First member of the witness family on which r is exactly nonzero,
     mapped back to original coordinates.  Unreachable failure when r is
-    genuinely non-proportional."""
-    witness = _first_witness(diag_q, r)
+    genuinely non-proportional.
+
+    The first two members, (a) for the first positive and the first
+    negative pivot in pass order, are the whole family of diag_q.lead,
+    with the same radicand and columns: they are tried there first, and
+    only when neither fires is diag_q's pass resumed for the full scan."""
+    witness = (diag_q.lead and _first_witness(diag_q.lead, r)) or _first_witness(diag_q, r)
     if witness is None:
         raise NoWitnessFound(
             "no family member separates r from q; r is proportional to q"

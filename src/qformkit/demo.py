@@ -40,17 +40,18 @@ def substitution():
     L = forms.transform_from_json(json.loads(_SUBST_JSON))
     expected = forms.form_from_json(json.loads(_S2_PRIME_EXPECTED))
     pulled = forms.apply_transform(s2, L)
-    ine_q = forms.inertia(s2)
-    ok = pulled == expected and ine_q == forms.inertia(pulled) == forms.Inertia(2, 0, 1)
-    kq = semidefinite.kernel_basis(s2).vectors
+    # one frame per form: the inertia, the kernel and the rejection read it
+    dq, dp = forms.congruence_diagonalize(s2), forms.congruence_diagonalize(pulled)
+    ok = pulled == expected and dq.inertia == dp.inertia == forms.Inertia(2, 0, 1)
+    kq = semidefinite._kernel_in_frame(dq).vectors
     # both kernels must be the single line through (1, 1, 2), its last entry 1
     half = Fraction(1, 2)
-    ok = ok and kq == semidefinite.kernel_basis(pulled).vectors == ((half, half, 1),)
-    ok = _raises(NotIndefinite, containment.decide_containment, s2, pulled) and ok
+    ok = ok and kq == semidefinite._kernel_in_frame(dp).vectors == ((half, half, 1),)
+    ok = _raises(NotIndefinite, containment._decide_in_frame, s2, pulled, dq) and ok
     return ok, {
         "name": "linear-substitution",
         "pulled_back": forms.matrix_to_json(pulled),
-        "inertia": [ine_q.k, ine_q.m, ine_q.z],
+        "inertia": [dq.inertia.k, dq.inertia.m, dq.inertia.z],
         "shared_kernel": [[render_rational(e) for e in v] for v in kq],
         "proportional": False,
         "containment_rejected": "NotIndefinite",

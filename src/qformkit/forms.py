@@ -134,56 +134,94 @@ class Inertia(Record):
 class CongruenceDiagonalization(Record):
     """Invertible basis B (columns) with B^T Q B = diag(diag).
 
-    diag holds the n rational diagonal values, ordered +, -, 0.  B comes
+    diag holds the n rational diagonal values, ordered +, -, 0; frame
+    index f is step order[f] of congruence_diagonalize's pass.  B comes
     out of the elimination in ints: column f is column(f) / scales[f],
-    with scales[f] a positive int.  congruence_diagonalize keeps the pivot
-    rows and repairs of its pass, and column(f) is built from them the
-    first time it is read and kept; cols is all n of them, and the
+    with scales[f] a positive int.
+
+    The pass is resumable: it keeps its state and runs only as far as a
+    reader asks.  On the frame congruence_diagonalize returns, reading
+    order, diag, inertia, scales, cols or column(f) runs it to the end.
+    lead runs it only until it has a pivot of each sign, and is a
+    two-entry frame over the same pass, or None when q is not
+    indefinite.  Every frame over one pass shares its log of pivot
+    rows and repairs, and column(f) is built from the log the first time
+    any of them reads it, and kept; cols is all n of them, and the
     rational matrix basis is built from cols the first time it is read,
     by no command.  So a verdict that needs only diag and inertia never
     builds B, and a witness builds the 1-3 columns its support reads.
+
+    _run is the pass's state: (the elimination, its log, (d_i, |scale_i|)
+    for each step i run so far, the columns built so far by step, n).  A
+    frame built from its fields is one whose pass has ended, with the
+    steps in frame order, so diag and scales are read back as tuples.
     """
 
-    __slots__ = ("diag", "inertia", "_cols", "scales", "_log", "_built", "_basis")
+    __slots__ = ("_run", "_order", "_inertia", "_cols", "_basis", "_lead")
     _fields = ("diag", "inertia", "cols", "scales")
 
     def __init__(self, diag, inertia, cols, scales):
-        _set(self, "diag", diag)
-        _set(self, "inertia", inertia)
-        _set(self, "_built", list(cols))
-        _set(self, "scales", scales)
+        _set(self, "_run", (iter(()), [], list(zip(diag, scales)), dict(enumerate(cols)), len(diag)))
+        _set(self, "_inertia", inertia)
 
-    @classmethod
-    def _lazy(cls, diag, inertia, scales, log):
-        """A diagonalization whose columns are built from log, the pass's
-        (steps, order), when read."""
-        d = cls(diag, inertia, [None] * len(scales), scales)
-        _set(d, "_log", log)
-        return d
+    @lazy
+    def order(self) -> tuple:
+        """The pass step of each frame index: the steps of positive, then
+        negative, then zero d_i, each in pass order."""
+        rec = self._run[2]
+        any(self._run[0])  # the pass yields None after each step: this runs it to its end
+        return tuple(sorted(range(self._run[4]), key=lambda c: (rec[c][0] <= 0) + (rec[c][0] == 0)))
+
+    diag = property(lambda self: tuple(self._run[2][c][0] for c in self.order), doc="d_i in frame order")
+    scales = property(lambda self: tuple(self._run[2][c][1] for c in self.order), doc="|scale_i| in frame order")
+
+    @lazy
+    def inertia(self) -> Inertia:
+        signs = [(d > 0) - (d < 0) for d in self.diag]
+        return Inertia(signs.count(1), signs.count(-1), signs.count(0))
+
+    @lazy
+    def lead(self):
+        """The frame of the first positive and the first negative step in
+        pass order, diag (d_p, d_n) and inertia (1, 1, 0), or None when
+        the pass ends without both signs, that is when q is not
+        indefinite.  d_i and scale_i are fixed once step i has run, and
+        column c depends on steps of index <= c alone (see _column), so
+        each entry and column is that of the frame run to the end: frame
+        indices 0 and k there."""
+        run, _, rec, _, _ = self._run
+        signs = [(d > 0) - (d < 0) for d, _ in rec]
+        while not (1 in signs and -1 in signs):
+            if next(run, True):  # None after each step, True once the pass has ended
+                return None
+            signs.append((rec[-1][0] > 0) - (rec[-1][0] < 0))
+        return _frame(self._run, (signs.index(1), signs.index(-1)))
 
     def column(self, f) -> tuple:
         """The n ints of column f of B times scales[f], built by _column
-        the first time it is read and kept."""
-        if self._built[f] is None:
-            steps, order = self._log
-            self._built[f] = _column(steps, order[f], self.scales[f], len(order))
-        return self._built[f]
+        the first time a frame over the pass reads it, and kept."""
+        _, steps, rec, built, n = self._run
+        c = self.order[f]
+        if c not in built:
+            built[c] = _column(steps, c, rec[c][1], n)
+        return built[c]
 
     @lazy
     def cols(self) -> tuple:
-        """n int columns, column(f) for each f; the log is let go once
-        they are all built."""
-        cols = tuple(map(self.column, range(len(self.scales))))
-        _set(self, "_log", None)
+        """column(f) for each f; the log is let go once all n columns of
+        the pass are built."""
+        cols = tuple(map(self.column, range(len(self.order))))
+        if len(self._run[3]) == self._run[4]:
+            self._run[1].clear()
         return cols
 
     @lazy
     def basis(self) -> tuple:
         """n x n rational matrix, columns are basis vectors."""
-        cols = self.cols
+        cols, scales = self.cols, self.scales
         return tuple(
-            tuple(Fraction(col[r], s) for col, s in zip(cols, self.scales))
-            for r in range(len(cols))
+            tuple(Fraction(col[r], s) for col, s in zip(cols, scales))
+            for r in range(self._run[4])
         )
 
     def pullback(self, support, t) -> tuple:
@@ -207,7 +245,7 @@ class CongruenceDiagonalization(Record):
             for a, x, y in support
         ]
         den = math.lcm(*[s * d for _, _, xd, _, yd, s in terms for d in (xd, yd)])
-        rat = rad = [0] * len(scales)
+        rat = rad = [0] * self._run[4]
         for col, xn, xd, yn, yd, s in terms:
             if xn:
                 x = xn * den // (s * xd)
@@ -294,11 +332,33 @@ def congruence_diagonalize(q: QuadraticForm) -> CongruenceDiagonalization:
     a[i][i].  CongruenceDiagonalization.column builds a column of B from
     the log the first time it is read, by back-substitution on the pivot
     rows whose every division is exact (_column gives the argument).
+
+    The pass is resumable (_eliminate runs it): this returns the frame
+    over it before its first step, and each reader of the frame runs it
+    as far as it needs.  d_c and scale_c are fixed once step c has run,
+    since later steps touch rows c + 1 onwards only.
     """
+    steps, rec = [], []
+    return _frame((_eliminate(q, steps, rec), steps, rec, {}, q.dim))
+
+
+def _frame(run, *order):
+    """The frame over the pass state run (see CongruenceDiagonalization)
+    whose frame index f is step order[0][f]; with no order, the whole
+    frame, ordered when the pass ends."""
+    d = CongruenceDiagonalization.__new__(CongruenceDiagonalization)
+    for slot, value in zip(("_run", "_order"), (run, *order)):
+        _set(d, slot, value)
+    return d
+
+
+def _eliminate(q, steps, rec):
+    """The pass of congruence_diagonalize, one step per resumption: step
+    i logs its repairs and its pivot row to steps, appends
+    (d_i, |scale_i|) to rec and yields; the Bareiss update of the
+    trailing block that step i makes runs when the pass is resumed."""
     n = q.dim
     den, a = q.den, [list(row) for row in q.ints]
-    scales = [1] * n
-    steps = []
     prev = 1
 
     def col_add(j, i):
@@ -331,12 +391,13 @@ def congruence_diagonalize(q: QuadraticForm) -> CongruenceDiagonalization:
                     col_add(swap_at, i)
             if swap_at is not None:
                 col_swap(i, swap_at)
-        scales[i] = prev
-        p = a[i][i]
+        p, row_i = a[i][i], a[i]
+        rec.append((Fraction(p, prev * den), abs(prev)))
+        if p:
+            steps.append(("pivot", i, row_i))
+        yield
         if p == 0:
             continue  # whole trailing row is zero
-        row_i = a[i]
-        steps.append(("pivot", i, row_i))
         for j in range(i + 1, n):
             c = row_i[j]
             if c:
@@ -344,21 +405,6 @@ def congruence_diagonalize(q: QuadraticForm) -> CongruenceDiagonalization:
             else:
                 a[j][j:] = [p * x // prev for x in a[j][j:]]
         prev = p
-
-    sign = [(d > 0) - (d < 0) for d in (a[i][i] * scales[i] for i in range(n))]
-    order = (
-        [i for i in range(n) if sign[i] > 0]
-        + [i for i in range(n) if sign[i] < 0]
-        + [i for i in range(n) if sign[i] == 0]
-    )
-    k = sign.count(1)
-    m = sign.count(-1)
-    return CongruenceDiagonalization._lazy(
-        diag=tuple(Fraction(a[c][c], scales[c] * den) for c in order),
-        inertia=Inertia(k, m, n - k - m),
-        scales=tuple(abs(scales[c]) for c in order),
-        log=(steps, order),
-    )
 
 
 def _column(steps, c, s, n):

@@ -334,7 +334,7 @@ def decide_containment_homogeneous(q: QuadraticForm, r: HomogeneousPoly):
     if q.dim != r.nvars:
         raise DimensionMismatch(f"form dim {q.dim} != poly nvars {r.nvars}")
     dq = congruence_diagonalize(q)
-    if not (dq.inertia.k and dq.inertia.m):
+    if dq.lead is None:
         raise NotIndefinite("the quadratic divisor must be indefinite")
     division = reduce_by_quadratic(r, poly_from_form(q))
     rem = division.remainder

@@ -20,8 +20,8 @@ from fractions import Fraction
 from . import linalg
 from .containment import Counterexample, _decide_in_frame, _first_witness, decide_containment
 from .errors import ContainmentFails, DimensionMismatch, NotSemidefinite, NumericalFailure
-from .forms import CongruenceDiagonalization, Inertia, QuadraticForm, classify, congruence_diagonalize
-from .record import Record
+from .forms import CongruenceDiagonalization, QuadraticForm, classify, congruence_diagonalize
+from .record import Record, _set
 
 DEFAULT_TOL = 1e-9
 
@@ -40,9 +40,12 @@ class SubspaceBasis(Record):
 
 class SimDiagResult(Record):
     """Joint diagonalizing basis (n x n floats, columns are basis vectors)
-    with both diagonals and the worst scaled off-diagonal residual."""
+    with both diagonals and the worst scaled off-diagonal residual.  On
+    the indefinite route r_diag is alpha times q_diag, and _alpha, which
+    is no field, holds that exact alpha with R = alpha Q for the CLI to
+    re-check before it prints the result."""
 
-    __slots__ = ("basis", "q_diag", "r_diag", "residual")
+    __slots__ = ("basis", "q_diag", "r_diag", "residual", "_alpha")
 
     def to_json(self):
         return {
@@ -53,12 +56,13 @@ class SimDiagResult(Record):
         }
 
 
-def _orientation(ine: Inertia, name: str) -> int:
-    """+1 / -1 / 0 for a psd / nsd / zero form of inertia ine; raises on
-    indefinite, naming the form."""
-    if ine.k and ine.m:
+def _orientation(d: CongruenceDiagonalization, name: str) -> int:
+    """+1 / -1 / 0 for a psd / nsd / zero form of frame d; raises on
+    indefinite, naming the form, as soon as d's pass has a pivot of each
+    sign (d.lead), and runs the pass to its end otherwise."""
+    if d.lead:
         raise NotSemidefinite(f"{name} is indefinite")
-    return 1 if ine.k else -1 if ine.m else 0
+    return 1 if d.inertia.k else -1 if d.inertia.m else 0
 
 
 def kernel_basis(q: QuadraticForm) -> SubspaceBasis:
@@ -70,12 +74,16 @@ def kernel_basis(q: QuadraticForm) -> SubspaceBasis:
     those z columns are built.  A kernel of dimension 1 then gets the
     vector rref(Q) gives it, whose free column is its last nonzero
     coordinate, set to 1."""
-    dq = congruence_diagonalize(q)
-    _orientation(dq.inertia, "q")  # rejects indefinite input
-    kernel = [dq.column(f) for f in range(dq.inertia.k + dq.inertia.m, q.dim)]
+    return _kernel_in_frame(congruence_diagonalize(q))
+
+
+def _kernel_in_frame(dq: CongruenceDiagonalization) -> SubspaceBasis:
+    """kernel_basis for a caller that already diagonalized q (dq)."""
+    _orientation(dq, "q")  # rejects indefinite input
+    kernel = [dq.column(f) for f in range(dq.inertia.k + dq.inertia.m, len(dq.diag))]
     lasts = [next(e for e in reversed(col) if e) for col in kernel]
     vectors = tuple(tuple(Fraction(e, last) for e in col) for col, last in zip(kernel, lasts))
-    return SubspaceBasis(dim_ambient=q.dim, vectors=vectors)
+    return SubspaceBasis(dim_ambient=len(dq.diag), vectors=vectors)
 
 
 def _check_tol(tol):
@@ -182,8 +190,8 @@ def _simdiag_in_frame(
     positive semidefinite for the eigen step, since r and -r have the same
     zero set; a psd q may pair with an nsd r.
     """
-    oq = _orientation(dq.inertia, "q")
-    orr = _orientation(congruence_diagonalize(r).inertia, "r")
+    oq = _orientation(dq, "q")
+    orr = _orientation(congruence_diagonalize(r), "r")
     if q.dim != r.dim:
         raise DimensionMismatch(f"dims differ: {q.dim} vs {r.dim}")
     n, nm = q.dim, dq.inertia.k + dq.inertia.m
@@ -245,7 +253,7 @@ def simdiag_general(
     if q.dim != r.dim:
         raise DimensionMismatch(f"dims differ: {q.dim} vs {r.dim}")
     dq = congruence_diagonalize(q)
-    if dq.inertia.k and dq.inertia.m:
+    if dq.lead:
         verdict = _decide_in_frame(q, r, dq)
         if isinstance(verdict, Counterexample):
             raise ContainmentFails(
@@ -256,5 +264,7 @@ def simdiag_general(
         basis = tuple(zip(*_float_cols(dq)))
         q_diag = tuple(_float(d.numerator, d.denominator) for d in dq.diag)
         r_diag = tuple(_float(an * d.numerator, ad * d.denominator) for d in dq.diag)
-        return SimDiagResult(basis=basis, q_diag=q_diag, r_diag=r_diag, residual=0.0)
+        result = SimDiagResult(basis=basis, q_diag=q_diag, r_diag=r_diag, residual=0.0)
+        _set(result, "_alpha", verdict.alpha)
+        return result
     return _simdiag_in_frame(q, r, dq, tol)

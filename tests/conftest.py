@@ -59,6 +59,24 @@ def random_invertible(rng: random.Random, n: int) -> LinearTransform:
             return LinearTransform(rows)
 
 
+def sparse_diagonal_form(rng, n):
+    """Random symmetric form whose diagonal is mostly zero, so the pass
+    repairs and swaps: off-diagonal entries in -3..3, some of them 1/2 or
+    -5/3, and a few zero rows."""
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i == j:
+                v = Fraction(rng.choice((-2, 1, 3))) if rng.random() < 0.2 else Fraction(0)
+            else:
+                v = rng.choice((Fraction(rng.randint(-3, 3)),) * 4 + (Fraction(1, 2), Fraction(-5, 3)))
+            rows[i][j] = rows[j][i] = v
+    for i in rng.sample(range(n), n // 4):
+        for j in range(n):
+            rows[i][j] = rows[j][i] = Fraction(0)
+    return QuadraticForm(rows)
+
+
 def random_vector(rng: random.Random, n: int, lo=-5, hi=5):
     return tuple(Fraction(rng.randint(lo, hi)) for _ in range(n))
 
@@ -308,6 +326,15 @@ def eager_diagonalize(q):
     )
 
 
+def pass_log(d):
+    """(steps, order) of the pass of an unread congruence_diagonalize
+    result d: its log of repairs and pivot rows, and the pass step of each
+    frame index.  Reading order runs the pass to its end, so the log is
+    whole."""
+    order = d.order
+    return d._run[1], order
+
+
 def reference_replay(d):
     """The int columns of B of an unread congruence_diagonalize result d,
     replayed forward from its log on the identity: each step applied in
@@ -315,7 +342,7 @@ def reference_replay(d):
     held multiplied by the last pivot and every update divides exactly by
     it.  Column c then carries the signed scale of step c, so a column of
     negative scale is negated, as in the frame's cols."""
-    steps, order = d._log
+    steps, order = pass_log(d)
     n = len(order)
     w = [[int(r == c) for r in range(n)] for c in range(n)]  # w[c]: column c of B
     prev, pivots = 1, {}

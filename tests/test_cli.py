@@ -443,9 +443,10 @@ class TestDemo:
         assert "machine-readable output" in capsys.readouterr().out
 
     def test_missing_rejection_fails_the_fixture(self, monkeypatch, capsys):
-        # S2 against its pullback must raise NotIndefinite; a decision
-        # that returns instead fails the first fixture
-        monkeypatch.setattr(containment, "decide_containment", lambda q, r: None)
+        # S2 against its pullback must raise NotIndefinite, decided in
+        # S2's one frame; a decision that returns instead fails the first
+        # fixture
+        monkeypatch.setattr(containment, "_decide_in_frame", lambda q, r, dq: None)
         assert main(["demo"]) == 1
         assert capsys.readouterr().out == "FIXTURE FAILED: linear-substitution\n"
 
@@ -590,6 +591,15 @@ class TestInternalError:
         monkeypatch.setattr(containment, "decide_containment", lambda q, r: containment.Proportional(alpha))
         q, r = write(tmp_path, "q.json", HYP), write(tmp_path, "r.json", r)
         code = main(["contain", q, r, "--json"])
+        self.assert_internal(capsys, code, "CertificateRejected: proportionality constant")
+
+    def test_wrong_alpha_simdiag_exit_5(self, tmp_path, capsys, monkeypatch):
+        """simdiag's indefinite yes prints r_diag = alpha * q_diag; an alpha
+        that does not give R = alpha Q entrywise is never printed."""
+        monkeypatch.setattr(containment, "_ratio", lambda q, r: Fraction(7))
+        q = write(tmp_path, "q.json", HYP)
+        r = write(tmp_path, "r.json", '{"dim": 2, "rows": [[2,0],[0,-2]]}')
+        code = main(["simdiag", q, r, "--json"])
         self.assert_internal(capsys, code, "CertificateRejected: proportionality constant")
 
     def test_tampered_simdiag_witness_exit_5(self, tmp_path, capsys, monkeypatch):

@@ -34,11 +34,18 @@ from qformkit import (
     verify_poly_witness,
     verify_witness,
 )
-from qformkit.containment import WitnessVector, _witness_family
+from qformkit.containment import WitnessVector, _first_witness, _ratio, _witness_family
 from qformkit.errors import MismatchedRadicand, NoWitnessFound
 from qformkit.forms import INDEFINITE, Inertia, LinearTransform
 
-from conftest import inverse, mat_scale, random_indefinite, random_invertible, reference_witness_family
+from conftest import (
+    inverse,
+    mat_scale,
+    random_indefinite,
+    random_invertible,
+    reference_witness_family,
+    sparse_diagonal_form,
+)
 
 HYP = QuadraticForm([[1, 0], [0, -1]])  # x^2 - y^2
 
@@ -752,3 +759,48 @@ def test_witness_family_matches_reference():
                     )
                     ine = Inertia(k, m, z)
                     assert list(_witness_family(diag, ine)) == list(reference_witness_family(diag, ine))
+
+
+def _full_scan_verdict(q, r):
+    """The verdict of decide_containment from a frame of q run to its end
+    before it is read: indefiniteness by its inertia, then alpha, then the
+    scan of the whole witness family, as the bytes of to_json."""
+    d = congruence_diagonalize(q)
+    d.order  # runs the pass to its end
+    if not (d.inertia.k and d.inertia.m):
+        return "NotIndefinite"
+    alpha = _ratio(q, r)
+    verdict = Proportional(alpha) if alpha is not None else Counterexample(_first_witness(d, r))
+    return json.dumps(verdict.to_json())
+
+
+def test_stopped_pass_matches_the_full_scan():
+    """decide_containment reads q's pass only as far as its first pivot of
+    each sign, and resumes it for the full scan when the first two
+    witness-family members do not fire.  On random q of n <= 9 with mostly
+    zero diagonals, so that the pass repairs and swaps, each against
+    alpha*q and against a one-entry perturbation of it, every verdict has
+    the bytes of the full scan of a frame run to its end, and every
+    witness passes verify_witness."""
+    rng = random.Random(41)
+    seen = {"NotIndefinite": 0, "proportional": 0, "counterexample": 0}
+    for k in range(1500):
+        q = sparse_diagonal_form(rng, k % 9 + 1)
+        alpha = Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.randint(1, 4))
+        rows = [[alpha * e for e in row] for row in q.matrix]
+        i, j = rng.randrange(q.dim), rng.randrange(q.dim)
+        bumped = [list(row) for row in rows]
+        bumped[i][j] += 1
+        bumped[j][i] = bumped[i][j]
+        for r in (QuadraticForm(rows), QuadraticForm(bumped)):
+            try:
+                verdict = decide_containment(q, r)
+            except NotIndefinite:
+                got = "NotIndefinite"
+            else:
+                got = json.dumps(verdict.to_json())
+                if isinstance(verdict, Counterexample):
+                    assert verify_witness(q, r, verdict.witness)
+            assert got == _full_scan_verdict(q, r)
+            seen[got if got == "NotIndefinite" else json.loads(got)["verdict"]] += 1
+    assert min(seen.values()) >= 200

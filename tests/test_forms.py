@@ -38,6 +38,7 @@ from conftest import (
     det,
     eager_diagonalize,
     mat_scale,
+    pass_log,
     perfbench_module,
     random_indefinite,
     random_invertible,
@@ -45,6 +46,7 @@ from conftest import (
     random_vector,
     reference_diagonalize,
     reference_replay,
+    sparse_diagonal_form,
 )
 
 S2 = QuadraticForm([[2, 0, -1], [0, 2, -1], [-1, -1, 1]])  # 2x^2+2y^2+z^2-2xz-2yz
@@ -248,24 +250,6 @@ class TestLazyBasisMatchesEagerPass:
         assert rebuilt.basis == d.basis
 
 
-def _sparse_diagonal_form(rng, n):
-    """Random symmetric form whose diagonal is mostly zero, so the pass
-    repairs and swaps: off-diagonal entries in -3..3, some of them 1/2 or
-    -5/3, and a few zero rows."""
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            if i == j:
-                v = Fraction(rng.choice((-2, 1, 3))) if rng.random() < 0.2 else Fraction(0)
-            else:
-                v = rng.choice((Fraction(rng.randint(-3, 3)),) * 4 + (Fraction(1, 2), Fraction(-5, 3)))
-            rows[i][j] = rows[j][i] = v
-    for i in rng.sample(range(n), n // 4):
-        for j in range(n):
-            rows[i][j] = rows[j][i] = Fraction(0)
-    return QuadraticForm(rows)
-
-
 def _contain_sweep_forms():
     """Every q and r of the benchmark's contain-sweep corpus, seeds 0-3;
     perfbench/corpus.py is loaded read-only."""
@@ -298,9 +282,9 @@ class TestColumnMatchesReplay:
         rng = random.Random(40)
         swapped = added = 0
         for k in range(1500):
-            q = _sparse_diagonal_form(rng, k % 10 + 1)
+            q = sparse_diagonal_form(rng, k % 10 + 1)
             self.assert_matches(q, rng)
-            ops = {op for op, _, _ in congruence_diagonalize(q)._log[0]}
+            ops = {op for op, _, _ in pass_log(congruence_diagonalize(q))[0]}
             swapped += "swap" in ops
             added += "add" in ops
         assert swapped >= 500 and added >= 200
@@ -314,7 +298,7 @@ class TestColumnMatchesReplay:
 
     def test_n48(self):
         rng = random.Random(42)
-        q = _sparse_diagonal_form(rng, 48)
+        q = sparse_diagonal_form(rng, 48)
         self.assert_matches(q, rng)
         self.assert_matches(random_symmetric(rng, 48, -3, 3), rng)
 

@@ -20,7 +20,7 @@ import pytest
 from conftest import perfbench_module, poly_mul, random_homogeneous
 
 import qformkit
-from qformkit import containment, forms, linalg, polys, semidefinite
+from qformkit import containment, demo, forms, linalg, polys, semidefinite
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -252,6 +252,9 @@ def rref_calls(monkeypatch):
         (lambda: qformkit.simdiag_general(_S2, _S2P), [_S2, _S2P], 0),
         # the kernel is read off q's frame, with no second elimination
         (lambda: qformkit.kernel_basis(_S2), [_S2], 0),
+        # the inertia, the kernel and the NotIndefinite rejection read one
+        # frame of each form
+        (demo.substitution, [_S2, _S2P], 0),
     ],
     ids=[
         "contain-refute",
@@ -261,6 +264,7 @@ def rref_calls(monkeypatch):
         "poly-non-divisible",
         "simdiag-semidefinite",
         "kernel-basis",
+        "demo-substitution",
     ],
 )
 def test_one_diagonalization_per_decision(diagonalize_calls, rref_calls, decide, diagonalized, rrefs):
@@ -279,6 +283,70 @@ def _anchored_pair(n, seed):
             rows[i][j] = rows[j][i] = Fraction(rng.randint(-3, 3))
     rows[0][0], rows[1][1] = Fraction(2), Fraction(-1)
     return rows, [[Fraction(-5, 3) * e for e in row] for row in rows]
+
+
+def _steps_run(monkeypatch):
+    """One list per pass started from now on, of (d_i, |scale_i|) for
+    each step it has run: its length counts the pass's pivot steps."""
+    recs = []
+    eliminate = forms._eliminate
+
+    def kept(q, steps, rec):
+        recs.append(rec)
+        return eliminate(q, steps, rec)
+
+    monkeypatch.setattr(forms, "_eliminate", kept)
+    return recs
+
+
+def _degenerate_b_pair(n, seed):
+    """q: an anchored form on the first n - 1 coordinates and 0 on the
+    last, whose zero pivot only family member (b), e_z, reaches; r: -5/3 q
+    with 1 added at the zero pivot."""
+    q_rows, r_rows = _anchored_pair(n - 1, seed)
+    q_rows = [row + [0] for row in q_rows] + [[0] * n]
+    r_rows = [row + [0] for row in r_rows] + [[0] * (n - 1) + [1]]
+    return qformkit.QuadraticForm(q_rows), qformkit.QuadraticForm(r_rows)
+
+
+def test_contain_stops_at_the_first_pivot_of_each_sign(monkeypatch):
+    """decide_containment runs q's pass only until it has a pivot of each
+    sign when that settles the verdict: the anchored n = 32 pair has
+    d_0 = 2 and d_1 = -1 - a_01^2 / 2 < 0 at steps 0 and 1, so its proportional
+    twin and its perturbation at (0, 0), which the first witness-family
+    member exposes, run 2 of the 32 steps.  A degenerate-b refutation
+    needs family member (b), so it resumes the pass and runs all n."""
+    recs = _steps_run(monkeypatch)
+    q_rows, r_rows = _anchored_pair(32, 5)
+    q = qformkit.QuadraticForm(q_rows)
+    assert isinstance(qformkit.decide_containment(q, qformkit.QuadraticForm(r_rows)), qformkit.Proportional)
+    r_rows[0][0] += 1
+    r = qformkit.QuadraticForm(r_rows)
+    verdict = qformkit.decide_containment(q, r)
+    assert isinstance(verdict, qformkit.Counterexample) and qformkit.verify_witness(q, r, verdict.witness)
+    assert [len(rec) for rec in recs] == [2, 2]
+    recs.clear()
+    q, r = _degenerate_b_pair(8, 5)
+    verdict = qformkit.decide_containment(q, r)
+    assert isinstance(verdict, qformkit.Counterexample) and qformkit.verify_witness(q, r, verdict.witness)
+    assert verdict.witness.coords == (0,) * 7 + (1,)
+    assert [len(rec) for rec in recs] == [8]
+
+
+def test_simdiag_rejects_an_indefinite_r_early(monkeypatch):
+    """simdiag on a semidefinite q rejects an indefinite r, as before, once
+    r's pass has a pivot of each sign: 2 of the anchored n = 32 form's
+    steps, after all 32 of q's.  A semidefinite r runs to the end."""
+    recs = _steps_run(monkeypatch)
+    n = 32
+    q = qformkit.QuadraticForm([[int(i == j) for j in range(n)] for i in range(n)])
+    r = qformkit.QuadraticForm(_anchored_pair(n, 5)[0])
+    with pytest.raises(qformkit.NotSemidefinite, match="^r is indefinite$"):
+        qformkit.simdiag_general(q, r)
+    assert [len(rec) for rec in recs] == [n, 2]
+    recs.clear()
+    assert isinstance(qformkit.simdiag_general(q, q), qformkit.SimDiagResult)
+    assert [len(rec) for rec in recs] == [n, n]
 
 
 def _fractions_made(fn, *args):
