@@ -14,9 +14,9 @@ import math
 from fractions import Fraction
 
 from .errors import DimensionMismatch, MismatchedRadicand, NoWitnessFound, NotIndefinite
-from .forms import CongruenceDiagonalization, QuadraticForm, classify, congruence_diagonalize, evaluate
+from .forms import CongruenceDiagonalization, QuadraticForm, _read_point, classify, congruence_diagonalize, evaluate
 from .record import Record
-from .scalars import QuadExt, _is_zero, exact_sqrt, render_quadext, render_rational
+from .scalars import QuadExt, _is_zero, exact_sqrt, render_quadext, render_ratio, render_rational
 
 
 class WitnessVector(Record):
@@ -27,20 +27,20 @@ class WitnessVector(Record):
 
     @property
     def t(self) -> Fraction:
-        for c in self.coords:
-            if c.rad != 0:
-                return c.t
-        return self.coords[0].t if self.coords else Fraction(1)
+        return _read_point(self.coords)[0] or Fraction(1)
 
     def to_json(self):
-        """t and each coordinate's (rational part, sqrt part) over t;
-        QuadExt._align writes a coordinate over t, and raises
-        MismatchedRadicand when no rational square joins the radicands."""
-        lead = next((c for c in self.coords if c.rad), None)
-        coords = self.coords if lead is None else [lead._align(c)[0] for c in self.coords]
+        """t and each coordinate's (rational part, sqrt part) over t, as
+        forms._read_point writes them; it raises MismatchedRadicand when
+        no rational square joins the radicands."""
+        t, d, a, b = _read_point(self.coords)
+        rat, rad = dict(a), dict(b)
         return {
-            "t": render_rational(self.t),
-            "coords": [[render_rational(c.rat), render_rational(c.rad)] for c in coords],
+            "t": render_rational(t or Fraction(1)),
+            "coords": [
+                [render_ratio(rat.get(i, 0), d), render_ratio(rad.get(i, 0), d)]
+                for i in range(len(self.coords))
+            ],
         }
 
 

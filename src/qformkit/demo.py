@@ -62,12 +62,14 @@ def substitution():
 def semidefinite_trap():
     q = forms.form_from_json(json.loads(_SQUARE_JSON))
     r = forms.form_from_json(json.loads(_HYPERBOLIC_JSON))
-    rejected = _raises(NotSemidefinite, semidefinite.simdiag_psd, q, r)
-    ok = _raises(NotIndefinite, containment.decide_containment, q, r) and rejected
+    # one frame per form: both rejections and both classifications read it
+    dq, dr = forms.congruence_diagonalize(q), forms.congruence_diagonalize(r)
+    rejected = _raises(NotSemidefinite, semidefinite._simdiag_in_frame, q, r, dq, dr, semidefinite.DEFAULT_TOL)
+    ok = _raises(NotIndefinite, containment._decide_in_frame, q, r, dq) and rejected
     return ok, {
         "name": "semidefinite-trap",
-        "q_classification": forms.classify(q),
-        "r_classification": forms.classify(r),
+        "q_classification": forms.classify_inertia(dq.inertia),
+        "r_classification": forms.classify_inertia(dr.inertia),
         "simdiag_rejected": "NotSemidefinite",
         "containment_rejected": "NotIndefinite",
         "ok": ok,

@@ -274,20 +274,15 @@ class LinearTransform(_IntMatrix, Record):
         return LinearTransform.diagonal([c] * n)
 
 
-def evaluate(q: QuadraticForm, x):
-    """q(x) for a vector of ints, Fractions or QuadExt values; a Fraction
-    when no entry is a QuadExt.
-
-    Each entry is read as a + b*sqrt(t), t the radicand of the first entry
-    with a sqrt-part: QuadExt._align writes the others over it, and raises
-    MismatchedRadicand when no rational square joins the two radicands.
-    With a = a_int / D and b = b_int / D over one common denominator D,
-    and Q = Q_int / den, q(x) = a^T Q a + t b^T Q b + 2 a^T Q b sqrt(t) is
-    read off the int products a_int^T Q_int a_int, b_int^T Q_int b_int and
-    a_int^T Q_int b_int over D^2 den.
-    """
-    if len(x) != q.dim:
-        raise DimensionMismatch(f"vector length {len(x)} != dim {q.dim}")
+def _read_point(x):
+    """(t, D, a, b): the point x of ints, Fractions or QuadExt values
+    written as entries (a_i + b_i*sqrt(t)) / D, with ints a_i, b_i and
+    D > 0, as the sparse lists a and b of (i, a_i) and (i, b_i) for
+    a_i, b_i != 0.  t is the radicand of the first entry with a
+    sqrt-part, or of the first QuadExt when none has one, and None when
+    no entry is a QuadExt.  QuadExt._align writes the other entries over
+    t, and raises MismatchedRadicand when no rational square joins the
+    two radicands."""
     ext = [c for c in x if isinstance(c, QuadExt)]
     lead = next((c for c in ext if c.rad), ext[0] if ext else None)
     # pullback gives every coordinate the same t object: no comparison then
@@ -300,6 +295,20 @@ def evaluate(q: QuadraticForm, x):
     d = math.lcm(*[d for (_, ad), (_, bd) in pairs for d in (ad, bd)])
     a = [(i, an * (d // ad)) for i, ((an, ad), _) in enumerate(pairs) if an]
     b = [(i, bn * (d // bd)) for i, (_, (bn, bd)) in enumerate(pairs) if bn]
+    return (None if lead is None else lead.t), d, a, b
+
+
+def evaluate(q: QuadraticForm, x):
+    """q(x) for a vector of ints, Fractions or QuadExt values; a Fraction
+    when no entry is a QuadExt.
+
+    _read_point writes x as (a + b*sqrt(t)) / D with int vectors a and b.
+    With Q = Q_int / den, q(x) = (a^T Q_int a + t b^T Q_int b
+    + 2 a^T Q_int b sqrt(t)) / (D^2 den), read off the int products.
+    """
+    if len(x) != q.dim:
+        raise DimensionMismatch(f"vector length {len(x)} != dim {q.dim}")
+    t, d, a, b = _read_point(x)
     m = q.ints
     qa = {i: sum(m[i][j] * v for j, v in a) for i, _ in a}
     qb = {i: sum(m[i][j] * v for j, v in b) for i in {i for i, _ in a + b}}
@@ -307,9 +316,9 @@ def evaluate(q: QuadraticForm, x):
     bqb = sum(v * qb[i] for i, v in b)
     aqb = sum(v * qb[i] for i, v in a)
     big = d * d * q.den
-    tn, td = (1, 1) if lead is None else lead.t.as_integer_ratio()
+    tn, td = (1, 1) if t is None else t.as_integer_ratio()
     rat = Fraction(aqa * td + tn * bqb, big * td)
-    return rat if lead is None else QuadExt(rat, Fraction(2 * aqb, big), lead.t)
+    return rat if t is None else QuadExt(rat, Fraction(2 * aqb, big), t)
 
 
 def congruence_diagonalize(q: QuadraticForm) -> CongruenceDiagonalization:

@@ -27,8 +27,8 @@ def congruent(m, c):
 
 
 def mat_vec(a, v):
-    """Matrix times vector; generic in the vector's scalar kind (Fraction
-    or QuadExt), relying on operator overloads."""
+    """Matrix times vector, in the scalars of a and v (ints, Fractions or
+    floats); QuadExt has no arithmetic, so a vector of them is no input."""
     return tuple(sum(e * x for e, x in zip(row, v)) for row in a)
 
 

@@ -37,10 +37,11 @@ from .forms import (
     congruence_diagonalize,
     _common_denominator,
     _read_entry,
+    _read_point,
 )
 from .forms import evaluate as form_eval
 from .record import Record, _set, lazy
-from .scalars import render_ratio
+from .scalars import QuadExt, render_ratio
 
 # The degree is the one field of a polynomial file whose cost (division,
 # the witness sweep's grid, power tables) does not grow with the file.
@@ -105,30 +106,44 @@ class HomogeneousPoly(Record):
         return hash((self.nvars, self._den, frozenset(self._ints.items())))
 
     def evaluate(self, x):
-        """Value at a point of Fractions or QuadExt entries, of the point's
-        kind, from one table of the powers each coordinate needs; the sum
-        runs over the int coefficients and is divided by the denominator
-        once."""
+        """Value at a point of ints, Fractions or QuadExt entries: a
+        QuadExt when an entry is one, else a Fraction.
+
+        forms._read_point writes entry i as (a_i + b_i sqrt(t)) / D, and
+        with t = tn / td and s = tn td that is (a_i td + b_i sqrt(s)) /
+        (D td).  So the sum over the int coefficients runs on int pairs
+        (p, q), meaning p + q sqrt(s), with (p, q)(p', q') =
+        (pp' + s qq', pq' + qp'), from one table of the powers each
+        coordinate needs.  Every term has degree k, so the summed pair is
+        divided once, by (D td)^k den, and sqrt(s) = td sqrt(t)."""
         if len(x) != self.nvars:
             raise DimensionMismatch(
                 f"point length {len(x)} != nvars {self.nvars}"
             )
-        one = x[0] * 0 + 1
+        t, d, a, b = _read_point(x)
+        tn, td = (1, 1) if t is None else t.as_integer_ratio()
+        s = tn * td
+        a, b = dict(a), dict(b)
+        points = [(a.get(i, 0) * td, b.get(i, 0)) for i in range(self.nvars)]
         tops = [max(col) for col in zip(*self._ints)] or [0] * self.nvars
         powers = []
-        for xi, top in zip(x, tops):
-            row = [one]
+        for (p, q), top in zip(points, tops):
+            row = [(1, 0)]
             for _ in range(top):
-                row.append(row[-1] * xi)
+                u, v = row[-1]
+                row.append((u * p + s * v * q, u * q + v * p))
             powers.append(row)
-        total = one * 0
+        rat = rad = 0
         for exp, c in self._ints.items():
-            term = c
+            u, v = c, 0
             for row, e in zip(powers, exp):
                 if e:
-                    term = row[e] * term
-            total = total + term
-        return total * Fraction(1, self._den)
+                    p, q = row[e]
+                    u, v = u * p + s * v * q, u * q + v * p
+            rat += u
+            rad += v
+        big = (d * td) ** self.degree * self._den
+        return Fraction(rat, big) if t is None else QuadExt(Fraction(rat, big), Fraction(rad * td, big), t)
 
     def __repr__(self):
         return f"HomogeneousPoly({self.nvars}, {self.degree}, {self.terms!r})"

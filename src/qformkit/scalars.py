@@ -1,9 +1,9 @@
-"""Exact scalar arithmetic.
+"""Exact scalars: reading, rendering and comparing them.
 
 Rational numbers are plain ``fractions.Fraction`` values (arbitrary
 precision, always reduced, positive denominator).  On top of them sits
 ``QuadExt``, the value a + b*sqrt(t) of a real quadratic extension with a
-positive rational radicand t.  The radicand may be a perfect square; the
+positive rational radicand t; the evaluators compute such values in ints.  The radicand may be a perfect square; the
 zero test handles that case through the general condition rather than by
 simplifying the root away.
 """
@@ -69,12 +69,15 @@ def _render(num, den):
 
 
 class QuadExt(Record):
-    """a + b*sqrt(t) with rational a, b and fixed positive rational t.
+    """The value a + b*sqrt(t) with rational a, b and positive rational t:
+    a certificate's coordinates and values.  It is a value, with no
+    arithmetic: it tests for zero, compares, hashes and renders.  The
+    evaluators compute in ints (forms._read_point writes a point of
+    QuadExt entries over one radicand) and make a QuadExt of the result.
 
-    Two values combine when their radicands agree, when one of them has a
-    zero sqrt-part, or when the radicands differ by a rational square
-    factor (sqrt(8) = 2*sqrt(2)).  Division is deliberately absent: the
-    certificate checks only ever add, multiply, and test for zero.
+    Two values are written over one radicand when their radicands agree,
+    when one of them has a zero sqrt-part, or when the radicands differ by
+    a rational square factor (sqrt(8) = 2*sqrt(2)); see _align.
     """
 
     __slots__ = ("rat", "rad", "t")
@@ -90,16 +93,8 @@ class QuadExt(Record):
         _set(self, "rad", rad)
         _set(self, "t", t)
 
-    @staticmethod
-    def _coerce(value, t):
-        if isinstance(value, QuadExt):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return QuadExt(value, 0, t)
-        return NotImplemented
-
     def _align(self, other: "QuadExt"):
-        """(other, t): the radicand t of a sum or product with other, and
+        """(other, t): the radicand t of self and other together, and
         other written over it.  t is self's radicand unless only other has
         a nonzero sqrt-part; when both do and the radicands differ, other
         is rewritten over self.t, which needs t'/t to be a rational square
@@ -115,44 +110,6 @@ class QuadExt(Record):
             )
         return QuadExt(other.rat, other.rad * s, self.t), self.t
 
-    def __add__(self, other):
-        other = self._coerce(other, self.t)
-        if other is NotImplemented:
-            return NotImplemented
-        other, t = self._align(other)
-        return QuadExt(self.rat + other.rat, self.rad + other.rad, t)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadExt(-self.rat, -self.rad, self.t)
-
-    def __sub__(self, other):
-        other = self._coerce(other, self.t)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other, self.t)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = self._coerce(other, self.t)
-        if other is NotImplemented:
-            return NotImplemented
-        other, t = self._align(other)
-        # (a + b sqrt t)(c + d sqrt t) = (ac + bd t) + (ad + bc) sqrt t
-        return QuadExt(
-            self.rat * other.rat + self.rad * other.rad * t,
-            self.rat * other.rad + self.rad * other.rat,
-            t,
-        )
-
-    __rmul__ = __mul__
-
     def is_zero(self) -> bool:
         """Exact zero test, valid even when t is a perfect square."""
         return _is_zero(self.rat, self.rad, *self.t.as_integer_ratio())
@@ -161,16 +118,18 @@ class QuadExt(Record):
         return not self.is_zero()
 
     def __eq__(self, other):
-        other = self._coerce(other, self.t)
-        if other is NotImplemented:
+        if isinstance(other, (int, Fraction)):
+            other = QuadExt(other, 0, self.t)
+        elif not isinstance(other, QuadExt):
             return NotImplemented
         # the same parts over the same radicand: equal, and no Fraction made
         if self.t == other.t and self.rat == other.rat and self.rad == other.rad:
             return True
         try:
-            return (self - other).is_zero()
+            other, t = self._align(other)
         except MismatchedRadicand:
             return False
+        return _is_zero(self.rat - other.rat, self.rad - other.rad, *t.as_integer_ratio())
 
     def __hash__(self):
         # Hash by real value: collapse perfect-square radicands, and key

@@ -159,13 +159,12 @@ def simdiag_psd(
     sets.  Kernel columns of q go in exactly; on the complement q is
     definite and a whitened symmetric eigenproblem diagonalizes both."""
     _check_tol(tol)
-    return _simdiag_in_frame(q, r, congruence_diagonalize(q), tol)
+    return _simdiag_in_frame(q, r, congruence_diagonalize(q), congruence_diagonalize(r), tol)
 
 
-def _simdiag_in_frame(
-    q: QuadraticForm, r: QuadraticForm, dq: CongruenceDiagonalization, tol: float
-) -> SimDiagResult:
-    """simdiag_psd for a caller that already diagonalized q (dq).
+def _simdiag_in_frame(q, r, dq, dr, tol) -> SimDiagResult:
+    """simdiag_psd for a caller that already diagonalized q (dq) and r
+    (dr); of r's frame only the orientation is read.
 
     B^T Q B = diag(d) with B invertible, so Q b = 0 exactly for b in the
     span of the last z columns b_z of B, those at the zeros of d: they are
@@ -191,7 +190,7 @@ def _simdiag_in_frame(
     zero set; a psd q may pair with an nsd r.
     """
     oq = _orientation(dq, "q")
-    orr = _orientation(congruence_diagonalize(r), "r")
+    orr = _orientation(dr, "r")
     if q.dim != r.dim:
         raise DimensionMismatch(f"dims differ: {q.dim} vs {r.dim}")
     n, nm = q.dim, dq.inertia.k + dq.inertia.m
@@ -267,4 +266,4 @@ def simdiag_general(
         result = SimDiagResult(basis=basis, q_diag=q_diag, r_diag=r_diag, residual=0.0)
         _set(result, "_alpha", verdict.alpha)
         return result
-    return _simdiag_in_frame(q, r, dq, tol)
+    return _simdiag_in_frame(q, r, dq, congruence_diagonalize(r), tol)

@@ -12,6 +12,7 @@ from qformkit import (
     HomogeneousPoly,
     Inertia,
     LinearTransform,
+    MismatchedRadicand,
     NotPythagorean,
     NotSemidefinite,
     QuadExt,
@@ -193,6 +194,53 @@ def kernel_break_witness(q, r):
             r_b = QuadExt(Fraction(sum(x * y for x, y in zip(col, rb)), s * s * den))
             return WitnessVector(tuple(QuadExt(Fraction(x, s)) for x in col), QuadExt(0), r_b)
     return None
+
+
+# --- a + b*sqrt(t) reference: Fraction pairs, apart from qformkit's int evaluators
+
+
+def surds(x):
+    """(t, pairs): the entries of x, ints, Fractions or QuadExt values, as
+    Fraction pairs (a, b) meaning a + b*sqrt(t).  t is the radicand of the
+    first QuadExt with a sqrt-part, else of the first QuadExt, else 1.  An
+    entry over t*r^2, r rational, has its sqrt-part scaled by r
+    (sqrt(8) = 2*sqrt(2)); one over any other radicand raises
+    MismatchedRadicand."""
+    ext = [c for c in x if isinstance(c, QuadExt)]
+    t = next((c.t for c in ext if c.rad), ext[0].t if ext else Fraction(1))
+    pairs = []
+    for c in x:
+        if not isinstance(c, QuadExt):
+            pairs.append((Fraction(c), Fraction(0)))
+            continue
+        ratio = c.t / t
+        root = Fraction(math.isqrt(ratio.numerator), math.isqrt(ratio.denominator))
+        if c.rad and root * root != ratio:
+            raise MismatchedRadicand(f"sqrt({c.t}) beside sqrt({t})")
+        pairs.append((c.rat, c.rad * root))
+    return t, pairs
+
+
+def reference_mat_vec(m, x):
+    """M x for a vector x of QuadExt values, in Fractions: one QuadExt per
+    entry, over x's radicand."""
+    t, v = surds(x)
+    return tuple(
+        QuadExt(sum(e * a for e, (a, _) in zip(row, v)), sum(e * b for e, (_, b) in zip(row, v)), t)
+        for row in m
+    )
+
+
+def reference_form_value(m, x):
+    """sum_ij M_ij x_i x_j in Fractions, term by term, with
+    (a + b sqrt t)(c + d sqrt t) = (ac + bd t) + (ad + bc) sqrt t: a QuadExt
+    over x's radicand, or a Fraction when no entry of x is a QuadExt."""
+    t, v = surds(x)
+    rat = rad = Fraction(0)
+    for row, (a, b) in zip(m, v):
+        for e, (c, d) in zip(row, v):
+            rat, rad = rat + e * (a * c + b * d * t), rad + e * (a * d + b * c)
+    return QuadExt(rat, rad, t) if any(isinstance(c, QuadExt) for c in x) else rat
 
 
 def rank(a):

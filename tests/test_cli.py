@@ -451,10 +451,11 @@ class TestDemo:
         assert capsys.readouterr().out == "FIXTURE FAILED: linear-substitution\n"
 
     def test_other_exceptions_propagate(self, monkeypatch, capsys):
-        def fail(q, r):
+        def fail(*args):
             raise RuntimeError("unexpected")
 
-        monkeypatch.setattr(containment, "decide_containment", fail)
+        # the second fixture's simdiag rejection, after the first fixture held
+        monkeypatch.setattr(semidefinite, "_simdiag_in_frame", fail)
         assert main(["demo"]) == 5
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -554,7 +555,8 @@ class TestInternalError:
         """A refutation whose r(v) is not r at its v is never printed."""
 
         def wrong(w):
-            return WitnessVector(w.coords, w.q_value, w.r_value + 1)
+            r = w.r_value
+            return WitnessVector(w.coords, w.q_value, QuadExt(r.rat + 1, r.rad, r.t))
 
         self.assert_forged_witness_rejected(
             tmp_path, capsys, monkeypatch, kind, files, module, decision, wrong

@@ -43,6 +43,8 @@ from conftest import (
     mat_scale,
     random_indefinite,
     random_invertible,
+    reference_form_value,
+    reference_mat_vec,
     reference_witness_family,
     sparse_diagonal_form,
 )
@@ -261,7 +263,7 @@ class TestBruteForceAgreement:
             assert isinstance(verdict, Proportional) == brute_prop
             # every family member is exactly null for q
             for member in _witness_family(d.diag, d.inertia):
-                coords = linalg.mat_vec(d.basis, _dense(member, n))
+                coords = reference_mat_vec(d.basis, _dense(member, n))
                 assert evaluate(q, coords).is_zero()
 
 
@@ -297,7 +299,7 @@ class TestJsonRendering:
 # classify(q), then a second diagonalization, the full congruent matrix
 # B^T R B and a proportionality scan of it; every witness-family member
 # built as a dense n-vector of QuadExt, mapped through B and evaluated by
-# the generic O(n^2) loop.
+# the O(n^2) Fraction loop of conftest.reference_form_value.
 
 
 def _congruent_matrix(r, basis):
@@ -324,14 +326,6 @@ def _dense(member, n):
     return tuple(v)
 
 
-def _loop_evaluate(matrix, x):
-    total = 0
-    for i in range(len(x)):
-        for j in range(len(x)):
-            total = total + matrix[i][j] * x[i] * x[j]
-    return total
-
-
 def _reference_decide(q, r):
     if classify(q) != INDEFINITE:
         raise NotIndefinite("not indefinite")
@@ -344,10 +338,10 @@ def _reference_decide(q, r):
     diag_matrix = [[dq.diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
     for member in _witness_family(dq.diag, dq.inertia):
         v = _dense(member, n)
-        coords = linalg.mat_vec(dq.basis, v)
-        r_val = _loop_evaluate(r.matrix, coords)
+        coords = reference_mat_vec(dq.basis, v)
+        r_val = reference_form_value(r.matrix, coords)
         if not r_val.is_zero():
-            q_val = _loop_evaluate(diag_matrix, v)
+            q_val = reference_form_value(diag_matrix, v)
             return Counterexample(WitnessVector(tuple(map(_folded, coords)), _folded(q_val), _folded(r_val)))
     raise NoWitnessFound("reference found no witness")
 
@@ -614,20 +608,20 @@ class TestEvaluateSplit:
             t = Fraction(rng.randint(1, 9), rng.randint(1, 4))
             x = _random_quadext_vector(rng, n, t)
             got = evaluate(q, x)
-            want = _loop_evaluate(q.matrix, x)
+            want = reference_form_value(q.matrix, x)
             assert _exact(got) == _exact(want)
 
     def test_rational_vectors_keep_the_generic_loop(self):
         q = QuadraticForm([[1, 2], [2, -3]])
         x = (Fraction(1, 2), Fraction(-3))
-        assert evaluate(q, x) == _loop_evaluate(q.matrix, x)
+        assert evaluate(q, x) == reference_form_value(q.matrix, x)
         assert type(evaluate(q, x)) is Fraction
 
     def test_mixed_radicands_take_the_fallback(self):
         q = QuadraticForm([[1, 1, 1], [1, -1, 0], [1, 0, 2]])
         # sqrt(8) = 2*sqrt(2): radicands differ, values combine
         x = (QuadExt(1, 1, 2), QuadExt(0, 1, 8), QuadExt(3, 0, 5))
-        assert _exact(evaluate(q, x)) == _exact(_loop_evaluate(q.matrix, x))
+        assert _exact(evaluate(q, x)) == _exact(reference_form_value(q.matrix, x))
         y = (QuadExt(1, 1, 2), QuadExt(0, 1, 3), QuadExt(1))
         with pytest.raises(MismatchedRadicand):
             evaluate(q, y)
@@ -636,8 +630,8 @@ class TestEvaluateSplit:
     def test_every_kind_of_vector_equals_generic_loop(self, kind):
         """Rational vectors, one radicand, radicands that differ by a
         rational square (sqrt(8) beside sqrt(2)), and a mix of ints,
-        Fractions and QuadExts: the value is the generic loop's, and a
-        Fraction exactly when no entry is a QuadExt."""
+        Fractions and QuadExts: the value is the Fraction reference's, and
+        a Fraction exactly when no entry is a QuadExt."""
         rng = random.Random(f"evaluate-{kind}")
 
         def entry(t):
@@ -658,14 +652,19 @@ class TestEvaluateSplit:
             t = Fraction(rng.randint(1, 9), rng.randint(1, 4))
             x = tuple(entry(t) for _ in range(n))
             got = evaluate(q, x)
-            want = _loop_evaluate(q.matrix, x)
+            want = reference_form_value(q.matrix, x)
             assert type(got) is (QuadExt if any(isinstance(c, QuadExt) for c in x) else Fraction)
             assert got == want
 
     def test_unrelated_radicands_raise(self):
+        # both evaluators; verify_witness and verify_poly_witness reject
+        # the point (TestVerifyWitnessValues)
         q = QuadraticForm([[1, 1], [1, -1]])
+        point = (QuadExt(0, 1, 2), QuadExt(0, 1, 3))
         with pytest.raises(MismatchedRadicand):
-            evaluate(q, (QuadExt(0, 1, 2), QuadExt(0, 1, 3)))
+            evaluate(q, point)
+        with pytest.raises(MismatchedRadicand):
+            poly_from_form(q).evaluate(point)
 
     def test_tampered_witness_with_mixed_radicands(self):
         r = QuadraticForm([[1, 0], [0, 1]])
@@ -696,8 +695,9 @@ class TestVerifyWitnessValues:
     def test_tampered_value_fails(self):
         w = decide_containment(HYP, self.R).witness
         assert verify_witness(HYP, self.R, w)
-        assert not verify_witness(HYP, self.R, WitnessVector(w.coords, w.q_value, w.r_value + 1))
-        assert not verify_witness(HYP, self.R, WitnessVector(w.coords, w.q_value + 1, w.r_value))
+        q, r = w.q_value, w.r_value
+        assert not verify_witness(HYP, self.R, WitnessVector(w.coords, q, QuadExt(r.rat + 1, r.rad, r.t)))
+        assert not verify_witness(HYP, self.R, WitnessVector(w.coords, QuadExt(q.rat + 1, q.rad, q.t), r))
 
     def test_equal_value_written_another_way(self):
         w = decide_containment(HYP, self.R).witness

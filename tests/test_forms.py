@@ -45,6 +45,7 @@ from conftest import (
     random_symmetric,
     random_vector,
     reference_diagonalize,
+    reference_mat_vec,
     reference_replay,
     sparse_diagonal_form,
 )
@@ -305,9 +306,10 @@ class TestColumnMatchesReplay:
 
 def test_frame_pullback_matches_basis_product():
     """CongruenceDiagonalization.pullback(support, t) sums B v in ints; it
-    equals the Fraction product basis . v exactly, on degenerate and
-    rational forms, for int and Fraction supports, and for square and
-    non-square radicands, a square one folded into the rational part."""
+    equals the Fraction product basis . v (conftest.reference_mat_vec)
+    exactly, on degenerate and rational forms, for int and Fraction
+    supports, and for square and non-square radicands, a square one folded
+    into the rational part."""
     rng = random.Random(16)
     for k in range(1000):
         n = k % 8 + 1
@@ -323,7 +325,7 @@ def test_frame_pullback_matches_basis_product():
         v = [QuadExt(0, 0, t)] * n
         for a, x, y in support:
             v[a] = QuadExt(x, y, t)
-        expected = linalg.mat_vec(d.basis, v)
+        expected = reference_mat_vec(d.basis, v)
         root = {Fraction(1): 1, Fraction(9, 4): Fraction(3, 2)}.get(t)
         if root is not None:
             expected = [QuadExt(c.rat + c.rad * root) for c in expected]

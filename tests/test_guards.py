@@ -211,6 +211,8 @@ _STRETCH = qformkit.LinearTransform([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [
 _X1X2 = qformkit.HomogeneousPoly(3, 2, {(1, 1, 0): Fraction(1)})
 _S2 = qformkit.QuadraticForm([[2, 0, -1], [0, 2, -1], [-1, -1, 1]])
 _S2P = qformkit.QuadraticForm([[8, 8, -8], [8, 16, -12], [-8, -12, 10]])
+_SQUARE = qformkit.QuadraticForm([[1, -1], [-1, 1]])
+_HYP2 = qformkit.QuadraticForm([[1, 0], [0, -1]])
 
 
 @pytest.fixture
@@ -255,6 +257,9 @@ def rref_calls(monkeypatch):
         # the inertia, the kernel and the NotIndefinite rejection read one
         # frame of each form
         (demo.substitution, [_S2, _S2P], 0),
+        # both rejections and both classifications read one frame of each
+        # form
+        (demo.semidefinite_trap, [_SQUARE, _HYP2], 0),
     ],
     ids=[
         "contain-refute",
@@ -265,6 +270,7 @@ def rref_calls(monkeypatch):
         "simdiag-semidefinite",
         "kernel-basis",
         "demo-substitution",
+        "demo-trap",
     ],
 )
 def test_one_diagonalization_per_decision(diagonalize_calls, rref_calls, decide, diagonalized, rrefs):
@@ -693,6 +699,29 @@ def test_fractions_made_per_poly_refutation(degree):
     assert isinstance(verdict, polys.ConePointWitness)
     assert polys.verify_poly_witness(q, r, verdict.witness)
     assert made <= 300
+
+
+@pytest.mark.parametrize("degree", [4, 6, 8])
+def test_quadexts_made_per_poly_refutation(degree):
+    """HomogeneousPoly.evaluate runs in int pairs and makes one QuadExt,
+    its value: on the inputs of test_fractions_made_per_poly_refutation a
+    refuting decision at n = 4 makes at most n + 2 QuadExts (its point's n
+    coordinates, and q and r there) and its re-check at most 2, counted as
+    perfbench/spans.py counts them.  Evaluating in QuadExt arithmetic made
+    153 to 394 per re-check."""
+    count_constructions = perfbench_module("spans").count_constructions
+    n = 4
+    rng = random.Random(degree)
+    q = qformkit.QuadraticForm(_anchored_pair(n, degree)[0])
+    qs = poly_mul(polys.poly_from_form(q), random_homogeneous(rng, n, degree - 2, max_terms=40))
+    bump = (0,) * (n - 1) + (degree,)
+    r = polys.HomogeneousPoly(n, degree, {**qs.terms, bump: qs.terms.get(bump, 0) + 1})
+    verdict, exc, _, made = count_constructions(polys.decide_containment_homogeneous, q, r)
+    assert exc is None and isinstance(verdict, polys.ConePointWitness)
+    assert made <= n + 2
+    holds, exc, _, made = count_constructions(polys.verify_poly_witness, q, r, verdict.witness)
+    assert exc is None and holds
+    assert made <= 2
 
 
 # qformkit names perfbench/workloads.py calls or tests with isinstance

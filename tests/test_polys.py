@@ -325,7 +325,8 @@ class TestSampleConePoint:
         # x + sign*y vanishes on one line of x^2 - y^2 = 0, the one each
         # sweep direction does not reach for the other sign
         w = assert_verified_witness(HYP, HomogeneousPoly(2, 1, {(1, 0): 1, (0, 1): sign}))
-        assert w.coords[0] == sign * w.coords[1]
+        y = w.coords[1]
+        assert w.coords[0] == QuadExt(sign * y.rat, sign * y.rad, y.t)
 
     def test_product_of_all_variables_with_a_kernel(self):
         q = QuadraticForm.diagonal([1, 2, -1, -3, 0, 0])
@@ -345,27 +346,38 @@ class TestSampleConePoint:
 
 class TestEvaluate:
     def test_matches_sympy_at_quadext_points(self):
+        """The int-pair evaluation equals sympy's at points over sqrt(2/3),
+        at points that mix ints, Fractions, sqrt(2) and sqrt(8) = 2 sqrt(2),
+        and at points over perfect-square radicands (1, 4 and 9/4, which
+        sympy folds into the rational part); the value is a QuadExt
+        exactly when an entry is one."""
         rng = random.Random(37)
         xs = sympy.symbols("x1:5")
-        root = sympy.sqrt(sympy.Rational(2, 3))
-        for _ in range(40):
-            n = rng.randint(1, 4)
-            p = random_homogeneous(rng, n, rng.randint(0, 6), max_terms=10)
-            x = tuple(
-                QuadExt(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-2, 2), Fraction(2, 3))
-                for _ in range(n)
-            )
-            got = p.evaluate(x)
-            assert isinstance(got, QuadExt)
-            want = to_sympy(p, xs[:n]).subs(
-                {s: sympy.Rational(c.rat.numerator, c.rat.denominator)
-                 + sympy.Rational(c.rad.numerator, c.rad.denominator) * root
-                 for s, c in zip(xs, x)}
-            )
-            value = sympy.Rational(got.rat.numerator, got.rat.denominator) + sympy.Rational(
-                got.rad.numerator, got.rad.denominator
-            ) * root
-            assert sympy.expand(value - want) == 0
+
+        def to_sym(c):
+            if not isinstance(c, QuadExt):
+                return sympy.Rational(*Fraction(c).as_integer_ratio())
+            return sympy.Rational(*c.rat.as_integer_ratio()) + sympy.Rational(
+                *c.rad.as_integer_ratio()
+            ) * sympy.sqrt(sympy.Rational(*c.t.as_integer_ratio()))
+
+        def part():
+            return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+        kinds = [
+            lambda: QuadExt(part(), rng.randint(-2, 2), Fraction(2, 3)),
+            lambda: rng.choice([rng.randint(-3, 3), part(), QuadExt(part(), part(), 2), QuadExt(part(), part(), 8)]),
+            lambda: QuadExt(part(), part(), rng.choice([1, 4, Fraction(9, 4)])),
+        ]
+        for entry in kinds:
+            for _ in range(40):
+                n = rng.randint(1, 4)
+                p = random_homogeneous(rng, n, rng.randint(0, 6), max_terms=10)
+                x = tuple(entry() for _ in range(n))
+                got = p.evaluate(x)
+                assert isinstance(got, QuadExt) == any(isinstance(c, QuadExt) for c in x)
+                want = to_sympy(p, xs[:n]).subs({s: to_sym(c) for s, c in zip(xs, x)})
+                assert sympy.expand(to_sym(got) - want) == 0
 
     def test_value_has_the_points_kind(self):
         point = (QuadExt(1, 1, 2), QuadExt(0, 1, 2))
@@ -485,8 +497,9 @@ def test_verify_poly_witness_compares_the_carried_values():
     assert verify_poly_witness(q, r, w)
     # the same values, as a plain rational and over sqrt(8): 80 sqrt(8) = 320 sqrt(1/2)
     assert verify_poly_witness(q, r, WitnessVector(w.coords, 0, QuadExt(-164, 80, 8)))
-    assert not verify_poly_witness(q, r, WitnessVector(w.coords, w.q_value, w.r_value + 1))
-    assert not verify_poly_witness(q, r, WitnessVector(w.coords, w.q_value + 1, w.r_value))
+    qv, rv = w.q_value, w.r_value
+    assert not verify_poly_witness(q, r, WitnessVector(w.coords, qv, QuadExt(rv.rat + 1, rv.rad, rv.t)))
+    assert not verify_poly_witness(q, r, WitnessVector(w.coords, QuadExt(qv.rat + 1, qv.rad, qv.t), rv))
 
 
 def test_monomial_bound():
