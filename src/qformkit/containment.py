@@ -15,32 +15,47 @@ from fractions import Fraction
 
 from .errors import DimensionMismatch, MismatchedRadicand, NoWitnessFound, NotIndefinite
 from .forms import CongruenceDiagonalization, QuadraticForm, _read_point, classify, congruence_diagonalize, evaluate
-from .record import Record
+from .record import Record, _set, lazy
 from .scalars import QuadExt, _is_zero, exact_sqrt, render_quadext, render_ratio, render_rational
 
 
 class WitnessVector(Record):
-    """A vector v with q(v) = 0 and r(v) != 0: coords are QuadExt entries
-    sharing one radicand t, q_value and r_value the QuadExt values there."""
+    """A vector v with q(v) = 0 and r(v) != 0, and q_value and r_value the
+    QuadExt values there.
 
-    __slots__ = ("coords", "q_value", "r_value")
+    The private slot _point holds v as a forms.Point, the int normal form
+    (a_i + b_i*sqrt(t)) / D of its n coordinates, which the re-check, t
+    and to_json read: a witness that a decision builds is given the Point
+    its frame's pullback returns, and carries no QuadExt per coordinate.
+    coords, the n QuadExt entries over t, is a view built from the point
+    the first time it is read.  A witness built from coords instead holds
+    them in _point as they are, and forms._read_point reads the point
+    from them wherever it is read; a Point given as coords is held as
+    it is."""
 
-    @property
-    def t(self) -> Fraction:
-        return _read_point(self.coords)[0] or Fraction(1)
+    __slots__ = ("_point", "q_value", "r_value", "_coords")
+    _fields = ("coords", "q_value", "r_value")
+
+    def __init__(self, coords, q_value, r_value):
+        _set(self, "_point", coords)
+        _set(self, "q_value", q_value)
+        _set(self, "r_value", r_value)
+
+    @lazy
+    def coords(self) -> tuple:
+        """v's n coordinates as a tuple: those given, or a Point's as QuadExt values."""
+        return tuple(self._point)
+
+    t = property(lambda self: _read_point(self._point).t or Fraction(1), doc="v's radicand, 1 when v is rational")
 
     def to_json(self):
         """t and each coordinate's (rational part, sqrt part) over t, as
         forms._read_point writes them; it raises MismatchedRadicand when
         no rational square joins the radicands."""
-        t, d, a, b = _read_point(self.coords)
-        rat, rad = dict(a), dict(b)
+        p = _read_point(self._point)
         return {
-            "t": render_rational(t or Fraction(1)),
-            "coords": [
-                [render_ratio(rat.get(i, 0), d), render_ratio(rad.get(i, 0), d)]
-                for i in range(len(self.coords))
-            ],
+            "t": render_rational(p.t or Fraction(1)),
+            "coords": [[render_ratio(x, p.d), render_ratio(y, p.d)] for x, y in zip(p.a, p.b)],
         }
 
 
@@ -224,7 +239,8 @@ def _first_witness(diag_q: CongruenceDiagonalization, r: QuadraticForm):
     w E_ab f_a f_b (x_a x_b td + y_a y_b tn) and rad sums
     w E_ab f_a f_b (x_a y_b + y_a x_b) td, w = 1 on the diagonal and 2
     off it, and scalars._is_zero tests it.  Fractions and QuadExts are
-    made only for the member that fires.
+    made only for the member that fires: the witness holds the Point
+    pullback returns, and the two QuadExts made are q's and r's values.
     """
     column, scales = diag_q.column, diag_q.scales
     r_cols = {}
@@ -256,14 +272,14 @@ def _first_witness(diag_q: CongruenceDiagonalization, r: QuadraticForm):
                 rad += e * (xa * yb + ya * xb) * td
         if not _is_zero(rat, rad, tn, td):
             t = Fraction(tn, td)
-            coords = diag_q.pullback(support, t)
+            point = diag_q.pullback(support, t)
             root = exact_sqrt(t)
             if root is not None:  # pullback folds sqrt(t) into the coordinates; so too r's value
                 rat, rad, t = rat + rad * root, 0, Fraction(1)
             big = scale * scale * r.den * td
             r_val = QuadExt(Fraction(rat, big), Fraction(rad, big), t)
             # q(Bv) = v^T diag(d) v is zero by construction of the family
-            return WitnessVector(coords, QuadExt(0, 0, t), r_val)
+            return WitnessVector(point, QuadExt(0, 0, t), r_val)
     return None
 
 
@@ -275,12 +291,13 @@ def verify_witness(q: QuadraticForm, r: QuadraticForm, w: WitnessVector) -> bool
 
 def _holds(q: QuadraticForm, w: WitnessVector, r_at) -> bool:
     """Whether q(v) = 0, r(v) = r_at(v) != 0, and both equal the values w
-    carries, at w's coordinates v.  It fails closed: coordinates whose
+    carries, at w's point v, which the evaluations read through
+    forms._read_point.  It fails closed: coordinates whose
     radicands no rational square joins are no point of one quadratic
     extension, and are rejected, not raised on.  A length that is not
     q's or r's raises DimensionMismatch from the evaluation."""
     try:
-        q_val, r_val = evaluate(q, w.coords), r_at(w.coords)
+        q_val, r_val = evaluate(q, w._point), r_at(w._point)
     except MismatchedRadicand:
         return False
     return not q_val and bool(r_val) and w.q_value == q_val and w.r_value == r_val

@@ -224,17 +224,18 @@ class CongruenceDiagonalization(Record):
             for r in range(self._run[4])
         )
 
-    def pullback(self, support, t) -> tuple:
-        """B v, the input coordinates of the frame vector v with
-        v_a = x + y*sqrt(t) for each (a, x, y) in support, x and y ints or
-        Fractions, and v_a = 0 elsewhere.  When t is the square of a
-        rational, sqrt(t) is folded into x, and B v is rational over t = 1.
+    def pullback(self, support, t) -> Point:
+        """B v as a Point, the input coordinates of the frame vector v
+        with v_a = x + y*sqrt(t) for each (a, x, y) in support, x and y
+        ints or Fractions, and v_a = 0 elsewhere.  When t is the square of
+        a rational, sqrt(t) is folded into x, and B v is rational over
+        t = 1.
 
         Column a of B is column(a) / scales[a], so coordinate i of B v is
         a sum over the support of column(a)[i] (x + y sqrt t) / scales[a];
-        it runs in ints over one common denominator, and one QuadExt is
-        made per coordinate.  Only the support's columns are built, and
-        neither cols nor basis is read."""
+        it runs in ints over one common denominator D, which is the
+        point's, and no QuadExt is made.  Only the support's columns are
+        built, and neither cols nor basis is read."""
         root = exact_sqrt(t)
         if root is not None:
             support, t = [(a, x + y * root if y else x, 0) for a, x, y in support], Fraction(1)
@@ -253,7 +254,7 @@ class CongruenceDiagonalization(Record):
             if yn:
                 y = yn * den // (s * yd)
                 rad = [acc + c * y for acc, c in zip(rad, col)]
-        return tuple(QuadExt(Fraction(a, den), Fraction(b, den), t) for a, b in zip(rat, rad))
+        return Point(t, den, tuple(rat), tuple(rad))
 
 
 class LinearTransform(_IntMatrix, Record):
@@ -274,18 +275,38 @@ class LinearTransform(_IntMatrix, Record):
         return LinearTransform.diagonal([c] * n)
 
 
+class Point(Record):
+    """A point of n coordinates (a_i + b_i*sqrt(t)) / D, held in ints: the
+    n-tuples a and b of ints, D > 0, and t a positive Fraction, or None
+    when the point was read from rational entries alone.  It is the one
+    form forms.evaluate and HomogeneousPoly.evaluate read a point in, and
+    a witness's own: len() of it is n, and iterating it gives the n
+    coordinates as QuadExt values over t (over 1 when t is None).  Two
+    points are equal when they are written alike."""
+
+    __slots__ = ("t", "d", "a", "b")
+
+    def __len__(self):
+        return len(self.a)
+
+    def __iter__(self):
+        d, t = self.d, self.t or 1
+        return (QuadExt(Fraction(x, d), Fraction(y, d), t) for x, y in zip(self.a, self.b))
+
+
 def _read_point(x):
-    """(t, D, a, b): the point x of ints, Fractions or QuadExt values
-    written as entries (a_i + b_i*sqrt(t)) / D, with ints a_i, b_i and
-    D > 0, as the sparse lists a and b of (i, a_i) and (i, b_i) for
-    a_i, b_i != 0.  t is the radicand of the first entry with a
+    """The Point of x, a Point, which is returned as it is, or a vector of
+    ints, Fractions or QuadExt values, written as entries
+    (a_i + b_i*sqrt(t)) / D.  t is the radicand of the first entry with a
     sqrt-part, or of the first QuadExt when none has one, and None when
     no entry is a QuadExt.  QuadExt._align writes the other entries over
     t, and raises MismatchedRadicand when no rational square joins the
     two radicands."""
+    if type(x) is Point:
+        return x
     ext = [c for c in x if isinstance(c, QuadExt)]
     lead = next((c for c in ext if c.rad), ext[0] if ext else None)
-    # pullback gives every coordinate the same t object: no comparison then
+    # the coordinates a Point iterates share one t object: no comparison then
     x = [
         lead._align(c)[0] if isinstance(c, QuadExt) and c.rad and c.t is not lead.t else c
         for c in x
@@ -293,32 +314,35 @@ def _read_point(x):
     parts = [(c.rat, c.rad) if isinstance(c, QuadExt) else (c, 0) for c in x]
     pairs = [(u.as_integer_ratio(), v.as_integer_ratio()) for u, v in parts]
     d = math.lcm(*[d for (_, ad), (_, bd) in pairs for d in (ad, bd)])
-    a = [(i, an * (d // ad)) for i, ((an, ad), _) in enumerate(pairs) if an]
-    b = [(i, bn * (d // bd)) for i, (_, (bn, bd)) in enumerate(pairs) if bn]
-    return (None if lead is None else lead.t), d, a, b
+    a = tuple([an * (d // ad) for (an, ad), _ in pairs])
+    b = tuple([bn * (d // bd) for _, (bn, bd) in pairs])
+    return Point(None if lead is None else lead.t, d, a, b)
 
 
 def evaluate(q: QuadraticForm, x):
-    """q(x) for a vector of ints, Fractions or QuadExt values; a Fraction
-    when no entry is a QuadExt.
+    """q(x) for a Point, or a vector of ints, Fractions or QuadExt values;
+    a Fraction when x has no radicand t, that is when no entry is a
+    QuadExt.
 
-    _read_point writes x as (a + b*sqrt(t)) / D with int vectors a and b.
-    With Q = Q_int / den, q(x) = (a^T Q_int a + t b^T Q_int b
+    _read_point writes x as (a + b*sqrt(t)) / D with int vectors a and b,
+    whose nonzero entries the products below read.  With
+    Q = Q_int / den, q(x) = (a^T Q_int a + t b^T Q_int b
     + 2 a^T Q_int b sqrt(t)) / (D^2 den), read off the int products.
     """
     if len(x) != q.dim:
         raise DimensionMismatch(f"vector length {len(x)} != dim {q.dim}")
-    t, d, a, b = _read_point(x)
+    p = _read_point(x)
+    a, b = ([(i, v) for i, v in enumerate(c) if v] for c in (p.a, p.b))
     m = q.ints
     qa = {i: sum(m[i][j] * v for j, v in a) for i, _ in a}
     qb = {i: sum(m[i][j] * v for j, v in b) for i in {i for i, _ in a + b}}
     aqa = sum(v * qa[i] for i, v in a)
     bqb = sum(v * qb[i] for i, v in b)
     aqb = sum(v * qb[i] for i, v in a)
-    big = d * d * q.den
-    tn, td = (1, 1) if t is None else t.as_integer_ratio()
+    big = p.d * p.d * q.den
+    tn, td = (1, 1) if p.t is None else p.t.as_integer_ratio()
     rat = Fraction(aqa * td + tn * bqb, big * td)
-    return rat if t is None else QuadExt(rat, Fraction(2 * aqb, big), t)
+    return rat if p.t is None else QuadExt(rat, Fraction(2 * aqb, big), p.t)
 
 
 def congruence_diagonalize(q: QuadraticForm) -> CongruenceDiagonalization:

@@ -106,8 +106,9 @@ class HomogeneousPoly(Record):
         return hash((self.nvars, self._den, frozenset(self._ints.items())))
 
     def evaluate(self, x):
-        """Value at a point of ints, Fractions or QuadExt entries: a
-        QuadExt when an entry is one, else a Fraction.
+        """Value at a forms.Point, or a point of ints, Fractions or QuadExt
+        entries: a QuadExt when the point has a radicand t, that is when
+        an entry is a QuadExt, else a Fraction.
 
         forms._read_point writes entry i as (a_i + b_i sqrt(t)) / D, and
         with t = tn / td and s = tn td that is (a_i td + b_i sqrt(s)) /
@@ -120,11 +121,10 @@ class HomogeneousPoly(Record):
             raise DimensionMismatch(
                 f"point length {len(x)} != nvars {self.nvars}"
             )
-        t, d, a, b = _read_point(x)
-        tn, td = (1, 1) if t is None else t.as_integer_ratio()
+        x = _read_point(x)
+        tn, td = (1, 1) if x.t is None else x.t.as_integer_ratio()
         s = tn * td
-        a, b = dict(a), dict(b)
-        points = [(a.get(i, 0) * td, b.get(i, 0)) for i in range(self.nvars)]
+        points = [(a * td, b) for a, b in zip(x.a, x.b)]
         tops = [max(col) for col in zip(*self._ints)] or [0] * self.nvars
         powers = []
         for (p, q), top in zip(points, tops):
@@ -142,8 +142,8 @@ class HomogeneousPoly(Record):
                     u, v = u * p + s * v * q, u * q + v * p
             rat += u
             rad += v
-        big = (d * td) ** self.degree * self._den
-        return Fraction(rat, big) if t is None else QuadExt(Fraction(rat, big), Fraction(rad * td, big), t)
+        big = (x.d * td) ** self.degree * self._den
+        return Fraction(rat, big) if x.t is None else QuadExt(Fraction(rat, big), Fraction(rad * td, big), x.t)
 
     def __repr__(self):
         return f"HomogeneousPoly({self.nvars}, {self.degree}, {self.terms!r})"
@@ -302,7 +302,8 @@ class ConePointWitness(Counterexample):
 
 def sample_cone_point(diag_q: CongruenceDiagonalization, h, sign):
     """The second point where the line through c and h meets the null
-    cone of q, in original coordinates; exactly null, one radicand t.
+    cone of q, in original coordinates, as the forms.Point pullback
+    returns; exactly null, one radicand t.
 
     In the frame B^T Q B = diag(d), with p the first positive index, n
     the first negative one and t = d_p / -d_n, c = e_p + sign*sqrt(t) e_n
@@ -357,16 +358,14 @@ def decide_containment_homogeneous(q: QuadraticForm, r: HomogeneousPoly):
         return Divisible(division.quotient)
     for h in _grid(r.nvars, 2 * r.degree + 1):
         for sign in (1, -1):
-            coords = sample_cone_point(dq, h, sign)
-            r_val = rem.evaluate(coords)
+            point = sample_cone_point(dq, h, sign)
+            r_val = rem.evaluate(point)
             # v = 0 for at most one sign, and r(0) != 0 only for a constant r
-            if not r_val.is_zero() and any(coords):
-                q_val = form_eval(q, coords)
+            if not r_val.is_zero() and any(point.a + point.b):
+                q_val = form_eval(q, point)
                 if not q_val.is_zero():
                     raise CertificateRejected("swept point is off the null cone of q")
-                return ConePointWitness(
-                    WitnessVector(coords=coords, q_value=q_val, r_value=r_val)
-                )
+                return ConePointWitness(WitnessVector(point, q_val, r_val))
     raise NoWitnessFound("no swept cone point separates r, yet q does not divide r")
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -34,7 +35,8 @@ from qformkit import (
     verify_poly_witness,
     verify_witness,
 )
-from qformkit.containment import WitnessVector, _first_witness, _ratio, _witness_family
+from qformkit.cli import _point
+from qformkit.containment import WitnessVector, _first_witness, _holds, _ratio, _witness_family
 from qformkit.errors import MismatchedRadicand, NoWitnessFound
 from qformkit.forms import INDEFINITE, Inertia, LinearTransform
 
@@ -711,6 +713,62 @@ class TestVerifyWitnessValues:
         w = WitnessVector((QuadExt(0, 1, 2), QuadExt(0, 1, 3)), 0, 1)
         assert not verify_witness(HYP, self.R, w)
         assert not verify_poly_witness(HYP, poly_from_form(self.R), w)
+
+
+# q = x^2 - 2y^2 + 3z^2 + 2xz is refuted over t = 1/2 (the CI package job's pair)
+_IRRATIONAL = (
+    QuadraticForm([[1, 0, 1], [0, -2, 0], [1, 0, 3]]),
+    QuadraticForm([[1, 1, 0], [1, 0, 0], [0, 0, 1]]),
+)
+
+THREE4 = QuadraticForm([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 3]])
+X1_4 = HomogeneousPoly(2, 4, {(4, 0): 1})
+
+
+def _decision_witnesses():
+    """(q, the witness's re-check, witness) for refutations with a
+    rational and an irrational radicand, from both decisions."""
+    out = []
+    for q, r in ((HYP, QuadraticForm([[1, 0], [0, 1]])), _IRRATIONAL, (minkowski_form(1), THREE4)):
+        out.append((q, lambda x, r=r: evaluate(r, x), decide_containment(q, r).witness))
+    for q, r in ((HYP, HomogeneousPoly(2, 2, {(1, 1): 1})), (QuadraticForm([[1, 0], [0, -2]]), X1_4)):
+        out.append((q, r.evaluate, decide_containment_homogeneous(q, r).witness))
+    return out
+
+
+class TestWitnessConstructors:
+    """A decision's witness holds pullback's int point and builds coords
+    from it; one rebuilt from coords by the public constructor reads its
+    point from them.  The two are one value."""
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_rebuilt_witness_is_the_same_value(self, k):
+        q, r_at, w = _decision_witnesses()[k]
+        rebuilt = WitnessVector(w.coords, w.q_value, w.r_value)
+        assert rebuilt == w and hash(rebuilt) == hash(w)
+        for value in (w, rebuilt):
+            back = pickle.loads(pickle.dumps(value))
+            assert back == w and hash(back) == hash(w)
+            assert back.to_json() == w.to_json() and _point(back) == _point(w)
+        assert rebuilt.to_json() == w.to_json()
+        assert _point(rebuilt) == _point(w)
+        assert rebuilt.t == w.t
+        assert _holds(q, w, r_at) and _holds(q, rebuilt, r_at)
+
+    def test_decision_witness_over_an_irrational_radicand(self):
+        q, r = _IRRATIONAL
+        w = decide_containment(q, r).witness
+        assert w.t == Fraction(1, 2)
+        assert w.coords == (QuadExt(1, 0, Fraction(1, 2)), QuadExt(0, 1, Fraction(1, 2)), QuadExt(0))
+        assert verify_witness(q, r, w)
+        assert verify_witness(q, r, WitnessVector(w.coords, w.q_value, w.r_value))
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_rebuilt_witness_with_unrelated_radicands_fails_closed(self, k):
+        q, r_at, w = _decision_witnesses()[k]
+        coords = (QuadExt(0, 1, 2), QuadExt(0, 1, 3)) + w.coords[2:]
+        forged = WitnessVector(coords, w.q_value, w.r_value)
+        assert _holds(q, forged, r_at) is False
 
 
 THREE = QuadraticForm([[1, 0, 0], [0, 1, 0], [0, 0, 1]])

@@ -17,6 +17,7 @@ from qformkit import (
     NonSymmetricMatrix,
     QuadExt,
     QuadraticForm,
+    WitnessVector,
     apply_transform,
     classify,
     congruence_diagonalize,
@@ -28,7 +29,7 @@ from qformkit import (
 )
 from qformkit.cli import main
 from qformkit.errors import FormatError
-from qformkit.forms import form_from_json, matrix_to_json, transform_from_json
+from qformkit.forms import Point, form_from_json, matrix_to_json, transform_from_json
 from qformkit.scalars import parse_rational
 
 from conftest import (
@@ -305,11 +306,12 @@ class TestColumnMatchesReplay:
 
 
 def test_frame_pullback_matches_basis_product():
-    """CongruenceDiagonalization.pullback(support, t) sums B v in ints; it
-    equals the Fraction product basis . v (conftest.reference_mat_vec)
-    exactly, on degenerate and rational forms, for int and Fraction
-    supports, and for square and non-square radicands, a square one folded
-    into the rational part."""
+    """CongruenceDiagonalization.pullback(support, t) sums B v in ints and
+    returns it as an int Point of n coordinates; the Point's values, read
+    through a witness's coords view, equal the Fraction product basis . v
+    (conftest.reference_mat_vec) exactly, on degenerate and rational
+    forms, for int and Fraction supports, and for square and non-square
+    radicands, a square one folded into the rational part."""
     rng = random.Random(16)
     for k in range(1000):
         n = k % 8 + 1
@@ -329,7 +331,9 @@ def test_frame_pullback_matches_basis_product():
         root = {Fraction(1): 1, Fraction(9, 4): Fraction(3, 2)}.get(t)
         if root is not None:
             expected = [QuadExt(c.rat + c.rad * root) for c in expected]
-        got = d.pullback(support, t)
+        point = d.pullback(support, t)
+        assert type(point) is Point and len(point) == n and point.d > 0
+        got = WitnessVector(point, QuadExt(0), QuadExt(1)).coords
         assert [(c.rat, c.rad, c.t) for c in got] == [(c.rat, c.rad, c.t) for c in expected]
 
 

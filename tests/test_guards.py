@@ -380,9 +380,11 @@ def _refute_and_recheck(q, r):
 def test_fractions_made_per_decision(seed):
     """The diagonal frame, the proportionality test, the witness scan and
     the re-check run in ints: Fractions are made where a verdict reads
-    them.  At n = 16 a confirmation makes the n diagonal values and alpha;
-    a refutation and its re-check make the n diagonal values, the 2n parts
-    of the witness's coordinates and at most 32 more."""
+    them.  At n = 16 a confirmation makes the n diagonal values and alpha.
+    A refutation runs q's pass only to its first pivot of each sign and
+    keeps its witness as pullback's int point, so with its re-check it
+    makes at most 16, however large n is: the 2n parts of the witness's
+    coordinates made 47 in all."""
     n = 16
     q_rows, r_rows = _anchored_pair(n, seed)
     q = qformkit.QuadraticForm(q_rows)
@@ -394,7 +396,7 @@ def test_fractions_made_per_decision(seed):
     (verdict, rechecked), made = _fractions_made(_refute_and_recheck, q, r)
     assert isinstance(verdict, qformkit.Counterexample)
     assert rechecked
-    assert made <= 3 * n + 32
+    assert made <= 16
 
 
 def test_fractions_made_per_interval_check():
@@ -704,11 +706,12 @@ def test_fractions_made_per_poly_refutation(degree):
 @pytest.mark.parametrize("degree", [4, 6, 8])
 def test_quadexts_made_per_poly_refutation(degree):
     """HomogeneousPoly.evaluate runs in int pairs and makes one QuadExt,
-    its value: on the inputs of test_fractions_made_per_poly_refutation a
-    refuting decision at n = 4 makes at most n + 2 QuadExts (its point's n
-    coordinates, and q and r there) and its re-check at most 2, counted as
-    perfbench/spans.py counts them.  Evaluating in QuadExt arithmetic made
-    153 to 394 per re-check."""
+    its value, and the swept point is pullback's int point: on the inputs
+    of test_fractions_made_per_poly_refutation a refuting decision at
+    n = 4 makes at most 2 QuadExts (q and r there) and its re-check at
+    most 2, counted as perfbench/spans.py counts them.  A point of QuadExt
+    coordinates made n + 2 per decision, and evaluating in QuadExt
+    arithmetic made 153 to 394 per re-check."""
     count_constructions = perfbench_module("spans").count_constructions
     n = 4
     rng = random.Random(degree)
@@ -718,8 +721,28 @@ def test_quadexts_made_per_poly_refutation(degree):
     r = polys.HomogeneousPoly(n, degree, {**qs.terms, bump: qs.terms.get(bump, 0) + 1})
     verdict, exc, _, made = count_constructions(polys.decide_containment_homogeneous, q, r)
     assert exc is None and isinstance(verdict, polys.ConePointWitness)
-    assert made <= n + 2
+    assert made <= 2
     holds, exc, _, made = count_constructions(polys.verify_poly_witness, q, r, verdict.witness)
+    assert exc is None and holds
+    assert made <= 2
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_quadexts_made_per_refutation(seed):
+    """A refuting decide_containment keeps its witness as the int point
+    CongruenceDiagonalization.pullback returns, and verify_witness reads
+    that point: at n = 16 each makes at most 2 QuadExts, the values of q
+    and r at the witness, counted as perfbench/spans.py counts them.  A
+    witness of QuadExt coordinates made n + 2 per decision."""
+    count_constructions = perfbench_module("spans").count_constructions
+    n = 16
+    q_rows, r_rows = _anchored_pair(n, seed)
+    r_rows[0][0] += 1
+    q, r = qformkit.QuadraticForm(q_rows), qformkit.QuadraticForm(r_rows)
+    verdict, exc, _, made = count_constructions(qformkit.decide_containment, q, r)
+    assert exc is None and isinstance(verdict, qformkit.Counterexample)
+    assert made <= 2
+    holds, exc, _, made = count_constructions(qformkit.verify_witness, q, r, verdict.witness)
     assert exc is None and holds
     assert made <= 2
 

@@ -96,6 +96,7 @@ LAZY = {
     "CongruenceDiagonalization.cols": (lambda: congruence_diagonalize(QuadraticForm([[0, 1], [1, 0]])), "cols"),
     "CongruenceDiagonalization.basis": (lambda: congruence_diagonalize(QuadraticForm([[0, 1], [1, 0]])), "basis"),
     "HomogeneousPoly.terms": (lambda: HomogeneousPoly(3, 2, {(1, 1, 0): Fraction(1, 2)}), "terms"),
+    "WitnessVector.coords": (_witness, "coords"),
 }
 
 
