@@ -206,8 +206,10 @@ def cmd_lorentz(args):
     L = forms.transform_from_json(forms.load_json(args.transform))
     c = parse_rational(args.c)
     report = relativity.check_interval_invariance(L, c)
+    q = relativity.minkowski_form(c, dim_space=L.dim - 1)
+    if report.kappa is not None:
+        _recheck_alpha(q, report.pulled_back_form, report.kappa)
     if report.witness_event is not None:
-        q = relativity.minkowski_form(c, dim_space=L.dim - 1)
         _recheck(
             containment.verify_witness(q, report.pulled_back_form, report.witness_event),
             "witness event",

@@ -151,13 +151,10 @@ def _witness_family(diag, inertia):
     x + y*sqrt(t) for each (i, x, y) in support, and zero elsewhere.
     Every member is exactly null for the diagonal form; jointly their
     r-evaluations determine every entry of the transformed r-matrix, so
-    at least one is nonzero whenever r is not proportional to q.
+    at least one is nonzero whenever r is not proportional to q.  The
+    positive, negative and zero indices are the frame's inertia.blocks.
     """
-    n = len(diag)
-    k, m = inertia.k, inertia.m
-    pos = range(k)
-    neg = range(k, k + m)
-    zero = range(k + m, n)
+    pos, neg, zero = inertia.blocks
     nd = [d.as_integer_ratio() for d in diag]
 
     def radicand(c, a, b=None):

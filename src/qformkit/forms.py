@@ -40,16 +40,18 @@ def _common_denominator(ratios):
 
 
 class _IntMatrix:
-    """A square rational matrix held as Python ints over one positive
-    denominator: entry (i, j) is ints[i][j] / den, with den the lcm of the
-    entries' reduced denominators, so equal matrices hold equal (den, ints).
-    The Fraction rows `matrix` are built the first time they are read, by
-    repr; no command reads them."""
+    """A nonempty square rational matrix held as Python ints over one
+    positive denominator: entry (i, j) is ints[i][j] / den, with den the
+    lcm of the entries' reduced denominators, so equal matrices hold equal
+    (den, ints).  The Fraction rows `matrix` are built the first time they
+    are read, by repr; no command reads them."""
 
     __slots__ = ()
 
     def __init__(self, rows):
         rows = [[_read_entry(e) for e in row] for row in rows]
+        if not rows:
+            raise FormatError("matrix is empty")
         if any(len(row) != len(rows) for row in rows):
             raise FormatError("matrix is not square")
         ratios = {}
@@ -122,7 +124,12 @@ class QuadraticForm(_IntMatrix, Record):
 
 class Inertia(Record):
     """Counts of positive (k), negative (m), and zero (z) diagonal entries
-    of any congruence diagonalization; invariant by Sylvester's law."""
+    of any congruence diagonalization; invariant by Sylvester's law.
+
+    blocks is the sign layout of a frame of this inertia: the ranges of
+    frame indices of its positive, negative and zero d_i, in that order,
+    which is the order CongruenceDiagonalization.order puts them in.
+    Every reader of a frame's +, -, 0 blocks reads them here."""
 
     __slots__ = ("k", "m", "z")
 
@@ -130,14 +137,18 @@ class Inertia(Record):
     def dim(self):
         return self.k + self.m + self.z
 
+    blocks = property(lambda self: (
+        range(self.k), range(self.k, self.k + self.m), range(self.k + self.m, self.dim)))
+
 
 class CongruenceDiagonalization(Record):
     """Invertible basis B (columns) with B^T Q B = diag(diag).
 
-    diag holds the n rational diagonal values, ordered +, -, 0; frame
-    index f is step order[f] of congruence_diagonalize's pass.  B comes
-    out of the elimination in ints: column f is column(f) / scales[f],
-    with scales[f] a positive int.
+    diag holds the n rational diagonal values, ordered +, -, 0, whose
+    ranges of frame indices are inertia.blocks; frame index f is step
+    order[f] of congruence_diagonalize's pass.  B comes out of the
+    elimination in ints: column f is column(f) / scales[f], with
+    scales[f] a positive int.
 
     The pass is resumable: it keeps its state and runs only as far as a
     reader asks.  On the frame congruence_diagonalize returns, reading

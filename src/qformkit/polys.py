@@ -66,7 +66,7 @@ class HomogeneousPoly(Record):
     _fields = ("nvars", "degree", "terms")
 
     def __init__(self, nvars, degree, terms):
-        self._fill(int(nvars), int(degree), _term_ratios(nvars, degree, dict(terms).items()))
+        self._fill(nvars, degree, _term_ratios(nvars, degree, dict(terms).items()))
 
     def _fill(self, nvars, degree, ratios):
         den, ints = _common_denominator(ratios)
@@ -311,11 +311,10 @@ def sample_cone_point(diag_q: CongruenceDiagonalization, h, sign):
     delta = sum d_i h_i^2 and beta = d_p h_p + sign*sqrt(t) d_n h_n, so
     v = delta*c - 2*beta*h is null, and Bv is returned.
     """
-    ine = diag_q.inertia
-    if not (ine.k and ine.m):
+    if diag_q.lead is None:
         raise NotIndefinite("a cone point needs an indefinite form")
     d = diag_q.diag
-    p, n = 0, ine.k
+    (p, *_), (n, *_), _ = diag_q.inertia.blocks
     delta = sum(di * hi * hi for di, hi in zip(d, h))
     rat = [-2 * d[p] * h[p] * hi for hi in h]
     rad = [-2 * d[n] * h[n] * hi for hi in h]
@@ -385,6 +384,27 @@ def poly_from_json(obj) -> HomogeneousPoly:
         nvars, degree, terms = obj["nvars"], obj["degree"], obj["terms"]
     except KeyError as exc:
         raise FormatError(f"missing key {exc}") from exc
+
+    def pairs():
+        if not isinstance(terms, list):
+            raise FormatError("'terms' must be a list")
+        for i, term in enumerate(terms):
+            if not isinstance(term, dict) or "exp" not in term or "coef" not in term:
+                raise FormatError(f"term {i} must have 'exp' and 'coef'")
+            yield term["exp"], term["coef"]
+
+    return HomogeneousPoly._from_ints(nvars, degree, _term_ratios(nvars, degree, pairs()))
+
+
+def _term_ratios(nvars, degree, pairs):
+    """{d: {exponent tuple: x}} of the nonzero coefficients x / d, d > 0,
+    of the (exponent, coefficient) pairs of a polynomial in nvars
+    variables of one degree, from a JSON file or a constructor.  nvars is
+    an int >= 1 and degree an int in 0..MAX_DEGREE, with at most
+    MAX_MONOMIALS monomials between them; both are checked before pairs
+    is read.  Every term is checked, zero or not: its exponents are nvars
+    ints >= 0 that sum to degree, and no other term has them; the
+    coefficient is read by forms._read_entry."""
     # type(), not isinstance(): JSON true and false are no count or degree
     if type(nvars) is not int or nvars < 1:
         raise FormatError(f"'nvars' must be a positive integer, got {nvars!r}")
@@ -398,25 +418,6 @@ def poly_from_json(obj) -> HomogeneousPoly:
             f"{nvars} variables of degree {degree} have {monomials} monomials, "
             f"more than {MAX_MONOMIALS}"
         )
-    if not isinstance(terms, list):
-        raise FormatError("'terms' must be a list")
-
-    def pairs():
-        for i, term in enumerate(terms):
-            if not isinstance(term, dict) or "exp" not in term or "coef" not in term:
-                raise FormatError(f"term {i} must have 'exp' and 'coef'")
-            yield term["exp"], term["coef"]
-
-    return HomogeneousPoly._from_ints(nvars, degree, _term_ratios(nvars, degree, pairs()))
-
-
-def _term_ratios(nvars, degree, pairs):
-    """{d: {exponent tuple: x}} of the nonzero coefficients x / d, d > 0,
-    of the (exponent, coefficient) pairs of a polynomial in nvars
-    variables of one degree, from a JSON file or a constructor.  Every
-    term is checked, zero or not: its exponents are nvars ints >= 0 that
-    sum to degree, and no other term has them; the coefficient is read by
-    forms._read_entry."""
     seen = set()
     ratios = {}
     for i, (exp, coef) in enumerate(pairs):

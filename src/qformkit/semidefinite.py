@@ -62,14 +62,15 @@ def _orientation(d: CongruenceDiagonalization, name: str) -> int:
     sign (d.lead), and runs the pass to its end otherwise."""
     if d.lead:
         raise NotSemidefinite(f"{name} is indefinite")
-    return 1 if d.inertia.k else -1 if d.inertia.m else 0
+    pos, neg, _ = d.inertia.blocks
+    return 1 if pos else -1 if neg else 0
 
 
 def kernel_basis(q: QuadraticForm) -> SubspaceBasis:
     """Exact basis of {x : Qx = 0}.  For semidefinite q this is exactly
     the zero set: q(x) = 0 forces x into the matrix kernel.
 
-    The basis is read off q's frame: the columns of B at the zeros of d
+    The basis is read off q's frame: the columns of B in its zero block
     (see _simdiag_in_frame), each divided by its last nonzero entry; only
     those z columns are built.  A kernel of dimension 1 then gets the
     vector rref(Q) gives it, whose free column is its last nonzero
@@ -80,7 +81,7 @@ def kernel_basis(q: QuadraticForm) -> SubspaceBasis:
 def _kernel_in_frame(dq: CongruenceDiagonalization) -> SubspaceBasis:
     """kernel_basis for a caller that already diagonalized q (dq)."""
     _orientation(dq, "q")  # rejects indefinite input
-    kernel = [dq.column(f) for f in range(dq.inertia.k + dq.inertia.m, len(dq.diag))]
+    kernel = [dq.column(f) for f in dq.inertia.blocks[2]]
     lasts = [next(e for e in reversed(col) if e) for col in kernel]
     vectors = tuple(tuple(Fraction(e, last) for e in col) for col, last in zip(kernel, lasts))
     return SubspaceBasis(dim_ambient=len(dq.diag), vectors=vectors)
@@ -167,9 +168,9 @@ def _simdiag_in_frame(q, r, dq, dr, tol) -> SimDiagResult:
     (dr); of r's frame only the orientation is read.
 
     B^T Q B = diag(d) with B invertible, so Q b = 0 exactly for b in the
-    span of the last z columns b_z of B, those at the zeros of d: they are
-    an exact basis of ker Q, and Z_q is contained in Z_r exactly when R
-    maps each of them to zero.
+    span of the columns b_z of B in the frame's zero block, those at the
+    zeros of d (dq.inertia.blocks): they are an exact basis of ker Q, and
+    Z_q is contained in Z_r exactly when R maps each of them to zero.
 
     That test is the witness family of containment.construct_witness.
     d has one sign off its zeros, and members (a), (c) and (e) each pair
@@ -184,37 +185,41 @@ def _simdiag_in_frame(q, r, dq, dr, tol) -> SimDiagResult:
     case it also tries the z(z - 1) (d) members, whose only new entries
     are the z(z - 1)/2 products b_z^T (R b_z'), R b_z' cached.
 
-    Scaled by 1/sqrt|d_i|, the other columns make W^T Q W = +-I, so the
-    eigenvectors X of W^T R W finish the basis as W X.  R is signed to be
-    positive semidefinite for the eigen step, since r and -r have the same
-    zero set; a psd q may pair with an nsd r.
+    q is semidefinite, so its positive or its negative block is empty,
+    and the other is its definite block.  Scaled by 1/sqrt|d_i|, the
+    columns there make W^T Q W = +-I, so the eigenvectors X of W^T R W
+    finish the basis as W X.  R is signed to be positive semidefinite for
+    the eigen step, since r and -r have the same zero set; a psd q may
+    pair with an nsd r.
     """
     oq = _orientation(dq, "q")
     orr = _orientation(dr, "r")
     if q.dim != r.dim:
         raise DimensionMismatch(f"dims differ: {q.dim} vs {r.dim}")
-    n, nm = q.dim, dq.inertia.k + dq.inertia.m
     witness = _first_witness(dq, r)
     if witness is not None:
         raise ContainmentFails(
             "zero set of q is not contained in zero set of r", witness=witness
         )
 
-    cols, scales = dq.cols, dq.scales
+    n, diag, scales = q.dim, dq.diag, dq.scales
+    pos, neg, zero = dq.inertia.blocks
+    definite = pos or neg  # q is semidefinite, so the other block is empty
     r_unit = -1 if orr < 0 else 1
-    # column i of W is g_i b_i, g_i = 1 / sqrt|d_i|, and W^T R W is built from
-    # the exact b_i^T R b_j = cols[i] . (R_int cols[j]) / (s_i s_j den)
-    g = [math.sqrt(_float(d.denominator, abs(d.numerator))) for d in dq.diag[:nm]]
-    rbb = linalg.congruent(r.ints, linalg.transpose(cols[:nm]))
+    # column i of W is g_i b_i for i in the definite block, g_i = 1 / sqrt|d_i|, and
+    # W^T R W is built from the exact b_i^T R b_j = column(i) . (R_int column(j)) / (s_i s_j den)
+    g = [math.sqrt(_float(diag[i].denominator, abs(diag[i].numerator))) for i in definite]
+    s = [scales[i] for i in definite]
+    rbb = linalg.congruent(r.ints, linalg.transpose([dq.column(i) for i in definite]))
     a = [
-        [r_unit * _float(rbb[i][j], scales[i] * scales[j] * r.den) * g[i] * g[j] for j in range(nm)]
-        for i in range(nm)
+        [r_unit * _float(e, si * sj * r.den) * gi * gj for e, sj, gj in zip(row, s, g)]
+        for row, si, gi in zip(rbb, s, g)
     ]
     eigvals, x = _jacobi_eigh(a)
     b = _float_cols(dq)
-    w = [[e * gi for e in col] for col, gi in zip(b, g)]
-    bcols = [[sum(x[i][j] * wi[k] for i, wi in enumerate(w)) for k in range(n)] for j in range(nm)]
-    bcols += b[nm:]
+    w = [[e * gi for e in b[i]] for i, gi in zip(definite, g)]
+    bcols = [[sum(x[i][j] * wi[k] for i, wi in enumerate(w)) for k in range(n)] for j in range(len(definite))]
+    bcols += [b[f] for f in zero]
     qf = [[_float(e, q.den) for e in row] for row in q.ints]
     rf = [[_float(e, r.den) for e in row] for row in r.ints]
     bmat = linalg.transpose(bcols)
@@ -226,8 +231,7 @@ def _simdiag_in_frame(q, r, dq, dr, tol) -> SimDiagResult:
     if residual > tol:
         raise NumericalFailure(f"residual {residual} exceeds tolerance {tol}")
 
-    z = n - nm
-    q_diag = (float(oq),) * nm + (0.0,) * z
+    q_diag = (float(oq),) * len(definite) + (0.0,) * len(zero)
     diag_error = max(abs(tq[i][i] - q_diag[i]) for i in range(n))
     if diag_error > tol:
         raise NumericalFailure(
@@ -237,7 +241,7 @@ def _simdiag_in_frame(q, r, dq, dr, tol) -> SimDiagResult:
     return SimDiagResult(
         basis=tuple(tuple(col[k] for col in bcols) for k in range(n)),
         q_diag=q_diag,
-        r_diag=tuple(r_unit * v for v in eigvals) + (0.0,) * z,
+        r_diag=tuple(r_unit * v for v in eigvals) + (0.0,) * len(zero),
         residual=residual,
     )
 

@@ -18,7 +18,7 @@ from qformkit import (
     semidefinite,
 )
 from qformkit.cli import main
-from qformkit.forms import evaluate, form_from_json
+from qformkit.forms import Point, evaluate, form_from_json
 from qformkit.scalars import parse_rational
 
 MINKOWSKI = '{"dim": 4, "rows": [[-1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]}'
@@ -593,6 +593,23 @@ class TestInternalError:
         monkeypatch.setattr(containment, "decide_containment", lambda q, r: containment.Proportional(alpha))
         q, r = write(tmp_path, "q.json", HYP), write(tmp_path, "r.json", r)
         code = main(["contain", q, r, "--json"])
+        self.assert_internal(capsys, code, "CertificateRejected: proportionality constant")
+
+    def test_swept_point_off_the_cone_exit_5(self, tmp_path, capsys, monkeypatch):
+        """poly-contain's sweep fails closed on a point off q's cone."""
+        off_cone = Point(Fraction(2), 1, (1, 0), (0, 1))  # q = 1 - 2 at (1, sqrt(2))
+        monkeypatch.setattr(polys, "sample_cone_point", lambda dq, h, sign: off_cone)
+        q, r = write(tmp_path, "q.json", HYP), write(tmp_path, "r.json", QUARTIC_SUM)
+        code = main(["poly-contain", q, r, "--json"])
+        self.assert_internal(capsys, code, "CertificateRejected: swept point is off the null cone of q")
+
+    def test_wrong_kappa_exit_5(self, tmp_path, capsys, monkeypatch):
+        """lorentz prints kappa only once the pulled-back form is kappa
+        times the interval form entrywise: the 3-4-5 boost has kappa 1,
+        and a decision that says 7 is never printed."""
+        monkeypatch.setattr(containment, "_ratio", lambda q, r: Fraction(7))
+        path = write(tmp_path, "L.json", '{"dim": 2, "rows": [["5/4","-3/4"],["-3/4","5/4"]]}')
+        code = main(["lorentz", path, "--json"])
         self.assert_internal(capsys, code, "CertificateRejected: proportionality constant")
 
     def test_wrong_alpha_simdiag_exit_5(self, tmp_path, capsys, monkeypatch):

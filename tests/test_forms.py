@@ -30,6 +30,7 @@ from qformkit import (
 from qformkit.cli import main
 from qformkit.errors import FormatError
 from qformkit.forms import Point, form_from_json, matrix_to_json, transform_from_json
+from qformkit.polys import poly_from_json
 from qformkit.scalars import parse_rational
 
 from conftest import (
@@ -551,6 +552,39 @@ def test_constructors_read_values_as_json_does(build, value, want):
     spelled = str(value) if isinstance(value, Fraction) else value
     assert form_from_json({"dim": 1, "rows": [[spelled]]}).matrix == ((want,),)
     assert build(value) == build(want)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: QuadraticForm([]), lambda: LinearTransform([]), lambda: QuadraticForm.diagonal([])],
+    ids=["QuadraticForm", "LinearTransform", "QuadraticForm.diagonal"],
+)
+def test_constructors_refuse_an_empty_matrix(build):
+    """A matrix file of dim 0 is refused, and so is an empty matrix: no
+    form is called positive-definite for having no entries."""
+    with pytest.raises(FormatError, match="matrix is empty"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "nvars, degree, terms, message",
+    [
+        (True, 2, {(2,): 1}, "'nvars' must be a positive integer, got True"),
+        (0, 0, {(): 1}, "'nvars' must be a positive integer, got 0"),
+        (2, 2.0, {(2, 0): 1}, r"'degree' must be an integer in 0\.\.100, got 2\.0"),
+        (2, 500, {(500, 0): 1}, r"'degree' must be an integer in 0\.\.100, got 500"),
+        (4, 75, {(75, 0, 0, 0): 1}, "76076 monomials, more than 75000"),
+    ],
+    ids=["bool-nvars", "no-variables", "float-degree", "degree-above-bound", "too-many-monomials"],
+)
+def test_poly_constructor_applies_the_file_rules(nvars, degree, terms, message):
+    """HomogeneousPoly(...) refuses the nvars and degree a polynomial file
+    may not have, with the file's message."""
+    with pytest.raises(FormatError, match=message):
+        HomogeneousPoly(nvars, degree, terms)
+    obj = {"nvars": nvars, "degree": degree, "terms": [{"exp": list(e), "coef": c} for e, c in terms.items()]}
+    with pytest.raises(FormatError, match=message):
+        poly_from_json(obj)
 
 
 def test_non_symmetric_ratio_message(tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 import sympy
 
 from qformkit import (
+    CertificateRejected,
     ConePointWitness,
     DegreeMismatch,
     Divisible,
@@ -21,12 +22,13 @@ from qformkit import (
     decide_containment,
     evaluate,
     poly_from_form,
+    polys,
     reduce_by_quadratic,
     sample_cone_point,
     verify_poly_witness,
 )
 from qformkit.containment import Counterexample, Proportional, WitnessVector
-from qformkit.forms import load_json
+from qformkit.forms import Point, load_json
 from qformkit.polys import MAX_DEGREE, MAX_MONOMIALS, poly_from_json, poly_to_json
 from qformkit.scalars import parse_rational
 
@@ -277,6 +279,16 @@ class TestDecideContainmentHomogeneous:
                 assert verify_poly_witness(
                     q, poly_from_form(r_form), poly_verdict.witness
                 )
+
+    def test_point_off_the_cone_is_rejected(self, monkeypatch):
+        """The sweep checks q at the point it would return, and fails
+        closed: (1, sqrt(2)) is off the cone of x^2 - y^2, and x^4 + y^4 is
+        nonzero there."""
+        off_cone = Point(Fraction(2), 1, (1, 0), (0, 1))
+        monkeypatch.setattr(polys, "sample_cone_point", lambda dq, h, sign: off_cone)
+        r = HomogeneousPoly(2, 4, {(4, 0): 1, (0, 4): 1})
+        with pytest.raises(CertificateRejected, match="swept point is off the null cone of q"):
+            decide_containment_homogeneous(HYP, r)
 
     def test_deterministic(self):
         r = HomogeneousPoly(2, 4, {(4, 0): 1, (0, 4): 1})

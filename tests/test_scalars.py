@@ -97,6 +97,11 @@ class TestEqualValueRadicands:
         assert product(qe(0, 1, 8), qe(0, 1, 2)) == qe(4)
         assert combination(1, qe(0, 1, 8), -1, qe(0, 2, 2)).is_zero()
 
+    def test_only_other_has_a_sqrt_part(self):
+        # a rational self is compared over the other's radicand: sqrt(1) = 1
+        assert (qe(1, 0, 2) == qe(0, 1, 1)) is True
+        assert (qe(1, 0, 2) == qe(0, 1, 3)) is False
+
     def test_non_square_ratio_still_rejected(self):
         with pytest.raises(MismatchedRadicand):
             qe(0, 1, 8)._align(qe(0, 1, 3))
