@@ -128,18 +128,22 @@ def _ratio(q, r):
     """alpha with R = alpha*Q entrywise, or None; Q is not zero, and both
     are symmetric, so the upper triangles decide.  With Q = Q_int / den_Q
     and R = R_int / den_R, and (a, b) the first entries of Q_int and R_int
-    with a != 0, R = alpha*Q exactly when R_int a = b Q_int, and then
-    alpha = b den_Q / (den_R a): the test runs in ints and makes no
-    Fraction but alpha, and that only when it holds."""
-    pairs = [
-        (x, y)
-        for i, (q_row, r_row) in enumerate(zip(q.ints, r.ints))
-        for x, y in zip(q_row[i:], r_row[i:])
-    ]
-    a, b = next(p for p in pairs if p[0])
-    if all(y * a == b * x for x, y in pairs):
-        return Fraction(b * q.den, r.den * a)
-    return None
+    with a != 0, R = alpha*Q exactly when R_int is zero before (a, b) and
+    R_int a = b Q_int from there on, and then alpha = b den_Q / (den_R a).
+    The test is one loop in ints over the upper triangle, which stops at
+    the first entry that fails, and makes no Fraction but alpha, and that
+    only when it holds."""
+    a = b = 0
+    for i, (q_row, r_row) in enumerate(zip(q.ints, r.ints)):
+        for x, y in zip(q_row[i:], r_row[i:]):
+            if a:
+                if y * a != b * x:
+                    return None
+            elif x:
+                a, b = x, y
+            elif y:
+                return None
+    return Fraction(b * q.den, r.den * a)
 
 
 def _witness_family(diag, inertia):

@@ -141,6 +141,10 @@ class Inertia(Record):
         range(self.k), range(self.k, self.k + self.m), range(self.k + self.m, self.dim)))
 
 
+# the inertia of every lead frame (see CongruenceDiagonalization.lead)
+_LEAD_INERTIA = Inertia(1, 1, 0)
+
+
 class CongruenceDiagonalization(Record):
     """Invertible basis B (columns) with B^T Q B = diag(diag).
 
@@ -154,12 +158,14 @@ class CongruenceDiagonalization(Record):
     reader asks.  On the frame congruence_diagonalize returns, reading
     order, diag, inertia, scales, cols or column(f) runs it to the end.
     lead runs it only until it has a pivot of each sign, and is a
-    two-entry frame over the same pass, or None when q is not
-    indefinite.  Every frame over one pass shares its log of pivot
-    rows and repairs, and column(f) is built from the log the first time
-    any of them reads it, and kept; cols is all n of them, and the
-    rational matrix basis is built from cols the first time it is read,
-    by no command.  So a verdict that needs only diag and inertia never
+    two-entry frame over the same pass, whose inertia (1, 1, 0) is given,
+    or None when q is not indefinite.  The pass brings a row of Q up to
+    date only when a step reads it (see _eliminate), so the s steps lead
+    runs cost O(s n), not O(s n^2).  Every frame over one pass shares its
+    log of pivot rows and repairs, and column(f) is built from the log
+    the first time any of them reads it, and kept; cols is all n of them,
+    and the rational matrix basis is built from cols the first time it
+    is read, by no command.  So a verdict that needs only diag and inertia never
     builds B, and a witness builds the 1-3 columns its support reads.
 
     _run is the pass's state: (the elimination, its log, (d_i, |scale_i|)
@@ -181,14 +187,14 @@ class CongruenceDiagonalization(Record):
         negative, then zero d_i, each in pass order."""
         rec = self._run[2]
         any(self._run[0])  # the pass yields None after each step: this runs it to its end
-        return tuple(sorted(range(self._run[4]), key=lambda c: (rec[c][0] <= 0) + (rec[c][0] == 0)))
+        return tuple(sorted(range(self._run[4]), key=lambda c: (rec[c][0].numerator <= 0) + (rec[c][0].numerator == 0)))
 
     diag = property(lambda self: tuple(self._run[2][c][0] for c in self.order), doc="d_i in frame order")
     scales = property(lambda self: tuple(self._run[2][c][1] for c in self.order), doc="|scale_i| in frame order")
 
     @lazy
     def inertia(self) -> Inertia:
-        signs = [(d > 0) - (d < 0) for d in self.diag]
+        signs = list(map(_sign, self.diag))
         return Inertia(signs.count(1), signs.count(-1), signs.count(0))
 
     @lazy
@@ -201,12 +207,12 @@ class CongruenceDiagonalization(Record):
         each entry and column is that of the frame run to the end: frame
         indices 0 and k there."""
         run, _, rec, _, _ = self._run
-        signs = [(d > 0) - (d < 0) for d, _ in rec]
+        signs = [_sign(d) for d, _ in rec]
         while not (1 in signs and -1 in signs):
             if next(run, True):  # None after each step, True once the pass has ended
                 return None
-            signs.append((rec[-1][0] > 0) - (rec[-1][0] < 0))
-        return _frame(self._run, (signs.index(1), signs.index(-1)))
+            signs.append(_sign(rec[-1][0]))
+        return _frame(self._run, order=(signs.index(1), signs.index(-1)), inertia=_LEAD_INERTIA)
 
     def column(self, f) -> tuple:
         """The n ints of column f of B times scales[f], built by _column
@@ -367,7 +373,9 @@ def congruence_diagonalize(q: QuadraticForm) -> CongruenceDiagonalization:
     step is a Bareiss step (Bareiss 1968): the trailing block of A is held
     multiplied by the last nonzero pivot, prev, so every update divides
     exactly by it, and diag[c] = a_cc / (scale_c * den) with scale_c the
-    prev of step c.
+    prev of step c.  The steps' updates reach a row of A only when a
+    step reads it (_eliminate gives the order), with the same arithmetic,
+    so a pass stopped early has read only the rows its steps read.
 
     The pass updates A only.  B takes the same column operations, but no
     step reads B, and row a[i] is final once step i has run: later steps,
@@ -386,24 +394,57 @@ def congruence_diagonalize(q: QuadraticForm) -> CongruenceDiagonalization:
     return _frame((_eliminate(q, steps, rec), steps, rec, {}, q.dim))
 
 
-def _frame(run, *order):
+def _frame(run, **known):
     """The frame over the pass state run (see CongruenceDiagonalization)
-    whose frame index f is step order[0][f]; with no order, the whole
-    frame, ordered when the pass ends."""
+    with the lazy attributes known already given: with order, frame
+    index f is step order[f]; with none, it is the whole frame, ordered
+    when the pass ends."""
     d = CongruenceDiagonalization.__new__(CongruenceDiagonalization)
-    for slot, value in zip(("_run", "_order"), (run, *order)):
-        _set(d, slot, value)
+    _set(d, "_run", run)
+    for name, value in known.items():
+        _set(d, "_" + name, value)
     return d
+
+
+def _sign(d):
+    """The sign of the Fraction d, read off its int numerator."""
+    return (d.numerator > 0) - (d.numerator < 0)
 
 
 def _eliminate(q, steps, rec):
     """The pass of congruence_diagonalize, one step per resumption: step
     i logs its repairs and its pivot row to steps, appends
-    (d_i, |scale_i|) to rec and yields; the Bareiss update of the
-    trailing block that step i makes runs when the pass is resumed."""
+    (d_i, |scale_i|) to rec and yields.
+
+    The pass is left-looking (Golub & Van Loan, Matrix Computations,
+    4.1-4.2): a pivot step updates no row when it runs, and is added to
+    the list of pivot steps run so far.  A row is brought up to date only
+    when a step reads it, by the pivot steps it has not had yet, in
+    order: the Bareiss update (p x - c y) // prev of row j by step k,
+    with c = row_k[j], which the right-looking pass applies to every
+    trailing row when step k runs.  The updates of one row are the same,
+    in the same order, so the pivots and the logged rows are the same;
+    but a pass stopped after s steps has updated s rows, O(s n) work,
+    where the trailing block is O(n^2).  Until a step reads it, a row is
+    q's own tuple of ints.  A zero pivot's repair reads the whole
+    trailing block, so it brings every trailing row up to date first and
+    then runs on them as they are."""
     n = q.dim
-    den, a = q.den, [list(row) for row in q.ints]
-    prev = 1
+    den, a = q.den, list(q.ints)
+    prev, pivots, applied = 1, [], [0] * n  # applied[j]: pivots[:applied[j]] are in row j
+
+    def read(j):
+        row = a[j]
+        if row.__class__ is tuple:
+            row = a[j] = list(row)
+        for row_k, p_k, prev_k in pivots[applied[j] :]:
+            c = row_k[j]
+            if c:
+                row[j:] = [(p_k * x - c * y) // prev_k for x, y in zip(row[j:], row_k[j:])]
+            else:
+                row[j:] = [p_k * x // prev_k for x in row[j:]]
+        applied[j] = len(pivots)
+        return row
 
     def col_add(j, i):
         # b_j += b_i, and the congruence update of the trailing block of A
@@ -420,7 +461,9 @@ def _eliminate(q, steps, rec):
         a[i], a[j] = a[j], a[i]
 
     for i in range(n):
-        if a[i][i] == 0:
+        if read(i)[i] == 0:
+            for r in range(i + 1, n):
+                read(r)
             # pivot steps update only the upper triangle of the trailing
             # block; the swap and the repair below read both
             for r in range(i, n):
@@ -440,15 +483,9 @@ def _eliminate(q, steps, rec):
         if p:
             steps.append(("pivot", i, row_i))
         yield
-        if p == 0:
-            continue  # whole trailing row is zero
-        for j in range(i + 1, n):
-            c = row_i[j]
-            if c:
-                a[j][j:] = [(p * x - c * y) // prev for x, y in zip(a[j][j:], row_i[j:])]
-            else:
-                a[j][j:] = [p * x // prev for x in a[j][j:]]
-        prev = p
+        if p:  # else the whole trailing row is zero, and updates nothing
+            pivots.append((row_i, p, prev))
+            prev = p
 
 
 def _column(steps, c, s, n):

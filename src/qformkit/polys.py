@@ -84,6 +84,11 @@ class HomogeneousPoly(Record):
         poly._fill(nvars, degree, ratios)
         return poly
 
+    def __reduce__(self):
+        # past the file bounds the checking constructor refuses a
+        # polynomial that qformkit built itself: rebuild from the ints
+        return HomogeneousPoly._from_ints, (self.nvars, self.degree, {self._den: self._ints})
+
     @lazy
     def terms(self):
         """{exponent tuple: Fraction}, built the first time it is read."""

@@ -22,7 +22,7 @@ from qformkit import (
     inertia,
     parse_rational,
 )
-from qformkit import linalg
+from qformkit import forms, linalg
 
 
 def perfbench_module(name):
@@ -372,6 +372,63 @@ def eager_diagonalize(q):
         cols=tuple(tuple(w[c] if scales[c] > 0 else [-x for x in w[c]]) for c in order),
         scales=tuple(abs(scales[c]) for c in order),
     )
+
+
+def right_looking_eliminate(q, steps, rec):
+    """forms._eliminate as the right-looking pass: each pivot step applies
+    its Bareiss update to the whole trailing block when the pass resumes,
+    where the left-looking pass updates a row only when a step reads it.
+    Both must log the same steps and rec, step for step."""
+    n = q.dim
+    den, a = q.den, [list(row) for row in q.ints]
+    prev = 1
+
+    def col_add(j, i):
+        steps.append(("add", i, j))
+        for r in range(i, n):
+            a[r][j] += a[r][i]
+        for r in range(i, n):
+            a[j][r] += a[i][r]
+
+    def col_swap(i, j):
+        steps.append(("swap", i, j))
+        for r in range(i, n):
+            a[r][i], a[r][j] = a[r][j], a[r][i]
+        a[i], a[j] = a[j], a[i]
+
+    for i in range(n):
+        if a[i][i] == 0:
+            for r in range(i, n):
+                for l in range(r + 1, n):
+                    a[l][r] = a[r][l]
+            swap_at = next((l for l in range(i + 1, n) if a[l][l]), None)
+            if swap_at is None:
+                swap_at = next((j for j in range(i + 1, n) if a[i][j]), None)
+                if swap_at is not None:
+                    col_add(swap_at, i)
+            if swap_at is not None:
+                col_swap(i, swap_at)
+        p, row_i = a[i][i], a[i]
+        rec.append((Fraction(p, prev * den), abs(prev)))
+        if p:
+            steps.append(("pivot", i, row_i))
+        yield
+        if p == 0:
+            continue
+        for j in range(i + 1, n):
+            c = row_i[j]
+            if c:
+                a[j][j:] = [(p * x - c * y) // prev for x, y in zip(a[j][j:], row_i[j:])]
+            else:
+                a[j][j:] = [p * x // prev for x in a[j][j:]]
+        prev = p
+
+
+def right_looking_diagonalize(q):
+    """congruence_diagonalize(q) with its pass run by
+    right_looking_eliminate: an unread frame over that pass."""
+    steps, rec = [], []
+    return forms._frame((right_looking_eliminate(q, steps, rec), steps, rec, {}, q.dim))
 
 
 def pass_log(d):

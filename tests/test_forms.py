@@ -49,6 +49,7 @@ from conftest import (
     reference_diagonalize,
     reference_mat_vec,
     reference_replay,
+    right_looking_diagonalize,
     sparse_diagonal_form,
 )
 
@@ -251,6 +252,54 @@ class TestLazyBasisMatchesEagerPass:
         rebuilt = CongruenceDiagonalization(d.diag, d.inertia, d.cols, d.scales)
         assert rebuilt == d
         assert rebuilt.basis == d.basis
+
+
+class TestLazyPassMatchesRightLooking:
+    """forms._eliminate brings a row up to date only when a step reads
+    it; the right-looking pass in conftest updates the whole trailing
+    block at each pivot step.  Run as far as lead runs them, and then to
+    the end, both log the same repairs and pivot rows and the same
+    (d_i, |scale_i|), so the lead frames and the whole frames are the
+    same, columns included."""
+
+    @staticmethod
+    def assert_matches(q):
+        lazy, right = congruence_diagonalize(q), right_looking_diagonalize(q)
+        lead, expected = lazy.lead, right.lead
+        assert lazy._run[1:3] == right._run[1:3]
+        if expected is None:
+            assert lead is None
+        else:
+            assert lead.inertia is expected.inertia == Inertia(1, 1, 0)
+            signs = [(d > 0) - (d < 0) for d in lead.diag]
+            assert signs == [1, -1]
+            assert (lead.order, lead.diag, lead.scales) == (expected.order, expected.diag, expected.scales)
+        assert (lazy.order, lazy.diag, lazy.inertia, lazy.scales) == (
+            right.order, right.diag, right.inertia, right.scales)
+        steps = list(lazy._run[1])
+        assert steps == right._run[1] and lazy._run[2] == right._run[2]
+        if expected is not None:
+            assert lead.cols == expected.cols
+        assert lazy.cols == right.cols
+        return [op for op, _, _ in steps]
+
+    def test_random_forms(self):
+        rng = random.Random(46)
+        pending = indefinite = 0
+        for k in range(600):
+            n = k % 12 + 1
+            q = sparse_diagonal_form(rng, n) if k % 3 == 0 else _mixed_form(rng, n)
+            ops = self.assert_matches(q)
+            # a repair (each swaps) after a pivot step finds rows that step has not updated
+            pending += "pivot" in ops and "swap" in ops[ops.index("pivot") :]
+            indefinite += congruence_diagonalize(q).lead is not None
+        assert pending >= 150 and indefinite >= 300
+
+    def test_repair_finds_rows_still_pending(self):
+        # step 0 pivots on a_00 = 1; a_11 is then 0, and the repair at
+        # step 1 reads row 2, which step 0's update has not reached yet
+        q = QuadraticForm([[1, 1, 1], [1, 1, 2], [1, 2, 1]])
+        assert self.assert_matches(q) == ["pivot", "add", "swap", "pivot", "pivot"]
 
 
 def _contain_sweep_forms():

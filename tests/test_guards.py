@@ -14,6 +14,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import types
 from fractions import Fraction
 
 import pytest
@@ -353,6 +354,66 @@ def test_simdiag_rejects_an_indefinite_r_early(monkeypatch):
     recs.clear()
     assert isinstance(qformkit.simdiag_general(q, q), qformkit.SimDiagResult)
     assert [len(rec) for rec in recs] == [n, n]
+
+
+def test_contain_reads_only_the_rows_its_steps_read(monkeypatch):
+    """q's pass brings a row up to date only when a step reads it: after a
+    proportional decide_containment on the anchored n = 128 pair, whose
+    pass stops after 2 steps, the suspended pass's working rows from
+    step 2 on are still q's own tuples of ints, untouched."""
+    passes = []
+    eliminate = forms._eliminate
+
+    def kept(q, steps, rec):
+        passes.append(eliminate(q, steps, rec))
+        return passes[-1]
+
+    monkeypatch.setattr(forms, "_eliminate", kept)
+    q_rows, r_rows = _anchored_pair(128, 5)
+    q = qformkit.QuadraticForm(q_rows)
+    assert isinstance(qformkit.decide_containment(q, qformkit.QuadraticForm(r_rows)), qformkit.Proportional)
+    (run,) = passes
+    rows, rec = run.gi_frame.f_locals["a"], run.gi_frame.f_locals["rec"]
+    assert len(rec) == 2
+    assert all(row is q_row for row, q_row in zip(rows[2:], q.ints[2:]))
+
+
+class _Stop(Exception):
+    pass
+
+
+def _first_rows(m, k):
+    """m as containment._ratio reads it, with only its first k rows:
+    reading row k raises _Stop."""
+
+    def rows():
+        yield from m.ints[:k]
+        raise _Stop
+
+    return types.SimpleNamespace(den=m.den, ints=rows())
+
+
+def test_ratio_stops_at_the_first_mismatch():
+    """containment._ratio is one int loop over the upper triangle: it
+    returns None at the first entry where R is not alpha*Q, reading no
+    row past it, and where R is nonzero ahead of Q's first nonzero entry;
+    alpha, negative here, is read off Q's first nonzero entry."""
+    n = 6
+    q_rows, r_rows = _anchored_pair(n, 5)
+    q, r = qformkit.QuadraticForm(q_rows), qformkit.QuadraticForm(r_rows)
+    ratio = containment._ratio
+    assert ratio(q, r) == Fraction(-5, 3)
+    with pytest.raises(_Stop):
+        ratio(_first_rows(q, 2), _first_rows(r, 2))
+    r_rows[1][2] = r_rows[2][1] = r_rows[1][2] + 1
+    assert ratio(_first_rows(q, 2), _first_rows(qformkit.QuadraticForm(r_rows), 2)) is None
+    r_rows[1][2] = r_rows[2][1] = r_rows[1][2] - 1
+    r_rows[n - 1][n - 1] += 1
+    assert ratio(q, qformkit.QuadraticForm(r_rows)) is None
+    zero_lead = qformkit.QuadraticForm([[0, 0, 1], [0, 2, 0], [1, 0, -1]])
+    assert ratio(zero_lead, qformkit.QuadraticForm([[0, 0, -7], [0, -14, 0], [-7, 0, 7]])) == -7
+    assert ratio(zero_lead, qformkit.QuadraticForm([[0, 1, -7], [1, -14, 0], [-7, 0, 7]])) is None
+    assert ratio(zero_lead, qformkit.QuadraticForm([[1, 0, -7], [0, -14, 0], [-7, 0, 7]])) is None
 
 
 def _fractions_made(fn, *args):

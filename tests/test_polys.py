@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 import random
 from fractions import Fraction
 from math import comb
@@ -523,3 +525,21 @@ def test_monomial_bound():
     assert poly_from_json(poly(74)).degree == 74
     with pytest.raises(FormatError, match="76076 monomials, more than 75000"):
         poly_from_json(poly(75))
+
+
+@pytest.mark.parametrize(
+    "roundtrip",
+    [lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+def test_polynomial_past_the_bounds_copies(roundtrip):
+    """A polynomial qformkit builds past MAX_MONOMIALS, which no file may
+    hold, copies and pickles equal, as does the zero polynomial: neither
+    is rebuilt through the constructor that checks a file's bounds."""
+    big = poly_from_form(QuadraticForm.diagonal([1] * 386 + [-1]))
+    assert comb(387 + 1, 2) > MAX_MONOMIALS
+    for value in (big, HomogeneousPoly(3, 2, {})):
+        back = roundtrip(value)
+        assert type(back) is HomogeneousPoly
+        assert back == value and hash(back) == hash(value)
+        assert (back.nvars, back.degree, back.terms) == (value.nvars, value.degree, value.terms)
