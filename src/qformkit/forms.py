@@ -165,8 +165,9 @@ class CongruenceDiagonalization(Record):
     log of pivot rows and repairs, and column(f) is built from the log
     the first time any of them reads it, and kept; cols is all n of them,
     and the rational matrix basis is built from cols the first time it
-    is read, by no command.  So a verdict that needs only diag and inertia never
-    builds B, and a witness builds the 1-3 columns its support reads.
+    is read, by no command.  So a verdict that needs only diag and
+    inertia never builds B, and a witness builds the 1-3 columns its
+    support reads.
 
     _run is the pass's state: (the elimination, its log, (d_i, |scale_i|)
     for each step i run so far, the columns built so far by step, n).  A
@@ -187,14 +188,14 @@ class CongruenceDiagonalization(Record):
         negative, then zero d_i, each in pass order."""
         rec = self._run[2]
         any(self._run[0])  # the pass yields None after each step: this runs it to its end
-        return tuple(sorted(range(self._run[4]), key=lambda c: (rec[c][0].numerator <= 0) + (rec[c][0].numerator == 0)))
+        return tuple(sorted(range(self._run[4]), key=lambda c: (rec[c][0] <= 0) + (rec[c][0] == 0)))
 
     diag = property(lambda self: tuple(self._run[2][c][0] for c in self.order), doc="d_i in frame order")
     scales = property(lambda self: tuple(self._run[2][c][1] for c in self.order), doc="|scale_i| in frame order")
 
     @lazy
     def inertia(self) -> Inertia:
-        signs = list(map(_sign, self.diag))
+        signs = [(d > 0) - (d < 0) for d in self.diag]
         return Inertia(signs.count(1), signs.count(-1), signs.count(0))
 
     @lazy

@@ -271,8 +271,7 @@ class TestLazyPassMatchesRightLooking:
             assert lead is None
         else:
             assert lead.inertia is expected.inertia == Inertia(1, 1, 0)
-            signs = [(d > 0) - (d < 0) for d in lead.diag]
-            assert signs == [1, -1]
+            assert [(d > 0) - (d < 0) for d in lead.diag] == [1, -1]
             assert (lead.order, lead.diag, lead.scales) == (expected.order, expected.diag, expected.scales)
         assert (lazy.order, lazy.diag, lazy.inertia, lazy.scales) == (
             right.order, right.diag, right.inertia, right.scales)
