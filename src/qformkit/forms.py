@@ -44,20 +44,23 @@ class _IntMatrix:
     positive denominator: entry (i, j) is ints[i][j] / den, with den the
     lcm of the entries' reduced denominators, so equal matrices hold equal
     (den, ints).  The Fraction rows `matrix` are built the first time they
-    are read, by repr; no command reads them."""
+    are read, by repr; no command reads them.
+
+    The constructor is the one matrix reader, for library callers and
+    matrix files alike (form_from_json, transform_from_json): it refuses
+    an empty or ragged matrix before it reads an entry, then reads the
+    entries with _read_entries, so an error names its entry."""
 
     __slots__ = ()
 
     def __init__(self, rows):
-        rows = [[_read_entry(e) for e in row] for row in rows]
-        if not rows:
+        rows = [*map(tuple, rows)]
+        n = len(rows)
+        if not n:
             raise FormatError("matrix is empty")
-        if any(len(row) != len(rows) for row in rows):
+        if {*map(len, rows)} != {n}:
             raise FormatError("matrix is not square")
-        ratios = {}
-        for x, d in {p for row in rows for p in row}:
-            ratios.setdefault(d, {})[x, d] = x
-        self._fill(rows, ratios)
+        self._fill(rows, _read_entries(rows, n))
 
     def _fill(self, rows, ratios):
         """Entry (i, j) is ratios' value of key rows[i][j], written over
@@ -69,7 +72,8 @@ class _IntMatrix:
 
     @classmethod
     def _of(cls, rows, ratios):
-        """The matrix _fill makes of rows and ratios; no validation."""
+        """The matrix _fill makes of rows and ratios, for a product of
+        matrices already read; no validation."""
         m = cls.__new__(cls)
         m._fill(rows, ratios)
         return m
@@ -186,16 +190,16 @@ class CongruenceDiagonalization(Record):
     def order(self) -> tuple:
         """The pass step of each frame index: the steps of positive, then
         negative, then zero d_i, each in pass order."""
-        rec = self._run[2]
         any(self._run[0])  # the pass yields None after each step: this runs it to its end
-        return tuple(sorted(range(self._run[4]), key=lambda c: (rec[c][0] <= 0) + (rec[c][0] == 0)))
+        signs = [_sign(d) for d, _ in self._run[2]]
+        return tuple(c for s in (1, -1, 0) for c, x in enumerate(signs) if x == s)
 
     diag = property(lambda self: tuple(self._run[2][c][0] for c in self.order), doc="d_i in frame order")
     scales = property(lambda self: tuple(self._run[2][c][1] for c in self.order), doc="|scale_i| in frame order")
 
     @lazy
     def inertia(self) -> Inertia:
-        signs = [(d > 0) - (d < 0) for d in self.diag]
+        signs = [_sign(d) for d in self.diag]
         return Inertia(signs.count(1), signs.count(-1), signs.count(0))
 
     @lazy
@@ -565,7 +569,7 @@ def apply_transform(q: QuadraticForm, L: LinearTransform) -> QuadraticForm:
 # --- matrix exchange format (shared with the CLI) ---------------------------
 
 
-# the entry types matrix_rows_from_json reads once per distinct value;
+# the entry types _read_entries reads once per distinct value;
 # True == 1 and 1.0 == 1, so bool and float must not share their keys
 _INT_OR_TEXT = {int, str}
 
@@ -595,9 +599,11 @@ def _read_entry(e):
 
 
 def matrix_rows_from_json(obj):
-    """(rows, ratios) of a JSON matrix, for _IntMatrix._of: the rows of
-    entries as written, and {d: {entry: x}} with each distinct entry's
-    value x / d, d > 0."""
+    """The rows of a JSON matrix document, for the QuadraticForm or
+    LinearTransform constructor, which reads their entries: the document
+    is an object whose 'dim' is a positive int n and whose 'rows' are n
+    lists of n entries.  Entries before a bad row are read here, so an
+    error there is named before the row's shape."""
     if not isinstance(obj, dict):
         raise FormatError("expected a JSON object with 'dim' and 'rows'")
     try:
@@ -611,16 +617,17 @@ def matrix_rows_from_json(obj):
     if not isinstance(rows, list) or len(rows) != n:
         raise FormatError(f"'rows' must be a list of {n} rows")
     bad = next((i for i, row in enumerate(rows) if not isinstance(row, list) or len(row) != n), n)
-    ratios = _read_entries(rows[:bad], n)  # entries before a bad row fail first
     if bad < n:
+        _read_entries(rows[:bad], n)  # entries before a bad row fail first
         raise FormatError(f"row {bad} must be a list of {n} entries")
-    return rows, ratios
+    return rows
 
 
 def _read_entries(rows, n):
     """{den: {entry: num}} for the entries of rows of n entries each, den
-    > 0; an error names the first bad entry.  A matrix file repeats few
-    values, so each distinct entry is read once."""
+    > 0, keyed by the entry as written; an error names the first bad
+    entry, as (row,column).  A matrix repeats few values, so each
+    distinct int or text entry is read once."""
     entries = [e for row in rows for e in row]
     if {*map(type, entries)} <= _INT_OR_TEXT:
         new = dict.fromkeys(entries)
@@ -638,13 +645,11 @@ def _read_entries(rows, n):
 
 
 def form_from_json(obj) -> QuadraticForm:
-    q = QuadraticForm._of(*matrix_rows_from_json(obj))
-    _check_symmetric(q)
-    return q
+    return QuadraticForm(matrix_rows_from_json(obj))
 
 
 def transform_from_json(obj) -> LinearTransform:
-    return LinearTransform._of(*matrix_rows_from_json(obj))
+    return LinearTransform(matrix_rows_from_json(obj))
 
 
 def matrix_to_json(m: _IntMatrix):

@@ -134,9 +134,8 @@ class QuadExt(Record):
     def __hash__(self):
         # Hash by real value: collapse perfect-square radicands, and key
         # b*sqrt(t) by b^2*t and the sign of b, which every radicand
-        # written for the same value shares.
-        if self.is_zero():
-            return hash(Fraction(0))
+        # written for the same value shares.  A zero value has b = 0 or a
+        # square t, so it hashes as hash(0) by one of the first two.
         if self.rad == 0:
             return hash(self.rat)
         root = exact_sqrt(self.t)
@@ -162,10 +161,9 @@ def _is_zero(rat, rad, tn, td) -> bool:
 
 
 def exact_sqrt(t: Fraction):
-    """Rational square root of t, or None when t is not a perfect square."""
+    """Rational square root of t > 0, or None when t is not a perfect
+    square."""
     num, den = t.numerator, t.denominator
-    if num < 0:
-        return None
     rn, rd = isqrt(num), isqrt(den)
     if rn * rn == num and rd * rd == den:
         return Fraction(rn, rd)

@@ -218,8 +218,7 @@ def _simdiag_in_frame(q, r, dq, dr, tol) -> SimDiagResult:
     eigvals, x = _jacobi_eigh(a)
     b = _float_cols(dq)
     w = [[e * gi for e in b[i]] for i, gi in zip(definite, g)]
-    bcols = [[sum(x[i][j] * wi[k] for i, wi in enumerate(w)) for k in range(n)] for j in range(len(definite))]
-    bcols += [b[f] for f in zero]
+    bcols = linalg.mat_mul(linalg.transpose(x), w) + tuple(b[f] for f in zero)
     qf = [[_float(e, q.den) for e in row] for row in q.ints]
     rf = [[_float(e, r.den) for e in row] for row in r.ints]
     bmat = linalg.transpose(bcols)

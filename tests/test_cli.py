@@ -167,6 +167,15 @@ class TestPolyContain:
         assert main(["poly-contain", q, r, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["verdict"] == "divisible"
 
+    def test_zero_quartic_has_the_zero_quotient(self, tmp_path, capsys):
+        q = write(tmp_path, "q.json", HYP)
+        r = write(tmp_path, "r.json", '{"nvars": 2, "degree": 4, "terms": []}')
+        assert main(["poly-contain", q, r]) == 0
+        assert capsys.readouterr().out == "divisible: quotient = 0\n"
+        assert main(["poly-contain", q, r, "--json"]) == 0
+        out = capsys.readouterr().out
+        assert out == '{"verdict":"divisible","quotient":{"nvars":2,"degree":2,"terms":[]}}\n'
+
     def test_witness(self, tmp_path, capsys):
         q = write(tmp_path, "q.json", HYP)
         r = write(

@@ -64,6 +64,36 @@ def test_symmetry_enforced():
 def test_square_matrix_enforced():
     with pytest.raises(FormatError, match="matrix is not square"):
         QuadraticForm([[1, 2]])
+    # a ragged matrix is refused before any of its entries is read
+    for build in (QuadraticForm, LinearTransform):
+        with pytest.raises(FormatError) as got:
+            build([["x", 1], [1]])
+        assert str(got.value) == "matrix is not square"
+
+
+@pytest.mark.parametrize("build", [QuadraticForm, LinearTransform], ids=["form", "transform"])
+def test_rows_of_any_iterable_build_an_equal_matrix(build):
+    rows = [[2, "1/2"], [Fraction(1, 2), -1]]
+    want = build(rows)
+    assert build(tuple(map(tuple, rows))) == want
+    assert build(tuple(row) for row in rows) == want
+
+
+def test_repr_evaluates_back_to_an_equal_value():
+    names = {"Fraction": Fraction, "QuadraticForm": QuadraticForm,
+             "LinearTransform": LinearTransform, "HomogeneousPoly": HomogeneousPoly}
+    values = [
+        QuadraticForm([[1, "1/2"], ["1/2", -3]]),
+        LinearTransform([[0, "2/3"], [5, 1]]),
+        HomogeneousPoly(2, 2, {(2, 0): Fraction(1, 2), (1, 1): -3}),
+    ]
+    for value in values:
+        assert eval(repr(value), names) == value
+
+
+def test_equality_with_another_type_is_false():
+    assert (QuadraticForm([[1]]) == "x") is False
+    assert (LinearTransform([[1]]) == "x") is False
 
 
 class TestEvaluate:
@@ -548,6 +578,9 @@ ENTRIES = (
 )
 @pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: repr(e)[:12])
 def test_entry_reading_matches_parse_rational(tmp_path, capsys, load, command, entry):
+    """A file and the class constructor read an entry alike: the same
+    value, or the same message, which names the entry."""
+    build = {form_from_json: QuadraticForm, transform_from_json: LinearTransform}[load]
     obj = {"dim": 2, "rows": [[entry, "1/2"], ["1/2", entry]]}
     path = tmp_path / "m.json"
     path.write_text(json.dumps(obj))
@@ -555,14 +588,16 @@ def test_entry_reading_matches_parse_rational(tmp_path, capsys, load, command, e
         want = parse_rational(entry)
     except FormatError as exc:
         message = f"entry (0,0): {exc}"
-        with pytest.raises(FormatError) as got:
-            load(obj)
-        assert str(got.value) == message
+        for read in (lambda: load(obj), lambda: build(obj["rows"])):
+            with pytest.raises(FormatError) as got:
+                read()
+            assert str(got.value) == message
         assert main([command, str(path)]) == 2
         assert capsys.readouterr().err == f"parse error: {message}\n"
     else:
         half = Fraction(1, 2)
         assert load(obj).matrix == ((want, half), (half, want))
+        assert build(obj["rows"]) == load(obj)
         assert main([command, str(path)]) in (0, 1)
 
 

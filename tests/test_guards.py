@@ -487,6 +487,22 @@ def test_built_in_matrices_make_no_fractions(build):
     assert _fractions_made(build)[1] == 0
 
 
+def test_constructor_reads_each_distinct_entry_once(monkeypatch):
+    """QuadraticForm.diagonal([1] * 64) has 4096 entries of two values, 1
+    and 0, and the matrix reader reads each value once."""
+    reads = []
+
+    def counting(e):
+        reads.append(e)
+        return read(e)
+
+    read = forms._read_entry
+    monkeypatch.setattr(forms, "_read_entry", counting)
+    q = qformkit.QuadraticForm.diagonal([1] * 64)
+    assert q.dim == 64 and q.ints[5][5] == 1 and q.ints[5][6] == 0
+    assert sorted(reads) == [0, 1]
+
+
 @pytest.mark.parametrize(
     "entry", [lambda e: e, str, lambda e: f"{e}/6"], ids=["int", "text", "ratio-text"]
 )

@@ -124,6 +124,21 @@ def test_rescaled_radicand_is_the_same_value(rat, rad, t, s):
     assert (over.rat, over.rad, u) == (rat, rad, t)
 
 
+positive_rationals = st.fractions(min_value=Fraction(1, 20), max_value=20, max_denominator=20)
+
+
+@given(small_rationals, positive_rationals, positive_rationals)
+def test_zero_hashes_as_zero(r, s, t):
+    # -r*s + r*sqrt(s^2) is zero with a nonzero sqrt-part when r != 0
+    for zero in (QuadExt(0, 0, t), QuadExt(-r * s, r, s * s)):
+        assert zero == 0 and zero.is_zero()
+        assert hash(zero) == hash(0)
+
+
+def test_equality_with_another_type_is_false():
+    assert (QuadExt(1, 2, 3) == "x") is False
+
+
 class TestQuadExtZero:
     def test_plain_zero(self):
         assert qe(0, 0, 7).is_zero()
