@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import DimensionMismatch, MismatchedRadicand, NoWitnessFound, NotIndefinite
+from .errors import DimensionMismatch, FormatError, MismatchedRadicand, NoWitnessFound, NotIndefinite
 from .forms import CongruenceDiagonalization, QuadraticForm, _read_point, classify, congruence_diagonalize, evaluate
 from .record import Record, _set, lazy
 from .scalars import QuadExt, _is_zero, exact_sqrt, render_quadext, render_ratio, render_rational
@@ -21,7 +21,8 @@ from .scalars import QuadExt, _is_zero, exact_sqrt, render_quadext, render_ratio
 
 class WitnessVector(Record):
     """A vector v with q(v) = 0 and r(v) != 0, and q_value and r_value the
-    QuadExt values there.
+    QuadExt values there; a value given as a rational is held as
+    QuadExt(value).
 
     The private slot _point holds v as a forms.Point, the int normal form
     (a_i + b_i*sqrt(t)) / D of its n coordinates, which the re-check, t
@@ -38,8 +39,8 @@ class WitnessVector(Record):
 
     def __init__(self, coords, q_value, r_value):
         _set(self, "_point", coords)
-        _set(self, "q_value", q_value)
-        _set(self, "r_value", r_value)
+        _set(self, "q_value", q_value if isinstance(q_value, QuadExt) else QuadExt(q_value))
+        _set(self, "r_value", r_value if isinstance(r_value, QuadExt) else QuadExt(r_value))
 
     @lazy
     def coords(self) -> tuple:
@@ -295,10 +296,12 @@ def _holds(q: QuadraticForm, w: WitnessVector, r_at) -> bool:
     carries, at w's point v, which the evaluations read through
     forms._read_point.  It fails closed: coordinates whose
     radicands no rational square joins are no point of one quadratic
-    extension, and are rejected, not raised on.  A length that is not
-    q's or r's raises DimensionMismatch from the evaluation."""
+    extension, and a coordinate that scalars._read_entry refuses (a
+    float, a bool) is no exact value; both are rejected, not raised on.
+    A length that is not q's or r's raises DimensionMismatch from the
+    evaluation."""
     try:
         q_val, r_val = evaluate(q, w._point), r_at(w._point)
-    except MismatchedRadicand:
+    except (MismatchedRadicand, FormatError):
         return False
     return not q_val and bool(r_val) and w.q_value == q_val and w.r_value == r_val

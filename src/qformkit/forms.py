@@ -10,7 +10,7 @@ from fractions import Fraction
 from . import linalg
 from .errors import DimensionMismatch, FormatError, NonSymmetricMatrix
 from .record import Record, _set, lazy
-from .scalars import QuadExt, exact_sqrt, parse_rational, render_ratio
+from .scalars import QuadExt, _read_entry, exact_sqrt, render_ratio
 
 INDEFINITE = "indefinite"
 POSITIVE_DEFINITE = "positive-definite"
@@ -318,12 +318,14 @@ class Point(Record):
 
 def _read_point(x):
     """The Point of x, a Point, which is returned as it is, or a vector of
-    ints, Fractions or QuadExt values, written as entries
-    (a_i + b_i*sqrt(t)) / D.  t is the radicand of the first entry with a
-    sqrt-part, or of the first QuadExt when none has one, and None when
-    no entry is a QuadExt.  QuadExt._align writes the other entries over
-    t, and raises MismatchedRadicand when no rational square joins the
-    two radicands."""
+    QuadExt values and rationals, written as entries
+    (a_i + b_i*sqrt(t)) / D.  Each entry that is not a QuadExt is read by
+    scalars._read_entry, so a coordinate is spelled as a matrix entry is,
+    and a float or a bool raises FormatError.  t is the radicand of the
+    first entry with a sqrt-part, or of the first QuadExt when none has
+    one, and None when no entry is a QuadExt.  QuadExt._align writes the
+    other entries over t, and raises MismatchedRadicand when no rational
+    square joins the two radicands."""
     if type(x) is Point:
         return x
     ext = [c for c in x if isinstance(c, QuadExt)]
@@ -334,7 +336,7 @@ def _read_point(x):
         for c in x
     ]
     parts = [(c.rat, c.rad) if isinstance(c, QuadExt) else (c, 0) for c in x]
-    pairs = [(u.as_integer_ratio(), v.as_integer_ratio()) for u, v in parts]
+    pairs = [(_read_entry(u), _read_entry(v)) for u, v in parts]
     d = math.lcm(*[d for (_, ad), (_, bd) in pairs for d in (ad, bd)])
     a = tuple([an * (d // ad) for (an, ad), _ in pairs])
     b = tuple([bn * (d // bd) for _, (bn, bd) in pairs])
@@ -342,9 +344,9 @@ def _read_point(x):
 
 
 def evaluate(q: QuadraticForm, x):
-    """q(x) for a Point, or a vector of ints, Fractions or QuadExt values;
-    a Fraction when x has no radicand t, that is when no entry is a
-    QuadExt.
+    """q(x) for a Point, or a vector of QuadExt values and rationals as
+    _read_point reads them; a Fraction when x has no radicand t, that is
+    when no entry is a QuadExt.
 
     _read_point writes x as (a + b*sqrt(t)) / D with int vectors a and b,
     whose nonzero entries the products below read.  With
@@ -572,30 +574,6 @@ def apply_transform(q: QuadraticForm, L: LinearTransform) -> QuadraticForm:
 # the entry types _read_entries reads once per distinct value;
 # True == 1 and 1.0 == 1, so bool and float must not share their keys
 _INT_OR_TEXT = {int, str}
-
-
-def _read_entry(e):
-    """(num, den) of a matrix entry or polynomial coefficient, from a
-    JSON file or a constructor, den > 0.  An int is read as it is, a
-    Fraction as its ratio, and text as int() reads it, or as
-    "n/d" with int() on each side of the slash; int() also takes a space
-    or a sign beside the slash, and Fraction() does not, so a digit must
-    stand on either side of it.  Every other spelling (decimals,
-    exponents) and every error goes through parse_rational."""
-    if type(e) is int:
-        return e, 1
-    if type(e) is str:
-        try:
-            if "/" not in e:
-                return int(e), 1
-            num, den = e.split("/", 1)
-            if num[-1:].isdigit() and den[:1].isdigit():
-                d = int(den)
-                if d:
-                    return int(num), d
-        except ValueError:
-            pass
-    return parse_rational(e).as_integer_ratio()
 
 
 def matrix_rows_from_json(obj):

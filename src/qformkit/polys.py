@@ -36,12 +36,11 @@ from .forms import (
     classify,
     congruence_diagonalize,
     _common_denominator,
-    _read_entry,
     _read_point,
 )
 from .forms import evaluate as form_eval
 from .record import Record, _set, lazy
-from .scalars import QuadExt, render_ratio
+from .scalars import QuadExt, _read_entry, render_ratio
 
 # The degree is the one field of a polynomial file whose cost (division,
 # the witness sweep's grid, power tables) does not grow with the file.
@@ -66,7 +65,9 @@ class HomogeneousPoly(Record):
     _fields = ("nvars", "degree", "terms")
 
     def __init__(self, nvars, degree, terms):
-        self._fill(nvars, degree, _term_ratios(nvars, degree, dict(terms).items()))
+        # a mapping's items, or the pairs as given: a repeated exponent is
+        # refused, not overwritten
+        self._fill(nvars, degree, _term_ratios(nvars, degree, terms.items() if hasattr(terms, "items") else terms))
 
     def _fill(self, nvars, degree, ratios):
         den, ints = _common_denominator(ratios)
@@ -398,7 +399,7 @@ def poly_from_json(obj) -> HomogeneousPoly:
                 raise FormatError(f"term {i} must have 'exp' and 'coef'")
             yield term["exp"], term["coef"]
 
-    return HomogeneousPoly._from_ints(nvars, degree, _term_ratios(nvars, degree, pairs()))
+    return HomogeneousPoly(nvars, degree, pairs())
 
 
 def _term_ratios(nvars, degree, pairs):
@@ -409,7 +410,7 @@ def _term_ratios(nvars, degree, pairs):
     MAX_MONOMIALS monomials between them; both are checked before pairs
     is read.  Every term is checked, zero or not: its exponents are nvars
     ints >= 0 that sum to degree, and no other term has them; the
-    coefficient is read by forms._read_entry."""
+    coefficient is read by scalars._read_entry.  An error names its term."""
     # type(), not isinstance(): JSON true and false are no count or degree
     if type(nvars) is not int or nvars < 1:
         raise FormatError(f"'nvars' must be a positive integer, got {nvars!r}")
@@ -441,7 +442,10 @@ def _term_ratios(nvars, degree, pairs):
         if key in seen:
             raise FormatError(f"term {i}: duplicate exponent vector {exp!r}")
         seen.add(key)
-        x, d = _read_entry(coef)
+        try:
+            x, d = _read_entry(coef)
+        except FormatError as exc:
+            raise FormatError(f"term {i}: {exc}") from exc
         if x:
             ratios.setdefault(d, {})[key] = x
     return ratios

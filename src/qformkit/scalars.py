@@ -24,34 +24,53 @@ from .record import Record, _set
 MAX_EXPONENT = 4300
 
 
-def parse_rational(text) -> Fraction:
-    """Parse "n/d" or "n" (also accepts plain ints from JSON), or a
-    decimal such as "1.5e-3" with |exponent| <= MAX_EXPONENT."""
-    if isinstance(text, bool):
-        raise FormatError(f"not a rational: {text!r}")
-    if isinstance(text, int):
-        return Fraction(text)
-    if isinstance(text, Fraction):
-        return text
-    if isinstance(text, str):
+def _read_entry(x):
+    """(num, den), den > 0, of an exact rational a caller hands in: the
+    one reader of matrix entries, polynomial coefficients, point
+    coordinates, QuadExt parts and parse_rational, from a JSON file or a
+    library call.  An int is read as it is, and text as int() reads it,
+    or as "n/d" with int() on each side of the slash; int() also takes a
+    space or a sign beside the slash, and Fraction() does not, so a digit
+    must stand on either side of it.  Any other text (decimals, exponents)
+    is read by Fraction(), with |exponent| <= MAX_EXPONENT.  A Fraction,
+    or an int subclass other than bool, is read by its ratio.  A float, a
+    bool, a Decimal or any other value is no exact rational and raises
+    FormatError."""
+    if type(x) is int:
+        return x, 1
+    if isinstance(x, str):
         try:
-            _, e, exponent = text.lower().partition("e")
+            if "/" not in x:
+                return int(x), 1
+            num, den = x.split("/", 1)
+            if num[-1:].isdigit() and den[:1].isdigit():
+                d = int(den)
+                if d:
+                    return int(num), d
+        except ValueError:
+            pass
+        try:
+            _, e, exponent = x.lower().partition("e")
             if e and abs(int(exponent)) > MAX_EXPONENT:
-                raise FormatError(
-                    f"exponent out of range (|e| > {MAX_EXPONENT}): {text!r}"
-                )
-            return Fraction(text.strip())
+                raise FormatError(f"exponent out of range (|e| > {MAX_EXPONENT}): {x!r}")
+            return Fraction(x.strip()).as_integer_ratio()
         except (ValueError, ZeroDivisionError) as exc:
-            raise FormatError(f"not a rational: {text!r}") from exc
-    raise FormatError(f"not a rational: {text!r}")
+            raise FormatError(f"not a rational: {x!r}") from exc
+    if isinstance(x, Fraction) or isinstance(x, int) and not isinstance(x, bool):
+        return x.as_integer_ratio()
+    raise FormatError(f"not a rational: {x!r}")
+
+
+def parse_rational(x) -> Fraction:
+    """The Fraction of x as _read_entry reads it: an int, a Fraction, or
+    text such as "n/d", "n" or "1.5e-3"."""
+    return x if type(x) is Fraction else Fraction(*_read_entry(x))
 
 
 def render_rational(x: Fraction) -> str:
     """Canonical "n/d" (or "n" when the denominator is 1), exact at any
     size: str(int) refuses more than 4300 digits, str(Decimal(int)) does
     not, and reads the same."""
-    if type(x) is not Fraction:
-        x = Fraction(x)
     return _render(*x.as_integer_ratio())
 
 
@@ -74,6 +93,9 @@ class QuadExt(Record):
     arithmetic: it tests for zero, compares, hashes and renders.  The
     evaluators compute in ints (forms._read_point writes a point of
     QuadExt entries over one radicand) and make a QuadExt of the result.
+    Each part is read by parse_rational, which keeps a Fraction as it is,
+    so QuadExt(x) takes what a matrix entry takes and refuses a float or
+    a bool; a bool is not equal to any QuadExt.
 
     Two values are written over one radicand when their radicands agree,
     when one of them has a zero sqrt-part, or when the radicands differ by
@@ -83,10 +105,7 @@ class QuadExt(Record):
     __slots__ = ("rat", "rad", "t")
 
     def __init__(self, rat=0, rad=0, t=1):
-        # most arguments are already Fractions; re-wrapping one copies it
-        rat = rat if type(rat) is Fraction else Fraction(rat)
-        rad = rad if type(rad) is Fraction else Fraction(rad)
-        t = t if type(t) is Fraction else Fraction(t)
+        rat, rad, t = parse_rational(rat), parse_rational(rad), parse_rational(t)
         if t <= 0:
             raise ValueError(f"radicand must be positive, got {t}")
         _set(self, "rat", rat)
@@ -118,7 +137,8 @@ class QuadExt(Record):
         return not self.is_zero()
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        # a bool is no number here: QuadExt(1) == True is False
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             other = QuadExt(other, 0, self.t)
         elif not isinstance(other, QuadExt):
             return NotImplemented

@@ -2,6 +2,7 @@ import json
 import math
 import pickle
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -37,7 +38,7 @@ from qformkit import (
 )
 from qformkit.cli import _point
 from qformkit.containment import WitnessVector, _first_witness, _holds, _ratio, _witness_family
-from qformkit.errors import MismatchedRadicand, NoWitnessFound
+from qformkit.errors import FormatError, MismatchedRadicand, NoWitnessFound
 from qformkit.forms import INDEFINITE, Inertia, LinearTransform
 
 from conftest import (
@@ -713,6 +714,28 @@ class TestVerifyWitnessValues:
         w = WitnessVector((QuadExt(0, 1, 2), QuadExt(0, 1, 3)), 0, 1)
         assert not verify_witness(HYP, self.R, w)
         assert not verify_poly_witness(HYP, poly_from_form(self.R), w)
+
+    @pytest.mark.parametrize("coords", [(1.0, 1), (1, True), (Decimal(1), 1)])
+    def test_inexact_coordinate_fails_closed(self, coords):
+        # (1, 1) is a witness; a float, bool or Decimal coordinate is no
+        # exact value, so the re-check rejects it rather than reading it
+        assert verify_witness(HYP, self.R, WitnessVector((1, 1), 0, 2))
+        w = WitnessVector(coords, 0, 2)
+        assert not verify_witness(HYP, self.R, w)
+        assert not verify_poly_witness(HYP, poly_from_form(self.R), w)
+
+    def test_rational_values_are_held_as_quadext(self):
+        w = WitnessVector((1, 1), 0, Fraction(2))
+        assert verify_witness(HYP, self.R, w)
+        assert (type(w.q_value), type(w.r_value)) == (QuadExt, QuadExt)
+        assert Counterexample(w).to_json() == {
+            "verdict": "counterexample",
+            "witness": {"t": "1", "coords": [["1", "0"], ["1", "0"]]},
+            "q_value": "0",
+            "r_value": "2",
+        }
+        with pytest.raises(FormatError, match="not a rational: 2.0"):
+            WitnessVector((1, 1), 0, 2.0)
 
 
 # q = x^2 - 2y^2 + 3z^2 + 2xz is refuted over t = 1/2 (the CI package job's pair)

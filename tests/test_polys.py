@@ -5,6 +5,7 @@ import pickle
 import random
 from fractions import Fraction
 from math import comb
+from types import MappingProxyType
 
 import pytest
 import sympy
@@ -470,7 +471,7 @@ def test_coefficient_fast_path_matches_parse_rational(coef):
     except FormatError as exc:
         with pytest.raises(FormatError) as got:
             poly_from_json(obj)
-        assert str(got.value) == str(exc)
+        assert str(got.value) == f"term 0: {exc}"
     else:
         assert poly_from_json(obj).terms.get((1,), Fraction(0)) == want
 
@@ -501,6 +502,25 @@ def test_rejects_booleans_as_integers(obj, message):
 def test_constructor_checks_exponents(terms, message):
     with pytest.raises(FormatError, match=message):
         HomogeneousPoly(2, 2, terms)
+
+
+def test_constructor_reads_pairs_as_given():
+    # a repeated exponent is refused with the file's message, not overwritten
+    pairs = [([2, 0], 1), ([2, 0], 2)]
+    doc = {"nvars": 2, "degree": 2, "terms": [{"exp": e, "coef": c} for e, c in pairs]}
+    with pytest.raises(FormatError) as from_file:
+        poly_from_json(doc)
+    with pytest.raises(FormatError) as from_pairs:
+        HomogeneousPoly(2, 2, pairs)
+    assert str(from_pairs.value) == str(from_file.value) == "term 1: duplicate exponent vector [2, 0]"
+    with pytest.raises(FormatError, match=r"^term 1: duplicate exponent vector \(2, 0\)$"):
+        HomogeneousPoly(2, 2, [((2, 0), 1), ((2, 0), 2)])
+    # list exponents build the polynomial that tuple exponents do, and so
+    # does any mapping
+    p = HomogeneousPoly(2, 2, [([2, 0], 1), ([1, 1], "1/2")])
+    assert p == HomogeneousPoly(2, 2, {(2, 0): 1, (1, 1): Fraction(1, 2)})
+    assert p == HomogeneousPoly(2, 2, MappingProxyType({(2, 0): 1, (1, 1): Fraction(1, 2)}))
+    assert p.terms == {(2, 0): 1, (1, 1): Fraction(1, 2)}
 
 
 def test_verify_poly_witness_compares_the_carried_values():

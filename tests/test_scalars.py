@@ -1,3 +1,5 @@
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,8 @@ from qformkit import (
     HomogeneousPoly,
     MismatchedRadicand,
     QuadExt,
+    QuadraticForm,
+    evaluate,
     parse_rational,
     render_quadext,
     render_rational,
@@ -240,6 +244,58 @@ def test_immutability():
     x = qe(1, 2, 3)
     with pytest.raises(AttributeError):
         x.rat = Fraction(0)
+
+
+# every reader of a rational that a caller hands in, and the value it
+# gives for an input read as v
+_READERS = {
+    "QuadraticForm": (lambda x: QuadraticForm([[x]]).matrix[0][0], lambda v: v),
+    "HomogeneousPoly": (lambda x: HomogeneousPoly(1, 1, {(1,): x}).terms[(1,)], lambda v: v),
+    "QuadExt": (QuadExt, lambda v: v),
+    "evaluate": (lambda x: evaluate(QuadraticForm([[1]]), [x]), lambda v: v * v),
+    "HomogeneousPoly.evaluate": (lambda x: HomogeneousPoly(1, 1, {(1,): 1}).evaluate([x]), lambda v: v),
+    "parse_rational": (parse_rational, lambda v: v),
+}
+
+
+def _outcome(read, x):
+    """The value read gives for x, or its FormatError's message with an
+    entry's or a term's name taken off."""
+    try:
+        return read(x)
+    except FormatError as exc:
+        return re.sub(r"^(entry \(\d+,\d+\)|term \d+): ", "", str(exc))
+
+
+@pytest.mark.parametrize(
+    "x, want",
+    [
+        (0.5, "not a rational: 0.5"),
+        (True, "not a rational: True"),
+        (Decimal("0.5"), "not a rational: Decimal('0.5')"),
+        (None, "not a rational: None"),
+        ("x", "not a rational: 'x'"),
+        ("1e5000", "exponent out of range (|e| > 4300): '1e5000'"),
+        ("1/2", Fraction(1, 2)),
+        (" 3 ", Fraction(3)),
+        ("7/14", Fraction(1, 2)),
+        (Fraction(1, 2), Fraction(1, 2)),
+    ],
+    ids=repr,
+)
+def test_one_reader_for_every_caller_value(x, want):
+    """Constructors, evaluators, QuadExt and parse_rational read a value
+    alike: the same rational, or the same FormatError."""
+    got = {name: _outcome(read, x) for name, (read, _) in _READERS.items()}
+    expected = {name: want if isinstance(want, str) else value(want) for name, (_, value) in _READERS.items()}
+    assert got == expected
+
+
+def test_a_bool_equals_no_quadext():
+    assert (QuadExt(1) == True) is False  # noqa: E712
+    assert (False == QuadExt(0)) is False  # noqa: E712
+    assert QuadExt(1) != True  # noqa: E712
+    assert QuadExt(1) == 1 and QuadExt(0) == Fraction(0)
 
 
 class TestParseRationalBounds:
