@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 
 from .errors import DimensionMismatch, FormatError, MismatchedRadicand, NoWitnessFound, NotIndefinite
-from .forms import CongruenceDiagonalization, QuadraticForm, _read_point, classify, congruence_diagonalize, evaluate
+from .forms import CongruenceDiagonalization, Point, QuadraticForm, _read_point, classify, congruence_diagonalize, evaluate
 from .record import Record, _set, lazy
 from .scalars import QuadExt, _is_zero, exact_sqrt, render_quadext, render_ratio, render_rational
 
@@ -112,7 +112,8 @@ def _decide_in_frame(
     pass only that far, is the indefiniteness test.  B is invertible, so
     B^T R B = alpha*diag(d) exactly when R = alpha*Q: proportionality is
     an entrywise test on the original matrices, and needs no more of the
-    pass.  A refutation resumes it only when construct_witness does.
+    pass.  Neither does a refutation: construct_witness reads its witness
+    off dq.lead, and the pass never runs past it.
     """
     if dq.lead is None:
         raise NotIndefinite(
@@ -122,7 +123,7 @@ def _decide_in_frame(
     alpha = _ratio(q, r)
     if alpha is not None:
         return Proportional(alpha)
-    return Counterexample(construct_witness(dq, r))
+    return Counterexample(construct_witness(dq, r, q))
 
 
 def _ratio(q, r):
@@ -149,85 +150,146 @@ def _ratio(q, r):
 
 def _witness_family(diag, inertia):
     """Null vectors of diag(d) in diagonalizing coordinates, in the fixed
-    iteration order (a)..(e), indices lexicographic, sign + before -.
+    iteration order (a), (b), (d), indices lexicographic, sign + before -.
 
     A member is (tn, td, support): the radicand is t = tn / td with ints
     tn, td > 0, not always in lowest terms, and coordinate i is
     x + y*sqrt(t) for each (i, x, y) in support, and zero elsewhere.
-    Every member is exactly null for the diagonal form; jointly their
-    r-evaluations determine every entry of the transformed r-matrix, so
-    at least one is nonzero whenever r is not proportional to q.  The
-    positive, negative and zero indices are the frame's inertia.blocks.
+    Every member is exactly null for the diagonal form.  The positive,
+    negative and zero indices are the frame's inertia.blocks.  Two kinds
+    of frame are read: a lead frame, of inertia (1, 1, 0), whose family
+    is its two (a) members, and simdiag's semidefinite frame, whose
+    positive or negative block is empty, so that its family is (b), then
+    (d).  (The letters (c) and (e) name members that pair a zero or a
+    second index with a positive and a negative one; no frame read here
+    has them.)
     """
     pos, neg, zero = inertia.blocks
-    nd = [d.as_integer_ratio() for d in diag]
-
-    def radicand(c, a, b=None):
-        # t = (d_a [+ d_b]) / -d_c as (tn, td > 0); d_c has the other sign
-        (an, ad), (cn, cd) = nd[a], nd[c]
-        if b is not None:
-            bn, bd = nd[b]
-            an, ad = an * bd + bn * ad, ad * bd
-        return (an if cn < 0 else -an) * cd, abs(cn) * ad
-
     # (a) e_p +- sqrt(d_p / -d_n) e_n
     for p in pos:
         for ng in neg:
-            tn, td = radicand(ng, p)
+            (pn, pd), (nn, nd) = diag[p].as_integer_ratio(), diag[ng].as_integer_ratio()
             for sign in (1, -1):
-                yield tn, td, ((p, 1, 0), (ng, 0, sign))
+                yield pn * nd, -nn * pd, ((p, 1, 0), (ng, 0, sign))
     # (b) e_z
     for zi in zero:
         yield 1, 1, ((zi, 1, 0),)
-    # (c) +-e_p + sqrt(d_p / -d_n) e_n + e_z
-    for p in pos:
-        for ng in neg:
-            tn, td = radicand(ng, p)
-            for zi in zero:
-                for sign in (1, -1):
-                    yield tn, td, ((p, sign, 0), (ng, 0, 1), (zi, 1, 0))
     # (d) e_z +- e_z'
     for i, zi in enumerate(zero):
         for zj in zero[i + 1 :]:
             for sign in (1, -1):
                 yield 1, 1, ((zi, 1, 0), (zj, sign, 0))
-    # (e) sigma1 e_p + sigma2 e_p' + sqrt((d_p + d_p') / -d_n) e_n,
-    #     then the mirror construction for pairs of negative indices
-    for same, other in ((pos, neg), (neg, pos)):
-        for i, a in enumerate(same):
-            for b in same[i + 1 :]:
-                for c in other:
-                    tn, td = radicand(c, a, b)
-                    for s1 in (1, -1):
-                        for s2 in (1, -1):
-                            yield tn, td, ((a, s1, 0), (b, s2, 0), (c, 0, 1))
 
 
 def construct_witness(
-    diag_q: CongruenceDiagonalization, r: QuadraticForm
+    diag_q: CongruenceDiagonalization, r: QuadraticForm, q: QuadraticForm
 ) -> WitnessVector:
-    """First member of the witness family on which r is exactly nonzero,
-    mapped back to original coordinates.  Unreachable failure when r is
-    genuinely non-proportional.
+    """A point of q's null cone where r is exactly nonzero, for r not
+    proportional to q, read off q's lead frame, diag_q.lead: q's pass is
+    run no further than its first pivot of each sign.
 
-    The first two members, (a) for the first positive and the first
-    negative pivot in pass order, are the whole family of diag_q.lead,
-    with the same radicand and columns: they are tried there first, and
-    only when neither fires is diag_q's pass resumed for the full scan."""
-    witness = (diag_q.lead and _first_witness(diag_q.lead, r)) or _first_witness(diag_q, r)
+    The lead frame's family is its two (a) members, e_p +- sqrt(d_p /
+    -d_n) e_n; they are tried first, and when neither fires,
+    _plane_witness builds the witness in closed form from the frame's two
+    columns.  NoWitnessFound, the fail-closed fault, is raised when r is
+    proportional to q, or when q is not indefinite and has no lead
+    frame."""
+    lead = diag_q.lead
+    witness = lead and (_first_witness(lead, r) or _plane_witness(lead, r, q))
     if witness is None:
-        raise NoWitnessFound(
-            "no family member separates r from q; r is proportional to q"
-        )
+        raise NoWitnessFound("no witness separates r from q; r is proportional to q")
     return witness
 
 
+def _plane_witness(lead, r, q):
+    """The witness of a refutation that lead's two members miss, or None
+    when R = alpha*Q.  It runs in ints: y_p and y_n are lead.column(0)
+    and lead.column(1), columns of B times their scales, and q(.) and r(.)
+    below are the forms of Q_int and R_int, q and r times their
+    denominators, whose ratios and signs are those of q and r.
+
+    Neither member fired, so r vanishes on both null lines of q in the
+    plane span{y_p, y_n}, where q(y_p) > 0 > q(y_n) and q(y_p, y_n) = 0.
+    A binary form that vanishes on both null lines of an indefinite
+    binary form is a multiple of it (the paper's theorem in dimension 2),
+    so r = c*q on that plane, c = r(y_p) / q(y_p).  R is not alpha*Q, so
+    some entry of the upper triangle has R_ij q(y_p) != r(y_p) Q_ij; take
+    the first, and X = (e_i) when i = j, else (e_i, e_j, e_i + e_j).
+
+    For each x in X, y is y_n when Delta = q(x, y)^2 - q(x) q(y) > 0
+    there, else y_p when Delta > 0 there.  The Gram determinant of x and
+    y is -Delta < 0, so q is nondegenerate and indefinite on span{x, y},
+    and the candidates u = q(y) x - q(x, y) y +- sqrt(Delta) y, + first,
+    span its two null lines: q(u) = q(y) (q(y) q(x) - 2 q(x, y)^2
+    + 2 q(x, y)^2 - q(x) q(y)) = 0.  When neither Delta is positive,
+    q(x) >= q(x, y_p)^2 / q(y_p) >= 0 and q(x) <= q(x, y_n)^2 / q(y_n)
+    <= 0, so x is null and Q-orthogonal to both lead columns, and x itself
+    is the one candidate.
+
+    One candidate fires.  Suppose none does.  For x of positive Delta, r
+    vanishes on both null lines of span{x, y}, so r = c_x*q there; y lies
+    in that plane with q(y) != 0, so c_x = r(y) / q(y) = c.  A null x has
+    r(x) = 0 = c*q(x).  So r(x) = c*q(x) for every x in X, and by
+    polarization R_ij = (r(e_i + e_j) - r(e_i) - r(e_j)) / 2 = c*Q_ij,
+    against the choice of (i, j).
+
+    r(u) = q(y)^2 r(x) - 2 q(y) q(x, y) r(x, y) + (q(x, y)^2 + Delta) r(y)
+    +- 2 (q(y) r(x, y) - q(x, y) r(y)) sqrt(Delta), which scalars._is_zero
+    decides.  The witness is u as a Point over t = Delta, divided by the
+    gcd of its entries, with sqrt(Delta) folded into the rational part
+    when Delta is a square, as pullback does.  At most 6 candidates are
+    tried; finding (i, j) costs O(n^2) ints with an early exit, each
+    candidate O(nnz(y)), and no column but lead's two is built.
+    """
+    Q, R, n = q.ints, r.ints, q.dim
+    yp, yn = ([(k, v) for k, v in enumerate(lead.column(f)) if v] for f in (0, 1))
+
+    def form(m, u, v):  # u^T M v, for int vectors u and v as (index, entry) pairs
+        return sum(a * m[k][l] * b for k, a in u for l, b in v)
+
+    qp, rp = form(Q, yp, yp), form(R, yp, yp)
+    ij = next(((i, j) for i, (q_row, r_row) in enumerate(zip(Q, R)) for j in range(i, n)
+               if r_row[j] * qp != rp * q_row[j]), None)
+    if ij is None:
+        return None
+    i, j = ij
+    planes = [(y, form(Q, y, y), form(R, y, y)) for y in (yn, yp)]
+    for x in ([(i, 1)],) if i == j else ([(i, 1)], [(j, 1)], [(i, 1), (j, 1)]):
+        qx = form(Q, x, x)
+        # (y, q(y), r(y), q(x, y), Delta) of the first plane with Delta > 0;
+        # else an empty y with q(y) = 1, so that u = x
+        y, qy, ry, qxy, delta = next(
+            ((y, qy, ry, b, b * b - qx * qy) for y, qy, ry in planes for b in (form(Q, x, y),) if b * b > qx * qy),
+            ((), 1, 0, 0, 0),
+        )
+        rxy = form(R, x, y)
+        rat = qy * qy * form(R, x, x) - 2 * qy * qxy * rxy + (qxy * qxy + delta) * ry
+        rad = 2 * (qy * rxy - qxy * ry)
+        for sign in (1, -1):
+            if not _is_zero(rat, sign * rad, delta, 1):
+                a, b = [0] * n, [0] * n
+                for k, v in x:
+                    a[k] = qy * v
+                for k, v in y:
+                    a[k] -= qxy * v
+                    b[k] = sign * v
+                root, rad = math.isqrt(delta), sign * rad
+                if root * root == delta:  # Delta = 0 too, when u = x
+                    a, b, rat, rad, delta = [u + w * root for u, w in zip(a, b)], [0] * n, rat + rad * root, 0, 1
+                g = math.gcd(*a, *b)
+                t, big = Fraction(delta), g * g * r.den
+                point = Point(t, 1, tuple(u // g for u in a), tuple(w // g for w in b))
+                return WitnessVector(point, QuadExt(0, 0, t), QuadExt(Fraction(rat, big), Fraction(rad, big), t))
+    return None
+
+
 def _first_witness(diag_q: CongruenceDiagonalization, r: QuadraticForm):
-    """construct_witness, or None when no member fires.  R = R_int / den
-    is r's (ints, den).
+    """The witness at the first member of diag_q's witness family on
+    which r is exactly nonzero, or None when no member fires.
+    R = R_int / den is r's (ints, den).
 
     r(Bv) = v^T (B^T R B) v, and a member touches only the entries of
-    B^T R B on its 1-3 support indices, so only those are computed, in
+    B^T R B on its 1 or 2 support indices, so only those are computed, in
     ints: with column c of B = column(c) / scales[c], entry (a, b) is
     E_ab / (scales[a] scales[b] den), E_ab = column(a) . (R_int column(b)),
     with R_int column(b) cached per column.  diag_q.column builds a

@@ -170,7 +170,7 @@ class CongruenceDiagonalization(Record):
     the first time any of them reads it, and kept; cols is all n of them,
     and the rational matrix basis is built from cols the first time it
     is read, by no command.  So a verdict that needs only diag and
-    inertia never builds B, and a witness builds the 1-3 columns its
+    inertia never builds B, and a witness builds the 1 or 2 columns its
     support reads.
 
     _run is the pass's state: (the elimination, its log, (d_i, |scale_i|)

@@ -12,10 +12,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .containment import Proportional, decide_containment, witness_json
-from .errors import DimensionMismatch, InvalidSpeed, NotPythagorean
+from .errors import DimensionMismatch, FormatError, InvalidSpeed, NotPythagorean
 from .forms import LinearTransform, QuadraticForm, apply_transform, matrix_to_json
 from .record import Record
-from .scalars import parse_rational, render_rational
+from .scalars import _read_entry, parse_rational, render_rational
 
 INTERVAL_PRESERVING = "interval-preserving"
 CONFORMAL_SCALING = "conformal-scaling"
@@ -80,9 +80,18 @@ def check_interval_invariance(L: LinearTransform, c=Fraction(1)) -> TransformRep
 
 def boost_from_triple(a: int, b: int, h: int, axis: str = "x") -> LinearTransform:
     """Exact-rational Lorentz boost (c = 1) from a Pythagorean triple:
-    beta = a/h, gamma = h/b, gamma*beta = a/b."""
+    beta = a/h, gamma = h/b, gamma*beta = a/b.  a, b and h are read as
+    matrix entries are, by scalars._read_entry ("3" reads as 3), and each
+    must be an integer: any other value raises FormatError naming it."""
     if axis not in _AXES:
         raise ValueError(f"axis must be one of {sorted(_AXES)}, got {axis!r}")
+    ints = []
+    for x in (a, b, h):
+        num, den = _read_entry(x)
+        if den != 1:
+            raise FormatError(f"not an integer: {x!r}")
+        ints.append(num)
+    a, b, h = ints
     if a <= 0 or b <= 0 or h <= 0 or a * a + b * b != h * h:
         raise NotPythagorean(f"({a}, {b}, {h}) is not a positive Pythagorean triple")
     ax = _AXES[axis]

@@ -172,9 +172,9 @@ def _simdiag_in_frame(q, r, dq, dr, tol) -> SimDiagResult:
     zeros of d (dq.inertia.blocks): they are an exact basis of ker Q, and
     Z_q is contained in Z_r exactly when R maps each of them to zero.
 
-    That test is the witness family of containment.construct_witness.
-    d has one sign off its zeros, and members (a), (c) and (e) each pair
-    a positive with a negative index, so the only members are (b), b_z
+    That test is containment._first_witness, the scan of the witness
+    family.  d has one sign off its zeros, and member (a) pairs a
+    positive with a negative index, so the only members are (b), b_z
     in frame order, then (d), b_z +- b_z'.  r is semidefinite, so
     R = +-C^T C and b^T R b = +-|C b|^2 is zero exactly when R b = 0.  So
     the first member that fires is the first kernel column that R does

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 from qformkit import (
     CongruenceDiagonalization,
+    Counterexample,
     DegreeMismatch,
     DimensionMismatch,
     FormatError,
@@ -13,14 +14,18 @@ from qformkit import (
     Inertia,
     LinearTransform,
     MismatchedRadicand,
+    NotIndefinite,
+    NoWitnessFound,
     NotPythagorean,
     NotSemidefinite,
+    Proportional,
     QuadExt,
     QuadraticForm,
     WitnessVector,
     congruence_diagonalize,
     inertia,
     parse_rational,
+    verify_witness,
 )
 from qformkit import forms, linalg
 
@@ -541,10 +546,13 @@ def rotation_from_triple(a, b, h, plane="xy"):
 
 
 def reference_witness_family(diag, inertia):
-    """The witness family as containment._witness_family yielded it when
-    each construction was written out on its own: (tn, td, support) for
-    (a)..(e) in order, the radicand formula repeated per member kind and
-    the (e) loop repeated for pairs of negative indices."""
+    """The whole witness family of a diagonal frame, (tn, td, support) for
+    (a)..(e) in order, each construction written out on its own.
+    containment._witness_family keeps (a), (b) and (d), the members of
+    the frames it reads; (c) +-e_p + sqrt(d_p / -d_n) e_n + e_z and (e)
+    sigma1 e_p + sigma2 e_p' + sqrt((d_p + d_p') / -d_n) e_n (and its
+    mirror) are scanned only by reference_decide, the full-family
+    reference."""
     n = len(diag)
     k, m = inertia.k, inertia.m
     pos = range(k)
@@ -591,3 +599,71 @@ def reference_witness_family(diag, inertia):
                 for s1 in (1, -1):
                     for s2 in (1, -1):
                         yield tn, td, ((ng, s1, 0), (ng2, s2, 0), (p, 0, 1))
+
+
+def reference_decide(q, r):
+    """(verdict, member): decide_containment as it was when a refutation
+    that q's lead frame missed resumed q's pass and scanned the whole
+    witness family (a)..(e) of the frame run to its end, and the index of
+    the member that fired, None for a proportional verdict.  Members 0
+    and 1 are the lead frame's two, so the decision gives the same bytes
+    exactly when member < 2.
+
+    In Fractions throughout: alpha read off the first nonzero entry of Q
+    and tested entrywise, r at a member v as v^T (B^T R B) v over its
+    support, each entry of B^T R B computed when first read, and the
+    member that fires mapped through the rational basis B, with sqrt(t)
+    folded into the rational part when t is a rational square."""
+    d = congruence_diagonalize(q)
+    if not (d.inertia.k and d.inertia.m):
+        raise NotIndefinite("q is not indefinite")
+    pairs = [(x, y) for q_row, r_row in zip(q.matrix, r.matrix) for x, y in zip(q_row, r_row)]
+    x0, y0 = next((x, y) for x, y in pairs if x)
+    alpha = y0 / x0
+    if all(y == alpha * x for x, y in pairs):
+        return Proportional(alpha), None
+    cols = list(zip(*d.basis))
+    r_cols, entries = {}, {}
+
+    def entry(a, b):
+        if (a, b) not in entries:
+            if b not in r_cols:
+                r_cols[b] = [sum(e * c for e, c in zip(row, cols[b])) for row in r.matrix]
+            entries[a, b] = entries[b, a] = sum(c * e for c, e in zip(cols[a], r_cols[b]))
+        return entries[a, b]
+
+    for k, (tn, td, support) in enumerate(reference_witness_family(d.diag, d.inertia)):
+        t = Fraction(tn, td)
+        terms = [(entry(a, b), xa, ya, xb, yb) for a, xa, ya in support for b, xb, yb in support]
+        r_val = QuadExt(
+            sum(e * (xa * xb + ya * yb * t) for e, xa, ya, xb, yb in terms),
+            sum(e * (xa * yb + ya * xb) for e, xa, ya, xb, yb in terms),
+            t,
+        )
+        if r_val:
+            v = [QuadExt(0, 0, t)] * q.dim
+            for a, x, y in support:
+                v[a] = QuadExt(x, y, t)
+            coords = tuple(map(folded, reference_mat_vec(d.basis, v)))
+            witness = WitnessVector(coords, folded(QuadExt(0, 0, t)), folded(r_val))
+            return Counterexample(witness), k
+    raise NoWitnessFound("the reference family has no member that fires")
+
+
+def folded(x):
+    """The QuadExt x over t = 1 when its radicand is a rational square, as
+    witnesses are printed."""
+    num, den = x.t.as_integer_ratio()
+    rn, rd = math.isqrt(num), math.isqrt(den)
+    if rn * rn == num and rd * rd == den:
+        return QuadExt(x.rat + x.rad * Fraction(rn, rd))
+    return x
+
+
+def assert_witness_holds(q, r, w):
+    """w is a refutation of r against q: verify_witness accepts it, and so
+    does the Fraction evaluation of q and r at its coordinates."""
+    assert verify_witness(q, r, w)
+    assert reference_form_value(q.matrix, w.coords) == 0
+    r_val = reference_form_value(r.matrix, w.coords)
+    assert r_val and r_val == w.r_value

@@ -1,5 +1,4 @@
 import json
-import math
 import pickle
 import random
 from decimal import Decimal
@@ -37,15 +36,18 @@ from qformkit import (
     verify_witness,
 )
 from qformkit.cli import _point
-from qformkit.containment import WitnessVector, _first_witness, _holds, _ratio, _witness_family
+from qformkit.containment import WitnessVector, _holds, _witness_family
 from qformkit.errors import FormatError, MismatchedRadicand, NoWitnessFound
 from qformkit.forms import INDEFINITE, Inertia, LinearTransform
 
 from conftest import (
+    assert_witness_holds,
     inverse,
     mat_scale,
     random_indefinite,
     random_invertible,
+    random_symmetric,
+    reference_decide,
     reference_form_value,
     reference_mat_vec,
     reference_witness_family,
@@ -137,9 +139,9 @@ def test_one_indefiniteness_test(q, simdiag_ok):
 
 class TestConstructWitness:
     def test_diagonal_positive_pair(self):
-        d = congruence_diagonalize(QuadraticForm([[1, 0], [0, -1]]))
+        q = QuadraticForm([[1, 0], [0, -1]])
         r = QuadraticForm([[1, 0], [0, 1]])
-        w = construct_witness(d, r)
+        w = construct_witness(congruence_diagonalize(q), r, q)
         assert w.r_value == 2
 
     def test_perfect_square_radicand(self):
@@ -153,7 +155,7 @@ class TestConstructWitness:
             linalg.mat_mul(linalg.transpose(binv), r_prime), binv
         )
         r = QuadraticForm(r_mat)
-        w = construct_witness(d, r)
+        w = construct_witness(d, r, q)
         # s = sqrt(d1 / -d2) = sqrt(4) = 2 is folded into the rational part
         assert w.t == 1
         assert all(c.rad == 0 for c in (*w.coords, w.q_value, w.r_value))
@@ -164,8 +166,10 @@ class TestConstructWitness:
         q = QuadraticForm.diagonal([1, -1, 0])
         d = congruence_diagonalize(q)
         r = QuadraticForm.diagonal([1, -1, 5])
-        w = construct_witness(d, r)
-        # family member (b): the zero-index basis vector exposes R'_33
+        w = construct_witness(d, r, q)
+        # r = q on the lead plane, and R_22 = 5 is the first entry off it:
+        # e_2 is null and Q-orthogonal to the plane, so the plane route
+        # returns it, as family member (b) did
         assert w.coords == (QuadExt(0), QuadExt(0), QuadExt(1))
         assert w.r_value == 5
 
@@ -297,27 +301,16 @@ class TestJsonRendering:
             w.to_json()
 
 
-# --- reference: the decision path before it moved into one diagonal frame ---
+# --- reference: the brute-force scan of TestBruteForceAgreement, and the
+# full-family reference of conftest.reference_decide
 #
-# classify(q), then a second diagonalization, the full congruent matrix
-# B^T R B and a proportionality scan of it; every witness-family member
-# built as a dense n-vector of QuadExt, mapped through B and evaluated by
-# the O(n^2) Fraction loop of conftest.reference_form_value.
+# B^T R B in full, and every witness-family member built as a dense
+# n-vector of QuadExt and mapped through B.
 
 
 def _congruent_matrix(r, basis):
     bt = linalg.transpose(basis)
     return linalg.mat_mul(linalg.mat_mul(bt, r.matrix), basis)
-
-
-def _is_proportional(rp, diag, alpha):
-    n = len(diag)
-    for i in range(n):
-        for j in range(n):
-            expected = alpha * diag[i] if i == j else Fraction(0)
-            if rp[i][j] != expected:
-                return False
-    return True
 
 
 def _dense(member, n):
@@ -329,38 +322,8 @@ def _dense(member, n):
     return tuple(v)
 
 
-def _reference_decide(q, r):
-    if classify(q) != INDEFINITE:
-        raise NotIndefinite("not indefinite")
-    dq = congruence_diagonalize(q)
-    rp = _congruent_matrix(r, dq.basis)
-    alpha = rp[0][0] / dq.diag[0]
-    if _is_proportional(rp, dq.diag, alpha):
-        return Proportional(alpha)
-    n = q.dim
-    diag_matrix = [[dq.diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
-    for member in _witness_family(dq.diag, dq.inertia):
-        v = _dense(member, n)
-        coords = reference_mat_vec(dq.basis, v)
-        r_val = reference_form_value(r.matrix, coords)
-        if not r_val.is_zero():
-            q_val = reference_form_value(diag_matrix, v)
-            return Counterexample(WitnessVector(tuple(map(_folded, coords)), _folded(q_val), _folded(r_val)))
-    raise NoWitnessFound("reference found no witness")
-
-
 def _exact(x):
     return (x.rat, x.rad, x.t)
-
-
-def _folded(x):
-    """x over t = 1 when its radicand is a rational square, as witnesses are
-    printed."""
-    num, den = x.t.as_integer_ratio()
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return QuadExt(x.rat + x.rad * Fraction(rn, rd))
-    return x
 
 
 def _assert_same_verdict(got, want):
@@ -376,6 +339,21 @@ def _assert_same_verdict(got, want):
     assert _exact(gw.r_value) == _exact(ww.r_value)
     assert str(gw.q_value) == str(ww.q_value)
     assert str(gw.r_value) == str(ww.r_value)
+
+
+def _assert_matches_reference(q, r, got):
+    """got against the full-family reference: the same verdict and alpha;
+    the same witness, byte for byte, where one of the lead frame's two
+    members fires (reference members 0 and 1); and otherwise a witness of
+    the plane route that verify_witness and the Fraction evaluation of q
+    and r both accept.  Returns the reference's member index."""
+    want, member = reference_decide(q, r)
+    if member is None or member < 2:
+        _assert_same_verdict(got, want)
+    else:
+        assert type(got) is Counterexample
+        assert_witness_holds(q, r, got.witness)
+    return member
 
 
 def _zero_diagonal_indefinite(rng, n):
@@ -412,8 +390,9 @@ def _degenerate(rng, n, z):
 
 
 class TestDiagonalFrameEquivalence:
-    """decide_containment against the reference path: same verdict class,
-    same alpha, identical to_json bytes, q_value and r_value."""
+    """decide_containment against the full-family reference: same verdict
+    class and alpha, and where the lead frame's members fire, identical
+    to_json bytes, q_value and r_value (see _assert_matches_reference)."""
 
     def test_anchored_and_random_perturbations(self):
         rng = random.Random(46)
@@ -422,7 +401,7 @@ class TestDiagonalFrameEquivalence:
             q = random_indefinite(rng, n)
             alpha = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
             r = QuadraticForm(mat_scale(q.matrix, alpha))
-            _assert_same_verdict(decide_containment(q, r), _reference_decide(q, r))
+            _assert_matches_reference(q, r, decide_containment(q, r))
             anchored = k % 2 == 0
             rows = [list(row) for row in r.matrix]
             i, j = (0, 0) if anchored else (rng.randrange(n), rng.randrange(n))
@@ -431,7 +410,7 @@ class TestDiagonalFrameEquivalence:
             if i != j:
                 rows[j][i] += eps
             r_bad = QuadraticForm(rows)
-            _assert_same_verdict(decide_containment(q, r_bad), _reference_decide(q, r_bad))
+            _assert_matches_reference(q, r_bad, decide_containment(q, r_bad))
 
     def test_zero_diagonal_forms(self):
         rng = random.Random(47)
@@ -439,11 +418,11 @@ class TestDiagonalFrameEquivalence:
             n = rng.randint(2, 7)
             q = _zero_diagonal_indefinite(rng, n)
             r = QuadraticForm(mat_scale(q.matrix, Fraction(rng.randint(-3, 3))))
-            _assert_same_verdict(decide_containment(q, r), _reference_decide(q, r))
+            _assert_matches_reference(q, r, decide_containment(q, r))
             rows = [list(row) for row in r.matrix]
             rows[0][0] += 1
             r_bad = QuadraticForm(rows)
-            _assert_same_verdict(decide_containment(q, r_bad), _reference_decide(q, r_bad))
+            _assert_matches_reference(q, r_bad, decide_containment(q, r_bad))
 
     def test_degenerate_forms_reach_every_family(self):
         rng = random.Random(48)
@@ -457,8 +436,8 @@ class TestDiagonalFrameEquivalence:
                 continue
             a, b = rng.randrange(n), rng.randrange(n)
             r = _in_frame(q, [(a, b, Fraction(rng.choice([-2, -1, 1, 2])))], Fraction(rng.randint(-2, 2)))
-            got, want = decide_containment(q, r), _reference_decide(q, r)
-            _assert_same_verdict(got, want)
+            got = decide_containment(q, r)
+            _assert_matches_reference(q, r, got)
             if isinstance(got, Counterexample):
                 k, m = d.inertia.k, d.inertia.m
                 lo, hi = sorted((a, b))
@@ -477,14 +456,18 @@ class TestDiagonalFrameEquivalence:
         for bumps in ([(0, 0, Fraction(1))], [(0, 1, Fraction(1))], [(1, 1, Fraction(-3))]):
             r = _in_frame(q, bumps, Fraction(1))
             got = decide_containment(q, r)
-            _assert_same_verdict(got, _reference_decide(q, r))
+            _assert_matches_reference(q, r, got)
             assert got.witness.t == 1  # sqrt(4) is folded into the rational part
 
 
 # Bytes recorded from the dense-member implementation: one case per
 # witness family, so a change in family order or sign order shows here.
 # The four witnesses of a square radicand (t = 1 or 4) were recorded again
-# when sqrt(t) came to be folded into the rational part.
+# when sqrt(t) came to be folded into the rational part.  Rows 2 and 4,
+# which the lead frame's members miss, were recorded again when such a
+# refutation came to take the plane route of containment._plane_witness
+# in place of family members (c) and (e); rows 1, 3 and 5 take it too,
+# and their witnesses kept their bytes.
 _GOLDEN = [
     (
         [[1, 0], [0, -1]],
@@ -501,7 +484,7 @@ _GOLDEN = [
     (
         [[1, 0, 0], [0, -1, 0], [0, 0, 0]],
         [[1, 0, 3], [0, -1, 0], [3, 0, 0]],
-        '{"verdict":"counterexample","witness":{"t":"1","coords":[["1","0"],["1","0"],["1","0"]]},'
+        '{"verdict":"counterexample","witness":{"t":"1","coords":[["-1","0"],["1","0"],["-1","0"]]},'
         '"q_value":"0","r_value":"6"}',
     ),
     (
@@ -513,8 +496,8 @@ _GOLDEN = [
     (
         [[1, 0, 0], [0, 2, 0], [0, 0, -1]],
         [[1, 1, 0], [1, 2, 0], [0, 0, -1]],
-        '{"verdict":"counterexample","witness":{"t":"3","coords":[["1","0"],["1","0"],["0","1"]]},'
-        '"q_value":"0","r_value":"2"}',
+        '{"verdict":"counterexample","witness":{"t":"12","coords":[["-2","0"],["-2","0"],["0","1"]]},'
+        '"q_value":"0","r_value":"8"}',
     ),
     (
         [[3, 0, 0], [0, -1, 0], [0, 0, -2]],
@@ -542,7 +525,11 @@ def _witness(t, *coords):
 
 
 # One witness per family member kind, the member named by the id: q, r,
-# and the certificate the first member that fires gives
+# and the certificate the first member that fires gives.  Kinds (b), (c),
+# (d) and (e) are missed by the lead frame's members and take the plane
+# route of containment._plane_witness: (b) and (d) kept their bytes, and
+# (c) and (e) were recorded again (they were (1, 1, 1) with r = 2, and
+# (1, 1, sqrt(2)) over t = 2 with r = 2).
 _MEMBER_KINDS = {
     # q = diag(1, -1), r = x^2: t = 1 is a square, folded into the rational part
     "a-square-radicand": (
@@ -567,7 +554,7 @@ _MEMBER_KINDS = {
     # q = diag(1, -1, 0), r = 2xz
     "c": (
         [[1, 0, 0], [0, -1, 0], [0, 0, 0]], [[0, 0, 1], [0, 0, 0], [1, 0, 0]],
-        _witness("1", ("1", "0"), ("1", "0"), ("1", "0")), "2",
+        _witness("1", ("-1", "0"), ("1", "0"), ("-1", "0")), "2",
     ),
     # q = diag(1, -1, 0, 0), r = 2 x3 x4
     "d": (
@@ -578,7 +565,7 @@ _MEMBER_KINDS = {
     # q = diag(1, 1, -1), r = 2xy
     "e": (
         [[1, 0, 0], [0, 1, 0], [0, 0, -1]], [[0, 1, 0], [1, 0, 0], [0, 0, 0]],
-        _witness("2", ("1", "0"), ("1", "0"), ("0", "1")), "2",
+        _witness("2", ("-1", "0"), ("-1", "0"), ("0", "1")), "2",
     ),
 }
 
@@ -819,13 +806,15 @@ def test_dimension_mismatch(call):
 def test_construct_witness_on_proportional_r():
     # r = 2q: no family member separates them
     with pytest.raises(NoWitnessFound):
-        construct_witness(congruence_diagonalize(HYP), QuadraticForm([[2, 0], [0, -2]]))
+        construct_witness(congruence_diagonalize(HYP), QuadraticForm([[2, 0], [0, -2]]), HYP)
 
 
 def test_witness_family_matches_reference():
     """The witness family yields the reference's (tn, td, support)
-    sequence, member for member, for random diagonals of every inertia
-    with k, m, z <= 4."""
+    sequence with its 3-index members (c) and (e) left out, member for
+    member, for random diagonals of every inertia with k, m, z <= 4; on
+    the frames it is read on, a lead frame's (1, 1, 0) and a semidefinite
+    one's, that is the whole reference family."""
     rng = random.Random(71)
     for k in range(5):
         for m in range(5):
@@ -839,32 +828,22 @@ def test_witness_family_matches_reference():
                         + [Fraction(0)] * z
                     )
                     ine = Inertia(k, m, z)
-                    assert list(_witness_family(diag, ine)) == list(reference_witness_family(diag, ine))
-
-
-def _full_scan_verdict(q, r):
-    """The verdict of decide_containment from a frame of q run to its end
-    before it is read: indefiniteness by its inertia, then alpha, then the
-    scan of the whole witness family, as the bytes of to_json."""
-    d = congruence_diagonalize(q)
-    d.order  # runs the pass to its end
-    if not (d.inertia.k and d.inertia.m):
-        return "NotIndefinite"
-    alpha = _ratio(q, r)
-    verdict = Proportional(alpha) if alpha is not None else Counterexample(_first_witness(d, r))
-    return json.dumps(verdict.to_json())
+                    family, reference = list(_witness_family(diag, ine)), list(reference_witness_family(diag, ine))
+                    assert family == [member for member in reference if len(member[2]) < 3]
+                    if not (k and m) or (k, m, z) == (1, 1, 0):
+                        assert family == reference
 
 
 def test_stopped_pass_matches_the_full_scan():
     """decide_containment reads q's pass only as far as its first pivot of
-    each sign, and resumes it for the full scan when the first two
-    witness-family members do not fire.  On random q of n <= 9 with mostly
-    zero diagonals, so that the pass repairs and swaps, each against
-    alpha*q and against a one-entry perturbation of it, every verdict has
-    the bytes of the full scan of a frame run to its end, and every
-    witness passes verify_witness."""
+    each sign, for every verdict.  On random q of n <= 9 with mostly zero
+    diagonals, so that the pass repairs and swaps, each against alpha*q
+    and against a one-entry perturbation of it, every verdict is the
+    full-family reference's (conftest.reference_decide, a frame run to
+    its end), with its bytes where the lead frame's members fire, and
+    every witness passes verify_witness and the Fraction evaluation."""
     rng = random.Random(41)
-    seen = {"NotIndefinite": 0, "proportional": 0, "counterexample": 0}
+    seen = {"NotIndefinite": 0, "proportional": 0, "lead": 0, "plane": 0}
     for k in range(1500):
         q = sparse_diagonal_form(rng, k % 9 + 1)
         alpha = Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.randint(1, 4))
@@ -877,11 +856,65 @@ def test_stopped_pass_matches_the_full_scan():
             try:
                 verdict = decide_containment(q, r)
             except NotIndefinite:
-                got = "NotIndefinite"
-            else:
-                got = json.dumps(verdict.to_json())
-                if isinstance(verdict, Counterexample):
-                    assert verify_witness(q, r, verdict.witness)
-            assert got == _full_scan_verdict(q, r)
-            seen[got if got == "NotIndefinite" else json.loads(got)["verdict"]] += 1
+                with pytest.raises(NotIndefinite):
+                    reference_decide(q, r)
+                seen["NotIndefinite"] += 1
+                continue
+            member = _assert_matches_reference(q, r, verdict)
+            seen["proportional" if member is None else "lead" if member < 2 else "plane"] += 1
     assert min(seen.values()) >= 200
+
+
+def _plane_route_pair(rng, n, shape, relation):
+    """(q, r) for the plane route's property test: q indefinite of one of
+    four shapes, and r proportional to q, q perturbed at one entry, or a
+    random form unrelated to q."""
+    while True:
+        if shape == "anchored":
+            q = random_symmetric(rng, n, -3, 3)
+            rows = [list(row) for row in q.matrix]
+            rows[0][0], rows[1][1] = Fraction(2), Fraction(-1)
+            q = QuadraticForm(rows)
+        elif shape == "zero-diagonal":
+            q = _zero_diagonal_indefinite(rng, n)
+        elif shape == "singular-PtDP":
+            d = [rng.choice((-2, -1, 1, 3)) for _ in range(n)]
+            d[0], d[1], d[rng.randrange(2, n)] = 1, -1, 0
+            p = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+            q = QuadraticForm([[sum(p[k][i] * d[k] * p[k][j] for k in range(n)) for j in range(n)] for i in range(n)])
+        else:
+            q = random_symmetric(rng, n, -3, 3)
+        if classify(q) == INDEFINITE:
+            break
+    if relation == "unrelated":
+        return q, random_symmetric(rng, n, -3, 3)
+    alpha = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    rows = [list(row) for row in mat_scale(q.matrix, alpha)]
+    if relation == "perturbed":
+        i, j = rng.randrange(n), rng.randrange(n)
+        eps = Fraction(rng.choice((-1, 1)), rng.randint(1, 3))
+        rows[i][j] += eps
+        if i != j:
+            rows[j][i] += eps
+    return q, QuadraticForm(rows)
+
+
+def test_plane_route_matches_the_full_family_reference():
+    """Over 2400 seeded pairs, n = 2..8, of every shape of q (anchored,
+    zero-diagonal, P^T D P with D singular, random) against r
+    proportional to q, perturbed or unrelated: each verdict and alpha is
+    the full-family reference's, each witness passes verify_witness and
+    conftest's Fraction evaluation of q and r, and where the reference's
+    lead members fire the witness has the reference's bytes.  Both routes
+    of a refutation are taken many times."""
+    rng = random.Random(51)
+    routes = {"proportional": 0, "lead": 0, "plane": 0}
+    for k in range(2400):
+        shape = ("anchored", "zero-diagonal", "singular-PtDP", "random")[k % 4]
+        relation = ("proportional", "perturbed", "unrelated")[k // 4 % 3]
+        # an indefinite P^T D P with D singular needs n >= 3
+        n = rng.randint(3 if shape == "singular-PtDP" else 2, 8)
+        q, r = _plane_route_pair(rng, n, shape, relation)
+        member = _assert_matches_reference(q, r, decide_containment(q, r))
+        routes["proportional" if member is None else "lead" if member < 2 else "plane"] += 1
+    assert min(routes.values()) >= 400

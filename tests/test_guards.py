@@ -14,6 +14,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 import types
 from fractions import Fraction
 
@@ -321,8 +322,9 @@ def test_contain_stops_at_the_first_pivot_of_each_sign(monkeypatch):
     sign when that settles the verdict: the anchored n = 32 pair has
     d_0 = 2 and d_1 = -1 - a_01^2 / 2 < 0 at steps 0 and 1, so its proportional
     twin and its perturbation at (0, 0), which the first witness-family
-    member exposes, run 2 of the 32 steps.  A degenerate-b refutation
-    needs family member (b), so it resumes the pass and runs all n."""
+    member exposes, run 2 of the 32 steps.  A degenerate-b refutation,
+    which the lead frame's members miss, is read off the plane route and
+    runs the same 2 of its 8 steps."""
     recs = _steps_run(monkeypatch)
     q_rows, r_rows = _anchored_pair(32, 5)
     q = qformkit.QuadraticForm(q_rows)
@@ -337,7 +339,33 @@ def test_contain_stops_at_the_first_pivot_of_each_sign(monkeypatch):
     verdict = qformkit.decide_containment(q, r)
     assert isinstance(verdict, qformkit.Counterexample) and qformkit.verify_witness(q, r, verdict.witness)
     assert verdict.witness.coords == (0,) * 7 + (1,)
-    assert [len(rec) for rec in recs] == [8]
+    assert [len(rec) for rec in recs] == [2]
+
+
+def test_off_anchor_refutation_reads_only_the_lead_frame(monkeypatch):
+    """A refutation the lead frame's members miss is read off the lead
+    frame alone: on the anchored n = 128 pair with r perturbed at
+    (n - 1, n - 2), q's pass runs the lead frame's 2 steps of 128, only
+    its 2 columns of B are built, and the decision with its re-check
+    takes under 10 ms in-process (best of 3)."""
+    n = 128
+    q_rows, r_rows = _anchored_pair(n, 5)
+    r_rows[n - 1][n - 2] += 1
+    r_rows[n - 2][n - 1] += 1
+    q, r = qformkit.QuadraticForm(q_rows), qformkit.QuadraticForm(r_rows)
+    assert containment._first_witness(forms.congruence_diagonalize(q).lead, r) is None
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        verdict, rechecked = _refute_and_recheck(q, r)
+        times.append(time.perf_counter() - start)
+        assert rechecked
+    assert min(times) < 0.010
+    recs = _steps_run(monkeypatch)
+    built = _count_column_builds(monkeypatch)
+    assert isinstance(qformkit.decide_containment(q, r), qformkit.Counterexample)
+    assert [len(rec) for rec in recs] == [2]
+    assert sorted(built) == [0, 1]
 
 
 def test_simdiag_rejects_an_indefinite_r_early(monkeypatch):

@@ -1,10 +1,12 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from qformkit import (
     DimensionMismatch,
+    FormatError,
     Inertia,
     InvalidSpeed,
     LinearTransform,
@@ -72,6 +74,24 @@ class TestBoost:
     def test_unknown_axis(self):
         with pytest.raises(ValueError, match="axis must be one of"):
             boost_from_triple(3, 4, 5, "w")
+
+    @pytest.mark.parametrize(
+        "triple, message",
+        [
+            ((3.0, 4, 5), "not a rational: 3.0"),
+            ((3, 4.0, 5.0), "not a rational: 4.0"),
+            ((True, 4, 5), "not a rational: True"),
+            ((3, 4, Fraction(11, 2)), "not an integer: Fraction(11, 2)"),
+        ],
+    )
+    def test_triple_is_read_by_the_one_rational_reader(self, triple, message):
+        """a, b and h are read as matrix entries are, and must be integers:
+        any other value is a FormatError that names it."""
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            boost_from_triple(*triple)
+
+    def test_triple_text_reads_as_a_matrix_entry_does(self):
+        assert boost_from_triple("3", 4, Fraction(5)) == boost_from_triple(3, 4, 5)
 
 
 class TestRotation:
