@@ -158,11 +158,10 @@ def _witness_family(diag, inertia):
     Every member is exactly null for the diagonal form.  The positive,
     negative and zero indices are the frame's inertia.blocks.  Two kinds
     of frame are read: a lead frame, of inertia (1, 1, 0), whose family
-    is its two (a) members, and simdiag's semidefinite frame, whose
-    positive or negative block is empty, so that its family is (b), then
-    (d).  (The letters (c) and (e) name members that pair a zero or a
-    second index with a positive and a negative one; no frame read here
-    has them.)
+    is its two (a) members, and a semidefinite frame, whose positive or
+    negative block is empty, so that its family is (b), then (d).  (The
+    letters (c) and (e) name members that pair a zero or a second index
+    with a positive and a negative one; no frame read here has them.)
     """
     pos, neg, zero = inertia.blocks
     # (a) e_p +- sqrt(d_p / -d_n) e_n
@@ -184,20 +183,25 @@ def _witness_family(diag, inertia):
 def construct_witness(
     diag_q: CongruenceDiagonalization, r: QuadraticForm, q: QuadraticForm
 ) -> WitnessVector:
-    """A point of q's null cone where r is exactly nonzero, for r not
-    proportional to q, read off q's lead frame, diag_q.lead: q's pass is
-    run no further than its first pivot of each sign.
-
-    The lead frame's family is its two (a) members, e_p +- sqrt(d_p /
-    -d_n) e_n; they are tried first, and when neither fires,
+    """A point of q's null cone where r is exactly nonzero.  For an
+    indefinite q and r not proportional to q, it is read off q's lead
+    frame, diag_q.lead, so q's pass runs no further than its first pivot
+    of each sign: the lead frame's family is its two (a) members,
+    e_p +- sqrt(d_p / -d_n) e_n, tried first, and when neither fires,
     _plane_witness builds the witness in closed form from the frame's two
-    columns.  NoWitnessFound, the fail-closed fault, is raised when r is
-    proportional to q, or when q is not indefinite and has no lead
-    frame."""
+    columns.  A semidefinite q has no lead frame, and its family is its
+    kernel's, (b) then (d), scanned on diag_q.
+
+    NoWitnessFound, the fail-closed fault, is raised when no point
+    separates r from q: r proportional to q, or q definite, or r zero on
+    the kernel of a semidefinite q."""
     lead = diag_q.lead
-    witness = lead and (_first_witness(lead, r) or _plane_witness(lead, r, q))
+    if lead is None:
+        witness = _first_witness(diag_q, r)
+    else:
+        witness = _first_witness(lead, r) or _plane_witness(lead, r, q)
     if witness is None:
-        raise NoWitnessFound("no witness separates r from q; r is proportional to q")
+        raise NoWitnessFound("no witness separates r from q")
     return witness
 
 

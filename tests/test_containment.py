@@ -138,6 +138,17 @@ def test_one_indefiniteness_test(q, simdiag_ok):
 
 
 class TestConstructWitness:
+    def test_semidefinite_q_is_read_off_its_kernel(self):
+        # q = x^2 has no lead frame: its family is the kernel's, e_1 and
+        # e_2 (b), then e_1 +- e_2 (d); r = 2yz is zero on e_1 and e_2
+        q = QuadraticForm.diagonal([1, 0, 0])
+        r = QuadraticForm([[0, 0, 0], [0, 0, 1], [0, 1, 0]])
+        w = construct_witness(congruence_diagonalize(q), r, q)
+        assert w.to_json() == {"t": "1", "coords": [["0", "0"], ["1", "0"], ["1", "0"]]}
+        assert verify_witness(q, r, w)
+        with pytest.raises(NoWitnessFound):
+            construct_witness(congruence_diagonalize(q), QuadraticForm.diagonal([3, 0, 0]), q)
+
     def test_diagonal_positive_pair(self):
         q = QuadraticForm([[1, 0], [0, -1]])
         r = QuadraticForm([[1, 0], [0, 1]])
