@@ -252,20 +252,21 @@ def _plane_witness(lead, r, q):
         return sum(a * m[k][l] * b for k, a in u for l, b in v)
 
     qp, rp = form(Q, yp, yp), form(R, yp, yp)
-    ij = next(((i, j) for i, (q_row, r_row) in enumerate(zip(Q, R)) for j in range(i, n)
-               if r_row[j] * qp != rp * q_row[j]), None)
+    ij = next(((i, j) for i in range(n) for j in range(i, n) if R[i][j] * qp != rp * Q[i][j]), None)
     if ij is None:
         return None
     i, j = ij
     planes = [(y, form(Q, y, y), form(R, y, y)) for y in (yn, yp)]
     for x in ([(i, 1)],) if i == j else ([(i, 1)], [(j, 1)], [(i, 1), (j, 1)]):
         qx = form(Q, x, x)
-        # (y, q(y), r(y), q(x, y), Delta) of the first plane with Delta > 0;
-        # else an empty y with q(y) = 1, so that u = x
-        y, qy, ry, qxy, delta = next(
-            ((y, qy, ry, b, b * b - qx * qy) for y, qy, ry in planes for b in (form(Q, x, y),) if b * b > qx * qy),
-            ((), 1, 0, 0, 0),
-        )
+        # the first lead column y with Delta > 0; with none, x is null and
+        # the one candidate: u = x, as for an empty y with q(y) = 1
+        y, qy, ry, qxy, delta = (), 1, 0, 0, 0
+        for c, qc, rc in planes:
+            b = form(Q, x, c)
+            if b * b > qx * qc:
+                y, qy, ry, qxy, delta = c, qc, rc, b, b * b - qx * qc
+                break
         rxy = form(R, x, y)
         rat = qy * qy * form(R, x, x) - 2 * qy * qxy * rxy + (qxy * qxy + delta) * ry
         rad = 2 * (qy * rxy - qxy * ry)
