@@ -263,9 +263,9 @@ def _plane_witness(lead, r, q):
         # the one candidate: u = x, as for an empty y with q(y) = 1
         y, qy, ry, qxy, delta = (), 1, 0, 0, 0
         for c, qc, rc in planes:
-            b = form(Q, x, c)
-            if b * b > qx * qc:
-                y, qy, ry, qxy, delta = c, qc, rc, b, b * b - qx * qc
+            qxc = form(Q, x, c)
+            if qxc * qxc > qx * qc:
+                y, qy, ry, qxy, delta = c, qc, rc, qxc, qxc * qxc - qx * qc
                 break
         rxy = form(R, x, y)
         rat = qy * qy * form(R, x, x) - 2 * qy * qxy * rxy + (qxy * qxy + delta) * ry
