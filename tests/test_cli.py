@@ -748,6 +748,8 @@ def test_deeply_nested_json_exit_2(tmp_path, capsys, kind):
 # two lorentz entries were recorded again when the sqrt(1) of their
 # witness event came to be folded into its rational part.  The demo entry
 # was recorded while kernel_basis still eliminated on the Fraction matrix.
+# The dense8, kernel3 and rank3 entries were recorded before every exact
+# form value came to be read through forms._apply.
 GOLDEN_INPUTS = {
     "s2": S2,
     "s2p": S2P,
@@ -765,6 +767,21 @@ GOLDEN_INPUTS = {
     # the second, and their sum would fire too if (d) came before (b)
     "kernel2": '{"dim": 3, "rows": [[1,1,0],[1,1,0],[0,0,0]]}',
     "kernel2_break": '{"dim": 3, "rows": [[1,1,0],[1,1,0],[0,0,2]]}',
+    # q's lead frame is e_0 and the dense (-1, ..., -1, 8); r = q + x_0^2 fires member (a)
+    "dense8": '{"dim": 8, "rows": [[2,1,1,1,1,1,1,1],[1,2,1,1,1,1,1,1],[1,1,2,1,1,1,1,1],'
+    '[1,1,1,2,1,1,1,1],[1,1,1,1,2,1,1,1],[1,1,1,1,1,2,1,1],[1,1,1,1,1,1,2,1],[1,1,1,1,1,1,1,-3]]}',
+    "dense8_break": '{"dim": 8, "rows": [[3,1,1,1,1,1,1,1],[1,2,1,1,1,1,1,1],[1,1,2,1,1,1,1,1],'
+    '[1,1,1,2,1,1,1,1],[1,1,1,1,2,1,1,1],[1,1,1,1,1,2,1,1],[1,1,1,1,1,1,2,1],[1,1,1,1,1,1,1,-3]]}',
+    # a psd q of rank 3 with z = 3; r = q + x_4^2 misses the first kernel
+    # column of q's frame and fires on the second
+    "kernel3": '{"dim": 6, "rows": [[5,2,-2,1,1,2],[2,5,1,0,1,1],[-2,1,2,1,-1,0],'
+    '[1,0,1,6,-3,3],[1,1,-1,-3,2,-1],[2,1,0,3,-1,2]]}',
+    "kernel3_break": '{"dim": 6, "rows": [[5,2,-2,1,1,2],[2,5,1,0,1,1],[-2,1,2,1,-1,0],'
+    '[1,0,1,6,-3,3],[1,1,-1,-3,3,-1],[2,1,0,3,-1,2]]}',
+    # q = C^T C and r = C^T M C with C 3 x 5 and M positive definite: z = 2,
+    # and the float basis reads the exact W^T R W
+    "rank3": '{"dim": 5, "rows": [[5,2,-2,1,7],[2,5,1,0,1],[-2,1,2,1,-4],[1,0,1,6,0],[7,1,-4,0,11]]}',
+    "rank3_in": '{"dim": 5, "rows": [[6,7,1,6,5],[7,15,4,6,3],[1,4,2,3,-1],[6,6,3,15,3],[5,3,-1,3,6]]}',
 }
 
 GOLDEN = [
@@ -809,6 +826,52 @@ GOLDEN = [
         1,
         '{"verdict":"counterexample","witness":{"t":"1","coords":[["0","0"],["0","0"],["1","0"]]},'
         '"q_value":"0","r_value":"2"}\n',
+    ),
+    (
+        ("simdiag", "kernel3", "kernel3_break"),
+        1,
+        "counterexample: q vanishes but r does not at\n"
+        "  v = (1, -1, 2, 0, 1, 0)\n"
+        "  q(v) = 0, r(v) = 1\n",
+    ),
+    (
+        ("simdiag", "kernel3", "kernel3_break", "--json"),
+        1,
+        '{"verdict":"counterexample","witness":{"t":"1","coords":[["1","0"],["-1","0"],["2","0"],'
+        '["0","0"],["1","0"],["0","0"]]},"q_value":"0","r_value":"1"}\n',
+    ),
+    (
+        ("simdiag", "rank3", "rank3_in"),
+        0,
+        "simultaneously diagonalizable\n"
+        "q_diag: 1 1 1 0 0\n"
+        "r_diag: 0.467911113762 1.65270364467 3.87938524157 0 0\n"
+        "residual: 1.776e-15\n",
+    ),
+    (
+        ("simdiag", "rank3", "rank3_in", "--json"),
+        0,
+        '{"basis":[[0.16557775780404144,0.7761613422277013,0.6084057666984096,-2.3333333333333335,-1.0],'
+        "[0.06377532802661556,-0.8100954854868434,-0.07965349079356132,1.6666666666666667,0.0],"
+        "[-0.5128741131379025,1.1032238993441152,0.923683119539547,-3.6666666666666665,1.0],"
+        "[0.0,0.0,0.0,1.0,0.0],[0.0,0.0,0.0,0.0,1.0]],"
+        '"q_diag":[1.0,1.0,1.0,0.0,0.0],"r_diag":[0.4679111137620439,1.6527036446661392,3.879385241571817,0.0,0.0],'
+        '"residual":1.7763568394002497e-15}\n',
+    ),
+    (
+        ("contain", "dense8", "dense8_break"),
+        1,
+        "counterexample: q vanishes but r does not at\n"
+        "  v = (1 + -1/8*sqrt(16/31), 0 + -1/8*sqrt(16/31), 0 + -1/8*sqrt(16/31), 0 + -1/8*sqrt(16/31), "
+        "0 + -1/8*sqrt(16/31), 0 + -1/8*sqrt(16/31), 0 + -1/8*sqrt(16/31), 0 + 1*sqrt(16/31))\n"
+        "  q(v) = 0, r(v) = 125/124 + -1/4*sqrt(16/31)\n",
+    ),
+    (
+        ("contain", "dense8", "dense8_break", "--json"),
+        1,
+        '{"verdict":"counterexample","witness":{"t":"16/31","coords":[["1","-1/8"],["0","-1/8"],'
+        '["0","-1/8"],["0","-1/8"],["0","-1/8"],["0","-1/8"],["0","-1/8"],["0","1"]]},'
+        '"q_value":"0","r_value":"125/124 + -1/4*sqrt(16/31)"}\n',
     ),
     (
         ("contain", "hyp3", "circle3"),
