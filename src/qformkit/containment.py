@@ -10,11 +10,13 @@ checkable certificate.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
 from .errors import DimensionMismatch, FormatError, MismatchedRadicand, NoWitnessFound, NotIndefinite
-from .forms import CongruenceDiagonalization, Point, QuadraticForm, _read_point, classify, congruence_diagonalize, evaluate
+from .forms import CongruenceDiagonalization, Point, QuadraticForm, classify, congruence_diagonalize, evaluate
+from .forms import _apply, _dot, _read_point
 from .record import Record, _set, lazy
 from .scalars import QuadExt, _is_zero, exact_sqrt, render_quadext, render_ratio, render_rational
 
@@ -189,28 +191,40 @@ def construct_witness(
     of each sign: the lead frame's family is its two (a) members,
     e_p +- sqrt(d_p / -d_n) e_n, tried first, and when neither fires,
     _plane_witness builds the witness in closed form from the frame's two
-    columns.  A semidefinite q has no lead frame, and its family is its
-    kernel's, (b) then (d), scanned on diag_q.
+    columns.  Both read R_int times a lead column from one _products.  A
+    semidefinite q has no lead frame, and its family is its kernel's, (b)
+    then (d), scanned on diag_q.
 
+    DimensionMismatch is raised when q, r and diag_q are not all of one
+    dimension; the frame's is read without running its pass.
     NoWitnessFound, the fail-closed fault, is raised when no point
     separates r from q: r proportional to q, or q definite, or r zero on
     the kernel of a semidefinite q."""
+    if not q.dim == r.dim == diag_q.dim:
+        raise DimensionMismatch(f"dims differ: q {q.dim}, r {r.dim}, frame {diag_q.dim}")
     lead = diag_q.lead
-    if lead is None:
-        witness = _first_witness(diag_q, r)
-    else:
-        witness = _first_witness(lead, r) or _plane_witness(lead, r, q)
+    frame = lead or diag_q
+    r_col = _products(r, frame)
+    witness = _first_witness(frame, r, r_col) or lead and _plane_witness(lead, r, q, r_col)
     if witness is None:
         raise NoWitnessFound("no witness separates r from q")
     return witness
 
 
-def _plane_witness(lead, r, q):
+def _products(m: QuadraticForm, frame: CongruenceDiagonalization):
+    """f -> M_int column(f), m's ints times column f of frame, made by
+    forms._apply the first time f is read, and kept: one product per
+    column a frame reads."""
+    return functools.cache(lambda f: _apply(m.ints, frame.column(f)))
+
+
+def _plane_witness(lead, r, q, r_col):
     """The witness of a refutation that lead's two members miss, or None
     when R = alpha*Q.  It runs in ints: y_p and y_n are lead.column(0)
     and lead.column(1), columns of B times their scales, and q(.) and r(.)
     below are the forms of Q_int and R_int, q and r times their
-    denominators, whose ratios and signs are those of q and r.
+    denominators, whose ratios and signs are those of q and r.  r_col is
+    _products of r on lead.
 
     Neither member fired, so r vanishes on both null lines of q in the
     plane span{y_p, y_n}, where q(y_p) > 0 > q(y_n) and q(y_p, y_n) = 0.
@@ -241,43 +255,39 @@ def _plane_witness(lead, r, q):
     +- 2 (q(y) r(x, y) - q(x, y) r(y)) sqrt(Delta), which scalars._is_zero
     decides.  The witness is u as a Point over t = Delta, divided by the
     gcd of its entries, with sqrt(Delta) folded into the rational part
-    when Delta is a square, as pullback does.  At most 6 candidates are
-    tried; finding (i, j) costs O(n^2) ints with an early exit, each
-    candidate O(nnz(y)), and no column but lead's two is built.
+    when Delta is a square, as pullback does.
+
+    Every value is a dot of forms._apply's products: Q_int y and R_int y
+    once for each lead column, and Q_int x and R_int x, which read at
+    most two rows, for each x.  At most 6 candidates are tried; finding
+    (i, j) costs O(n^2) ints with an early exit, each x O(n) beyond its
+    products, and no column but lead's two is built.
     """
     Q, R, n = q.ints, r.ints, q.dim
-    yp, yn = ([(k, v) for k, v in enumerate(lead.column(f)) if v] for f in (0, 1))
-
-    def form(m, u, v):  # u^T M v, for int vectors u and v as (index, entry) pairs
-        return sum(a * m[k][l] * b for k, a in u for l, b in v)
-
-    qp, rp = form(Q, yp, yp), form(R, yp, yp)
+    # (y, q(y), r(y)) for y_n, then y_p
+    planes = [(y, _dot(y, _apply(Q, y)), _dot(y, r_col(f))) for f in (1, 0) for y in (lead.column(f),)]
+    _, qp, rp = planes[1]
     ij = next(((i, j) for i in range(n) for j in range(i, n) if R[i][j] * qp != rp * Q[i][j]), None)
     if ij is None:
         return None
-    i, j = ij
-    planes = [(y, form(Q, y, y), form(R, y, y)) for y in (yn, yp)]
-    for x in ([(i, 1)],) if i == j else ([(i, 1)], [(j, 1)], [(i, 1), (j, 1)]):
-        qx = form(Q, x, x)
+    e_i, e_j = ([int(k == l) for k in range(n)] for l in ij)
+    for x in (e_i,) if e_i == e_j else (e_i, e_j, [u + v for u, v in zip(e_i, e_j)]):
+        qx, rx = _apply(Q, x), _apply(R, x)
+        qxx = _dot(x, qx)
         # the first lead column y with Delta > 0; with none, x is null and
-        # the one candidate: u = x, as for an empty y with q(y) = 1
-        y, qy, ry, qxy, delta = (), 1, 0, 0, 0
+        # the one candidate: u = x, as for y = 0 with q(y) = 1
+        y, qy, ry, qxy, delta = [0] * n, 1, 0, 0, 0
         for c, qc, rc in planes:
-            qxc = form(Q, x, c)
-            if qxc * qxc > qx * qc:
-                y, qy, ry, qxy, delta = c, qc, rc, qxc, qxc * qxc - qx * qc
+            qxc = _dot(c, qx)
+            if qxc * qxc > qxx * qc:
+                y, qy, ry, qxy, delta = c, qc, rc, qxc, qxc * qxc - qxx * qc
                 break
-        rxy = form(R, x, y)
-        rat = qy * qy * form(R, x, x) - 2 * qy * qxy * rxy + (qxy * qxy + delta) * ry
+        rxy = _dot(y, rx)
+        rat = qy * qy * _dot(x, rx) - 2 * qy * qxy * rxy + (qxy * qxy + delta) * ry
         rad = 2 * (qy * rxy - qxy * ry)
         for sign in (1, -1):
             if not _is_zero(rat, sign * rad, delta, 1):
-                a, b = [0] * n, [0] * n
-                for k, v in x:
-                    a[k] = qy * v
-                for k, v in y:
-                    a[k] -= qxy * v
-                    b[k] = sign * v
+                a, b = [qy * u - qxy * v for u, v in zip(x, y)], [sign * v for v in y]
                 root, rad = math.isqrt(delta), sign * rad
                 if root * root == delta:  # Delta = 0 too, when u = x
                     a, b, rat, rad, delta = [u + w * root for u, w in zip(a, b)], [0] * n, rat + rad * root, 0, 1
@@ -288,19 +298,23 @@ def _plane_witness(lead, r, q):
     return None
 
 
-def _first_witness(diag_q: CongruenceDiagonalization, r: QuadraticForm):
+def _first_witness(diag_q: CongruenceDiagonalization, r: QuadraticForm, r_col):
     """The witness at the first member of diag_q's witness family on
     which r is exactly nonzero, or None when no member fires.
-    R = R_int / den is r's (ints, den).
+    R = R_int / den is r's (ints, den), and r_col is _products of r on
+    diag_q.
 
     r(Bv) = v^T (B^T R B) v, and a member touches only the entries of
     B^T R B on its 1 or 2 support indices, so only those are computed, in
     ints: with column c of B = column(c) / scales[c], entry (a, b) is
-    E_ab / (scales[a] scales[b] den), E_ab = column(a) . (R_int column(b)),
-    with R_int column(b) cached per column.  diag_q.column builds a
-    column of B the first time it is read (see forms._column), so a
-    refutation builds only the columns its scan reads, and cols is not
-    read.
+    E_ab / (scales[a] scales[b] den), E_ab = column(a) . r_col(b), a dot
+    over the product R_int column(b), made once per column the scan
+    reads.  A support lists its indices in frame order, so a <= b, and
+    each E_ab is kept: z kernel columns cost z products and z(z + 1)/2
+    dots of n ints, whatever the z(z - 1) (d) members.  diag_q.column
+    builds a column of B the first time it is read (see forms._column),
+    so a refutation builds only the columns its scan reads, and cols is
+    not read.
 
     The scan decides r(v) != 0 in ints too.  With t = tn / td, P the
     product of the support's scales and f_a = P / scales[a], r(v) times
@@ -312,21 +326,7 @@ def _first_witness(diag_q: CongruenceDiagonalization, r: QuadraticForm):
     pullback returns, and the two QuadExts made are q's and r's values.
     """
     column, scales = diag_q.column, diag_q.scales
-    r_cols = {}
-    entries = {}
-
-    def entry(a, b):
-        key = (a, b) if a <= b else (b, a)
-        val = entries.get(key)
-        if val is None:
-            a, b = key
-            rb = r_cols.get(b)
-            if rb is None:
-                col = [(i, x) for i, x in enumerate(column(b)) if x]
-                rb = r_cols[b] = [sum(row[i] * x for i, x in col) for row in r.ints]
-            val = entries[key] = sum(x * y for x, y in zip(column(a), rb) if x)
-        return val
-
+    entry = functools.cache(lambda a, b: _dot(column(a), r_col(b)))
     for tn, td, support in _witness_family(diag_q.diag, diag_q.inertia):
         scale = math.prod(scales[a] for a, _, _ in support)
         over = [(a, scale // scales[a], x, y) for a, x, y in support]

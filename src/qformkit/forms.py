@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from fractions import Fraction
 
 from . import linalg
@@ -194,6 +195,7 @@ class CongruenceDiagonalization(Record):
         signs = [_sign(d) for d, _ in self._run[2]]
         return tuple(c for s in (1, -1, 0) for c, x in enumerate(signs) if x == s)
 
+    dim = property(lambda self: self._run[4], doc="n, read without running the pass")
     diag = property(lambda self: tuple(self._run[2][c][0] for c in self.order), doc="d_i in frame order")
     scales = property(lambda self: tuple(self._run[2][c][1] for c in self.order), doc="|scale_i| in frame order")
 
@@ -233,7 +235,7 @@ class CongruenceDiagonalization(Record):
         """column(f) for each f; the log is let go once all n columns of
         the pass are built."""
         cols = tuple(map(self.column, range(len(self.order))))
-        if len(self._run[3]) == self._run[4]:
+        if len(self._run[3]) == self.dim:
             self._run[1].clear()
         return cols
 
@@ -243,7 +245,7 @@ class CongruenceDiagonalization(Record):
         cols, scales = self.cols, self.scales
         return tuple(
             tuple(Fraction(col[r], s) for col, s in zip(cols, scales))
-            for r in range(self._run[4])
+            for r in range(self.dim)
         )
 
     def pullback(self, support, t) -> Point:
@@ -268,7 +270,7 @@ class CongruenceDiagonalization(Record):
             for a, x, y in support
         ]
         den = math.lcm(*[s * d for _, _, xd, _, yd, s in terms for d in (xd, yd)])
-        rat = rad = [0] * self._run[4]
+        rat = rad = [0] * self.dim
         for col, xn, xd, yn, yd, s in terms:
             if xn:
                 x = xn * den // (s * xd)
@@ -343,26 +345,40 @@ def _read_point(x):
     return Point(None if lead is None else lead.t, d, a, b)
 
 
+def _apply(m, v) -> list:
+    """M v for m the rows of a symmetric int matrix, a form's ints, and v
+    a vector of n ints: the sum of the rows of m at the nonzero entries
+    of v, row i of a symmetric M being its column i.  A zero entry of v
+    costs nothing, so M v costs O(n nnz(v)).  It is the one int product
+    every exact form value is read through, as dots of it with _dot;
+    linalg.mat_vec is the dense product for any matrix."""
+    out = [0] * len(m)
+    for row, x in zip(m, v):
+        if x:
+            out = [acc + e * x for acc, e in zip(out, row)]
+    return out
+
+
+def _dot(u, v):
+    """u . v for int vectors u and v; u^T M v is _dot(u, _apply(m, v))."""
+    return sum(map(operator.mul, u, v))
+
+
 def evaluate(q: QuadraticForm, x):
     """q(x) for a Point, or a vector of QuadExt values and rationals as
     _read_point reads them; a Fraction when x has no radicand t, that is
     when no entry is a QuadExt.
 
-    _read_point writes x as (a + b*sqrt(t)) / D with int vectors a and b,
-    whose nonzero entries the products below read.  With
-    Q = Q_int / den, q(x) = (a^T Q_int a + t b^T Q_int b
-    + 2 a^T Q_int b sqrt(t)) / (D^2 den), read off the int products.
+    _read_point writes x as (a + b*sqrt(t)) / D with int vectors a and b.
+    With Q = Q_int / den, q(x) = (a^T Q_int a + t b^T Q_int b
+    + 2 a^T Q_int b sqrt(t)) / (D^2 den), three dots over the products
+    Q_int a and Q_int b that _apply makes.
     """
     if len(x) != q.dim:
         raise DimensionMismatch(f"vector length {len(x)} != dim {q.dim}")
     p = _read_point(x)
-    a, b = ([(i, v) for i, v in enumerate(c) if v] for c in (p.a, p.b))
-    m = q.ints
-    qa = {i: sum(m[i][j] * v for j, v in a) for i, _ in a}
-    qb = {i: sum(m[i][j] * v for j, v in b) for i in {i for i, _ in a + b}}
-    aqa = sum(v * qa[i] for i, v in a)
-    bqb = sum(v * qb[i] for i, v in b)
-    aqb = sum(v * qb[i] for i, v in a)
+    qa, qb = _apply(q.ints, p.a), _apply(q.ints, p.b)
+    aqa, bqb, aqb = _dot(p.a, qa), _dot(p.b, qb), _dot(p.a, qb)
     big = p.d * p.d * q.den
     tn, td = (1, 1) if p.t is None else p.t.as_integer_ratio()
     rat = Fraction(aqa * td + tn * bqb, big * td)

@@ -315,8 +315,14 @@ def sample_cone_point(diag_q: CongruenceDiagonalization, h, sign):
     the first negative one and t = d_p / -d_n, c = e_p + sign*sqrt(t) e_n
     is null.  Along the line, q(c + s h) = 2 s beta + s^2 delta with
     delta = sum d_i h_i^2 and beta = d_p h_p + sign*sqrt(t) d_n h_n, so
-    v = delta*c - 2*beta*h is null, and Bv is returned.
+    v = delta*c - 2*beta*h is null, and Bv is returned.  c is null only
+    for sign +-1, so another sign raises ValueError, and an h whose length
+    is not q's dimension raises DimensionMismatch.
     """
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be 1 or -1, got {sign!r}")
+    if len(h) != diag_q.dim:
+        raise DimensionMismatch(f"h has {len(h)} entries, q has dim {diag_q.dim}")
     if diag_q.lead is None:
         raise NotIndefinite("a cone point needs an indefinite form")
     d = diag_q.diag

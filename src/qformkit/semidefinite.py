@@ -18,9 +18,9 @@ import math
 from fractions import Fraction
 
 from . import linalg
-from .containment import Counterexample, _decide_in_frame, _first_witness, decide_containment
+from .containment import Counterexample, _decide_in_frame, _first_witness, _products, decide_containment
 from .errors import ContainmentFails, DimensionMismatch, NotSemidefinite, NumericalFailure
-from .forms import CongruenceDiagonalization, QuadraticForm, classify, congruence_diagonalize
+from .forms import CongruenceDiagonalization, QuadraticForm, _dot, classify, congruence_diagonalize
 from .record import Record, _set
 
 DEFAULT_TOL = 1e-9
@@ -183,20 +183,23 @@ def _simdiag_in_frame(q, r, dq, dr, tol) -> SimDiagResult:
     r = (b_z +- b_z')^T R (b_z +- b_z') = 0 and does not fire either: the
     scan comes back empty exactly when Z_q is contained in Z_r.  In that
     case it also tries the z(z - 1) (d) members, whose only new entries
-    are the z(z - 1)/2 products b_z^T (R b_z'), R b_z' cached.
+    are the z(z - 1)/2 dots b_z^T (R b_z') over the z products R b_z'
+    that the (b) members made.
 
     q is semidefinite, so its positive or its negative block is empty,
     and the other is its definite block.  Scaled by 1/sqrt|d_i|, the
     columns there make W^T Q W = +-I, so the eigenvectors X of W^T R W
-    finish the basis as W X.  R is signed to be positive semidefinite for
-    the eigen step, since r and -r have the same zero set; a psd q may
-    pair with an nsd r.
+    finish the basis as W X.  The exact W^T R W is read as the scan's
+    entries are, dots over the products R b_i that _products makes.  R is
+    signed to be positive semidefinite for the eigen step, since r and -r
+    have the same zero set; a psd q may pair with an nsd r.
     """
     oq = _orientation(dq, "q")
     orr = _orientation(dr, "r")
     if q.dim != r.dim:
         raise DimensionMismatch(f"dims differ: {q.dim} vs {r.dim}")
-    witness = _first_witness(dq, r)
+    r_col = _products(r, dq)
+    witness = _first_witness(dq, r, r_col)
     if witness is not None:
         raise ContainmentFails(
             "zero set of q is not contained in zero set of r", witness=witness
@@ -210,7 +213,7 @@ def _simdiag_in_frame(q, r, dq, dr, tol) -> SimDiagResult:
     # W^T R W is built from the exact b_i^T R b_j = column(i) . (R_int column(j)) / (s_i s_j den)
     g = [math.sqrt(_float(diag[i].denominator, abs(diag[i].numerator))) for i in definite]
     s = [scales[i] for i in definite]
-    rbb = linalg.congruent(r.ints, linalg.transpose([dq.column(i) for i in definite]))
+    rbb = [[_dot(dq.column(i), r_col(j)) for j in definite] for i in definite]
     a = [
         [r_unit * _float(e, si * sj * r.den) * gi * gj for e, sj, gj in zip(row, s, g)]
         for row, si, gi in zip(rbb, s, g)

@@ -814,6 +814,25 @@ def test_dimension_mismatch(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "q, r, frame_of",
+    [
+        (HYP, QuadraticForm.diagonal([1, 2, 3]), HYP),
+        (HYP, QuadraticForm([[1]]), HYP),
+        (HYP, QuadraticForm([[1, 0], [0, 1]]), QuadraticForm.diagonal([1, -1, 1])),
+    ],
+    ids=["r-larger", "r-smaller", "frame-of-another-dim"],
+)
+def test_construct_witness_refuses_mismatched_dimensions(q, r, frame_of):
+    """q, r and the frame must share one dimension: with q = diag(1, -1)
+    and r = diag(1, 2, 3), construct_witness once returned (1, 1) with
+    r_value 3, read off r's top-left block, which verify_witness refused,
+    and a 1 x 1 r raised IndexError.  The frame's dimension is read
+    without running its pass."""
+    with pytest.raises(DimensionMismatch, match="dims differ"):
+        construct_witness(congruence_diagonalize(frame_of), r, q)
+
+
 def test_construct_witness_on_proportional_r():
     # r = 2q: no family member separates them
     with pytest.raises(NoWitnessFound):

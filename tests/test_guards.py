@@ -353,7 +353,8 @@ def test_off_anchor_refutation_reads_only_the_lead_frame(monkeypatch):
     r_rows[n - 1][n - 2] += 1
     r_rows[n - 2][n - 1] += 1
     q, r = qformkit.QuadraticForm(q_rows), qformkit.QuadraticForm(r_rows)
-    assert containment._first_witness(forms.congruence_diagonalize(q).lead, r) is None
+    lead = forms.congruence_diagonalize(q).lead
+    assert containment._first_witness(lead, r, containment._products(r, lead)) is None
     times = []
     for _ in range(3):
         start = time.perf_counter()
@@ -649,6 +650,65 @@ def test_witness_builds_only_the_columns_it_reads(monkeypatch):
     built.clear()
     assert isinstance(qformkit.decide_containment(*_proportional_pair()), qformkit.Proportional)
     assert built == []
+
+
+def _count_products(monkeypatch):
+    """(m, v) for every product M v that forms._apply makes from now on,
+    m the rows it multiplies and v the vector as a tuple."""
+    made = []
+    apply = forms._apply
+
+    def counted(m, v):
+        made.append((m, tuple(v)))
+        return apply(m, v)
+
+    monkeypatch.setattr(forms, "_apply", counted)
+    monkeypatch.setattr(containment, "_apply", counted)
+    return made
+
+
+def test_lead_fired_refutation_makes_one_product_per_lead_column(monkeypatch):
+    """The lead frame's member (a) reads the entries (0, 0), (0, 1) and
+    (1, 1) of its B^T R B, dots over R y_p and R y_n: one product for
+    each lead column, whichever sign fires."""
+    q_rows, r_rows = _anchored_pair(32, 5)
+    r_rows[0][0] += 1
+    q, r = qformkit.QuadraticForm(q_rows), qformkit.QuadraticForm(r_rows)
+    made = _count_products(monkeypatch)
+    verdict = qformkit.decide_containment(q, r)
+    assert isinstance(verdict, qformkit.Counterexample)
+    lead = forms.congruence_diagonalize(q).lead
+    assert [(m is r.ints, v) for m, v in made] == [(True, lead.column(0)), (True, lead.column(1))]
+
+
+def test_plane_route_makes_one_product_per_form_and_lead_column(monkeypatch):
+    """A refutation the lead frame's members miss (q = diag(1, -1, 0),
+    r = diag(1, -1, 5)) reads Q y and R y once for each lead column y:
+    the plane route shares the scan's R y, and computes q(y_p) and r(y_p)
+    once.  Its other products are Q x and R x for its one x = e_2."""
+    q, r = qformkit.QuadraticForm.diagonal([1, -1, 0]), qformkit.QuadraticForm.diagonal([1, -1, 5])
+    made = _count_products(monkeypatch)
+    verdict = qformkit.decide_containment(q, r)
+    assert verdict.witness.coords == (0, 0, 1)
+    lead = forms.congruence_diagonalize(q).lead
+    for y in (lead.column(0), lead.column(1)):
+        for m in (q.ints, r.ints):
+            assert sum(n is m and v == y for n, v in made) == 1
+    assert sorted((m is r.ints, v) for m, v in made if v not in (lead.column(0), lead.column(1))) == [
+        (False, (0, 0, 1)), (True, (0, 0, 1))]
+
+
+@pytest.mark.parametrize("x", [
+    (Fraction(1), Fraction(2), Fraction(-1, 3)),
+    (qformkit.QuadExt(1, 2, 3), Fraction(0), qformkit.QuadExt(0, -1, 3)),
+], ids=["rational", "radicand"])
+def test_evaluate_makes_one_product_per_part(monkeypatch, x):
+    """evaluate reads q at (a + b sqrt(t)) / D through Q a and Q b alone."""
+    q = qformkit.QuadraticForm([[1, 2, 0], [2, -1, 3], [0, 3, 5]])
+    made = _count_products(monkeypatch)
+    qformkit.evaluate(q, x)
+    p = forms._read_point(x)
+    assert made == [(q.ints, p.a), (q.ints, p.b)]
 
 
 def test_semidefinite_refutation_builds_only_kernel_columns(monkeypatch):

@@ -14,6 +14,7 @@ from qformkit import (
     CertificateRejected,
     ConePointWitness,
     DegreeMismatch,
+    DimensionMismatch,
     Divisible,
     FormatError,
     HomogeneousPoly,
@@ -334,6 +335,21 @@ class TestSampleConePoint:
         d = congruence_diagonalize(q)
         with pytest.raises(NotIndefinite):
             sample_cone_point(d, (1, 1), 1)
+
+    @pytest.mark.parametrize("sign", [2, 0, -2])
+    def test_sign_other_than_plus_or_minus_one_is_refused(self, sign):
+        """c = e_p + sign*sqrt(t) e_n is null only for sign +-1: on
+        diag(1, -1, 1) with h = (1, 2, 1), sign 2 once gave (6, 10, 4),
+        where q = -48, and sign 0 gave (2, -2, -4), where q = 16."""
+        d = congruence_diagonalize(QuadraticForm.diagonal([1, -1, 1]))
+        with pytest.raises(ValueError, match="sign must be 1 or -1"):
+            sample_cone_point(d, (1, 2, 1), sign)
+
+    @pytest.mark.parametrize("h", [(1, 2), (1, 2, 1, 1)])
+    def test_h_of_another_length_is_refused(self, h):
+        d = congruence_diagonalize(QuadraticForm.diagonal([1, -1, 1]))
+        with pytest.raises(DimensionMismatch, match="h has"):
+            sample_cone_point(d, h, 1)
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_r_vanishing_on_one_line_of_a_rank_two_cone(self, sign):
