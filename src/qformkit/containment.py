@@ -10,7 +10,6 @@ checkable certificate.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 
@@ -215,7 +214,15 @@ def _products(m: QuadraticForm, frame: CongruenceDiagonalization):
     """f -> M_int column(f), m's ints times column f of frame, made by
     forms._apply the first time f is read, and kept: one product per
     column a frame reads."""
-    return functools.cache(lambda f: _apply(m.ints, frame.column(f)))
+    return _kept(lambda f: _apply(m.ints, frame.column(f)))
+
+
+def _kept(fn):
+    """fn with each value kept, by its arguments, once it is made: what
+    functools.cache does, without the microsecond that making one costs,
+    more than a lead-fired scan's products do at small n."""
+    kept = {}
+    return lambda *key: kept[key] if key in kept else kept.setdefault(key, fn(*key))
 
 
 def _plane_witness(lead, r, q, r_col):
@@ -326,7 +333,7 @@ def _first_witness(diag_q: CongruenceDiagonalization, r: QuadraticForm, r_col):
     pullback returns, and the two QuadExts made are q's and r's values.
     """
     column, scales = diag_q.column, diag_q.scales
-    entry = functools.cache(lambda a, b: _dot(column(a), r_col(b)))
+    entry = _kept(lambda a, b: _dot(column(a), r_col(b)))
     for tn, td, support in _witness_family(diag_q.diag, diag_q.inertia):
         scale = math.prod(scales[a] for a, _, _ in support)
         over = [(a, scale // scales[a], x, y) for a, x, y in support]
