@@ -204,7 +204,7 @@ def construct_witness(
     lead = diag_q.lead
     frame = lead or diag_q
     r_col = _products(r, frame)
-    witness = _first_witness(frame, r, r_col) or lead and _plane_witness(lead, r, q, r_col)
+    witness = _first_witness(frame, r, r_col) or (lead and _plane_witness(lead, r, q, r_col))
     if witness is None:
         raise NoWitnessFound("no witness separates r from q")
     return witness
@@ -219,8 +219,9 @@ def _products(m: QuadraticForm, frame: CongruenceDiagonalization):
 
 def _kept(fn):
     """fn with each value kept, by its arguments, once it is made: what
-    functools.cache does, without the microsecond that making one costs,
-    more than a lead-fired scan's products do at small n."""
+    functools.cache does, in a plain dict, since functools.cache takes
+    about a microsecond to make (its update_wrapper), and a refutation
+    makes two."""
     kept = {}
     return lambda *key: kept[key] if key in kept else kept.setdefault(key, fn(*key))
 
