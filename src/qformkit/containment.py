@@ -14,10 +14,12 @@ import math
 from fractions import Fraction
 
 from .errors import DimensionMismatch, FormatError, MismatchedRadicand, NoWitnessFound, NotIndefinite
-from .forms import CongruenceDiagonalization, Point, QuadraticForm, classify, congruence_diagonalize, evaluate
-from .forms import _apply, _dot, _read_point
+from .forms import CongruenceDiagonalization, Point, QuadraticForm, classify, congruence_diagonalize
+from .forms import _apply, _dot, _evaluate, _read_point
+# no code here calls evaluate; perfbench/spans.py wraps it at this binding too
+from .forms import evaluate
 from .record import Record, _set, lazy
-from .scalars import QuadExt, _is_zero, exact_sqrt, render_quadext, render_ratio, render_rational
+from .scalars import _ONE, QuadExt, _is_zero, _join, _sqrt_ratio, render_quadext, render_ratio, render_rational
 
 
 class WitnessVector(Record):
@@ -265,37 +267,45 @@ def _plane_witness(lead, r, q, r_col):
     gcd of its entries, with sqrt(Delta) folded into the rational part
     when Delta is a square, as pullback does.
 
-    Every value is a dot of forms._apply's products: Q_int y and R_int y
-    once for each lead column, and Q_int x and R_int x, which read at
-    most two rows, for each x.  At most 6 candidates are tried; finding
-    (i, j) costs O(n^2) ints with an early exit, each x O(n) beyond its
-    products, and no column but lead's two is built.
+    forms._apply makes Q_int y and R_int y once for each lead column, and
+    q(y) and r(y) are dots over them.  x is e_i, e_j or e_i + e_j, so
+    q(x) and r(x) are sums of at most 4 entries of Q_int and R_int, and
+    q(x, y) and r(x, y) of at most 2 entries of Q_int y and R_int y: no
+    product and no dot is made for x, and x is written out as a vector
+    only for the candidate that fires.  At most 6 candidates are tried;
+    finding (i, j) costs O(n^2) ints with an early exit, each x O(1),
+    and no column but lead's two is built.
     """
     Q, R, n = q.ints, r.ints, q.dim
-    # (y, q(y), r(y)) for y_n, then y_p
-    planes = [(y, _dot(y, _apply(Q, y)), _dot(y, r_col(f))) for f in (1, 0) for y in (lead.column(f),)]
-    _, qp, rp = planes[1]
+    # (y, Q_int y, R_int y, q(y), r(y)) for y_n, then y_p
+    planes = []
+    for f in (1, 0):
+        y, r_y = lead.column(f), r_col(f)
+        q_y = _apply(Q, y)
+        planes.append((y, q_y, r_y, _dot(y, q_y), _dot(y, r_y)))
+    qp, rp = planes[1][3:]
     ij = next(((i, j) for i in range(n) for j in range(i, n) if R[i][j] * qp != rp * Q[i][j]), None)
     if ij is None:
         return None
-    e_i, e_j = ([int(k == l) for k in range(n)] for l in ij)
-    for x in (e_i,) if e_i == e_j else (e_i, e_j, [u + v for u, v in zip(e_i, e_j)]):
-        qx, rx = _apply(Q, x), _apply(R, x)
-        qxx = _dot(x, qx)
+    i, j = ij
+    zero = (0,) * n
+    # x is the sum of e_k over k in x: its values are entries of Q, R and the planes' products
+    for x in ((i,),) if i == j else ((i,), (j,), (i, j)):
+        qxx = sum(Q[k][l] for k in x for l in x)
         # the first lead column y with Delta > 0; with none, x is null and
         # the one candidate: u = x, as for y = 0 with q(y) = 1
-        y, qy, ry, qxy, delta = [0] * n, 1, 0, 0, 0
-        for c, qc, rc in planes:
-            qxc = _dot(c, qx)
+        y, qy, ry, qxy, rxy, delta = zero, 1, 0, 0, 0, 0
+        for c, q_c, r_c, qc, rc in planes:
+            qxc = sum(q_c[k] for k in x)
             if qxc * qxc > qxx * qc:
-                y, qy, ry, qxy, delta = c, qc, rc, qxc, qxc * qxc - qxx * qc
+                y, qy, ry, qxy, rxy, delta = c, qc, rc, qxc, sum(r_c[k] for k in x), qxc * qxc - qxx * qc
                 break
-        rxy = _dot(y, rx)
-        rat = qy * qy * _dot(x, rx) - 2 * qy * qxy * rxy + (qxy * qxy + delta) * ry
+        rxx = sum(R[k][l] for k in x for l in x)
+        rat = qy * qy * rxx - 2 * qy * qxy * rxy + (qxy * qxy + delta) * ry
         rad = 2 * (qy * rxy - qxy * ry)
         for sign in (1, -1):
             if not _is_zero(rat, sign * rad, delta, 1):
-                a, b = [qy * u - qxy * v for u, v in zip(x, y)], [sign * v for v in y]
+                a, b = [qy * (k in x) - qxy * v for k, v in enumerate(y)], [sign * v for v in y]
                 root, rad = math.isqrt(delta), sign * rad
                 if root * root == delta:  # Delta = 0 too, when u = x
                     a, b, rat, rad, delta = [u + w * root for u, w in zip(a, b)], [0] * n, rat + rad * root, 0, 1
@@ -348,12 +358,15 @@ def _first_witness(diag_q: CongruenceDiagonalization, r: QuadraticForm, r_col):
                 rat += e * (xa * xb * td + ya * yb * tn)
                 rad += e * (xa * yb + ya * xb) * td
         if not _is_zero(rat, rad, tn, td):
-            t = Fraction(tn, td)
-            point = diag_q.pullback(support, t)
-            root = exact_sqrt(t)
-            if root is not None:  # pullback folds sqrt(t) into the coordinates; so too r's value
-                rat, rad, t = rat + rad * root, 0, Fraction(1)
+            # sqrt(t), once: pullback folds it into the coordinates, so too r's value
+            root = _sqrt_ratio(tn, td)
             big = scale * scale * r.den * td
+            if root is None:
+                t = Fraction(tn, td)
+            else:
+                rn, rd = root
+                rat, rad, big, t = rat * rd + rad * rn, 0, big * rd, _ONE
+            point = diag_q._pullback(support, t, root)
             r_val = QuadExt(Fraction(rat, big), Fraction(rad, big), t)
             # q(Bv) = v^T diag(d) v is zero by construction of the family
             return WitnessVector(point, QuadExt(0, 0, t), r_val)
@@ -361,22 +374,51 @@ def _first_witness(diag_q: CongruenceDiagonalization, r: QuadraticForm, r_col):
 
 
 def verify_witness(q: QuadraticForm, r: QuadraticForm, w: WitnessVector) -> bool:
-    """Independent certificate check: recompute both values exactly; q's
-    is zero, r's is not, and each equals the value the witness carries."""
-    return _holds(q, w, lambda x: evaluate(r, x))
+    """Independent certificate check: recompute both values exactly, in
+    ints by forms._evaluate; q's is zero, r's is not, and each equals the
+    value the witness carries (see _holds)."""
+    return _holds(q, w, lambda x: _evaluate(r, x))
 
 
 def _holds(q: QuadraticForm, w: WitnessVector, r_at) -> bool:
-    """Whether q(v) = 0, r(v) = r_at(v) != 0, and both equal the values w
-    carries, at w's point v, which the evaluations read through
-    forms._read_point.  It fails closed: coordinates whose
-    radicands no rational square joins are no point of one quadratic
-    extension, and a coordinate that scalars._read_entry refuses (a
-    float, a bool) is no exact value; both are rejected, not raised on.
-    A length that is not q's or r's raises DimensionMismatch from the
-    evaluation."""
+    """Whether q(v) = 0, r(v) != 0, and both equal the values w carries,
+    at w's point v.  q(v) is forms._evaluate's and r(v) is r_at's, an
+    int core of the same form (t, rat, rad, big): the value
+    (rat + rad*sqrt(t)) / big over the radicand t of v as
+    forms._read_point reads it, None for a rational v.  The zero tests
+    are scalars._is_zero's, and _agrees compares each carried value by
+    cross-multiplication, so a witness whose values are written over v's
+    radicand is re-checked with no Fraction and no QuadExt made.
+
+    It fails closed: coordinates whose radicands no rational square
+    joins are no point of one quadratic extension, and a coordinate that
+    scalars._read_entry refuses (a float, a bool) is no exact value; both
+    are rejected, not raised on.  A length that is not q's or r's raises
+    DimensionMismatch from the evaluation."""
     try:
-        q_val, r_val = evaluate(q, w._point), r_at(w._point)
+        (t, q_rat, q_rad, q_big), (_, r_rat, r_rad, r_big) = _evaluate(q, w._point), r_at(w._point)
     except (MismatchedRadicand, FormatError):
         return False
-    return not q_val and bool(r_val) and w.q_value == q_val and w.r_value == r_val
+    t = t or _ONE
+    tn, td = t.as_integer_ratio()
+    return (
+        _is_zero(q_rat, q_rad, tn, td)
+        and not _is_zero(r_rat, r_rad, tn, td)
+        and _agrees(w.q_value, t, q_rat, q_rad, q_big)
+        and _agrees(w.r_value, t, r_rat, r_rad, r_big)
+    )
+
+
+def _agrees(c: QuadExt, t, rat, rad, big) -> bool:
+    """Whether the QuadExt c is (rat + rad*sqrt(t)) / big, ints rat, rad
+    and big > 0.  scalars._join, the one radicand rule, writes c over the
+    radicand of the two, and the difference times big and c's
+    denominators is tested by scalars._is_zero.  Radicands that no
+    rational square joins give False: two such values differ, as
+    QuadExt.__eq__ finds."""
+    try:
+        c, t = _join(rad, t, c)
+    except MismatchedRadicand:
+        return False
+    (cn, cd), (en, ed) = c.rat.as_integer_ratio(), c.rad.as_integer_ratio()
+    return _is_zero((rat * cd - cn * big) * ed, (rad * ed - en * big) * cd, *t.as_integer_ratio())

@@ -8,10 +8,9 @@ import math
 import operator
 from fractions import Fraction
 
-from . import linalg
 from .errors import DimensionMismatch, FormatError, NonSymmetricMatrix
 from .record import Record, _set, lazy
-from .scalars import QuadExt, _read_entry, exact_sqrt, render_ratio
+from .scalars import _ONE, QuadExt, _read_entry, _sqrt_ratio, render_ratio
 
 INDEFINITE = "indefinite"
 POSITIVE_DEFINITE = "positive-definite"
@@ -251,24 +250,35 @@ class CongruenceDiagonalization(Record):
     def pullback(self, support, t) -> Point:
         """B v as a Point, the input coordinates of the frame vector v
         with v_a = x + y*sqrt(t) for each (a, x, y) in support, x and y
-        ints or Fractions, and v_a = 0 elsewhere.  When t is the square of
-        a rational, sqrt(t) is folded into x, and B v is rational over
-        t = 1.
+        ints or Fractions, and v_a = 0 elsewhere, for a positive Fraction
+        t.  When t is the square of a rational, sqrt(t) is folded into x,
+        and B v is rational over t = 1.
 
         Column a of B is column(a) / scales[a], so coordinate i of B v is
         a sum over the support of column(a)[i] (x + y sqrt t) / scales[a];
         it runs in ints over one common denominator D, which is the
-        point's, and no QuadExt is made.  Only the support's columns are
-        built, and neither cols nor basis is read."""
-        root = exact_sqrt(t)
+        point's, and neither a Fraction nor a QuadExt is made.  Only the
+        support's columns are built, and neither cols nor basis is read."""
+        return self._pullback(support, t, _sqrt_ratio(*t.as_integer_ratio()))
+
+    def _pullback(self, support, t, root) -> Point:
+        """pullback for a caller that has sqrt(t) already: root is
+        scalars._sqrt_ratio of t, (rn, rd), or None."""
+        ratios = [(a, *x.as_integer_ratio(), *y.as_integer_ratio()) for a, x, y in support]
         if root is not None:
-            support, t = [(a, x + y * root if y else x, 0) for a, x, y in support], Fraction(1)
+            # x + y rn / rd, in lowest terms, as a Fraction would hold it
+            rn, rd = root
+            folded = []
+            for a, xn, xd, yn, yd in ratios:
+                if yn:
+                    xn, xd = xn * yd * rd + yn * rn * xd, xd * yd * rd
+                    g = math.gcd(xn, xd)
+                    xn, xd = xn // g, xd // g
+                folded.append((a, xn, xd, 0, 1))
+            ratios, t = folded, _ONE
         scales = self.scales
         # column a times x is column(a) * xn / (scales[a] * xd)
-        terms = [
-            (self.column(a), *x.as_integer_ratio(), *y.as_integer_ratio(), scales[a])
-            for a, x, y in support
-        ]
+        terms = [(self.column(a), xn, xd, yn, yd, scales[a]) for a, xn, xd, yn, yd in ratios]
         den = math.lcm(*[s * d for _, _, xd, _, yd, s in terms for d in (xd, yd)])
         rat = rad = [0] * self.dim
         for col, xn, xd, yn, yd, s in terms:
@@ -350,8 +360,9 @@ def _apply(m, v) -> list:
     a vector of n ints: the sum of the rows of m at the nonzero entries
     of v, row i of a symmetric M being its column i.  A zero entry of v
     costs nothing, so M v costs O(n nnz(v)).  It is the one int product
-    every exact form value is read through, as dots of it with _dot;
-    linalg.mat_vec is the dense product for any matrix."""
+    every exact form value, and the pullback L^T Q L, is read through, as
+    dots of it with _dot; linalg.mat_vec is the dense product for any
+    matrix."""
     out = [0] * len(m)
     for row, x in zip(m, v):
         if x:
@@ -367,22 +378,34 @@ def _dot(u, v):
 def evaluate(q: QuadraticForm, x):
     """q(x) for a Point, or a vector of QuadExt values and rationals as
     _read_point reads them; a Fraction when x has no radicand t, that is
-    when no entry is a QuadExt.
+    when no entry is a QuadExt.  It is _value of the int core _evaluate."""
+    return _value(*_evaluate(q, x))
+
+
+def _evaluate(q: QuadraticForm, x):
+    """(t, rat, rad, big): q(x) = (rat + rad*sqrt(t)) / big with ints
+    rat, rad and big > 0, over the radicand t of x as _read_point reads
+    it, None when x is rational (rad is then 0).  evaluate wraps it, and
+    the witness re-check compares it, in ints, with a witness's values.
 
     _read_point writes x as (a + b*sqrt(t)) / D with int vectors a and b.
-    With Q = Q_int / den, q(x) = (a^T Q_int a + t b^T Q_int b
-    + 2 a^T Q_int b sqrt(t)) / (D^2 den), three dots over the products
-    Q_int a and Q_int b that _apply makes.
+    With Q = Q_int / den and t = tn / td, q(x) = (td a^T Q_int a
+    + tn b^T Q_int b + 2 td a^T Q_int b sqrt(t)) / (D^2 den td), three
+    dots over the products Q_int a and Q_int b that _apply makes.
     """
     if len(x) != q.dim:
         raise DimensionMismatch(f"vector length {len(x)} != dim {q.dim}")
     p = _read_point(x)
     qa, qb = _apply(q.ints, p.a), _apply(q.ints, p.b)
-    aqa, bqb, aqb = _dot(p.a, qa), _dot(p.b, qb), _dot(p.a, qb)
-    big = p.d * p.d * q.den
     tn, td = (1, 1) if p.t is None else p.t.as_integer_ratio()
-    rat = Fraction(aqa * td + tn * bqb, big * td)
-    return rat if p.t is None else QuadExt(rat, Fraction(2 * aqb, big), p.t)
+    return p.t, _dot(p.a, qa) * td + tn * _dot(p.b, qb), 2 * _dot(p.a, qb) * td, p.d * p.d * q.den * td
+
+
+def _value(t, rat, rad, big):
+    """The value (rat + rad*sqrt(t)) / big of an evaluator's int core: a
+    Fraction when t is None, else a QuadExt over t."""
+    rat = Fraction(rat, big)
+    return rat if t is None else QuadExt(rat, Fraction(rad, big), t)
 
 
 def congruence_diagonalize(q: QuadraticForm) -> CongruenceDiagonalization:
@@ -576,11 +599,19 @@ def apply_transform(q: QuadraticForm, L: LinearTransform) -> QuadraticForm:
     coordinates, evaluate(result, x) = evaluate(q, Lx).
 
     With Q = Q_int / den_Q and L = L_int / den_L, the product runs in
-    ints, L^T Q L = L_int^T Q_int L_int / (den_Q den_L^2), and one gcd
+    ints, L^T Q L = L_int^T Q_int L_int / (den_Q den_L^2), through the one
+    int product: for each column l_j of L_int, _apply makes Q_int l_j
+    once, and entry (i, j) is the dot l_i . Q_int l_j, computed on the
+    upper triangle and mirrored, since the result is symmetric.  One gcd
     reduces it to the result's own (den, ints)."""
     if q.dim != L.dim:
         raise DimensionMismatch(f"form dim {q.dim} != transform dim {L.dim}")
-    m = linalg.congruent(q.ints, L.ints)
+    n, cols = q.dim, [*zip(*L.ints)]
+    m = [[0] * n for _ in range(n)]
+    for j, col in enumerate(cols):
+        q_col = _apply(q.ints, col)
+        for i in range(j + 1):
+            m[i][j] = m[j][i] = _dot(cols[i], q_col)
     return QuadraticForm._of(m, {q.den * L.den * L.den: {x: x for row in m for x in row}})
 
 

@@ -22,7 +22,9 @@ def mat_mul(a, b):
 
 
 def congruent(m, c):
-    """C^T M C, in the scalars of m and c (ints, Fractions or floats)."""
+    """C^T M C, in the scalars of m and c (ints, Fractions or floats): the
+    float check of semidefinite.simdiag_general.  Exact pullbacks run on
+    forms._apply (see forms.apply_transform)."""
     return mat_mul(mat_mul(transpose(c), m), c)
 
 

@@ -37,10 +37,11 @@ from .forms import (
     congruence_diagonalize,
     _common_denominator,
     _read_point,
+    _value,
 )
 from .forms import evaluate as form_eval
 from .record import Record, _set, lazy
-from .scalars import QuadExt, _read_entry, render_ratio
+from .scalars import _read_entry, render_ratio
 
 # The degree is the one field of a polynomial file whose cost (division,
 # the witness sweep's grid, power tables) does not grow with the file.
@@ -114,9 +115,17 @@ class HomogeneousPoly(Record):
     def evaluate(self, x):
         """Value at a forms.Point, or a point of ints, Fractions or QuadExt
         entries: a QuadExt when the point has a radicand t, that is when
-        an entry is a QuadExt, else a Fraction.
+        an entry is a QuadExt, else a Fraction.  It is forms._value of
+        the int core _evaluate."""
+        return _value(*self._evaluate(x))
 
-        forms._read_point writes entry i as (a_i + b_i sqrt(t)) / D, and
+    def _evaluate(self, x):
+        """(t, rat, rad, big): the value (rat + rad*sqrt(t)) / big at x,
+        with ints rat, rad and big > 0, over the radicand t of x as
+        forms._read_point reads it, None when x is rational; the form of
+        forms._evaluate, which the witness re-check compares in ints.
+
+        _read_point writes entry i as (a_i + b_i sqrt(t)) / D, and
         with t = tn / td and s = tn td that is (a_i td + b_i sqrt(s)) /
         (D td).  So the sum over the int coefficients runs on int pairs
         (p, q), meaning p + q sqrt(s), with (p, q)(p', q') =
@@ -148,8 +157,7 @@ class HomogeneousPoly(Record):
                     u, v = u * p + s * v * q, u * q + v * p
             rat += u
             rad += v
-        big = (x.d * td) ** self.degree * self._den
-        return Fraction(rat, big) if x.t is None else QuadExt(Fraction(rat, big), Fraction(rad * td, big), x.t)
+        return x.t, rat, rad * td, (x.d * td) ** self.degree * self._den
 
     def __repr__(self):
         return f"HomogeneousPoly({self.nvars}, {self.degree}, {self.terms!r})"
@@ -382,8 +390,9 @@ def decide_containment_homogeneous(q: QuadraticForm, r: HomogeneousPoly):
 
 def verify_poly_witness(q: QuadraticForm, r: HomogeneousPoly, w: WitnessVector) -> bool:
     """Independent recheck: q vanishes at the witness, r does not, and
-    each value equals the one the witness carries."""
-    return _holds(q, w, r.evaluate)
+    each value equals the one the witness carries, in ints, by
+    containment._holds over the int core HomogeneousPoly._evaluate."""
+    return _holds(q, w, r._evaluate)
 
 
 # --- polynomial exchange format ----------------------------------------------

@@ -44,7 +44,10 @@ class TransformReport(Record):
 
 
 def minkowski_form(c, dim_space: int = 3) -> QuadraticForm:
-    """diag(-c^2, 1, ..., 1) on (1 + dim_space) coordinates, time first."""
+    """diag(-c^2, 1, ..., 1) on (1 + dim_space) coordinates, time first.
+    c is read by parse_rational.  With c = c_n / c_d in lowest terms the
+    form is built in ints, as (den, ints) = (c_d^2, diag(-c_n^2, c_d^2,
+    ..., c_d^2)), which is already reduced, since gcd(c_n, c_d) = 1."""
     c = parse_rational(c)
     if c <= 0:
         raise InvalidSpeed(f"speed of light must be positive, got {c}")
@@ -52,7 +55,10 @@ def minkowski_form(c, dim_space: int = 3) -> QuadraticForm:
         raise DimensionMismatch(
             f"the interval form needs at least one space dimension, got {dim_space}"
         )
-    return QuadraticForm.diagonal([-c * c] + [1] * dim_space)
+    cn, cd = c.as_integer_ratio()
+    diag = [-cn * cn] + [cd * cd] * dim_space
+    rows = [[x if i == j else 0 for j in range(len(diag))] for i, x in enumerate(diag)]
+    return QuadraticForm._of(rows, {cd * cd: {x: x for x in (0, *diag[:2])}})
 
 
 def check_interval_invariance(L: LinearTransform, c=Fraction(1)) -> TransformReport:

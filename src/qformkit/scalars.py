@@ -114,20 +114,8 @@ class QuadExt(Record):
 
     def _align(self, other: "QuadExt"):
         """(other, t): the radicand t of self and other together, and
-        other written over it.  t is self's radicand unless only other has
-        a nonzero sqrt-part; when both do and the radicands differ, other
-        is rewritten over self.t, which needs t'/t to be a rational square
-        s^2: b*sqrt(t') = (b*s)*sqrt(t)."""
-        if not other.rad or other.t == self.t:
-            return other, self.t
-        if not self.rad:
-            return other, other.t
-        s = exact_sqrt(other.t / self.t)
-        if s is None:
-            raise MismatchedRadicand(
-                f"cannot combine sqrt({self.t}) with sqrt({other.t})"
-            )
-        return QuadExt(other.rat, other.rad * s, self.t), self.t
+        other written over it, by _join."""
+        return _join(self.rad, self.t, other)
 
     def is_zero(self) -> bool:
         """Exact zero test, valid even when t is a perfect square."""
@@ -180,14 +168,46 @@ def _is_zero(rat, rad, tn, td) -> bool:
     return (rat < 0) != (rad < 0) and rat * rat * td == rad * rad * tn
 
 
+def _join(rad, t, other: QuadExt):
+    """(other, t'): the radicand t' of a value with sqrt-part rad over t
+    and of the QuadExt other together, and other written over it; the one
+    radicand rule, which QuadExt._align applies to two values and the
+    witness re-check to a value it computed and one a witness carries.
+    t' is t unless only other has a nonzero sqrt-part; when both do and
+    the radicands differ, other is rewritten over t, which needs
+    other.t / t to be a rational square s^2: b*sqrt(t') = (b*s)*sqrt(t).
+    Otherwise it raises MismatchedRadicand.  A radicand over which other
+    is already written makes no Fraction and no QuadExt."""
+    if not other.rad or other.t == t:
+        return other, t
+    if not rad:
+        return other, other.t
+    s = exact_sqrt(other.t / t)
+    if s is None:
+        raise MismatchedRadicand(f"cannot combine sqrt({t}) with sqrt({other.t})")
+    return QuadExt(other.rat, other.rad * s, t), t
+
+
+def _sqrt_ratio(num: int, den: int):
+    """(rn, rd), ints in lowest terms with rn / rd the square root of
+    num / den, for ints num >= 0 and den > 0, or None when num / den is
+    not the square of a rational; no Fraction is made."""
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    rn, rd = isqrt(num), isqrt(den)
+    return (rn, rd) if rn * rn == num and rd * rd == den else None
+
+
 def exact_sqrt(t: Fraction):
     """Rational square root of t > 0, or None when t is not a perfect
     square."""
-    num, den = t.numerator, t.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
+    root = _sqrt_ratio(*t.as_integer_ratio())
+    return None if root is None else Fraction(*root)
+
+
+# the radicand of a rational value, made once: pullback folds a square
+# radicand into its point and gives it this one
+_ONE = Fraction(1)
 
 
 def render_quadext(x: QuadExt) -> str:

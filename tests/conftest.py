@@ -23,6 +23,7 @@ from qformkit import (
     QuadraticForm,
     WitnessVector,
     congruence_diagonalize,
+    evaluate,
     inertia,
     parse_rational,
     verify_witness,
@@ -667,3 +668,18 @@ def assert_witness_holds(q, r, w):
     assert reference_form_value(q.matrix, w.coords) == 0
     r_val = reference_form_value(r.matrix, w.coords)
     assert r_val and r_val == w.r_value
+
+
+def reference_holds(q, w, r_at):
+    """containment._holds as it was before the re-check ran in ints, for
+    the public evaluator r_at of r (forms.evaluate or
+    HomogeneousPoly.evaluate): q and r are evaluated as Fraction or
+    QuadExt values and compared with the witness's values by
+    QuadExt.__eq__.  Radicands that no rational square joins, and a
+    coordinate that is no exact rational, give False; a length that is
+    not q's or r's raises DimensionMismatch."""
+    try:
+        q_val, r_val = evaluate(q, w._point), r_at(w._point)
+    except (MismatchedRadicand, FormatError):
+        return False
+    return not q_val and bool(r_val) and w.q_value == q_val and w.r_value == r_val

@@ -38,7 +38,7 @@ from qformkit import (
 from qformkit.cli import _point
 from qformkit.containment import WitnessVector, _holds, _witness_family
 from qformkit.errors import FormatError, MismatchedRadicand, NoWitnessFound
-from qformkit.forms import INDEFINITE, Inertia, LinearTransform
+from qformkit.forms import INDEFINITE, Inertia, LinearTransform, _evaluate
 
 from conftest import (
     assert_witness_holds,
@@ -49,6 +49,7 @@ from conftest import (
     random_symmetric,
     reference_decide,
     reference_form_value,
+    reference_holds,
     reference_mat_vec,
     reference_witness_family,
     sparse_diagonal_form,
@@ -747,13 +748,14 @@ X1_4 = HomogeneousPoly(2, 4, {(4, 0): 1})
 
 
 def _decision_witnesses():
-    """(q, the witness's re-check, witness) for refutations with a
-    rational and an irrational radicand, from both decisions."""
+    """(q, r's int core for the witness's re-check, witness) for
+    refutations with a rational and an irrational radicand, from both
+    decisions."""
     out = []
     for q, r in ((HYP, QuadraticForm([[1, 0], [0, 1]])), _IRRATIONAL, (minkowski_form(1), THREE4)):
-        out.append((q, lambda x, r=r: evaluate(r, x), decide_containment(q, r).witness))
+        out.append((q, lambda x, r=r: _evaluate(r, x), decide_containment(q, r).witness))
     for q, r in ((HYP, HomogeneousPoly(2, 2, {(1, 1): 1})), (QuadraticForm([[1, 0], [0, -2]]), X1_4)):
-        out.append((q, r.evaluate, decide_containment_homogeneous(q, r).witness))
+        out.append((q, r._evaluate, decide_containment_homogeneous(q, r).witness))
     return out
 
 
@@ -790,6 +792,72 @@ class TestWitnessConstructors:
         coords = (QuadExt(0, 1, 2), QuadExt(0, 1, 3)) + w.coords[2:]
         forged = WitnessVector(coords, w.q_value, w.r_value)
         assert _holds(q, forged, r_at) is False
+
+
+def _tampered_r(q, r, w):
+    """w with r's value moved by 1/big, big the denominator of r's int
+    core at w's point: the least change the core can tell apart."""
+    big = _cores(r)[1](w._point)[3]
+    v = w.r_value
+    return WitnessVector(w._point, w.q_value, QuadExt(v.rat + Fraction(1, big), v.rad, v.t))
+
+
+def _cores(r):
+    """(r's public evaluator, r's int core)."""
+    if isinstance(r, HomogeneousPoly):
+        return r.evaluate, r._evaluate
+    return (lambda x: evaluate(r, x)), (lambda x: _evaluate(r, x))
+
+
+# q = diag(1, -8) vanishes at (sqrt(8), 1), where r = 2xy is 4 sqrt(2)
+_ROOT8 = (QuadraticForm([[1, 0], [0, -8]]), QuadraticForm([[0, 1], [1, 0]]))
+_ROOT8_POINT = (QuadExt(0, 1, 8), QuadExt(1, 0, 8))
+_CIRCLE = QuadraticForm([[1, 0], [0, 1]])
+
+# case -> (q, r, witness, what both re-checks give), built on first use
+_RECHECK_CASES = {
+    "decision": lambda: (*_IRRATIONAL, decide_containment(*_IRRATIONAL).witness, True),
+    "tampered-r": lambda: (*_IRRATIONAL, _tampered_r(*_IRRATIONAL, decide_containment(*_IRRATIONAL).witness), False),
+    "tampered-r-rational": lambda: (HYP, _CIRCLE, _tampered_r(HYP, _CIRCLE, CIRCLE_WITNESS), False),
+    "nonzero-q": lambda: (HYP, _CIRCLE, WitnessVector(CIRCLE_WITNESS._point, 1, CIRCLE_WITNESS.r_value), False),
+    "zero-q-over-another-radicand": lambda: (
+        HYP, _CIRCLE, WitnessVector(CIRCLE_WITNESS.coords, QuadExt(0, 0, 7), CIRCLE_WITNESS.r_value), True),
+    "coords-over-8-values-over-2": lambda: (*_ROOT8, WitnessVector(_ROOT8_POINT, QuadExt(0, 0, 2), QuadExt(0, 4, 2)), True),
+    "value-over-an-unrelated-radicand": lambda: (
+        *_ROOT8, WitnessVector(_ROOT8_POINT, QuadExt(0, 0, 2), QuadExt(0, 4, 3)), False),
+    "rational-value-over-a-square-radicand": lambda: (
+        HYP, _CIRCLE, WitnessVector(CIRCLE_WITNESS.coords, 0, QuadExt(0, CIRCLE_WITNESS.r_value.rat / 2, 4)), True),
+    "unrelated-radicands": lambda: (
+        HYP, _CIRCLE, WitnessVector((QuadExt(0, 1, 2), QuadExt(0, 1, 3)), 0, 5), False),
+    "float-coordinate": lambda: (HYP, _CIRCLE, WitnessVector((1.5, 1.5), 0, Fraction(9, 2)), False),
+    "length-mismatch": lambda: (HYP, _CIRCLE, WitnessVector((1, 1, 0), 0, 2), DimensionMismatch),
+    "poly-decision": lambda: (
+        QuadraticForm([[1, 0], [0, -2]]), X1_4, decide_containment_homogeneous(QuadraticForm([[1, 0], [0, -2]]), X1_4).witness,
+        True),
+    "poly-tampered-r": lambda: (
+        QuadraticForm([[1, 0], [0, -2]]), X1_4,
+        _tampered_r(None, X1_4, decide_containment_homogeneous(QuadraticForm([[1, 0], [0, -2]]), X1_4).witness), False),
+}
+
+
+@pytest.mark.parametrize("case", _RECHECK_CASES)
+def test_int_recheck_agrees_with_the_quadext_reference(case):
+    """_holds compares its int cores with the witness's values in ints;
+    on each case it gives what the QuadExt re-check it replaced gives
+    (conftest.reference_holds), and so do verify_witness and
+    verify_poly_witness: it fails closed on unrelated radicands and on a
+    float coordinate, and raises DimensionMismatch on a length that is
+    not q's."""
+    q, r, w, expected = _RECHECK_CASES[case]()
+    public, core = _cores(r)
+    verify = verify_poly_witness if isinstance(r, HomogeneousPoly) else verify_witness
+    checks = (lambda: _holds(q, w, core), lambda: reference_holds(q, w, public), lambda: verify(q, r, w))
+    if expected is DimensionMismatch:
+        for check in checks:
+            with pytest.raises(DimensionMismatch):
+                check()
+    else:
+        assert [check() for check in checks] == [expected] * 3
 
 
 THREE = QuadraticForm([[1, 0, 0], [0, 1, 0], [0, 0, 1]])

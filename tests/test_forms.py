@@ -440,6 +440,32 @@ def test_int_pullback_matches_fraction_product():
         assert pulled.den > 0 and math.gcd(pulled.den, *[x for row in pulled.ints for x in row]) == 1
 
 
+def test_pullback_matches_the_dense_int_congruence():
+    """apply_transform makes Q_int l_j once for each column l_j of L_int
+    through the one int product and mirrors the upper triangle of the
+    dots; its (den, ints) are those of linalg.congruent's dense
+    L_int^T Q_int L_int over den_Q den_L^2, reduced by one gcd, over 2000
+    seeded random rational Q and L, n = 1..6, zero entries among them."""
+    rng = random.Random(53)
+
+    def entry():
+        return Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 7))) if rng.random() < 0.7 else 0
+
+    for k in range(2000):
+        n = k % 6 + 1
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = entry()
+        q = QuadraticForm(rows)
+        L = LinearTransform([[entry() for _ in range(n)] for _ in range(n)])
+        m = linalg.congruent(q.ints, L.ints)
+        den = q.den * L.den * L.den
+        g = math.gcd(den, *[x for row in m for x in row])
+        pulled = apply_transform(q, L)
+        assert (pulled.den, pulled.ints) == (den // g, tuple(tuple(x // g for x in row) for row in m))
+
+
 class TestInertia:
     def test_minkowski(self):
         assert inertia(minkowski_form(1)) == Inertia(3, 1, 0)

@@ -20,6 +20,8 @@ from qformkit import (
     verify_witness,
 )
 
+from qformkit.scalars import parse_rational
+
 from conftest import compose, identity, rotation_from_triple
 
 TRIPLES = [(3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25), (20, 21, 29)]
@@ -49,6 +51,27 @@ class TestMinkowskiForm:
             minkowski_form(1, dim_space=0)
         with pytest.raises(DimensionMismatch):
             check_interval_invariance(LinearTransform([[1]]))
+
+    @pytest.mark.parametrize("c", [1, Fraction(3, 2), "5/7", 299792458, "1e3"])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_int_form_matches_the_matrix_reader(self, c, k):
+        """minkowski_form writes (den, ints) itself; they are those the
+        matrix reader makes of diag(-c^2, 1, ..., 1)."""
+        expected = QuadraticForm.diagonal([-parse_rational(c) ** 2] + [1] * k)
+        got = minkowski_form(c, dim_space=k)
+        assert (got.dim, got.den, got.ints) == (expected.dim, expected.den, expected.ints)
+        assert got == expected and hash(got) == hash(expected)
+
+    @pytest.mark.parametrize("c, dim_space, error", [
+        (0, 3, InvalidSpeed),
+        (-1, 3, InvalidSpeed),
+        ("-5/7", 1, InvalidSpeed),
+        (1, 0, DimensionMismatch),
+        (1.5, 3, FormatError),
+    ], ids=["zero", "negative", "negative-text", "no-space", "float"])
+    def test_rejections(self, c, dim_space, error):
+        with pytest.raises(error):
+            minkowski_form(c, dim_space=dim_space)
 
 
 class TestBoost:
