@@ -3,9 +3,11 @@
 Given indefinite q and any quadratic r with Z_q contained in Z_r, r must
 be a scalar multiple of q.  The decision diagonalizes q once and tests
 R = alpha*Q entrywise; when that fails, a counterexample vector on the
-null cone of q (with r nonzero there) is constructed from a fixed finite
-family in that diagonal frame and returned as an independently
-checkable certificate.
+null cone of q (with r nonzero there) is built in closed form from the
+plane of q's first pivot of each sign, by the same theorem in dimension
+2, and returned as an independently checkable certificate.  A
+semidefinite q is refuted on its kernel instead, by construct_witness,
+which semidefinite shares.
 """
 
 from __future__ import annotations
@@ -151,50 +153,14 @@ def _ratio(q, r):
     return Fraction(b * q.den, r.den * a)
 
 
-def _witness_family(diag, inertia):
-    """Null vectors of diag(d) in diagonalizing coordinates, in the fixed
-    iteration order (a), (b), (d), indices lexicographic, sign + before -.
-
-    A member is (tn, td, support): the radicand is t = tn / td with ints
-    tn, td > 0, not always in lowest terms, and coordinate i is
-    x + y*sqrt(t) for each (i, x, y) in support, and zero elsewhere.
-    Every member is exactly null for the diagonal form.  The positive,
-    negative and zero indices are the frame's inertia.blocks.  Two kinds
-    of frame are read: a lead frame, of inertia (1, 1, 0), whose family
-    is its two (a) members, and a semidefinite frame, whose positive or
-    negative block is empty, so that its family is (b), then (d).  (The
-    letters (c) and (e) name members that pair a zero or a second index
-    with a positive and a negative one; no frame read here has them.)
-    """
-    pos, neg, zero = inertia.blocks
-    # (a) e_p +- sqrt(d_p / -d_n) e_n
-    for p in pos:
-        for ng in neg:
-            (pn, pd), (nn, nd) = diag[p].as_integer_ratio(), diag[ng].as_integer_ratio()
-            for sign in (1, -1):
-                yield pn * nd, -nn * pd, ((p, 1, 0), (ng, 0, sign))
-    # (b) e_z
-    for zi in zero:
-        yield 1, 1, ((zi, 1, 0),)
-    # (d) e_z +- e_z'
-    for i, zi in enumerate(zero):
-        for zj in zero[i + 1 :]:
-            for sign in (1, -1):
-                yield 1, 1, ((zi, 1, 0), (zj, sign, 0))
-
-
 def construct_witness(
     diag_q: CongruenceDiagonalization, r: QuadraticForm, q: QuadraticForm
 ) -> WitnessVector:
     """A point of q's null cone where r is exactly nonzero.  For an
-    indefinite q and r not proportional to q, it is read off q's lead
-    frame, diag_q.lead, so q's pass runs no further than its first pivot
-    of each sign: the lead frame's family is its two (a) members,
-    e_p +- sqrt(d_p / -d_n) e_n, tried first, and when neither fires,
-    _plane_witness builds the witness in closed form from the frame's two
-    columns.  Both read R_int times a lead column from one _products.  A
-    semidefinite q has no lead frame, and its family is its kernel's, (b)
-    then (d), scanned on diag_q.
+    indefinite q it is read off q's lead frame, diag_q.lead, by
+    _lead_witness, so q's pass runs no further than its first pivot of
+    each sign.  A semidefinite q has no lead frame: its null cone is its
+    kernel, and _kernel_witness scans the kernel columns of diag_q.
 
     DimensionMismatch is raised when q, r and diag_q are not all of one
     dimension; the frame's is read without running its pass.
@@ -204,45 +170,37 @@ def construct_witness(
     if not q.dim == r.dim == diag_q.dim:
         raise DimensionMismatch(f"dims differ: q {q.dim}, r {r.dim}, frame {diag_q.dim}")
     lead = diag_q.lead
-    frame = lead or diag_q
-    r_col = _products(r, frame)
-    witness = _first_witness(frame, r, r_col) or (lead and _plane_witness(lead, r, q, r_col))
+    witness = _lead_witness(lead, r, q) if lead else _kernel_witness(diag_q, r)
     if witness is None:
         raise NoWitnessFound("no witness separates r from q")
     return witness
 
 
-def _products(m: QuadraticForm, frame: CongruenceDiagonalization):
-    """f -> M_int column(f), m's ints times column f of frame, made by
-    forms._apply the first time f is read, and kept: one product per
-    column a frame reads."""
-    return _kept(lambda f: _apply(m.ints, frame.column(f)))
+def _lead_witness(lead, r, q):
+    """The witness of a refutation on q's lead frame, or None when
+    R = alpha*Q.  It runs in ints: y_p and y_n are lead.column(0) and
+    lead.column(1), columns of B times their scales s_p and s_n, and
+    q(.) and r(.) below are the forms of Q_int and R_int, q and r times
+    their denominators, whose ratios and signs are those of q and r.
 
+    The null lines first.  lead's diagonal is d_p > 0 > d_n, and with
+    t = d_p / -d_n = tn / td, ints not always in lowest terms,
+    e_p +- sqrt(t) e_n span the null lines of diag(d_p, d_n); B maps them
+    to the null lines of q in the plane span{y_p, y_n}.  With
+    E_ab = y_a . (R_int y_b), r times (s_p s_n)^2 den td there is
+    (E_pp s_n^2 td + E_nn s_p^2 tn) +- 2 E_pn s_p s_n td sqrt(t), which
+    scalars._is_zero decides, sign + first.  The witness is the line that
+    fires, as the Point lead._pullback returns, with sqrt(t) folded into
+    the rational part when t is a rational square, and r's value over the
+    same radicand.
 
-def _kept(fn):
-    """fn with each value kept, by its arguments, once it is made: what
-    functools.cache does, in a plain dict, since functools.cache takes
-    about a microsecond to make (its update_wrapper), and a refutation
-    makes two."""
-    kept = {}
-    return lambda *key: kept[key] if key in kept else kept.setdefault(key, fn(*key))
-
-
-def _plane_witness(lead, r, q, r_col):
-    """The witness of a refutation that lead's two members miss, or None
-    when R = alpha*Q.  It runs in ints: y_p and y_n are lead.column(0)
-    and lead.column(1), columns of B times their scales, and q(.) and r(.)
-    below are the forms of Q_int and R_int, q and r times their
-    denominators, whose ratios and signs are those of q and r.  r_col is
-    _products of r on lead.
-
-    Neither member fired, so r vanishes on both null lines of q in the
-    plane span{y_p, y_n}, where q(y_p) > 0 > q(y_n) and q(y_p, y_n) = 0.
-    A binary form that vanishes on both null lines of an indefinite
-    binary form is a multiple of it (the paper's theorem in dimension 2),
-    so r = c*q on that plane, c = r(y_p) / q(y_p).  R is not alpha*Q, so
-    some entry of the upper triangle has R_ij q(y_p) != r(y_p) Q_ij; take
-    the first, and X = (e_i) when i = j, else (e_i, e_j, e_i + e_j).
+    When neither fires, r vanishes on both null lines of q in that plane,
+    where q(y_p) > 0 > q(y_n) and q(y_p, y_n) = 0.  A binary form that
+    vanishes on both null lines of an indefinite binary form is a
+    multiple of it (the paper's theorem in dimension 2), so r = c*q on
+    that plane, c = r(y_p) / q(y_p).  R is not alpha*Q, so some entry of
+    the upper triangle has R_ij q(y_p) != r(y_p) Q_ij; take the first,
+    and X = (e_i) when i = j, else (e_i, e_j, e_i + e_j).
 
     For each x in X, y is y_n when Delta = q(x, y)^2 - q(x) q(y) > 0
     there, else y_p when Delta > 0 there.  The Gram determinant of x and
@@ -267,9 +225,10 @@ def _plane_witness(lead, r, q, r_col):
     gcd of its entries, with sqrt(Delta) folded into the rational part
     when Delta is a square, as pullback does.
 
-    forms._apply makes Q_int y and R_int y once for each lead column, and
-    q(y) and r(y) are dots over them.  x is e_i, e_j or e_i + e_j, so
-    q(x) and r(x) are sums of at most 4 entries of Q_int and R_int, and
+    forms._apply makes R_int y_p, then R_int y_n, for the null lines, and
+    Q_int y for each lead column only when the plane route runs; q(y) and
+    r(y) = E_yy are dots over them.  x is e_i, e_j or e_i + e_j, so q(x)
+    and r(x) are sums of at most 4 entries of Q_int and R_int, and
     q(x, y) and r(x, y) of at most 2 entries of Q_int y and R_int y: no
     product and no dot is made for x, and x is written out as a vector
     only for the candidate that fires.  At most 6 candidates are tried;
@@ -277,14 +236,30 @@ def _plane_witness(lead, r, q, r_col):
     and no column but lead's two is built.
     """
     Q, R, n = q.ints, r.ints, q.dim
-    # (y, Q_int y, R_int y, q(y), r(y)) for y_n, then y_p
-    planes = []
-    for f in (1, 0):
-        y, r_y = lead.column(f), r_col(f)
-        q_y = _apply(Q, y)
-        planes.append((y, q_y, r_y, _dot(y, q_y), _dot(y, r_y)))
-    qp, rp = planes[1][3:]
-    ij = next(((i, j) for i in range(n) for j in range(i, n) if R[i][j] * qp != rp * Q[i][j]), None)
+    (pn, pd), (nn, nd) = (d.as_integer_ratio() for d in lead.diag)
+    tn, td = pn * nd, -nn * pd
+    sp, sn = lead.scales
+    y_p, y_n = lead.column(0), lead.column(1)
+    r_p, r_n = _apply(R, y_p), _apply(R, y_n)
+    e_pp, e_nn = _dot(y_p, r_p), _dot(y_n, r_n)
+    rat, rad = e_pp * sn * sn * td + e_nn * sp * sp * tn, 2 * _dot(y_p, r_n) * sp * sn * td
+    for sign in (1, -1):
+        if not _is_zero(rat, sign * rad, tn, td):
+            # sqrt(t), once: pullback folds it into the coordinates, so too r's value
+            root, rad, big = _sqrt_ratio(tn, td), sign * rad, (sp * sn) ** 2 * r.den * td
+            if root is None:
+                t = Fraction(tn, td)
+            else:
+                rn, rd = root
+                rat, rad, big, t = rat * rd + rad * rn, 0, big * rd, _ONE
+            point = lead._pullback(((0, 1, 0), (1, 0, sign)), t, root)
+            return WitnessVector(point, QuadExt(0, 0, t), QuadExt(Fraction(rat, big), Fraction(rad, big), t))
+
+    # the plane route: (y, Q_int y, R_int y, q(y), r(y)) for y_n, then y_p
+    q_n, q_p = _apply(Q, y_n), _apply(Q, y_p)
+    qp = _dot(y_p, q_p)
+    planes = ((y_n, q_n, r_n, _dot(y_n, q_n), e_nn), (y_p, q_p, r_p, qp, e_pp))
+    ij = next(((i, j) for i in range(n) for j in range(i, n) if R[i][j] * qp != e_pp * Q[i][j]), None)
     if ij is None:
         return None
     i, j = ij
@@ -316,60 +291,41 @@ def _plane_witness(lead, r, q, r_col):
     return None
 
 
-def _first_witness(diag_q: CongruenceDiagonalization, r: QuadraticForm, r_col):
-    """The witness at the first member of diag_q's witness family on
-    which r is exactly nonzero, or None when no member fires.
-    R = R_int / den is r's (ints, den), and r_col is _products of r on
-    diag_q.
+def _kernel_witness(dq: CongruenceDiagonalization, r: QuadraticForm):
+    """The witness of a refutation on the kernel of a semidefinite q, or
+    None when r vanishes there.  dq is q's frame, and its zero block (see
+    dq.inertia.blocks) indexes the columns b_z = column(z) / scales[z] of
+    B at the zeros of d: B^T Q B = diag(d) with B invertible and d of one
+    sign off its zeros, so they are an exact basis of ker Q, which is q's
+    null cone.
 
-    r(Bv) = v^T (B^T R B) v, and a member touches only the entries of
-    B^T R B on its 1 or 2 support indices, so only those are computed, in
-    ints: with column c of B = column(c) / scales[c], entry (a, b) is
-    E_ab / (scales[a] scales[b] den), E_ab = column(a) . r_col(b), a dot
-    over the product R_int column(b), made once per column the scan
-    reads.  A support lists its indices in frame order, so a <= b, and
-    each E_ab is kept: z kernel columns cost z products and z(z + 1)/2
-    dots of n ints, whatever the z(z - 1) (d) members.  diag_q.column
-    builds a column of B the first time it is read (see forms._column),
-    so a refutation builds only the columns its scan reads, and cols is
-    not read.
+    In ints, with E_ab = column(a) . (R_int column(b)), r(b_z) is
+    E_zz / (scales[z]^2 den): the witness is b_z at the first z, in frame
+    order, with E_zz != 0.  When every E_zz is 0, r(b_z +- b_z') is
+    +-2 E_zz' / (scales[z] scales[z'] den), and the witness is b_z + b_z'
+    at the first pair z < z' with E_zz' != 0.  When none fires, r is zero
+    on each b_z and each b_z + b_z', so by polarization on all of ker Q,
+    and Z_q is contained in Z_r.
 
-    The scan decides r(v) != 0 in ints too.  With t = tn / td, P the
-    product of the support's scales and f_a = P / scales[a], r(v) times
-    P^2 den td is rat + rad sqrt(t), where rat sums
-    w E_ab f_a f_b (x_a x_b td + y_a y_b tn) and rad sums
-    w E_ab f_a f_b (x_a y_b + y_a x_b) td, w = 1 on the diagonal and 2
-    off it, and scalars._is_zero tests it.  Fractions and QuadExts are
-    made only for the member that fires: the witness holds the Point
-    pullback returns, and the two QuadExts made are q's and r's values.
-    """
-    column, scales = diag_q.column, diag_q.scales
-    entry = _kept(lambda a, b: _dot(column(a), r_col(b)))
-    for tn, td, support in _witness_family(diag_q.diag, diag_q.inertia):
-        scale = math.prod(scales[a] for a, _, _ in support)
-        over = [(a, scale // scales[a], x, y) for a, x, y in support]
-        # (x_a + y_a sqrt t)(x_b + y_b sqrt t), weighted by entry (a, b)
-        rat = rad = 0
-        for s, (a, fa, xa, ya) in enumerate(over):
-            for b, fb, xb, yb in over[s:]:
-                e = entry(a, b) * fa * fb
-                if a != b:
-                    e *= 2
-                rat += e * (xa * xb * td + ya * yb * tn)
-                rad += e * (xa * yb + ya * xb) * td
-        if not _is_zero(rat, rad, tn, td):
-            # sqrt(t), once: pullback folds it into the coordinates, so too r's value
-            root = _sqrt_ratio(tn, td)
-            big = scale * scale * r.den * td
-            if root is None:
-                t = Fraction(tn, td)
-            else:
-                rn, rd = root
-                rat, rad, big, t = rat * rd + rad * rn, 0, big * rd, _ONE
-            point = diag_q._pullback(support, t, root)
-            r_val = QuadExt(Fraction(rat, big), Fraction(rad, big), t)
-            # q(Bv) = v^T diag(d) v is zero by construction of the family
-            return WitnessVector(point, QuadExt(0, 0, t), r_val)
+    forms._apply makes R_int column(z) once, as the scan reaches z, and
+    the pairs read the list of them; only the columns the scan reads are
+    built.  The witness is rational: the Point dq._pullback returns over
+    t = 1, with q's value 0 and r's the one Fraction made."""
+    column, scales, zero = dq.column, dq.scales, dq.inertia.blocks[2]
+    r_cols = []
+
+    def members():  # (support, e, scale): r there is e / (scale den)
+        for z in zero:
+            r_cols.append(_apply(r.ints, column(z)))
+            yield ((z, 1, 0),), _dot(column(z), r_cols[-1]), scales[z] ** 2
+        for i, a in enumerate(zero):
+            for b, r_b in zip(zero[i + 1 :], r_cols[i + 1 :]):
+                yield ((a, 1, 0), (b, 1, 0)), 2 * _dot(column(a), r_b), scales[a] * scales[b]
+
+    for support, e, scale in members():
+        if e:
+            point = dq._pullback(support, _ONE, None)
+            return WitnessVector(point, QuadExt(0, 0, _ONE), QuadExt(Fraction(e, scale * r.den), 0, _ONE))
     return None
 
 

@@ -30,7 +30,7 @@ class NotSemidefinite(QFormError):
 
 
 class NoWitnessFound(QFormError):
-    """A complete witness search (the form family, or the cone sweep of
+    """A complete witness search (construct_witness, or the cone sweep of
     poly-contain) came back empty: a fault of qformkit, never a verdict."""
 
 

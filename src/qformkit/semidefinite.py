@@ -18,9 +18,9 @@ import math
 from fractions import Fraction
 
 from . import linalg
-from .containment import Counterexample, _decide_in_frame, _first_witness, _products, decide_containment
+from .containment import Counterexample, _decide_in_frame, _kernel_witness, decide_containment
 from .errors import ContainmentFails, DimensionMismatch, NotSemidefinite, NumericalFailure
-from .forms import CongruenceDiagonalization, QuadraticForm, _dot, classify, congruence_diagonalize
+from .forms import CongruenceDiagonalization, QuadraticForm, _apply, _dot, classify, congruence_diagonalize
 from .record import Record, _set
 
 DEFAULT_TOL = 1e-9
@@ -158,8 +158,12 @@ def simdiag_psd(
 ) -> SimDiagResult:
     """Joint diagonalization for a semidefinite pair with contained zero
     sets.  Kernel columns of q go in exactly; on the complement q is
-    definite and a whitened symmetric eigenproblem diagonalizes both."""
+    definite and a whitened symmetric eigenproblem diagonalizes both.
+    A q and r of different dimensions raise DimensionMismatch before
+    either form is diagonalized, as in simdiag_general."""
     _check_tol(tol)
+    if q.dim != r.dim:
+        raise DimensionMismatch(f"dims differ: {q.dim} vs {r.dim}")
     return _simdiag_in_frame(q, r, congruence_diagonalize(q), congruence_diagonalize(r), tol)
 
 
@@ -172,34 +176,28 @@ def _simdiag_in_frame(q, r, dq, dr, tol) -> SimDiagResult:
     zeros of d (dq.inertia.blocks): they are an exact basis of ker Q, and
     Z_q is contained in Z_r exactly when R maps each of them to zero.
 
-    That test is containment._first_witness, the scan of the witness
-    family.  d has one sign off its zeros, and member (a) pairs a
-    positive with a negative index, so the only members are (b), b_z
-    in frame order, then (d), b_z +- b_z'.  r is semidefinite, so
-    R = +-C^T C and b^T R b = +-|C b|^2 is zero exactly when R b = 0.  So
-    the first member that fires is the first kernel column that R does
-    not map to zero, with r(b_z) != 0 and q(b_z) = 0.  When no (b) member
-    fires, R b_z = 0 for every z, so every (d) member has
-    r = (b_z +- b_z')^T R (b_z +- b_z') = 0 and does not fire either: the
-    scan comes back empty exactly when Z_q is contained in Z_r.  In that
-    case it also tries the z(z - 1) (d) members, whose only new entries
-    are the z(z - 1)/2 dots b_z^T (R b_z') over the z products R b_z'
-    that the (b) members made.
+    That test is containment._kernel_witness, which construct_witness
+    runs for a semidefinite q too: b_z in frame order, then b_z + b_z'.
+    r is semidefinite, so R = +-C^T C and b^T R b = +-|C b|^2 is zero
+    exactly when R b = 0, and the witness is the first kernel column that
+    R does not map to zero, with r(b_z) != 0 and q(b_z) = 0.  When none
+    is, R b_z = 0 for every z, and no pair fires either: the scan comes
+    back empty exactly when Z_q is contained in Z_r.  In that case it
+    also reads the z(z - 1)/2 pairs, dots b_z^T (R b_z') over the z
+    products R b_z' that it made for the columns.
 
     q is semidefinite, so its positive or its negative block is empty,
     and the other is its definite block.  Scaled by 1/sqrt|d_i|, the
     columns there make W^T Q W = +-I, so the eigenvectors X of W^T R W
     finish the basis as W X.  The exact W^T R W is read as the scan's
-    entries are, dots over the products R b_i that _products makes.  R is
+    values are, dots over the products R_int b_i that forms._apply makes,
+    one for each column of the definite block.  R is
     signed to be positive semidefinite for the eigen step, since r and -r
     have the same zero set; a psd q may pair with an nsd r.
     """
     oq = _orientation(dq, "q")
     orr = _orientation(dr, "r")
-    if q.dim != r.dim:
-        raise DimensionMismatch(f"dims differ: {q.dim} vs {r.dim}")
-    r_col = _products(r, dq)
-    witness = _first_witness(dq, r, r_col)
+    witness = _kernel_witness(dq, r)
     if witness is not None:
         raise ContainmentFails(
             "zero set of q is not contained in zero set of r", witness=witness
@@ -213,7 +211,8 @@ def _simdiag_in_frame(q, r, dq, dr, tol) -> SimDiagResult:
     # W^T R W is built from the exact b_i^T R b_j = column(i) . (R_int column(j)) / (s_i s_j den)
     g = [math.sqrt(_float(diag[i].denominator, abs(diag[i].numerator))) for i in definite]
     s = [scales[i] for i in definite]
-    rbb = [[_dot(dq.column(i), r_col(j)) for j in definite] for i in definite]
+    r_cols = [_apply(r.ints, dq.column(j)) for j in definite]
+    rbb = [[_dot(dq.column(i), r_j) for r_j in r_cols] for i in definite]
     a = [
         [r_unit * _float(e, si * sj * r.den) * gi * gj for e, sj, gj in zip(row, s, g)]
         for row, si, gi in zip(rbb, s, g)
@@ -224,9 +223,9 @@ def _simdiag_in_frame(q, r, dq, dr, tol) -> SimDiagResult:
     bcols = linalg.mat_mul(linalg.transpose(x), w) + tuple(b[f] for f in zero)
     qf = [[_float(e, q.den) for e in row] for row in q.ints]
     rf = [[_float(e, r.den) for e in row] for row in r.ints]
-    bmat = linalg.transpose(bcols)
-    tq = linalg.congruent(qf, bmat)
-    tr = linalg.congruent(rf, bmat)
+    basis = linalg.transpose(bcols)
+    tq = linalg.congruent(qf, basis)
+    tr = linalg.congruent(rf, basis)
     if not all(math.isfinite(e) for m in (tq, tr) for row in m for e in row):
         raise NumericalFailure("B^T Q B or B^T R B is out of float range")
     residual = max(_offdiag_residual(tq, tol), _offdiag_residual(tr, tol))
@@ -241,7 +240,7 @@ def _simdiag_in_frame(q, r, dq, dr, tol) -> SimDiagResult:
             f"over tolerance {tol}"
         )
     return SimDiagResult(
-        basis=tuple(tuple(col[k] for col in bcols) for k in range(n)),
+        basis=basis,
         q_diag=q_diag,
         r_diag=tuple(r_unit * v for v in eigvals) + (0.0,) * len(zero),
         residual=residual,

@@ -548,12 +548,16 @@ def rotation_from_triple(a, b, h, plane="xy"):
 
 def reference_witness_family(diag, inertia):
     """The whole witness family of a diagonal frame, (tn, td, support) for
-    (a)..(e) in order, each construction written out on its own.
-    containment._witness_family keeps (a), (b) and (d), the members of
-    the frames it reads; (c) +-e_p + sqrt(d_p / -d_n) e_n + e_z and (e)
+    (a)..(e) in order, each construction written out on its own: a
+    member is null for diag(d), t = tn / td, and coordinate i is
+    x + y*sqrt(t) for each (i, x, y) in support, zero elsewhere.  The
+    package reads two slices of it in closed form: a lead frame's two (a)
+    members e_p +- sqrt(d_p / -d_n) e_n (containment._lead_witness), and
+    a semidefinite frame's (b) e_z and (d) e_z +- e_z', the only members
+    when one sign is missing (containment._kernel_witness).  (c)
+    +-e_p + sqrt(d_p / -d_n) e_n + e_z and (e)
     sigma1 e_p + sigma2 e_p' + sqrt((d_p + d_p') / -d_n) e_n (and its
-    mirror) are scanned only by reference_decide, the full-family
-    reference."""
+    mirror) are scanned only by reference_scan."""
     n = len(diag)
     k, m = inertia.k, inertia.m
     pos = range(k)
@@ -611,10 +615,7 @@ def reference_decide(q, r):
     exactly when member < 2.
 
     In Fractions throughout: alpha read off the first nonzero entry of Q
-    and tested entrywise, r at a member v as v^T (B^T R B) v over its
-    support, each entry of B^T R B computed when first read, and the
-    member that fires mapped through the rational basis B, with sqrt(t)
-    folded into the rational part when t is a rational square."""
+    and tested entrywise, and a refutation scanned by reference_scan."""
     d = congruence_diagonalize(q)
     if not (d.inertia.k and d.inertia.m):
         raise NotIndefinite("q is not indefinite")
@@ -623,6 +624,19 @@ def reference_decide(q, r):
     alpha = y0 / x0
     if all(y == alpha * x for x, y in pairs):
         return Proportional(alpha), None
+    return reference_scan(q, r, d)
+
+
+def reference_scan(q, r, d):
+    """(Counterexample, member): the first member of
+    reference_witness_family on q's frame d, run to its end, at which r
+    is nonzero, and its index; NoWitnessFound when none is.  For a
+    semidefinite q the family is its kernel's, (b) then (d).
+
+    In Fractions throughout: r at a member v as v^T (B^T R B) v over its
+    support, each entry of B^T R B computed when first read, and the
+    member that fires mapped through the rational basis B, with sqrt(t)
+    folded into the rational part when t is a rational square."""
     cols = list(zip(*d.basis))
     r_cols, entries = {}, {}
 

@@ -36,9 +36,9 @@ from qformkit import (
     verify_witness,
 )
 from qformkit.cli import _point
-from qformkit.containment import WitnessVector, _holds, _witness_family
+from qformkit.containment import WitnessVector, _holds
 from qformkit.errors import FormatError, MismatchedRadicand, NoWitnessFound
-from qformkit.forms import INDEFINITE, Inertia, LinearTransform, _evaluate
+from qformkit.forms import INDEFINITE, LinearTransform, _evaluate
 
 from conftest import (
     assert_witness_holds,
@@ -51,6 +51,7 @@ from conftest import (
     reference_form_value,
     reference_holds,
     reference_mat_vec,
+    reference_scan,
     reference_witness_family,
     sparse_diagonal_form,
 )
@@ -140,8 +141,8 @@ def test_one_indefiniteness_test(q, simdiag_ok):
 
 class TestConstructWitness:
     def test_semidefinite_q_is_read_off_its_kernel(self):
-        # q = x^2 has no lead frame: its family is the kernel's, e_1 and
-        # e_2 (b), then e_1 +- e_2 (d); r = 2yz is zero on e_1 and e_2
+        # q = x^2 has no lead frame: the kernel scan tries e_1 and e_2,
+        # then e_1 + e_2; r = 2yz is zero on e_1 and e_2
         q = QuadraticForm.diagonal([1, 0, 0])
         r = QuadraticForm([[0, 0, 0], [0, 0, 1], [0, 1, 0]])
         w = construct_witness(congruence_diagonalize(q), r, q)
@@ -280,8 +281,8 @@ class TestBruteForceAgreement:
             )
             verdict = decide_containment(q, r)
             assert isinstance(verdict, Proportional) == brute_prop
-            # every family member is exactly null for q
-            for member in _witness_family(d.diag, d.inertia):
+            # every member of the reference family is exactly null for q
+            for member in reference_witness_family(d.diag, d.inertia):
                 coords = reference_mat_vec(d.basis, _dense(member, n))
                 assert evaluate(q, coords).is_zero()
 
@@ -873,6 +874,8 @@ MISMATCHED = {
     "HomogeneousPoly.evaluate": lambda: QUAD3.evaluate((Fraction(1), Fraction(2))),
     "simdiag_general": lambda: simdiag_general(HYP, THREE),
     "simdiag_psd": lambda: simdiag_psd(QuadraticForm([[1, 0], [0, 0]]), THREE),
+    # an indefinite q too: the dimensions are checked before either pass
+    "simdiag_psd-indefinite-q": lambda: simdiag_psd(HYP, THREE),
 }
 
 
@@ -907,29 +910,65 @@ def test_construct_witness_on_proportional_r():
         construct_witness(congruence_diagonalize(HYP), QuadraticForm([[2, 0], [0, -2]]), HYP)
 
 
-def test_witness_family_matches_reference():
-    """The witness family yields the reference's (tn, td, support)
-    sequence with its 3-index members (c) and (e) left out, member for
-    member, for random diagonals of every inertia with k, m, z <= 4; on
-    the frames it is read on, a lead frame's (1, 1, 0) and a semidefinite
-    one's, that is the whole reference family."""
-    rng = random.Random(71)
-    for k in range(5):
-        for m in range(5):
-            for z in range(5):
-                if k + m + z == 0:
-                    continue
-                for _ in range(3):
-                    diag = tuple(
-                        [Fraction(rng.randint(1, 9), rng.randint(1, 5)) for _ in range(k)]
-                        + [-Fraction(rng.randint(1, 9), rng.randint(1, 5)) for _ in range(m)]
-                        + [Fraction(0)] * z
-                    )
-                    ine = Inertia(k, m, z)
-                    family, reference = list(_witness_family(diag, ine)), list(reference_witness_family(diag, ine))
-                    assert family == [member for member in reference if len(member[2]) < 3]
-                    if not (k and m) or (k, m, z) == (1, 1, 0):
-                        assert family == reference
+def _semidefinite(rng, n, z):
+    """q = P^T D P, D of one sign with z zeros and P sparse, entries in
+    -2..2: a column of P that meets only D's zeros is a zero row of Q,
+    which q's pass swaps past when a nonzero diagonal entry follows.  P
+    may be singular, and q's kernel then larger than z."""
+    sign = rng.choice((1, -1))
+    d = [sign * rng.randint(1, 3) for _ in range(n - z)] + [0] * z
+    rng.shuffle(d)
+    p = [[rng.choice((0, 0, 0, 1, -1, 2, -2)) for _ in range(n)] for _ in range(n)]
+    return QuadraticForm([[sum(p[k][i] * d[k] * p[k][j] for k in range(n)) for j in range(n)] for i in range(n)])
+
+
+def test_kernel_scan_matches_reference():
+    """On a semidefinite q, construct_witness is the first (b) or (d)
+    member of the reference family (conftest.reference_scan, in
+    Fractions) at which r is nonzero, byte for byte, and raises
+    NoWitnessFound exactly when no member is.  q is P^T D P of n <= 7
+    with a kernel of dimension z <= 4, or definite (z = 0); r is
+    definite, semidefinite, indefinite, alpha*q, and, for z >= 2, zero on
+    the kernel but for one pair z < z' of its columns, so that no (b)
+    member fires and a (d) one does.  (A semidefinite pass swaps, but
+    never repairs: a zero pivot of a semidefinite form has a zero row.)"""
+    rng = random.Random(54)
+    seen = {"b": 0, "d": 0, "none": 0, "swapped": 0}
+    for _ in range(400):
+        n = rng.randint(1, 7)
+        q = _semidefinite(rng, n, rng.randint(0, min(n, 4)))
+        d = congruence_diagonalize(q)
+        zero = d.inertia.blocks[2]
+        if len(zero) > 4:
+            continue
+        m = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        alpha = Fraction(rng.choice((-1, 1, 2)), 3)
+        rs = [
+            QuadraticForm([[sum(m[k][i] * m[k][j] for k in range(n)) + (i == j) for j in range(n)] for i in range(n)]),
+            _semidefinite(rng, n, rng.randint(0, n)),
+            QuadraticForm([[alpha * e for e in row] for row in q.matrix]),
+        ]
+        if n >= 2:
+            rs.append(random_indefinite(rng, n))
+        if len(zero) >= 2:
+            a, b = sorted(rng.sample(zero, 2))
+            rs.append(_in_frame(q, [(a, b, Fraction(rng.choice((-2, 1, 3)), rng.randint(1, 3)))], Fraction(rng.randint(-2, 2))))
+        seen["swapped"] += any(
+            not q.matrix[i][i] and any(q.matrix[j][j] for j in range(i + 1, n)) for i in range(n)
+        )
+        members = list(reference_witness_family(d.diag, d.inertia))
+        for r in rs:
+            try:
+                want, member = reference_scan(q, r, d)
+            except NoWitnessFound:
+                with pytest.raises(NoWitnessFound):
+                    construct_witness(congruence_diagonalize(q), r, q)
+                seen["none"] += 1
+                continue
+            got = construct_witness(congruence_diagonalize(q), r, q)
+            _assert_same_verdict(Counterexample(got), want)
+            seen["b" if len(members[member][2]) == 1 else "d"] += 1
+    assert min(seen.values()) >= 50, seen
 
 
 def test_stopped_pass_matches_the_full_scan():

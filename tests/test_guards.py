@@ -354,7 +354,11 @@ def test_off_anchor_refutation_reads_only_the_lead_frame(monkeypatch):
     r_rows[n - 2][n - 1] += 1
     q, r = qformkit.QuadraticForm(q_rows), qformkit.QuadraticForm(r_rows)
     lead = forms.congruence_diagonalize(q).lead
-    assert containment._first_witness(lead, r, containment._products(r, lead)) is None
+    # r is zero on both null lines of the lead plane, so _lead_witness takes the plane route
+    t = lead.diag[0] / -lead.diag[1]
+    for sign in (1, -1):
+        assert not qformkit.evaluate(r, lead.pullback(((0, 1, 0), (1, 0, sign)), t))
+    assert qformkit.verify_witness(q, r, containment._lead_witness(lead, r, q))
     times = []
     for _ in range(3):
         start = time.perf_counter()
@@ -688,7 +692,7 @@ def test_lead_fired_refutation_makes_one_product_per_lead_column(monkeypatch):
 def test_plane_route_makes_one_product_per_form_and_lead_column(monkeypatch):
     """A refutation the lead frame's members miss (q = diag(1, -1, 0),
     r = diag(1, -1, 5)) reads Q y and R y once for each lead column y,
-    four products in all: the plane route shares the scan's R y, and
+    four products in all: the plane route shares the null lines' R y, and
     reads q(x), r(x), q(x, y) and r(x, y) for its x = e_2 off the entries
     of Q and R and of those products, with no product of its own."""
     q, r = qformkit.QuadraticForm.diagonal([1, -1, 0]), qformkit.QuadraticForm.diagonal([1, -1, 5])
