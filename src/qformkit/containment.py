@@ -17,11 +17,11 @@ from fractions import Fraction
 
 from .errors import DimensionMismatch, FormatError, MismatchedRadicand, NoWitnessFound, NotIndefinite
 from .forms import CongruenceDiagonalization, Point, QuadraticForm, classify, congruence_diagonalize
-from .forms import _apply, _dot, _evaluate, _read_point
+from .forms import _apply, _dot, _evaluate, _indefinite, _read_point
 # no code here calls evaluate; perfbench/spans.py wraps it at this binding too
 from .forms import evaluate
 from .record import Record, _set, lazy
-from .scalars import _ONE, QuadExt, _is_zero, _join, _sqrt_ratio, render_quadext, render_ratio, render_rational
+from .scalars import _ONE, _ZERO, QuadExt, _is_zero, _join, _sqrt_ratio, render_quadext, render_ratio, render_rational
 
 
 class WitnessVector(Record):
@@ -113,33 +113,37 @@ def _decide_in_frame(
 ) -> ContainmentVerdict:
     """decide_containment for a caller that already diagonalized q (dq).
 
-    A pivot of each sign proves q indefinite, so dq.lead, which runs q's
-    pass only that far, is the indefiniteness test.  B is invertible, so
-    B^T R B = alpha*diag(d) exactly when R = alpha*Q: proportionality is
-    an entrywise test on the original matrices, and needs no more of the
-    pass.  Neither does a refutation: construct_witness reads its witness
-    off dq.lead, and the pass never runs past it.
+    B is invertible, so B^T R B = alpha*diag(d) exactly when R = alpha*Q:
+    proportionality is an entrywise test on the original matrices, _ratio,
+    and it runs first.  A refutation then reads dq.lead, which runs q's
+    pass only until it has a pivot of each sign: None proves q not
+    indefinite, and otherwise construct_witness reads its witness off
+    that frame, so the pass never runs past it.  A proportional verdict
+    needs only the fact that q is indefinite, from forms._indefinite: Q's
+    own diagonal proves it with no pass step when it can, and dq.lead
+    decides when it cannot.  Either way a q that is not indefinite raises
+    NotIndefinite, Q = 0 among them.
     """
-    if dq.lead is None:
-        raise NotIndefinite(
-            "the base form must be indefinite (take both signs); "
-            "semidefinite forms are outside this decision procedure"
-        )
     alpha = _ratio(q, r)
-    if alpha is not None:
+    if alpha is None and dq.lead:
+        return Counterexample(construct_witness(dq, r, q))
+    if alpha is not None and _indefinite(q, dq):
         return Proportional(alpha)
-    return Counterexample(construct_witness(dq, r, q))
+    raise NotIndefinite(
+        "the base form must be indefinite (take both signs); "
+        "semidefinite forms are outside this decision procedure"
+    )
 
 
 def _ratio(q, r):
-    """alpha with R = alpha*Q entrywise, or None; Q is not zero, and both
+    """alpha with R = alpha*Q entrywise, or None, also when Q = 0; both
     are symmetric, so the upper triangles decide.  With Q = Q_int / den_Q
     and R = R_int / den_R, and (a, b) the first entries of Q_int and R_int
     with a != 0, R = alpha*Q exactly when R_int is zero before (a, b) and
     R_int a = b Q_int from there on, and then alpha = b den_Q / (den_R a).
     The test is one loop in ints over the upper triangle, which stops at
     the first entry that fails, and makes no Fraction but alpha, and that
-    only when it holds."""
+    only when it holds.  It reads neither q's frame nor its pass."""
     a = b = 0
     for i, (q_row, r_row) in enumerate(zip(q.ints, r.ints)):
         for x, y in zip(q_row[i:], r_row[i:]):
@@ -150,7 +154,7 @@ def _ratio(q, r):
                 a, b = x, y
             elif y:
                 return None
-    return Fraction(b * q.den, r.den * a)
+    return Fraction(b * q.den, r.den * a) if a else None
 
 
 def construct_witness(
@@ -236,9 +240,8 @@ def _lead_witness(lead, r, q):
     and no column but lead's two is built.
     """
     Q, R, n = q.ints, r.ints, q.dim
-    (pn, pd), (nn, nd) = (d.as_integer_ratio() for d in lead.diag)
+    (pn, pd, sp), (nn, nd, sn) = lead._rec
     tn, td = pn * nd, -nn * pd
-    sp, sn = lead.scales
     y_p, y_n = lead.column(0), lead.column(1)
     r_p, r_n = _apply(R, y_p), _apply(R, y_n)
     e_pp, e_nn = _dot(y_p, r_p), _dot(y_n, r_n)
@@ -253,7 +256,7 @@ def _lead_witness(lead, r, q):
                 rn, rd = root
                 rat, rad, big, t = rat * rd + rad * rn, 0, big * rd, _ONE
             point = lead._pullback(((0, 1, 0), (1, 0, sign)), t, root)
-            return WitnessVector(point, QuadExt(0, 0, t), QuadExt(Fraction(rat, big), Fraction(rad, big), t))
+            return WitnessVector(point, QuadExt(_ZERO, _ZERO, t), QuadExt(Fraction(rat, big), Fraction(rad, big), t))
 
     # the plane route: (y, Q_int y, R_int y, q(y), r(y)) for y_n, then y_p
     q_n, q_p = _apply(Q, y_n), _apply(Q, y_p)
@@ -287,7 +290,7 @@ def _lead_witness(lead, r, q):
                 g = math.gcd(*a, *b)
                 t, big = Fraction(delta), g * g * r.den
                 point = Point(t, 1, tuple(u // g for u in a), tuple(w // g for w in b))
-                return WitnessVector(point, QuadExt(0, 0, t), QuadExt(Fraction(rat, big), Fraction(rad, big), t))
+                return WitnessVector(point, QuadExt(_ZERO, _ZERO, t), QuadExt(Fraction(rat, big), Fraction(rad, big), t))
     return None
 
 
@@ -325,7 +328,7 @@ def _kernel_witness(dq: CongruenceDiagonalization, r: QuadraticForm):
     for support, e, scale in members():
         if e:
             point = dq._pullback(support, _ONE, None)
-            return WitnessVector(point, QuadExt(0, 0, _ONE), QuadExt(Fraction(e, scale * r.den), 0, _ONE))
+            return WitnessVector(point, QuadExt(_ZERO, _ZERO, _ONE), QuadExt(Fraction(e, scale * r.den), _ZERO, _ONE))
     return None
 
 

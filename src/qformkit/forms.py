@@ -173,17 +173,22 @@ class CongruenceDiagonalization(Record):
     inertia never builds B, and a witness builds the 1 or 2 columns its
     support reads.
 
-    _run is the pass's state: (the elimination, its log, (d_i, |scale_i|)
-    for each step i run so far, the columns built so far by step, n).  A
-    frame built from its fields is one whose pass has ended, with the
-    steps in frame order, so diag and scales are read back as tuples.
+    _run is the pass's state: (the elimination, its log, its record, the
+    columns built so far by step, n).  The record holds, for each step i
+    run so far, the ints (num_i, den_i, |scale_i|) with d_i =
+    num_i / den_i, den_i > 0 and not always in lowest terms: the pass
+    makes no Fraction, and diag makes the n of a frame the first time it
+    is read.  A frame built from its fields is one whose pass has ended,
+    with the steps in frame order, so diag and scales read its fields
+    back in the order they were given.
     """
 
-    __slots__ = ("_run", "_order", "_inertia", "_cols", "_basis", "_lead")
+    __slots__ = ("_run", "_order", "_inertia", "_cols", "_basis", "_lead", "_diag", "_scales")
     _fields = ("diag", "inertia", "cols", "scales")
 
     def __init__(self, diag, inertia, cols, scales):
-        _set(self, "_run", (iter(()), [], list(zip(diag, scales)), dict(enumerate(cols)), len(diag)))
+        rec = [(*d.as_integer_ratio(), s) for d, s in zip(diag, scales)]
+        _set(self, "_run", (iter(()), [], rec, dict(enumerate(cols)), len(diag)))
         _set(self, "_inertia", inertia)
 
     @lazy
@@ -191,16 +196,26 @@ class CongruenceDiagonalization(Record):
         """The pass step of each frame index: the steps of positive, then
         negative, then zero d_i, each in pass order."""
         any(self._run[0])  # the pass yields None after each step: this runs it to its end
-        signs = [_sign(d) for d, _ in self._run[2]]
+        signs = [_sign(num) for num, _, _ in self._run[2]]
         return tuple(c for s in (1, -1, 0) for c, x in enumerate(signs) if x == s)
 
     dim = property(lambda self: self._run[4], doc="n, read without running the pass")
-    diag = property(lambda self: tuple(self._run[2][c][0] for c in self.order), doc="d_i in frame order")
-    scales = property(lambda self: tuple(self._run[2][c][1] for c in self.order), doc="|scale_i| in frame order")
+    _rec = property(lambda self: [self._run[2][c] for c in self.order], doc="the record in frame order")
+
+    @lazy
+    def diag(self) -> tuple:
+        """d_i in frame order, made from the record's ints."""
+        return tuple(Fraction(num, den) for num, den, _ in self._rec)
+
+    @lazy
+    def scales(self) -> tuple:
+        """|scale_i| in frame order; kept, since pullback reads it on
+        each call."""
+        return tuple(s for _, _, s in self._rec)
 
     @lazy
     def inertia(self) -> Inertia:
-        signs = [_sign(d) for d in self.diag]
+        signs = [_sign(num) for num, _, _ in self._rec]
         return Inertia(signs.count(1), signs.count(-1), signs.count(0))
 
     @lazy
@@ -213,7 +228,7 @@ class CongruenceDiagonalization(Record):
         each entry and column is that of the frame run to the end: frame
         indices 0 and k there."""
         run, _, rec, _, _ = self._run
-        signs = [_sign(d) for d, _ in rec]
+        signs = [_sign(num) for num, _, _ in rec]
         while not (1 in signs and -1 in signs):
             if next(run, True):  # None after each step, True once the pass has ended
                 return None
@@ -226,7 +241,7 @@ class CongruenceDiagonalization(Record):
         _, steps, rec, built, n = self._run
         c = self.order[f]
         if c not in built:
-            built[c] = _column(steps, c, rec[c][1], n)
+            built[c] = _column(steps, c, rec[c][2], n)
         return built[c]
 
     @lazy
@@ -452,15 +467,42 @@ def _frame(run, **known):
     return d
 
 
-def _sign(d):
-    """The sign of the Fraction d, read off its int numerator."""
-    return (d.numerator > 0) - (d.numerator < 0)
+def _sign(num):
+    """The sign of d_i, read off the int numerator num_i of the pass's
+    record, whose denominator is positive."""
+    return (num > 0) - (num < 0)
+
+
+def _indefinite(q: QuadraticForm, dq: CongruenceDiagonalization) -> bool:
+    """Whether q is indefinite, with dq its frame: the indefiniteness test
+    of a verdict that reads no frame, a proportional contain, lorentz's
+    kappa, and poly-contain before its division; a refutation reads
+    dq.lead itself, the frame its witness needs.
+
+    Q's own entries prove it when Q_ii > 0 > Q_jj for some i and j, since
+    q(e_i) = Q_ii, or when some Q_ii = 0 in a nonzero row, Q_ij != 0 for
+    some j != i: then q(s e_i + e_j) = 2 s Q_ij + Q_jj takes both signs as
+    s does.  The scan reads the diagonal in order, O(n) ints, and stops at
+    the first proof.  When it proves nothing, dq.lead, a pivot of each
+    sign, decides.  The certificate never fires on a semidefinite q:
+    there a zero Q_ii has a zero row, since the 2x2 minor on (i, j),
+    -Q_ij^2, is >= 0."""
+    seen = 0
+    for i, row in enumerate(q.ints):
+        x = row[i]
+        if x:
+            seen |= 1 if x > 0 else 2
+            if seen == 3:
+                return True
+        elif any(row):
+            return True
+    return dq.lead is not None
 
 
 def _eliminate(q, steps, rec):
     """The pass of congruence_diagonalize, one step per resumption: step
     i logs its repairs and its pivot row to steps, appends
-    (d_i, |scale_i|) to rec and yields.
+    (num_i, den_i, |scale_i|) to rec, d_i = num_i / den_i, and yields.
 
     The pass is left-looking (Golub & Van Loan, Matrix Computations,
     4.1-4.2): a pivot step updates no row when it runs, and is added to
@@ -524,8 +566,9 @@ def _eliminate(q, steps, rec):
                     col_add(swap_at, i)
             if swap_at is not None:
                 col_swap(i, swap_at)
-        p, row_i = a[i][i], a[i]
-        rec.append((Fraction(p, prev * den), abs(prev)))
+        p, row_i, s = a[i][i], a[i], abs(prev)
+        # d_i = p / (prev den), written over a positive denominator
+        rec.append((p if prev > 0 else -p, s * den, s))
         if p:
             steps.append(("pivot", i, row_i))
         yield

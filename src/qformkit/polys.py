@@ -36,6 +36,7 @@ from .forms import (
     classify,
     congruence_diagonalize,
     _common_denominator,
+    _indefinite,
     _read_point,
     _value,
 )
@@ -365,11 +366,15 @@ def decide_containment_homogeneous(q: QuadraticForm, r: HomogeneousPoly):
 
     r = q*s + rem for the division's quotient s and remainder rem, and q
     vanishes at every swept point, so the sweep evaluates rem, which has
-    no more terms than r and usually far fewer: r(v) = rem(v) there."""
+    no more terms than r and usually far fewer: r(v) = rem(v) there.
+
+    q is tested by forms._indefinite before the division, so a divisible
+    verdict runs none of q's pass when Q's own diagonal proves q
+    indefinite; only the sweep reads q's frame."""
     if q.dim != r.nvars:
         raise DimensionMismatch(f"form dim {q.dim} != poly nvars {r.nvars}")
     dq = congruence_diagonalize(q)
-    if dq.lead is None:
+    if not _indefinite(q, dq):
         raise NotIndefinite("the quadratic divisor must be indefinite")
     division = reduce_by_quadratic(r, poly_from_form(q))
     rem = division.remainder

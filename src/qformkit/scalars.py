@@ -208,6 +208,9 @@ def exact_sqrt(t: Fraction):
 # the radicand of a rational value, made once: pullback folds a square
 # radicand into its point and gives it this one
 _ONE = Fraction(1)
+# a decision's zero parts, made once: q's value at a witness, and the
+# sqrt-part of a rational value; QuadExt keeps a Fraction part as it is
+_ZERO = Fraction(0)
 
 
 def render_quadext(x: QuadExt) -> str:

@@ -384,7 +384,8 @@ def right_looking_eliminate(q, steps, rec):
     """forms._eliminate as the right-looking pass: each pivot step applies
     its Bareiss update to the whole trailing block when the pass resumes,
     where the left-looking pass updates a row only when a step reads it.
-    Both must log the same steps and rec, step for step."""
+    Both must log the same steps and the same int record
+    (num_i, den_i, |scale_i|), d_i = num_i / den_i, step for step."""
     n = q.dim
     den, a = q.den, [list(row) for row in q.ints]
     prev = 1
@@ -414,8 +415,8 @@ def right_looking_eliminate(q, steps, rec):
                     col_add(swap_at, i)
             if swap_at is not None:
                 col_swap(i, swap_at)
-        p, row_i = a[i][i], a[i]
-        rec.append((Fraction(p, prev * den), abs(prev)))
+        p, row_i, s = a[i][i], a[i], abs(prev)
+        rec.append((p if prev > 0 else -p, s * den, s))
         if p:
             steps.append(("pivot", i, row_i))
         yield

@@ -36,9 +36,9 @@ from qformkit import (
     verify_witness,
 )
 from qformkit.cli import _point
-from qformkit.containment import WitnessVector, _holds
+from qformkit.containment import WitnessVector, _holds, _ratio
 from qformkit.errors import FormatError, MismatchedRadicand, NoWitnessFound
-from qformkit.forms import INDEFINITE, LinearTransform, _evaluate
+from qformkit.forms import INDEFINITE, LinearTransform, _evaluate, _indefinite
 
 from conftest import (
     assert_witness_holds,
@@ -137,6 +137,80 @@ def test_one_indefiniteness_test(q, simdiag_ok):
     else:
         with pytest.raises(ContainmentFails):
             simdiag_general(q, r)
+
+
+def _certificate_form(rng, k):
+    """q for the indefiniteness certificate's property test, n = 1..6:
+    every 20th the zero form; else, in turn, a semidefinite P^T D P, D of
+    one sign with at least one zero, random entries in -3..3, and random
+    entries with a diagonal of one sign and no zero, which proves
+    nothing."""
+    n = k % 6 + 1
+    if k % 20 == 0:
+        return QuadraticForm([[0] * n for _ in range(n)])
+    if k % 4 == 1:
+        return random_symmetric(rng, n, -3, 3)
+    if k % 4 == 3:
+        rows = [list(row) for row in random_symmetric(rng, n, -3, 3).matrix]
+        sign = rng.choice((1, -1))
+        for i in range(n):
+            rows[i][i] = sign * rng.randint(1, 3)
+        return QuadraticForm(rows)
+    sign = rng.choice((1, -1))
+    d = [sign * rng.choice((0, 1, 2, 3)) for _ in range(n)]
+    d[rng.randrange(n)] = 0
+    p = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+    return QuadraticForm([[sum(p[k][i] * d[k] * p[k][j] for k in range(n)) for j in range(n)] for i in range(n)])
+
+
+def test_indefiniteness_certificate():
+    """forms._indefinite over 2400 seeded q, n <= 6, random, with a
+    diagonal of one sign, semidefinite with kernels, and zero: it says indefinite exactly when q's lead frame
+    exists, and when Q's diagonal proves it, which runs no pass step, the
+    lead frame of a fresh frame exists too.  decide_containment against
+    alpha*q (alpha = 0 included), a one-entry perturbation of it, and a
+    random r agrees with conftest.reference_decide, which reads the
+    inertia of the frame run to its end, on the verdict and alpha, or
+    on NotIndefinite.  Q = 0 against r = 0 and r != 0 raises
+    NotIndefinite, and _ratio reads no alpha off it."""
+    rng = random.Random(55)
+    seen = {"diagonal": 0, "lead": 0, "not indefinite": 0, "proportional": 0, "counterexample": 0, "raised": 0}
+    for k in range(2400):
+        q = _certificate_form(rng, k)
+        n = q.dim
+        dq = congruence_diagonalize(q)
+        indefinite = _indefinite(q, dq)
+        assert indefinite == (congruence_diagonalize(q).lead is not None)
+        seen["diagonal" if not dq._run[2] else "lead" if indefinite else "not indefinite"] += 1
+        alpha = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        rows = [list(row) for row in mat_scale(q.matrix, alpha)]
+        bumped = [list(row) for row in rows]
+        i, j = rng.randrange(n), rng.randrange(n)
+        bumped[i][j] += 1
+        bumped[j][i] = bumped[i][j]
+        for r in (QuadraticForm(rows), QuadraticForm(bumped), random_symmetric(rng, n, -3, 3)):
+            try:
+                got = decide_containment(q, r)
+            except NotIndefinite:
+                assert not indefinite
+                with pytest.raises(NotIndefinite):
+                    reference_decide(q, r)
+                seen["raised"] += 1
+                continue
+            want, _ = reference_decide(q, r)
+            assert type(got) is type(want)
+            if isinstance(want, Proportional):
+                assert got.alpha == want.alpha
+                seen["proportional"] += 1
+            else:
+                seen["counterexample"] += 1
+    assert min(seen.values()) >= 200, seen
+    for n in range(1, 7):
+        zero = QuadraticForm([[0] * n for _ in range(n)])
+        assert _ratio(zero, zero) is None
+        for r in (zero, QuadraticForm.diagonal([1] * n)):
+            with pytest.raises(NotIndefinite):
+                decide_containment(zero, r)
 
 
 class TestConstructWitness:

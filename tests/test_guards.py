@@ -319,12 +319,14 @@ def _degenerate_b_pair(n, seed):
 
 def test_contain_stops_at_the_first_pivot_of_each_sign(monkeypatch):
     """decide_containment runs q's pass only until it has a pivot of each
-    sign when that settles the verdict: the anchored n = 32 pair has
-    d_0 = 2 and d_1 = -1 - a_01^2 / 2 < 0 at steps 0 and 1, so its proportional
-    twin and its perturbation at (0, 0), which the first witness-family
-    member exposes, run 2 of the 32 steps.  A degenerate-b refutation,
-    which the lead frame's members miss, is read off the plane route and
-    runs the same 2 of its 8 steps."""
+    sign when that settles the verdict, and not at all when Q's diagonal
+    proves q indefinite on a proportional verdict: the anchored n = 32
+    pair has Q_00 = 2 > 0 > -1 = Q_11, so its proportional twin runs none
+    of the 32 steps.  Its perturbation at (0, 0), which a null line of
+    _lead_witness exposes, runs 2, the steps of d_0 = 2 and
+    d_1 = -1 - a_01^2 / 2 < 0.  A degenerate-b refutation, which neither
+    null line exposes, is read off the plane route and runs the same 2
+    of its 8 steps."""
     recs = _steps_run(monkeypatch)
     q_rows, r_rows = _anchored_pair(32, 5)
     q = qformkit.QuadraticForm(q_rows)
@@ -333,13 +335,37 @@ def test_contain_stops_at_the_first_pivot_of_each_sign(monkeypatch):
     r = qformkit.QuadraticForm(r_rows)
     verdict = qformkit.decide_containment(q, r)
     assert isinstance(verdict, qformkit.Counterexample) and qformkit.verify_witness(q, r, verdict.witness)
-    assert [len(rec) for rec in recs] == [2, 2]
+    assert [len(rec) for rec in recs] == [0, 2]
     recs.clear()
     q, r = _degenerate_b_pair(8, 5)
     verdict = qformkit.decide_containment(q, r)
     assert isinstance(verdict, qformkit.Counterexample) and qformkit.verify_witness(q, r, verdict.witness)
     assert verdict.witness.coords == (0,) * 7 + (1,)
     assert [len(rec) for rec in recs] == [2]
+
+
+def test_diagonal_proof_runs_no_pass_step(monkeypatch):
+    """A proportional verdict runs none of q's pass steps when Q's own
+    diagonal proves q indefinite: the interval check of a boost, whose
+    eta = diag(-1, 1, 1, 1), and a divisible poly-contain of q =
+    diag(1, -1, 2).  The diagonals of [[1, 2], [2, 1]] and of the pending
+    repair form [[1, 1, 1], [1, 1, 2], [1, 2, 1]] are positive and prove
+    nothing, so a proportional contain reads q's lead frame there, and
+    its pass stops at lead's steps: 2 of 2, and 3 of 3 after a repair
+    and a swap."""
+    recs = _steps_run(monkeypatch)
+    assert qformkit.check_interval_invariance(qformkit.boost_from_triple(3, 4, 5)).kappa == 1
+    hyp = polys.poly_from_form(_HYP)
+    assert isinstance(qformkit.decide_containment_homogeneous(_HYP, poly_mul(hyp, hyp)), polys.Divisible)
+    assert [len(rec) for rec in recs] == [0, 0]
+    for rows, steps in (([[1, 2], [2, 1]], 2), ([[1, 1, 1], [1, 1, 2], [1, 2, 1]], 3)):
+        recs.clear()
+        q = qformkit.QuadraticForm(rows)
+        verdict = qformkit.decide_containment(q, qformkit.QuadraticForm([[2 * e for e in row] for row in rows]))
+        assert verdict.alpha == 2
+        assert forms.congruence_diagonalize(q).lead is not None
+        # the decision's pass, then the pass of a fresh frame's lead
+        assert [len(rec) for rec in recs] == [steps, steps]
 
 
 def test_off_anchor_refutation_reads_only_the_lead_frame(monkeypatch):
@@ -391,9 +417,9 @@ def test_simdiag_rejects_an_indefinite_r_early(monkeypatch):
 
 def test_contain_reads_only_the_rows_its_steps_read(monkeypatch):
     """q's pass brings a row up to date only when a step reads it: after a
-    proportional decide_containment on the anchored n = 128 pair, whose
-    pass stops after 2 steps, the suspended pass's working rows from
-    step 2 on are still q's own tuples of ints, untouched."""
+    refuting decide_containment on the anchored n = 128 pair perturbed at
+    (0, 0), whose pass stops after 2 steps, the suspended pass's working
+    rows from step 2 on are still q's own tuples of ints, untouched."""
     passes = []
     eliminate = forms._eliminate
 
@@ -403,8 +429,9 @@ def test_contain_reads_only_the_rows_its_steps_read(monkeypatch):
 
     monkeypatch.setattr(forms, "_eliminate", kept)
     q_rows, r_rows = _anchored_pair(128, 5)
+    r_rows[0][0] += 1
     q = qformkit.QuadraticForm(q_rows)
-    assert isinstance(qformkit.decide_containment(q, qformkit.QuadraticForm(r_rows)), qformkit.Proportional)
+    assert isinstance(qformkit.decide_containment(q, qformkit.QuadraticForm(r_rows)), qformkit.Counterexample)
     (run,) = passes
     rows, rec = run.gi_frame.f_locals["a"], run.gi_frame.f_locals["rec"]
     assert len(rec) == 2
@@ -474,24 +501,28 @@ def _refute_and_recheck(q, r):
 def test_fractions_made_per_decision(seed):
     """The diagonal frame, the proportionality test, the witness scan and
     the re-check run in ints: Fractions are made where a verdict reads
-    them.  At n = 16 a confirmation makes the n diagonal values and alpha.
-    A refutation runs q's pass only to its first pivot of each sign and
+    them.  At n = 16 a confirmation makes alpha alone: Q's diagonal
+    proves q indefinite, and the pass, which records d_i as int pairs,
+    does not run (it made the lead frame's 2 diagonal values).  A
+    refutation runs q's pass only to its first pivot of each sign and
     keeps its witness as pullback's int point, so with its re-check it
-    makes at most 16, however large n is: the 2n parts of the witness's
-    coordinates made 47 in all.  The re-check compares int cores with
-    the witness's values and makes none."""
+    makes at most 3, however large n is: t and the two parts of r's
+    value; q's value has the shared zero parts.  The pass's 2 diagonal
+    values and q's value's 2 zero parts made 7, and the 2n parts of the
+    witness's coordinates made 47 in all.  The re-check compares int
+    cores with the witness's values and makes none."""
     n = 16
     q_rows, r_rows = _anchored_pair(n, seed)
     q = qformkit.QuadraticForm(q_rows)
     verdict, made = _fractions_made(qformkit.decide_containment, q, qformkit.QuadraticForm(r_rows))
     assert isinstance(verdict, qformkit.Proportional)
-    assert made <= n + 1
+    assert made == 1
     r_rows[0][0] += 1
     r = qformkit.QuadraticForm(r_rows)
     (verdict, rechecked), made = _fractions_made(_refute_and_recheck, q, r)
     assert isinstance(verdict, qformkit.Counterexample)
     assert rechecked
-    assert made <= 16
+    assert made <= 3
     rechecked, made = _fractions_made(qformkit.verify_witness, q, r, verdict.witness)
     assert rechecked
     assert made == 0
@@ -500,11 +531,12 @@ def test_fractions_made_per_decision(seed):
 def test_fractions_made_per_interval_check():
     """The interval form is built in ints from c's ratio, and the
     pullback L^T eta L is multiplied in ints: a whole check of a 4x4
-    boost makes at most 3 (the lead frame's 2 diagonal values and kappa).
-    -c^2 made 2 more."""
+    boost makes kappa alone, since the diagonal of eta proves it
+    indefinite.  The lead frame's 2 diagonal values made 2 more, and -c^2
+    2 more again."""
     report, made = _fractions_made(qformkit.check_interval_invariance, qformkit.boost_from_triple(3, 4, 5))
     assert report.classification == "interval-preserving"
-    assert made <= 3
+    assert made == 1
 
 
 @pytest.mark.parametrize(
@@ -644,8 +676,8 @@ def _count_column_builds(monkeypatch):
 
 def test_witness_builds_only_the_columns_it_reads(monkeypatch):
     """A refutation builds the columns of B its witness reads and no more:
-    on an anchored n = 32 pair with r perturbed at (0, 0), the first
-    witness-family member fires, and its support is 2 indices.  A
+    on an anchored n = 32 pair with r perturbed at (0, 0), a null line
+    of _lead_witness fires, and its support is 2 indices.  A
     proportional verdict builds none."""
     q_rows, r_rows = _anchored_pair(32, 5)
     r_rows[0][0] += 1
